@@ -7,9 +7,9 @@
 //! dry runs. It has two consumers:
 //!
 //! * [`Certificate::static_conflicts`] produces the runtime form
-//!   ([`sl_sim::StaticConflicts`]) consumed by
-//!   `PruneMode::StaticDpor` and consulted by `PruneMode::OptimalDpor`
-//!   when installed: the *licensed* register set (placement
+//!   ([`sl_sim::StaticConflicts`]) consulted by
+//!   `PruneMode::OptimalDpor` when installed: the *licensed* register
+//!   set (placement
 //!   relaxation may fire) and the *racy* register set (the dynamic
 //!   race detector validates every observed race against it,
 //!   fail-closed).
@@ -102,8 +102,8 @@ pub struct OpFootprint {
     /// Sites updated through an RMW at least once.
     pub rmws: BTreeSet<usize>,
     /// Written sites whose stored image varied across probes — the
-    /// writes value-aware DPOR's same-value write/write refinement
-    /// cannot be expected to commute.
+    /// writes the explorer's same-value write/write rule cannot be
+    /// expected to commute.
     pub value_dependent: BTreeSet<usize>,
 }
 

@@ -10,14 +10,13 @@
 //!
 //! The simulator consumes the runtime form
 //! ([`Certificate::static_conflicts`]) under
-//! `sl_sim::PruneMode::StaticDpor` (and opportunistically under
 //! `sl_sim::PruneMode::OptimalDpor`, which consults an installed
-//! certificate without requiring one): the explorer's `Local`
-//! (invocation-pause) steps stop conflicting with everything and
-//! instead commute with marker-free data steps on licensed registers —
-//! pruning the invocation-placement branching that value-aware DPOR
-//! must otherwise explore. The analysis is **fail-closed in both
-//! directions**:
+//! certificate as the certificate layer of its independence relation:
+//! the explorer's `Local` (invocation-pause) steps stop conflicting
+//! with everything and instead commute with marker-free data steps on
+//! licensed registers — pruning the invocation-placement branching the
+//! relation must otherwise explore. The analysis is **fail-closed in
+//! both directions**:
 //!
 //! * unprobed registers are unlicensed — an incomplete analysis prunes
 //!   nothing;
@@ -49,7 +48,7 @@
 //!
 //! // Explore with the certificate: same verdict, fewer schedules.
 //! let cfg = SimExplore {
-//!     mode: PruneMode::StaticDpor,
+//!     mode: PruneMode::OptimalDpor,
 //!     statics: Some(Arc::new(cert.static_conflicts())),
 //!     workers: 1,
 //!     ..SimExplore::default()

@@ -1,21 +1,21 @@
-//! The pruned-mode differential suite: for representative family ×
-//! substrate workloads, exploring under `PruneMode::StaticDpor` with a
-//! probed certificate must
+//! The certificate differential suite: for representative family ×
+//! substrate workloads, exploring under `PruneMode::OptimalDpor` with a
+//! probed certificate installed must
 //!
 //! 1. reach the **same strong-linearizability verdict and conflict
-//!    depth** as `PruneMode::ValueDpor`,
+//!    depth** as `OptimalDpor` without the certificate,
 //! 2. be **bit-identical across worker counts 1/2/4/8** (the
 //!    certificate is consulted through an immutable shared reference;
-//!    pruning decisions are schedule-local), and
-//! 3. replay **no more schedules** than value-aware DPOR — strictly
-//!    fewer wherever invocation-placement branching exists to prune.
+//!    pruning decisions are schedule-local),
+//! 3. replay **no more schedules** than `OptimalDpor` without the
+//!    certificate — strictly fewer wherever invocation-placement
+//!    branching exists to prune — with the wakeup-sequence guarantee of
+//!    **zero cut replays**.
 //!
-//! `PruneMode::OptimalDpor` rides the same skeleton with the same
-//! obligations 1–2, plus the wakeup-sequence guarantees: **zero cut
-//! replays** (no sleep-set-blocked run is ever initiated) and no more
-//! *total* replays (runs + cuts) than value-aware DPOR. A randomized
-//! sweep at the bottom cross-checks every prune mode, including the
-//! unpruned reference, on generated workloads.
+//! The reference is the same relation without its certificate layer:
+//! the syntactic and unpruned spaces of these workloads do not exhaust
+//! within the budget. A randomized sweep at the bottom cross-checks
+//! optimal against source DPOR on generated workloads.
 
 use std::sync::Arc;
 
@@ -63,8 +63,8 @@ where
     (explored.outcome, report)
 }
 
-/// The shared differential skeleton: ValueDpor baseline vs StaticDpor
-/// with `cert`'s runtime form, across all worker counts.
+/// The shared differential skeleton: OptimalDpor without a certificate
+/// vs OptimalDpor with `statics` installed, across all worker counts.
 fn differential<S, O, F>(
     label: &str,
     spec: &S,
@@ -82,101 +82,63 @@ fn differential<S, O, F>(
     F: Fn(&sl_sim::SimMem) -> O + Send + Sync + Copy,
 {
     let st = Arc::new(statics);
-    let (value_out, value_rep) =
-        run::<S, O, F>(spec, factory, workload, &cfg(PruneMode::ValueDpor, 1, None));
-    let mut static_outs: Vec<(ExploreOutcome, sl_check::StrongLinReport)> = Vec::new();
+    let (bare_out, bare_rep) = run::<S, O, F>(
+        spec,
+        factory,
+        workload,
+        &cfg(PruneMode::OptimalDpor, 1, None),
+    );
+    let mut certified_outs: Vec<(ExploreOutcome, sl_check::StrongLinReport)> = Vec::new();
     for &w in &WORKER_COUNTS {
-        static_outs.push(run::<S, O, F>(
-            spec,
-            factory,
-            workload,
-            &cfg(PruneMode::StaticDpor, w, Some(Arc::clone(&st))),
-        ));
-    }
-    let (static_out, static_rep) = &static_outs[0];
-    for (i, (out, rep)) in static_outs.iter().enumerate() {
-        assert_eq!(
-            out, static_out,
-            "{label}: StaticDpor not bit-identical at {} workers",
-            WORKER_COUNTS[i]
-        );
-        assert_eq!(
-            (rep.holds, rep.conflict_depth),
-            (static_rep.holds, static_rep.conflict_depth),
-            "{label}: verdict/conflict-depth diverged at {} workers",
-            WORKER_COUNTS[i]
-        );
-    }
-    assert_eq!(
-        value_rep.holds, static_rep.holds,
-        "{label}: StaticDpor changed the strong-lin verdict"
-    );
-    assert_eq!(
-        value_rep.conflict_depth, static_rep.conflict_depth,
-        "{label}: StaticDpor changed the conflict depth"
-    );
-    assert!(
-        static_out.runs <= value_out.runs,
-        "{label}: StaticDpor replayed more ({} > {})",
-        static_out.runs,
-        value_out.runs
-    );
-    if expect_strictly_fewer {
-        assert!(
-            static_out.runs < value_out.runs,
-            "{label}: expected placement pruning, got {} = {}",
-            static_out.runs,
-            value_out.runs
-        );
-        assert!(
-            st.telemetry().relaxed > 0,
-            "{label}: no placement relaxation fired"
-        );
-    }
-
-    // OptimalDpor leg: same verdict, bit-identical across workers,
-    // structurally cut-free, and no more total replays than the
-    // value-aware baseline. The certificate is handed over too —
-    // optimal mode consults it opportunistically (placement
-    // relaxation) without requiring it.
-    let mut optimal_outs: Vec<(ExploreOutcome, sl_check::StrongLinReport)> = Vec::new();
-    for &w in &WORKER_COUNTS {
-        optimal_outs.push(run::<S, O, F>(
+        certified_outs.push(run::<S, O, F>(
             spec,
             factory,
             workload,
             &cfg(PruneMode::OptimalDpor, w, Some(Arc::clone(&st))),
         ));
     }
-    let (optimal_out, optimal_rep) = &optimal_outs[0];
-    for (i, (out, rep)) in optimal_outs.iter().enumerate() {
+    let (certified_out, certified_rep) = &certified_outs[0];
+    for (i, (out, rep)) in certified_outs.iter().enumerate() {
         assert_eq!(
-            out, optimal_out,
-            "{label}: OptimalDpor not bit-identical at {} workers",
+            out, certified_out,
+            "{label}: certified OptimalDpor not bit-identical at {} workers",
             WORKER_COUNTS[i]
         );
         assert_eq!(
             (rep.holds, rep.conflict_depth),
-            (optimal_rep.holds, optimal_rep.conflict_depth),
-            "{label}: optimal verdict diverged at {} workers",
+            (certified_rep.holds, certified_rep.conflict_depth),
+            "{label}: verdict/conflict-depth diverged at {} workers",
             WORKER_COUNTS[i]
         );
     }
     assert_eq!(
-        (value_rep.holds, value_rep.conflict_depth),
-        (optimal_rep.holds, optimal_rep.conflict_depth),
-        "{label}: OptimalDpor changed the strong-lin verdict"
+        (bare_rep.holds, bare_rep.conflict_depth),
+        (certified_rep.holds, certified_rep.conflict_depth),
+        "{label}: the certificate changed the strong-lin verdict"
     );
     assert_eq!(
-        optimal_out.cut_runs, 0,
+        (bare_out.cut_runs, certified_out.cut_runs),
+        (0, 0),
         "{label}: OptimalDpor initiated a sleep-set-blocked replay"
     );
     assert!(
-        optimal_out.schedules_replayed() <= value_out.schedules_replayed(),
-        "{label}: OptimalDpor replayed more in total ({} > {})",
-        optimal_out.schedules_replayed(),
-        value_out.schedules_replayed()
+        certified_out.runs <= bare_out.runs,
+        "{label}: the certificate replayed more ({} > {})",
+        certified_out.runs,
+        bare_out.runs
     );
+    if expect_strictly_fewer {
+        assert!(
+            certified_out.runs < bare_out.runs,
+            "{label}: expected placement pruning, got {} = {}",
+            certified_out.runs,
+            bare_out.runs
+        );
+        assert!(
+            st.telemetry().relaxed > 0,
+            "{label}: no placement relaxation fired"
+        );
+    }
 }
 
 #[test]
@@ -278,15 +240,14 @@ fn splitmix(state: &mut u64) -> u64 {
 
 /// Randomized cross-mode sweep: generated ABA-register workloads must
 /// produce the same strong-linearizability verdict and conflict depth
-/// under every prune mode, at one and at four workers — and the
-/// optimal mode must stay cut-free while replaying no more in total
-/// than the value-aware baseline it refines.
+/// under both reductions, at one and at four workers — and the optimal
+/// mode must stay cut-free while replaying no more in total than the
+/// source-DPOR reference it refines.
 #[test]
 fn randomized_workloads_agree_across_all_modes() {
     for seed in 0..6u64 {
         let mut s = seed;
-        // 2 processes, 1–2 ops each (total capped at 3 so the
-        // sleep-set frame mode stays tractable), ops drawn from
+        // 2 processes, 1–2 ops each (total capped at 3), ops drawn from
         // {DRead, DWrite(1), DWrite(2)}.
         let mut workload: Vec<Vec<AbaOp<u64>>> = Vec::new();
         let mut total = 0usize;
@@ -305,46 +266,47 @@ fn randomized_workloads_agree_across_all_modes() {
         let spec = AbaSpec::new(2);
         let factory =
             |mem: &sl_sim::SimMem| ObjectBuilder::on(mem).processes(2).aba_register::<u64>();
-        let (value_out, value_rep) = run::<AbaSpec<u64>, _, _>(
-            &spec,
-            factory,
-            &workload,
-            &cfg(PruneMode::ValueDpor, 1, None),
-        );
-        for mode in [
-            PruneMode::SleepSet,
-            PruneMode::SourceDpor,
-            PruneMode::OptimalDpor,
-        ] {
-            for workers in [1, 4] {
-                let (out, rep) =
-                    run::<AbaSpec<u64>, _, _>(&spec, factory, &workload, &cfg(mode, workers, None));
+        let explore = |mode: PruneMode, workers: usize| {
+            run::<AbaSpec<u64>, _, _>(&spec, factory, &workload, &cfg(mode, workers, None))
+        };
+        let (source_out, source_rep) = explore(PruneMode::SourceDpor, 1);
+        for workers in [1, 4] {
+            if workers > 1 {
+                let (out, rep) = explore(PruneMode::SourceDpor, workers);
                 assert_eq!(
-                    (rep.holds, rep.conflict_depth),
-                    (value_rep.holds, value_rep.conflict_depth),
-                    "seed {seed} {workload:?}: {mode:?}@{workers}w verdict diverged"
+                    (out, rep.holds, rep.conflict_depth),
+                    (
+                        source_out.clone(),
+                        source_rep.holds,
+                        source_rep.conflict_depth
+                    ),
+                    "seed {seed} {workload:?}: SourceDpor diverged at {workers}w"
                 );
-                if mode == PruneMode::OptimalDpor {
-                    assert_eq!(
-                        out.cut_runs, 0,
-                        "seed {seed} {workload:?}: optimal cut a replay at {workers}w"
-                    );
-                    assert!(
-                        out.schedules_replayed() <= value_out.schedules_replayed(),
-                        "seed {seed} {workload:?}: optimal replayed more ({} > {})",
-                        out.schedules_replayed(),
-                        value_out.schedules_replayed()
-                    );
-                }
             }
+            let (optimal_out, optimal_rep) = explore(PruneMode::OptimalDpor, workers);
+            assert_eq!(
+                (optimal_rep.holds, optimal_rep.conflict_depth),
+                (source_rep.holds, source_rep.conflict_depth),
+                "seed {seed} {workload:?}: OptimalDpor@{workers}w verdict diverged"
+            );
+            assert_eq!(
+                optimal_out.cut_runs, 0,
+                "seed {seed} {workload:?}: optimal cut a replay at {workers}w"
+            );
+            assert!(
+                optimal_out.schedules_replayed() <= source_out.schedules_replayed(),
+                "seed {seed} {workload:?}: optimal replayed more ({} > {})",
+                optimal_out.schedules_replayed(),
+                source_out.schedules_replayed()
+            );
         }
     }
 }
 
 /// Mirror of the sim-deep `sl_aba_three_process_mixed_deep` workload
-/// (2+1 writers, 1 reader — 179,697 ValueDpor schedules at the PR 5
-/// baseline): StaticDpor must exhaust it with strictly fewer replays
-/// and the identical verdict.
+/// (2+1 writers, 1 reader): OptimalDpor with the certificate must
+/// exhaust it cut-free, with strictly fewer replays than the
+/// source-DPOR reference and the identical verdict.
 #[test]
 #[ignore = "deep: run with --ignored (sim-deep CI job)"]
 fn aba_three_process_mixed_deep() {
@@ -356,32 +318,12 @@ fn aba_three_process_mixed_deep() {
     let st = Arc::new(sl_analyze::aba_certificate(3).static_conflicts());
     let spec = AbaSpec::new(3);
     let factory = |mem: &sl_sim::SimMem| ObjectBuilder::on(mem).processes(3).aba_register::<u64>();
-    let (value_out, value_rep) = run::<AbaSpec<u64>, _, _>(
+    let (source_out, source_rep) = run::<AbaSpec<u64>, _, _>(
         &spec,
         factory,
         &workload,
-        &cfg(PruneMode::ValueDpor, sl_sim::env_workers(), None),
+        &cfg(PruneMode::SourceDpor, sl_sim::env_workers(), None),
     );
-    let (static_out, static_rep) = run::<AbaSpec<u64>, _, _>(
-        &spec,
-        factory,
-        &workload,
-        &cfg(
-            PruneMode::StaticDpor,
-            sl_sim::env_workers(),
-            Some(Arc::clone(&st)),
-        ),
-    );
-    assert_eq!(value_rep.holds, static_rep.holds);
-    assert_eq!(value_rep.conflict_depth, static_rep.conflict_depth);
-    assert!(
-        static_out.runs < value_out.runs,
-        "deep mixed: {} !< {}",
-        static_out.runs,
-        value_out.runs
-    );
-    let t = st.telemetry();
-    assert!(t.relaxed > 0 && t.validated > 0, "{t:?}");
     let (optimal_out, optimal_rep) = run::<AbaSpec<u64>, _, _>(
         &spec,
         factory,
@@ -392,13 +334,15 @@ fn aba_three_process_mixed_deep() {
             Some(Arc::clone(&st)),
         ),
     );
-    assert_eq!(value_rep.holds, optimal_rep.holds);
-    assert_eq!(value_rep.conflict_depth, optimal_rep.conflict_depth);
+    assert_eq!(source_rep.holds, optimal_rep.holds);
+    assert_eq!(source_rep.conflict_depth, optimal_rep.conflict_depth);
     assert_eq!(optimal_out.cut_runs, 0, "deep mixed: optimal cut a replay");
     assert!(
-        optimal_out.schedules_replayed() < static_out.schedules_replayed(),
-        "deep mixed: optimal total {} !< static total {}",
+        optimal_out.schedules_replayed() < source_out.schedules_replayed(),
+        "deep mixed: optimal total {} !< source total {}",
         optimal_out.schedules_replayed(),
-        static_out.schedules_replayed()
+        source_out.schedules_replayed()
     );
+    let t = st.telemetry();
+    assert!(t.relaxed > 0 && t.validated > 0, "{t:?}");
 }

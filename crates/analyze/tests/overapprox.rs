@@ -2,14 +2,14 @@
 //! exercised positively and negatively).
 //!
 //! For **every family × substrate** the builder exposes, exploring a
-//! contended workload under `PruneMode::StaticDpor` runs the dynamic
-//! race detector with the probed certificate installed: every observed
-//! race is checked against the static may-conflict matrix, and an
-//! unpredicted race panics. Each test below completing therefore *is*
-//! the proof that the static matrix ⊇ the dynamically observed races
-//! for that configuration — plus a verdict cross-check against
-//! `ValueDpor`, and one test driving the fail-closed abort on purpose
-//! with a doctored certificate.
+//! contended workload under `PruneMode::OptimalDpor` with the probed
+//! certificate installed runs the dynamic race detector over the
+//! refined relation: every observed race is checked against the static
+//! may-conflict matrix, and an unpredicted race panics. Each test below
+//! completing therefore *is* the proof that the static matrix ⊇ the
+//! dynamically observed races for that configuration — plus a verdict
+//! cross-check against the `SourceDpor` reference, and one test driving
+//! the fail-closed abort on purpose with a doctored certificate.
 
 use std::sync::Arc;
 
@@ -34,7 +34,7 @@ fn cfg(mode: PruneMode, statics: Option<Arc<StaticConflicts>>, budget: usize) ->
 }
 
 /// Run budget for configurations whose full schedule space exhausts
-/// quickly; such explorations also get the ValueDpor verdict
+/// quickly; such explorations also get the SourceDpor verdict
 /// cross-check.
 const FULL: usize = 200_000;
 /// Run budget for the heavyweight wait-free substrates (helping makes
@@ -44,10 +44,11 @@ const FULL: usize = 200_000;
 /// live in the differential suite.
 const SAMPLED: usize = 1_500;
 
-/// Explores under StaticDpor — the fail-closed validator checks every
-/// dynamically observed race against `cert`'s matrix, so completing
-/// without a panic is the over-approximation proof — and cross-checks
-/// the verdict against ValueDpor when the space was exhausted.
+/// Explores under OptimalDpor with the certificate — the fail-closed
+/// validator checks every dynamically observed race against `cert`'s
+/// matrix, so completing without a panic is the over-approximation
+/// proof — and cross-checks the verdict against SourceDpor when the
+/// space was exhausted.
 fn assert_overapproximates<S, O, F>(
     label: &str,
     spec: &S,
@@ -69,7 +70,7 @@ fn assert_overapproximates<S, O, F>(
     let pruned = explore_object::<S, O, F>(
         factory,
         workload,
-        &cfg(PruneMode::StaticDpor, Some(Arc::clone(&st)), budget),
+        &cfg(PruneMode::OptimalDpor, Some(Arc::clone(&st)), budget),
     );
     assert!(pruned.outcome.runs > 0, "{label}: nothing explored");
     assert_pair_superset(label, cert, &st);
@@ -77,7 +78,7 @@ fn assert_overapproximates<S, O, F>(
         return;
     }
     let baseline =
-        explore_object::<S, O, F>(factory, workload, &cfg(PruneMode::ValueDpor, None, budget));
+        explore_object::<S, O, F>(factory, workload, &cfg(PruneMode::SourceDpor, None, budget));
     if baseline.outcome.exhausted {
         assert_eq!(
             baseline.check_strong(spec).holds,
@@ -234,7 +235,7 @@ macro_rules! substrate_overapprox_test {
 }
 
 /// §5 universal construction (explicit apply closure): a bounded
-/// StaticDpor sample with the validator armed.
+/// certified OptimalDpor sample with the validator armed.
 macro_rules! universal_overapprox_test {
     ($test:ident, $sel:ident, $name:expr) => {
         #[test]
@@ -252,7 +253,7 @@ macro_rules! universal_overapprox_test {
                 },
                 &counter_workload(),
                 |h, op| UniversalOps::execute(h, op.clone()),
-                &cfg(PruneMode::StaticDpor, Some(Arc::clone(&st)), SAMPLED),
+                &cfg(PruneMode::OptimalDpor, Some(Arc::clone(&st)), SAMPLED),
             );
             assert!(pruned.outcome.runs > 0);
             assert_pair_superset(concat!($name, " universal-counter"), &uni_cert, &st);
@@ -362,7 +363,7 @@ fn doctored_certificate_fails_closed() {
     let explored = explore_object::<AbaSpec<u64>, _, _>(
         |mem: &SimMem| ObjectBuilder::on(mem).processes(2).aba_register::<u64>(),
         &aba_workload(),
-        &cfg(PruneMode::StaticDpor, Some(st), FULL),
+        &cfg(PruneMode::OptimalDpor, Some(st), FULL),
     );
     let out = &explored.outcome;
     assert!(
@@ -398,7 +399,7 @@ fn doctored_pair_cell_fails_closed() {
     let explored = explore_object::<AbaSpec<u64>, _, _>(
         |mem: &SimMem| ObjectBuilder::on(mem).processes(2).aba_register::<u64>(),
         &aba_workload(),
-        &cfg(PruneMode::StaticDpor, Some(st), FULL),
+        &cfg(PruneMode::OptimalDpor, Some(st), FULL),
     );
     let out = &explored.outcome;
     assert!(
@@ -422,7 +423,7 @@ fn telemetry_counts_relaxations_and_validations() {
     let explored = explore_object::<AbaSpec<u64>, _, _>(
         |mem: &SimMem| ObjectBuilder::on(mem).processes(2).aba_register::<u64>(),
         &[vec![AbaOp::DWrite(1), AbaOp::DWrite(2)], vec![AbaOp::DRead]],
-        &cfg(PruneMode::StaticDpor, Some(Arc::clone(&st)), FULL),
+        &cfg(PruneMode::OptimalDpor, Some(Arc::clone(&st)), FULL),
     );
     assert!(explored.outcome.exhausted);
     let t = st.telemetry();

@@ -1,8 +1,8 @@
-//! The certificate-pruned exploration fuzz leg: random workloads
-//! explored exhaustively under `ValueDpor` and under `StaticDpor` /
-//! `OptimalDpor` with the probed certificate installed must agree on
-//! the strong-linearizability verdict; any divergence is shrunk to a
-//! locally minimal workload and reported. The fail-closed race
+//! The refined-relation fuzz leg: random workloads explored
+//! exhaustively under the syntactic `SourceDpor` reference and under
+//! `OptimalDpor`, without and with the probed certificate installed,
+//! must agree on the strong-linearizability verdict; any divergence is
+//! shrunk to a locally minimal workload and reported. The fail-closed race
 //! validator is armed the whole time, so this leg also stress-tests
 //! the op-pair attribution on workload shapes the canned baselines
 //! never run.

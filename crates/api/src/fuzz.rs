@@ -102,9 +102,9 @@ pub enum FailureKind {
     Linearizability,
     /// A schedule tree failed `check_strongly_linearizable`.
     StrongLinearizability,
-    /// A certificate-pruned exploration reached a different
-    /// strong-linearizability verdict than the `ValueDpor` baseline on
-    /// the same exhausted workload ([`fuzz_pruned_exploration`]).
+    /// An `OptimalDpor` exploration reached a different
+    /// strong-linearizability verdict than the `SourceDpor` reference
+    /// on the same exhausted workload ([`fuzz_pruned_exploration`]).
     VerdictDivergence,
 }
 
@@ -533,13 +533,18 @@ where
 /// are not comparable).
 const PRUNED_FUZZ_RUNS: usize = 40_000;
 
-/// Fuzzes the certificate-pruned exploration modes: random workloads
-/// explored exhaustively under `ValueDpor` (no certificate) and under
-/// `StaticDpor` / `OptimalDpor` with `statics` installed must agree on
-/// the strong-linearizability verdict. A divergence is shrunk by
-/// removing operations while it persists and reported like any other
-/// fuzz failure; the fail-closed race validator is armed throughout
-/// (an unpredicted race panics rather than diverging silently).
+/// Fuzzes the refined relation's layers: random workloads explored
+/// exhaustively under the syntactic `SourceDpor` reference and under
+/// `OptimalDpor` — without a certificate (value and observer layers)
+/// and with `statics` installed (every layer) — must agree on the
+/// strong-linearizability verdict. A divergence is shrunk by removing
+/// operations while it persists and reported like any other fuzz
+/// failure; the fail-closed race validator is armed throughout (an
+/// unpredicted race panics rather than diverging silently).
+///
+/// The reference is a reduction too, so agreement says nothing about
+/// the gap the syntactic relation itself has (see `sl_sim`'s explore
+/// module docs); that needs the unpruned oracle.
 ///
 /// `statics` is the runtime form of the object's probed certificate —
 /// built by `sl-analyze`, which sits above this crate, so the caller
@@ -576,20 +581,26 @@ where
             },
         )
     };
-    // None = baseline did not exhaust or no divergence; Some((mode,
-    // base, pruned)) = the first diverging pruned mode and verdicts.
-    let diverged = |w: &[Vec<S::Op>]| -> Option<(PruneMode, bool, bool)> {
-        let base = explore(w, PruneMode::ValueDpor, None);
+    // None = reference did not exhaust or no divergence; Some((label,
+    // base, pruned)) = the first diverging exploration and verdicts.
+    let diverged = |w: &[Vec<S::Op>]| -> Option<(&'static str, bool, bool)> {
+        let base = explore(w, PruneMode::SourceDpor, None);
         if !base.outcome.exhausted {
             return None;
         }
         let vb = base.check_strong(spec).holds;
-        for mode in [PruneMode::StaticDpor, PruneMode::OptimalDpor] {
-            let pruned = explore(w, mode, Some(Arc::clone(&statics)));
+        for (label, st) in [
+            ("OptimalDpor without a certificate", None),
+            (
+                "OptimalDpor with the certificate installed",
+                Some(Arc::clone(&statics)),
+            ),
+        ] {
+            let pruned = explore(w, PruneMode::OptimalDpor, st);
             if pruned.outcome.exhausted {
                 let vp = pruned.check_strong(spec).holds;
                 if vp != vb {
-                    return Some((mode, vb, vp));
+                    return Some((label, vb, vp));
                 }
             }
         }
@@ -621,7 +632,7 @@ where
                 }
             }
         }
-        let (mode, vb, vp) = witness;
+        let (label, vb, vp) = witness;
         let report = FuzzReport {
             family: family.to_string(),
             workloads_run: w + 1,
@@ -631,8 +642,8 @@ where
                 workload: render_workload::<S>(&workload),
                 schedules: Vec::new(),
                 trace: vec![format!(
-                    "ValueDpor verdict: strong-linearizable = {vb}; {mode:?} with the \
-                     certificate installed: strong-linearizable = {vp}"
+                    "SourceDpor verdict: strong-linearizable = {vb}; {label}: \
+                     strong-linearizable = {vp}"
                 )],
                 ops_shrink: (before, total_ops(&workload)),
                 schedule_shrink: (0, 0),

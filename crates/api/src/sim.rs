@@ -5,9 +5,9 @@
 //! fresh `SimMem` — typically an [`crate::ObjectBuilder`] chain), a
 //! per-process workload of sequential-spec operations, and an
 //! [`SimExplore`] budget; it enumerates adversary schedules on the step
-//! VM with value-aware source-set DPOR pruning, streams every
-//! transcript into an incremental prefix tree, and hands back an
-//! [`ExploredObject`] ready for `sl_check`'s deciders:
+//! VM under the configured [`PruneMode`] (optimal DPOR by default),
+//! streams every transcript into an incremental prefix tree, and hands
+//! back an [`ExploredObject`] ready for `sl_check`'s deciders:
 //!
 //! ```
 //! use sl_api::sim::{explore_object, SimExplore};
@@ -16,11 +16,15 @@
 //! use sl_spec::AbaOp;
 //!
 //! // Theorem 12, bounded: Algorithm 2 is strongly linearizable over
-//! // every schedule of one DWrite and one DRead.
+//! // every schedule of one DWrite and one DRead (a paper verdict, so
+//! // on the unpruned oracle).
 //! let explored = explore_object::<AbaSpec<u64>, _, _>(
 //!     |mem| ObjectBuilder::on(mem).processes(2).aba_register::<u64>(),
 //!     &[vec![AbaOp::DWrite(9)], vec![AbaOp::DRead]],
-//!     &SimExplore::default(),
+//!     &SimExplore {
+//!         mode: sl_sim::PruneMode::Unpruned,
+//!         ..SimExplore::default()
+//!     },
 //! );
 //! assert!(explored.outcome.exhausted);
 //! assert!(explored.check_strong(&AbaSpec::<u64>::new(2)).holds);
@@ -124,10 +128,11 @@ where
 pub struct SimExplore {
     /// Stop after this many executed schedules.
     pub max_runs: usize,
-    /// Partial-order reduction level (default: value-aware source-set
-    /// DPOR, [`PruneMode::ValueDpor`]).
+    /// Setting of the explorer's independence relation (default:
+    /// [`PruneMode::OptimalDpor`]; paper verdicts use
+    /// [`PruneMode::Unpruned`], see `sl_sim`'s explore module docs).
     pub mode: PruneMode,
-    /// Worker threads replaying schedules in parallel. Source-set DPOR
+    /// Worker threads replaying schedules in parallel. The explorer
     /// partitions the schedule tree into delegated subtrees and is
     /// deterministic at any count; defaults to the `SL_EXPLORE_THREADS`
     /// environment variable (`0` = one per CPU, unset = 1).
@@ -136,11 +141,10 @@ pub struct SimExplore {
     pub step_budget: u64,
     /// Initial decision prefix: explore only schedules extending it.
     pub stem: Vec<usize>,
-    /// Static conflict certificate: required by
-    /// [`PruneMode::StaticDpor`], optionally consulted by
-    /// [`PruneMode::OptimalDpor`], ignored by other modes. Licenses the
-    /// invocation-placement relaxation and fail-closed-validates every
-    /// observed race.
+    /// Static conflict certificate, consulted by
+    /// [`PruneMode::OptimalDpor`] when present and ignored by the other
+    /// modes. Licenses the invocation-placement and op-pair relaxations
+    /// and fail-closed-validates every observed race.
     pub statics: Option<Arc<StaticConflicts>>,
 }
 
@@ -400,11 +404,9 @@ impl<S: SeqSpec> ExploredDag<S> {
 
 /// [`explore_object_dag`] with an explicit apply closure.
 ///
-/// Under source-set DPOR the transcripts stream straight into
-/// hash-consed per-subtree [`DagBuilder`] shards (the prefix tree is
-/// never materialised — this is the deep-exploration entry point);
-/// under the frame modes, whose ingestion order is not depth-first, the
-/// materialised tree is built first and converted.
+/// The transcripts stream straight into hash-consed per-subtree
+/// [`sl_check::DagBuilder`] shards (the prefix tree is never
+/// materialised — this is the deep-exploration entry point).
 pub fn explore_object_dag_with<S, O, F, A>(
     factory: F,
     workload: &[Vec<S::Op>],
@@ -420,19 +422,6 @@ where
     F: Fn(&SimMem) -> O + Sync,
     A: Fn(&mut O::Handle, &S::Op) -> S::Resp + Send + Sync + 'static,
 {
-    if !matches!(
-        cfg.mode,
-        PruneMode::SourceDpor
-            | PruneMode::ValueDpor
-            | PruneMode::StaticDpor
-            | PruneMode::OptimalDpor
-    ) {
-        let explored = explore_object_with(factory, workload, apply, cfg);
-        return ExploredDag {
-            dag: TreeDag::from_tree(&explored.tree),
-            outcome: explored.outcome,
-        };
-    }
     let n = workload.len();
     assert!(n > 0, "workload must cover at least one process");
     let apply = Arc::new(apply);
@@ -479,9 +468,8 @@ where
 /// lag the post-drain on-disk DAG by design. The end-to-end identity
 /// gate is the merged-union structural hash, not per-shard equality.
 ///
-/// Fail-closed: panics (like [`Explorer::explore_resumable`]) when
-/// `cfg.mode` is not a DPOR mode, and on any torn, stale, or doctored
-/// checkpoint.
+/// Fail-closed: panics (like [`Explorer::explore_resumable`]) on any
+/// torn, stale, or doctored checkpoint.
 pub fn explore_object_dag_resumable<S, O, F>(
     factory: F,
     workload: &[Vec<S::Op>],

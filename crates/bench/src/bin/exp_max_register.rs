@@ -3,7 +3,9 @@
 //!
 //! The paper cites Helmi, Higham & Woelfel for a wait-free strongly
 //! linearizable *bounded* max-register. Running our model checker over
-//! every schedule of a two-writer/one-reader workload shows why that
+//! every schedule of a two-writer/one-reader workload (on the unpruned
+//! oracle: the reductions hide this violation, see the soundness gap
+//! in `sl_sim`'s explore module docs) shows why that
 //! result is nontrivial: the naive Aspnes–Attiya–Censor top-down read
 //! and even a clean-double-collect read both admit Observation-4-style
 //! retroactive-ordering violations (the read's response is determined
@@ -11,13 +13,16 @@
 //! own §4.5 construction — a max-register derived from the strongly
 //! linearizable snapshot — passes the identical workload.
 
+use std::sync::Mutex;
+
+use sl_api::sim::{explore_object_dag, ExploredDag, SimExplore};
 use sl_api::ObjectBuilder;
-use sl_bench::print_table;
-use sl_check::{check_strongly_linearizable, HistoryTree, TreeStep};
+use sl_bench::{print_table, verdict_cell};
+use sl_check::{DagShards, TreeDag};
 use sl_core::BoundedMaxRegister;
-use sl_sim::{explore, EventLog, Program, Scripted, SimWorld};
+use sl_sim::{Explorer, Program, PruneMode, ReplayPool, Sharded, SimMem, SimWorld};
 use sl_spec::types::MaxRegisterSpec;
-use sl_spec::{MaxRegisterOp, MaxRegisterResp, ProcId};
+use sl_spec::{MaxRegisterOp, MaxRegisterResp};
 
 #[derive(Clone, Copy)]
 enum Impl {
@@ -26,75 +31,104 @@ enum Impl {
     SnapshotDerived,
 }
 
-fn run_workload(which: Impl, max_runs: usize) -> (usize, bool, bool) {
-    let mut transcripts: Vec<Vec<TreeStep<MaxRegisterSpec>>> = Vec::new();
-    let explored = explore(
-        |script| {
-            let world = SimWorld::new(3);
-            let mem = world.mem();
-            let log: EventLog<MaxRegisterSpec> = EventLog::new(&world);
-            let mut programs: Vec<Program> = Vec::new();
-            match which {
-                Impl::AacTopDown | Impl::AacDoubleCollect => {
-                    let m = BoundedMaxRegister::new(&mem, 4);
-                    for value in [1u64, 3] {
-                        let m = m.clone();
-                        let log = log.clone();
-                        programs.push(Box::new(move |ctx| {
-                            ctx.pause();
-                            let id = log.invoke(ctx.proc_id(), MaxRegisterOp::MaxWrite(value));
-                            m.max_write(value);
-                            log.respond(id, MaxRegisterResp::Ack);
-                        }));
-                    }
-                    let m2 = m.clone();
-                    let l2 = log.clone();
-                    programs.push(Box::new(move |ctx| {
-                        ctx.pause();
-                        let id = l2.invoke(ctx.proc_id(), MaxRegisterOp::MaxRead);
-                        let v = match which {
-                            Impl::AacTopDown => m2.max_read(),
-                            _ => m2.max_read_double_collect(),
-                        };
-                        l2.respond(id, MaxRegisterResp::Value(v));
-                    }));
-                }
-                Impl::SnapshotDerived => {
-                    let maxreg = ObjectBuilder::on(&mem)
-                        .processes(3)
-                        .atomic_r()
-                        .max_register();
-                    for (pid, value) in [(0usize, 1u64), (1, 3)] {
-                        let mut h = maxreg.handle(ProcId(pid));
-                        let log = log.clone();
-                        programs.push(Box::new(move |ctx| {
-                            ctx.pause();
-                            let id = log.invoke(ctx.proc_id(), MaxRegisterOp::MaxWrite(value));
-                            h.max_write(value);
-                            log.respond(id, MaxRegisterResp::Ack);
-                        }));
-                    }
-                    let mut h = maxreg.handle(ProcId(2));
-                    let l2 = log.clone();
-                    programs.push(Box::new(move |ctx| {
-                        ctx.pause();
-                        let id = l2.invoke(ctx.proc_id(), MaxRegisterOp::MaxRead);
-                        let v = h.max_read();
-                        l2.respond(id, MaxRegisterResp::Value(v));
-                    }));
-                }
-            }
-            let mut sched = Scripted::new(script.to_vec());
-            let outcome = world.run(programs, &mut sched, 2_000);
-            transcripts.push(log.transcript(&outcome));
-            outcome
-        },
+const STEP_BUDGET: u64 = 2_000;
+
+fn oracle(max_runs: usize) -> SimExplore {
+    SimExplore {
         max_runs,
-        |_, _| {},
+        mode: PruneMode::Unpruned,
+        workers: 1,
+        step_budget: STEP_BUDGET,
+        ..SimExplore::default()
+    }
+}
+
+/// The AAC trie with its clean double-collect read, which no handle
+/// exposes: the workload's programs are built here and explored through
+/// [`Explorer::explore_with`], one warm world per worker.
+fn explore_double_collect(max_runs: usize) -> ExploredDag<MaxRegisterSpec> {
+    fn programs(
+        m: &BoundedMaxRegister<SimMem>,
+        log: &sl_sim::EventLog<MaxRegisterSpec>,
+    ) -> Vec<Program> {
+        let mut programs: Vec<Program> = Vec::new();
+        for value in [1u64, 3] {
+            let (m, log) = (m.clone(), log.clone());
+            programs.push(Box::new(move |ctx| {
+                ctx.pause();
+                let id = log.invoke(ctx.proc_id(), MaxRegisterOp::MaxWrite(value));
+                m.max_write(value);
+                log.respond(id, MaxRegisterResp::Ack);
+            }));
+        }
+        let (m, log) = (m.clone(), log.clone());
+        programs.push(Box::new(move |ctx| {
+            ctx.pause();
+            let id = log.invoke(ctx.proc_id(), MaxRegisterOp::MaxRead);
+            let v = m.max_read_double_collect();
+            log.respond(id, MaxRegisterResp::Value(v));
+        }));
+        programs
+    }
+    let sink: Mutex<Vec<TreeDag<MaxRegisterSpec>>> = Mutex::new(Vec::new());
+    let explorer = Explorer {
+        max_runs,
+        mode: PruneMode::Unpruned,
+        workers: 1,
+        stem: Vec::new(),
+        statics: None,
+    };
+    let outcome = explorer.explore_with(
+        || {
+            let world = SimWorld::new(3);
+            let m = BoundedMaxRegister::new(&world.mem(), 4);
+            Sharded {
+                inner: (ReplayPool::new(world), m),
+                shards: DagShards::new(&sink),
+            }
+        },
+        |ctx: &mut Sharded<'_, MaxRegisterSpec, _>, driver| {
+            let (pool, m) = &mut ctx.inner;
+            pool.replay(|log| programs(m, log), driver, STEP_BUDGET);
+            ctx.shards.ingest(pool.transcript());
+        },
     );
-    let tree = HistoryTree::from_transcripts(&transcripts);
-    let report = check_strongly_linearizable(&MaxRegisterSpec, &tree);
-    (explored.runs, explored.exhausted, report.holds)
+    ExploredDag {
+        dag: TreeDag::merge(sink.into_inner().unwrap()),
+        outcome,
+    }
+}
+
+fn run_workload(which: Impl, max_runs: usize) -> (usize, bool, String) {
+    let ops = [
+        vec![MaxRegisterOp::MaxWrite(1)],
+        vec![MaxRegisterOp::MaxWrite(3)],
+        vec![MaxRegisterOp::MaxRead],
+    ];
+    let explored = match which {
+        Impl::AacTopDown => explore_object_dag::<MaxRegisterSpec, _, _>(
+            |mem| ObjectBuilder::on(mem).processes(3).trie_max_register(4),
+            &ops,
+            &oracle(max_runs),
+        ),
+        Impl::AacDoubleCollect => explore_double_collect(max_runs),
+        Impl::SnapshotDerived => explore_object_dag::<MaxRegisterSpec, _, _>(
+            |mem| {
+                ObjectBuilder::on(mem)
+                    .processes(3)
+                    .atomic_r()
+                    .max_register()
+            },
+            &ops,
+            &oracle(max_runs),
+        ),
+    };
+    let report = explored.check_strong(&MaxRegisterSpec);
+    (
+        explored.outcome.runs,
+        explored.outcome.exhausted,
+        verdict_cell(&explored.outcome, report.holds),
+    )
 }
 
 fn main() {
@@ -123,7 +157,7 @@ fn main() {
             name.to_string(),
             runs.to_string(),
             exhausted.to_string(),
-            holds.to_string(),
+            holds,
         ]);
     }
     print_table(

@@ -4,12 +4,11 @@
 //! The experiment captures the quantities that bound exhaustive
 //! model-checking depth:
 //!
-//! * **schedules replayed** per explorer mode (unpruned, sleep sets,
-//!   source-set DPOR, value-aware DPOR, static-certificate DPOR, and
-//!   wakeup-sequence optimal DPOR) on pinned Algorithm-2 workloads —
-//!   the win of partial-order reduction, of the `sl-analyze`
-//!   placement-commutation certificate on top of it, and of wakeup
-//!   sequences eliminating sleep-set-blocked replays on top of both;
+//! * **schedules replayed** per explorer mode (the unpruned oracle,
+//!   source-set DPOR over the syntactic relation, and optimal DPOR over
+//!   the refined relation — with the `sl-analyze` certificate on the
+//!   pinned workloads) on pinned Algorithm-2 workloads — the win of
+//!   partial-order reduction;
 //! * **replay throughput**: fresh-world-per-schedule vs the pooled
 //!   `SimWorld::reset` path (world reuse), and the parallel scaling
 //!   curve of partitioned source-DPOR at 1/2/4/8 workers (see
@@ -18,29 +17,18 @@
 //!   explored transcript set, memoised vs unmemoised — the win of
 //!   hash-consed subtree memoisation.
 //!
-//! The experiment also measures the **trace-encoding win** of the
-//! zero-format pipeline: the same pooled source-DPOR exploration of the
-//! pinned workload, once ingesting the binary `StepCode` transcripts
-//! directly (the live pipeline) and once re-rendering every step
-//! through the retired string pipeline (label decode + string-symbol
-//! interning per step) — identical ingestion sinks on both sides, so
-//! the ratio isolates per-step rendering cost.
-//!
 //! `--json PATH` writes the summary as JSON (the artifact the sim-deep
 //! CI job uploads; it includes the scaling curve). `--baseline PATH`
 //! compares against a recorded baseline and exits non-zero if
 //!
+//! * the unpruned oracle replays a different number of schedules than
+//!   recorded for a pinned workload (it must explore every schedule —
+//!   no more, no fewer),
 //! * the pruned explorer replays *more* schedules than recorded for a
-//!   pinned workload, under syntactic source DPOR, value-aware DPOR,
-//!   static-certificate DPOR, or optimal DPOR (partial-order reduction
-//!   regressed),
-//! * static-certificate DPOR no longer replays *strictly fewer*
-//!   schedules than value-aware DPOR on the mixed-role workloads
-//!   (invocation-placement pruning regressed to a no-op),
-//! * optimal DPOR cuts any replay on a mixed-role workload (the
-//!   wakeup-sequence guarantee is *zero* sleep-set-blocked runs), or
-//!   no longer replays *strictly fewer* total schedules than
-//!   static-certificate DPOR there (cut elimination regressed),
+//!   pinned workload, under syntactic source DPOR or optimal DPOR
+//!   (partial-order reduction regressed),
+//! * optimal DPOR cuts any replay (the wakeup-sequence guarantee is
+//!   *zero* sleep-set-blocked runs),
 //! * optimal DPOR on a mixed-role workload no longer stays strictly
 //!   below the frozen per-register-era floors (660 on `aba_mixed3`,
 //!   26 638 on `aba_mixed3_deep`) — the op-pair commutation matrix
@@ -51,9 +39,7 @@
 //!   (regenerating it from the current probe produces different bytes)
 //!   or fails the fail-closed parser,
 //! * the single-worker world-reuse speedup on `aba_2w2r` falls below
-//!   the recorded `min_reuse_speedup`,
-//! * the binary-vs-string-format traced-replay speedup on `aba_2w2r`
-//!   falls below the recorded `min_format_speedup`, or
+//!   the recorded `min_reuse_speedup`, or
 //! * the 4-/8-worker speedups on `aba_2w2r` fall below the recorded
 //!   `min_speedup_4w`/`min_speedup_8w` — each checked only on machines
 //!   with at least that many CPUs (parallel wall-clock on fewer cores
@@ -113,7 +99,7 @@ use sl_bench::workloads::{aba_programs, dist_config, dist_ops, mixed3_programs, 
 use sl_bench::{baseline, print_table, Baseline, Gate};
 use sl_check::{
     check_strongly_linearizable_dag, check_strongly_linearizable_unmemoised, DagBuilder, DagShards,
-    HistoryTree, TreeBuilder, TreeDag, TreeStep,
+    HistoryTree, TreeBuilder, TreeDag,
 };
 use sl_core::aba::SlAbaRegister;
 use sl_dist::FleetConfig;
@@ -165,15 +151,12 @@ fn human(rate: f64) -> String {
     }
 }
 
-/// Schedule counts of one mixed-role pinned workload per DPOR mode.
+/// Schedule counts of one mixed-role pinned workload per DPOR mode,
+/// and the certificate telemetry of the optimal-DPOR run.
 struct MixedSummary {
     name: &'static str,
     dpor_replayed: usize,
     dpor_runs: usize,
-    value_dpor_replayed: usize,
-    value_dpor_runs: usize,
-    static_dpor_replayed: usize,
-    static_dpor_runs: usize,
     optimal_dpor_replayed: usize,
     optimal_dpor_runs: usize,
     optimal_cut: usize,
@@ -194,27 +177,14 @@ fn run_mixed_workload(
     // per `StaticConflicts` instance, and the summary reports them
     // per workload.
     let statics = &Arc::new(cert.static_conflicts());
-    // Optimal mode consults the certificate through its own runtime
-    // form, so the static-DPOR telemetry printed below stays
-    // per-workload *and* per-mode.
-    let optimal_statics = &Arc::new(cert.static_conflicts());
     let mut counts = Vec::new();
-    for mode in [
-        PruneMode::SourceDpor,
-        PruneMode::ValueDpor,
-        PruneMode::StaticDpor,
-        PruneMode::OptimalDpor,
-    ] {
+    for mode in [PruneMode::SourceDpor, PruneMode::OptimalDpor] {
         let explorer = Explorer {
             max_runs: 4_000_000,
             mode,
             workers: 1,
             stem: vec![],
-            statics: match mode {
-                PruneMode::StaticDpor => Some(Arc::clone(statics)),
-                PruneMode::OptimalDpor => Some(Arc::clone(optimal_statics)),
-                _ => None,
-            },
+            statics: (mode == PruneMode::OptimalDpor).then(|| Arc::clone(statics)),
         };
         let out = explorer.explore_with(
             || {
@@ -234,52 +204,41 @@ fn run_mixed_workload(
         assert!(out.exhausted, "mixed-role pinned workload must exhaust");
         counts.push(out);
     }
-    let rows: Vec<Vec<String>> = [
-        ("source DPOR", &counts[0]),
-        ("value DPOR", &counts[1]),
-        ("static DPOR", &counts[2]),
-        ("optimal DPOR", &counts[3]),
-    ]
-    .iter()
-    .map(|(mode, out)| {
-        vec![
-            mode.to_string(),
-            out.schedules_replayed().to_string(),
-            out.runs.to_string(),
-            out.cut_runs.to_string(),
-        ]
-    })
-    .collect();
+    let rows: Vec<Vec<String>> = [("source DPOR", &counts[0]), ("optimal DPOR", &counts[1])]
+        .iter()
+        .map(|(mode, out)| {
+            vec![
+                mode.to_string(),
+                out.schedules_replayed().to_string(),
+                out.runs.to_string(),
+                out.cut_runs.to_string(),
+            ]
+        })
+        .collect();
     print_table(&["mode", "replayed", "runs", "cut"], &rows);
     assert_eq!(
-        counts[3].cut_runs, 0,
+        counts[1].cut_runs, 0,
         "optimal DPOR initiated a sleep-set-blocked replay on {name}"
     );
     let t = statics.telemetry();
     println!(
-        "(value-aware commutation removes {:.0}% of the mixed-role schedules; the placement \
-         certificate a further {:.0}% — {} relaxations, {} validated races, {} unattributed, \
-         0 unpredicted; wakeup sequences keep the optimal exploration cut-free at {} replays)",
+        "(the refined relation with the op-pair certificate removes {:.0}% of the source-DPOR \
+         schedules — {} relaxations, {} validated races, {} unattributed, 0 unpredicted; \
+         wakeup sequences keep the exploration cut-free at {} replays)",
         (1.0 - counts[1].schedules_replayed() as f64 / counts[0].schedules_replayed() as f64)
-            * 100.0,
-        (1.0 - counts[2].schedules_replayed() as f64 / counts[1].schedules_replayed() as f64)
             * 100.0,
         t.relaxed,
         t.validated,
         t.unattributed,
-        counts[3].schedules_replayed(),
+        counts[1].schedules_replayed(),
     );
     MixedSummary {
         name,
         dpor_replayed: counts[0].schedules_replayed(),
         dpor_runs: counts[0].runs,
-        value_dpor_replayed: counts[1].schedules_replayed(),
-        value_dpor_runs: counts[1].runs,
-        static_dpor_replayed: counts[2].schedules_replayed(),
-        static_dpor_runs: counts[2].runs,
-        optimal_dpor_replayed: counts[3].schedules_replayed(),
-        optimal_dpor_runs: counts[3].runs,
-        optimal_cut: counts[3].cut_runs,
+        optimal_dpor_replayed: counts[1].schedules_replayed(),
+        optimal_dpor_runs: counts[1].runs,
+        optimal_cut: counts[1].cut_runs,
         static_relaxed: t.relaxed,
         static_validated: t.validated,
         static_unattributed: t.unattributed,
@@ -381,73 +340,6 @@ fn explore_sl_aba_pooled(
     workers: usize,
     max_runs: usize,
 ) -> (ExploreOutcome, TreeDag<ASpec>, f64) {
-    explore_sl_aba_pooled_ingest(writes, reads, workers, max_runs, false)
-}
-
-/// Re-encodes a binary transcript through the retired string pipeline:
-/// per internal step, render the value into its own `String` (the
-/// `format!("{v:?}")` the access closure used to run at VM time),
-/// clone the register-name `Arc<str>` (as each retired `StepRecord`
-/// carried), compose the label in a reused buffer, and intern the
-/// label as a string symbol — the per-step rendering work every traced
-/// step used to pay. (Still slightly conservative: the retired
-/// pipeline additionally moved the value `String` and `Arc` through
-/// the trace buffer and dropped them at recycle time.)
-fn reencode_as_labels(
-    steps: &[TreeStep<ASpec>],
-    out: &mut Vec<TreeStep<ASpec>>,
-    label: &mut String,
-    names: &mut std::collections::HashMap<sl_check::RegSym, std::sync::Arc<str>>,
-) {
-    use std::fmt::Write;
-    out.clear();
-    for s in steps {
-        match s {
-            TreeStep::Internal(p, code) => {
-                let value: String = code.value().map(|v| v.render()).unwrap_or_default();
-                let (reg, kind) = (
-                    code.reg().expect("simulator transcripts pack their steps"),
-                    code.kind().expect("simulator transcripts pack their steps"),
-                );
-                let name = names
-                    .entry(reg)
-                    .or_insert_with(|| std::sync::Arc::from(reg.name()));
-                let name: std::sync::Arc<str> = std::sync::Arc::clone(name);
-                label.clear();
-                let _ = write!(label, "{}.{}({})", name, kind.as_str(), value);
-                out.push(TreeStep::internal(*p, label));
-            }
-            TreeStep::Event(e) => out.push(TreeStep::Event(e.clone())),
-        }
-    }
-}
-
-/// [`explore_sl_aba_pooled`] with selectable ingestion pipeline: the
-/// live binary path, or the string-format re-encoding. Everything else
-/// (pooled world, DAG shards, mode, budget) is identical — the
-/// wall-clock ratio isolates per-step rendering.
-fn explore_sl_aba_pooled_ingest(
-    writes: u64,
-    reads: u64,
-    workers: usize,
-    max_runs: usize,
-    string_format: bool,
-) -> (ExploreOutcome, TreeDag<ASpec>, f64) {
-    struct Ctx<'s> {
-        inner: PooledAba,
-        relabelled: Vec<TreeStep<ASpec>>,
-        label: String,
-        names: std::collections::HashMap<sl_check::RegSym, std::sync::Arc<str>>,
-        shards: DagShards<'s, ASpec>,
-    }
-    impl sl_sim::ReplayCtx for Ctx<'_> {
-        fn subtree_begin(&mut self) {
-            self.shards.begin();
-        }
-        fn subtree_end(&mut self) {
-            self.shards.end();
-        }
-    }
     let sink: Mutex<Vec<TreeDag<ASpec>>> = Mutex::new(Vec::new());
     let explorer = Explorer {
         max_runs,
@@ -461,33 +353,20 @@ fn explore_sl_aba_pooled_ingest(
         || {
             let world = SimWorld::new(2);
             let reg = SlAbaRegister::<u64, _>::new(&world.mem(), 2);
-            Ctx {
+            Sharded {
                 inner: PooledAba {
                     pool: ReplayPool::new(world),
                     reg,
                 },
-                relabelled: Vec::new(),
-                label: String::new(),
-                names: std::collections::HashMap::new(),
                 shards: DagShards::new(&sink),
             }
         },
-        |ctx: &mut Ctx<'_>, driver| {
+        |ctx: &mut Sharded<'_, ASpec, PooledAba>, driver| {
             let reg = &ctx.inner.reg;
             ctx.inner
                 .pool
                 .replay(|log| aba_programs(reg, log, writes, reads), driver, 1_000);
-            if string_format {
-                reencode_as_labels(
-                    ctx.inner.pool.transcript(),
-                    &mut ctx.relabelled,
-                    &mut ctx.label,
-                    &mut ctx.names,
-                );
-                ctx.shards.ingest(&ctx.relabelled);
-            } else {
-                ctx.shards.ingest(ctx.inner.pool.transcript());
-            }
+            ctx.shards.ingest(ctx.inner.pool.transcript());
         },
     );
     let elapsed = start.elapsed().as_secs_f64();
@@ -509,13 +388,8 @@ struct WorkloadSummary {
     name: &'static str,
     unpruned_replayed: usize,
     unpruned_exhausted: bool,
-    sleepset_replayed: usize,
     dpor_replayed: usize,
     dpor_runs: usize,
-    value_dpor_replayed: usize,
-    value_dpor_runs: usize,
-    static_dpor_replayed: usize,
-    static_dpor_runs: usize,
     optimal_dpor_replayed: usize,
     optimal_dpor_runs: usize,
     optimal_cut: usize,
@@ -523,9 +397,6 @@ struct WorkloadSummary {
     fresh_s: f64,
     pooled_s: f64,
     reuse_speedup: f64,
-    string_format_s: f64,
-    binary_format_s: f64,
-    format_speedup: f64,
     scaling: Vec<ScalingPoint>,
     checker_memo_ms: f64,
     checker_unmemo_ms: f64,
@@ -547,17 +418,8 @@ fn run_pinned_workload(
     let budget = 4_000_000;
     let mut rows = Vec::new();
     let (un, _, un_t) = explore_sl_aba_fresh(writes, reads, PruneMode::Unpruned, budget, None);
-    let (ss, _, ss_t) = explore_sl_aba_fresh(writes, reads, PruneMode::SleepSet, budget, None);
     let (dp, built, dp_t) =
         explore_sl_aba_fresh(writes, reads, PruneMode::SourceDpor, budget, None);
-    let (vd, _, vd_t) = explore_sl_aba_fresh(writes, reads, PruneMode::ValueDpor, budget, None);
-    let (sd, _, sd_t) = explore_sl_aba_fresh(
-        writes,
-        reads,
-        PruneMode::StaticDpor,
-        budget,
-        Some(Arc::new(cert.static_conflicts())),
-    );
     let (od, _, od_t) = explore_sl_aba_fresh(
         writes,
         reads,
@@ -567,28 +429,21 @@ fn run_pinned_workload(
     );
     let (dag, tree) = built.expect("DPOR run builds the transcript sets");
     assert!(
-        ss.exhausted && dp.exhausted && vd.exhausted && sd.exhausted && od.exhausted,
-        "pruned explorations of the pinned workloads must exhaust"
+        un.exhausted && dp.exhausted && od.exhausted,
+        "explorations of the pinned workloads must exhaust"
     );
     assert!(
-        vd.schedules_replayed() <= dp.schedules_replayed(),
-        "value-aware DPOR must never replay more than syntactic DPOR"
+        un.cut_runs == 0 && un.pruned == 0,
+        "the unpruned oracle never cuts or prunes"
     );
     assert!(
-        sd.schedules_replayed() <= vd.schedules_replayed(),
-        "static-certificate DPOR must never replay more than value-aware DPOR"
-    );
-    assert!(
-        od.schedules_replayed() <= vd.schedules_replayed(),
-        "optimal DPOR must never replay more in total than value-aware DPOR"
+        od.schedules_replayed() <= dp.schedules_replayed(),
+        "optimal DPOR must never replay more in total than source DPOR"
     );
     assert_eq!(od.cut_runs, 0, "optimal DPOR must never cut a replay");
     for (mode, out, secs) in [
         ("unpruned", &un, un_t),
-        ("sleep sets", &ss, ss_t),
         ("source DPOR", &dp, dp_t),
-        ("value DPOR", &vd, vd_t),
-        ("static DPOR", &sd, sd_t),
         ("optimal DPOR", &od, od_t),
     ] {
         rows.push(vec![
@@ -675,38 +530,6 @@ fn run_pinned_workload(
     println!(
         "world reuse (1 worker): fresh {fresh_t:.2}s -> pooled {pooled_t:.2}s  \
          ({reuse_speedup:.2}x)"
-    );
-
-    // Trace encoding: the same pooled exploration, ingesting binary
-    // step codes directly vs re-rendering every step through the
-    // retired string pipeline. Five interleaved pairs, best ratio —
-    // same methodology (and rationale) as the reuse measurement; the
-    // extra pairs tighten the max against scheduler noise, since this
-    // gate carries a real floor (min_format_speedup) rather than the
-    // reuse gate's 1.0 no-pessimization floor.
-    let mut fmt_best: Option<(f64, f64)> = None;
-    for _ in 0..5 {
-        let (s_out, s_dag, s_t) = explore_sl_aba_pooled_ingest(writes, reads, 1, budget, true);
-        let (b_out, b_dag, b_t) = explore_sl_aba_pooled_ingest(writes, reads, 1, budget, false);
-        assert_eq!(
-            s_out, b_out,
-            "ingestion pipeline must not affect exploration"
-        );
-        assert_eq!(
-            s_dag.unique_nodes(),
-            b_dag.unique_nodes(),
-            "label and binary transcripts must shape the same DAG"
-        );
-        assert_eq!(b_dag.structural_hash(), dag.structural_hash());
-        if fmt_best.is_none_or(|(st, bt)| s_t / b_t > st / bt) {
-            fmt_best = Some((s_t, b_t));
-        }
-    }
-    let (string_format_s, binary_format_s) = fmt_best.expect("five measurement pairs");
-    let format_speedup = string_format_s / binary_format_s;
-    println!(
-        "trace encoding (1 worker): string-format {string_format_s:.2}s -> binary \
-         {binary_format_s:.2}s  ({format_speedup:.2}x)"
     );
 
     // Parallel scaling of the pooled explorer.
@@ -803,13 +626,8 @@ fn run_pinned_workload(
         name,
         unpruned_replayed: un.schedules_replayed(),
         unpruned_exhausted: un.exhausted,
-        sleepset_replayed: ss.schedules_replayed(),
         dpor_replayed: dp.schedules_replayed(),
         dpor_runs: dp.runs,
-        value_dpor_replayed: vd.schedules_replayed(),
-        value_dpor_runs: vd.runs,
-        static_dpor_replayed: sd.schedules_replayed(),
-        static_dpor_runs: sd.runs,
         optimal_dpor_replayed: od.schedules_replayed(),
         optimal_dpor_runs: od.runs,
         optimal_cut: od.cut_runs,
@@ -817,9 +635,6 @@ fn run_pinned_workload(
         fresh_s: fresh_t,
         pooled_s: pooled_t,
         reuse_speedup,
-        string_format_s,
-        binary_format_s,
-        format_speedup,
         scaling,
         checker_memo_ms: memo_ms,
         checker_unmemo_ms: unmemo_ms,
@@ -868,29 +683,20 @@ fn to_json(
         }
         out.push_str(&format!(
             "\n    {{\n      \"name\": \"{}\",\n      \"unpruned_replayed\": {},\n      \
-             \"unpruned_exhausted\": {},\n      \"sleepset_replayed\": {},\n      \
+             \"unpruned_exhausted\": {},\n      \
              \"dpor_replayed\": {},\n      \"dpor_runs\": {},\n      \
-             \"value_dpor_replayed\": {},\n      \"value_dpor_runs\": {},\n      \
-             \"static_dpor_replayed\": {},\n      \"static_dpor_runs\": {},\n      \
              \"optimal_dpor_replayed\": {},\n      \"optimal_dpor_runs\": {},\n      \
              \"optimal_cut\": {},\n      \
              \"reduction_vs_unpruned\": {:.2},\n      \"fresh_s\": {:.3},\n      \
              \"pooled_s\": {:.3},\n      \"reuse_speedup\": {:.2},\n      \
-             \"string_format_s\": {:.3},\n      \"binary_format_s\": {:.3},\n      \
-             \"format_speedup\": {:.2},\n      \
              \"scaling\": [{}],\n      \"checker_memo_ms\": {:.2},\n      \
              \"checker_unmemo_ms\": {:.2},\n      \"checker_speedup\": {:.2},\n      \
              \"memo_hits\": {},\n      \"states_memo\": {},\n      \"states_unmemo\": {}\n    }}",
             w.name,
             w.unpruned_replayed,
             w.unpruned_exhausted,
-            w.sleepset_replayed,
             w.dpor_replayed,
             w.dpor_runs,
-            w.value_dpor_replayed,
-            w.value_dpor_runs,
-            w.static_dpor_replayed,
-            w.static_dpor_runs,
             w.optimal_dpor_replayed,
             w.optimal_dpor_runs,
             w.optimal_cut,
@@ -898,9 +704,6 @@ fn to_json(
             w.fresh_s,
             w.pooled_s,
             w.reuse_speedup,
-            w.string_format_s,
-            w.binary_format_s,
-            w.format_speedup,
             scaling,
             w.checker_memo_ms,
             w.checker_unmemo_ms,
@@ -913,9 +716,7 @@ fn to_json(
     for m in mixed {
         out.push_str(&format!(
             ",\n    {{\n      \"name\": \"{}\",\n      \"dpor_replayed\": {},\n      \
-             \"dpor_runs\": {},\n      \"value_dpor_replayed\": {},\n      \
-             \"value_dpor_runs\": {},\n      \"static_dpor_replayed\": {},\n      \
-             \"static_dpor_runs\": {},\n      \"optimal_dpor_replayed\": {},\n      \
+             \"dpor_runs\": {},\n      \"optimal_dpor_replayed\": {},\n      \
              \"optimal_dpor_runs\": {},\n      \"optimal_cut\": {},\n      \
              \"static_relaxed\": {},\n      \
              \"static_validated\": {},\n      \
@@ -923,10 +724,6 @@ fn to_json(
             m.name,
             m.dpor_replayed,
             m.dpor_runs,
-            m.value_dpor_replayed,
-            m.value_dpor_runs,
-            m.static_dpor_replayed,
-            m.static_dpor_runs,
             m.optimal_dpor_replayed,
             m.optimal_dpor_runs,
             m.optimal_cut,
@@ -966,9 +763,8 @@ fn summary_markdown(
     }
     for w in workloads {
         for (key, measured) in [
+            ("unpruned_replayed", w.unpruned_replayed),
             ("dpor_replayed", w.dpor_replayed),
-            ("value_dpor_replayed", w.value_dpor_replayed),
-            ("static_dpor_replayed", w.static_dpor_replayed),
             ("optimal_dpor_replayed", w.optimal_dpor_replayed),
         ] {
             let before = baseline.and_then(|b| b.workload_count(w.name, key));
@@ -981,35 +777,22 @@ fn summary_markdown(
             );
         }
         // Speedup gates are enforced on aba_2w2r only (the tiny
-        // workload is all setup noise); annotate only the gated rows
+        // workload is all setup noise); annotate only the gated row
         // so the summary never shows an un-enforced "gate" threshold.
-        let gate = |key: &str| {
-            if w.name == "aba_2w2r" {
-                num(key).map_or("—".into(), |m| format!("gate >= {m}x"))
-            } else {
-                "informational".to_string()
-            }
+        let gate = if w.name == "aba_2w2r" {
+            num("min_reuse_speedup").map_or("—".into(), |m| format!("gate >= {m}x"))
+        } else {
+            "informational".to_string()
         };
         let _ = writeln!(
             md,
-            "| {} traced replay, binary vs string format | — | {:.2}x | {} |",
-            w.name,
-            w.format_speedup,
-            gate("min_format_speedup")
-        );
-        let _ = writeln!(
-            md,
-            "| {} world-reuse speedup | — | {:.2}x | {} |",
-            w.name,
-            w.reuse_speedup,
-            gate("min_reuse_speedup")
+            "| {} world-reuse speedup | — | {:.2}x | {gate} |",
+            w.name, w.reuse_speedup
         );
     }
     for m in mixed {
         for (key, measured) in [
             ("dpor_replayed", m.dpor_replayed),
-            ("value_dpor_replayed", m.value_dpor_replayed),
-            ("static_dpor_replayed", m.static_dpor_replayed),
             ("optimal_dpor_replayed", m.optimal_dpor_replayed),
         ] {
             let before = baseline.and_then(|b| b.workload_count(m.name, key));
@@ -1126,9 +909,9 @@ fn main() {
     }
     print_table(&["recording", "step VM"], &rows);
 
-    // The sl-analyze placement-commutation certificates the StaticDpor
-    // rows consume: probed once per process count, reused across
-    // workloads (each run builds its own runtime form for per-workload
+    // The sl-analyze op-pair certificates the optimal-DPOR rows
+    // consume: probed once per process count, reused across workloads
+    // (each run builds its own runtime form for per-workload
     // telemetry).
     let aba_cert2 = sl_analyze::aba_certificate(2);
     let aba_cert3 = sl_analyze::aba_certificate(3);
@@ -1212,7 +995,6 @@ fn main() {
             |key: &str, default: f64| (b.number(key).unwrap_or(default) * 100.0).round() / 100.0;
         let gates = [
             ("min_reuse_speedup", threshold("min_reuse_speedup", 1.0)),
-            ("min_format_speedup", threshold("min_format_speedup", 1.6)),
             ("min_speedup_4w", threshold("min_speedup_4w", 2.0)),
             ("min_speedup_8w", threshold("min_speedup_8w", 3.0)),
             ("min_ckpt_ratio", threshold("min_ckpt_ratio", 0.95)),
@@ -1235,23 +1017,26 @@ fn main() {
     if let Some(b) = &loaded {
         let mut gate = Gate::new();
         for w in &workloads {
+            // The oracle explores every schedule: its count is the size
+            // of the schedule tree, so a change either way is a bug.
+            match b.workload_count(w.name, "unpruned_replayed") {
+                Some(recorded) if recorded == w.unpruned_replayed => println!(
+                    "baseline ok: {} unpruned schedules measured {recorded} == recorded",
+                    w.name
+                ),
+                recorded => gate.fail(&format!(
+                    "{} unpruned schedules: measured {}, recorded {recorded:?} (the oracle \
+                     must replay exactly the recorded schedule tree)",
+                    w.name, w.unpruned_replayed
+                )),
+            }
             // Schedule counts are deterministic: any increase is a
             // partial-order-reduction regression, for the syntactic
-            // and the value-aware relation alike.
+            // and the refined relation alike.
             gate.count_not_above(
                 &format!("{} source-DPOR schedules", w.name),
                 w.dpor_replayed,
                 b.workload_count(w.name, "dpor_replayed"),
-            );
-            gate.count_not_above(
-                &format!("{} value-DPOR schedules", w.name),
-                w.value_dpor_replayed,
-                b.workload_count(w.name, "value_dpor_replayed"),
-            );
-            gate.count_not_above(
-                &format!("{} static-DPOR schedules", w.name),
-                w.static_dpor_replayed,
-                b.workload_count(w.name, "static_dpor_replayed"),
             );
             gate.count_not_above(
                 &format!("{} optimal-DPOR schedules", w.name),
@@ -1271,16 +1056,6 @@ fn main() {
                 &format!("{} source-DPOR schedules", m.name),
                 m.dpor_replayed,
                 b.workload_count(m.name, "dpor_replayed"),
-            );
-            gate.count_not_above(
-                &format!("{} value-DPOR schedules", m.name),
-                m.value_dpor_replayed,
-                b.workload_count(m.name, "value_dpor_replayed"),
-            );
-            gate.count_not_above(
-                &format!("{} static-DPOR schedules", m.name),
-                m.static_dpor_replayed,
-                b.workload_count(m.name, "static_dpor_replayed"),
             );
             gate.count_not_above(
                 &format!("{} optimal-DPOR schedules", m.name),
@@ -1314,44 +1089,6 @@ fn main() {
                         m.optimal_dpor_replayed
                     ));
                 }
-            }
-            if m.optimal_dpor_replayed >= m.static_dpor_replayed {
-                // The tentpole's headline claim: wakeup sequences must
-                // cut the mixed-role workloads' total replay count
-                // below even the certificate-pruned mode, strictly —
-                // the schedules static DPOR initiates and abandons
-                // mid-run are never started at all.
-                gate.fail(&format!(
-                    "wakeup sequences no longer reduce {} \
-                     (optimal {} vs static {})",
-                    m.name, m.optimal_dpor_replayed, m.static_dpor_replayed
-                ));
-            }
-            if m.value_dpor_replayed >= m.dpor_replayed {
-                gate.fail(&format!(
-                    "value-aware independence no longer reduces the mixed-role workload \
-                     {} ({} vs {})",
-                    m.name, m.value_dpor_replayed, m.dpor_replayed
-                ));
-            } else if m.static_dpor_replayed >= m.value_dpor_replayed {
-                // The tentpole's headline claim: the placement
-                // certificate must cut the mixed-role workloads below
-                // the value-aware DPOR counts, strictly.
-                gate.fail(&format!(
-                    "the placement certificate no longer reduces {} \
-                     (static {} vs value {})",
-                    m.name, m.static_dpor_replayed, m.value_dpor_replayed
-                ));
-            } else {
-                println!(
-                    "baseline ok: optimal DPOR replays {} < static DPOR {} < value DPOR {} \
-                     < source DPOR {} on {}",
-                    m.optimal_dpor_replayed,
-                    m.static_dpor_replayed,
-                    m.value_dpor_replayed,
-                    m.dpor_replayed,
-                    m.name
-                );
             }
         }
         // Certificate freshness: the catalog checked in next to the
@@ -1420,11 +1157,6 @@ fn main() {
                 &format!("world-reuse speedup on {}", w.name),
                 w.reuse_speedup,
                 b.number("min_reuse_speedup"),
-            );
-            gate.speedup_at_least(
-                &format!("binary-vs-string-format traced replay on {}", w.name),
-                w.format_speedup,
-                b.number("min_format_speedup"),
             );
             // Parallel-scaling gates: each threshold is enforced only
             // on machines with at least that many real CPUs (so a
@@ -1596,7 +1328,7 @@ fn measure_ckpt_overhead(reps: u32) -> f64 {
 
 /// The `sl-analyze` certificate catalog: every family × substrate the
 /// facade exposes at 2 processes, plus the 3-process Algorithm-2
-/// certificate the mixed-role StaticDpor gates consume. One producer
+/// certificate the mixed-role optimal-DPOR rows consume. One producer
 /// for both the written artifact and the freshness comparison.
 fn certificates_catalog_json() -> String {
     let mut certs = sl_analyze::catalog(2);
@@ -1679,23 +1411,21 @@ fn write_certificates(path: &str) {
 
 /// Header comment written into refreshed baselines.
 const BASELINE_COMMENT: &str = "Reference numbers for the exp_sim_throughput --baseline gate, \
-written by --refresh-baseline. The gate enforces: dpor_replayed, value_dpor_replayed, \
-static_dpor_replayed, and optimal_dpor_replayed per workload (schedule counts are deterministic \
-— any increase is a partial-order-reduction regression), static < value strictly on the \
-mixed-role workloads (the sl-analyze placement certificate must keep pruning), optimal < static \
-strictly there with zero cut replays (wakeup sequences must keep eliminating sleep-set-blocked \
-runs), optimal strictly below the frozen per-register-era floors (660 / 26638) with zero \
-unattributed races on the mixed-role workloads (the op-pair commutation matrix must keep \
-pruning and attributing), certificates.json next to this file byte-identical to a fresh \
-regeneration (probe/format drift must go through --refresh-baseline), min_reuse_speedup (single-worker pooled-vs-fresh wall clock on aba_2w2r, best-of-3, \
-identical ingestion pipelines both sides; a 1.0 floor so the gate only catches pooling becoming \
-an outright pessimization), min_format_speedup (single-worker traced replay with binary StepCode \
-ingestion vs the retired per-step string rendering+interning, best-of-5, identical ingestion \
-sinks both sides), min_speedup_4w / min_speedup_8w (4-/8-worker wall-clock speedups on \
-aba_2w2r, each checked only on machines with at least that many CPUs), min_ckpt_ratio \
-(best-of-5 interleaved plain-vs-checkpointed optimal-DPOR wall clock on aba_mixed3_deep; a \
-0.95 floor caps checkpointing overhead at ~5%), and min_dist_ratio (sequential-vs-distributed \
-wall clock on aba_mixed3_deep with --worker-procs N worker processes behind the sl-dist lease \
-coordinator, bit-identity asserted; a 0.2 floor caps the frame/lease/symbolization overhead at \
-5x — measured only when --worker-procs is given). Timing fields other than the gates are \
-informational snapshots of the reference container.";
+written by --refresh-baseline. The gate enforces: unpruned_replayed exactly per pinned workload \
+(the oracle explores every schedule), dpor_replayed and optimal_dpor_replayed per workload \
+(schedule counts are deterministic — any increase is a partial-order-reduction regression), zero \
+optimal-DPOR cut replays (wakeup sequences must keep eliminating sleep-set-blocked runs), optimal \
+strictly below the frozen per-register-era floors (660 / 26638) with zero unattributed races on \
+the mixed-role workloads (the op-pair commutation matrix must keep pruning and attributing), \
+certificates.json next to this file byte-identical to a fresh regeneration (probe/format drift \
+must go through --refresh-baseline), min_reuse_speedup (single-worker pooled-vs-fresh wall \
+clock on aba_2w2r, best-of-3, identical ingestion pipelines both sides; a 1.0 floor so the gate \
+only catches pooling becoming an outright pessimization), min_speedup_4w / min_speedup_8w \
+(4-/8-worker wall-clock speedups on aba_2w2r, each checked only on machines with at least that \
+many CPUs), min_ckpt_ratio (best-of-5 interleaved plain-vs-checkpointed optimal-DPOR wall clock \
+on aba_mixed3_deep; a 0.95 floor caps checkpointing overhead at ~5%), and min_dist_ratio \
+(sequential-vs-distributed wall clock on aba_mixed3_deep with --worker-procs N worker processes \
+behind the sl-dist lease coordinator, bit-identity asserted; a 0.2 floor caps the \
+frame/lease/symbolization overhead at 5x — measured only when --worker-procs is given). The \
+static_relaxed / static_validated counts are the optimal-DPOR run's certificate telemetry. \
+Timing fields other than the gates are informational snapshots of the reference container.";

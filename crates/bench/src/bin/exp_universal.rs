@@ -3,14 +3,16 @@
 //!
 //! For each example simple type: random-schedule linearizability checks,
 //! plus bounded exhaustive strong-linearizability model checking of a
-//! 2-process workload over (a) an atomic root (Theorem 54) and (b) the
-//! paper's strongly linearizable snapshot as root (Theorem 3).
+//! 2-process workload, on the unpruned oracle, over (a) an atomic root
+//! (Theorem 54) and (b) the paper's strongly linearizable snapshot as
+//! root (Theorem 3). Budget-capped rows print `partial`.
 
-use sl_api::ObjectBuilder;
-use sl_bench::print_table;
-use sl_check::{check_linearizable, check_strongly_linearizable, HistoryTree};
+use sl_api::sim::{explore_object_dag_with, SimExplore};
+use sl_api::{ObjectBuilder, SharedObject};
+use sl_bench::{print_table, verdict_cell};
+use sl_check::check_linearizable;
 use sl_core::SnapshotObject;
-use sl_sim::{explore, EventLog, Program, Scripted, SeededRandom, SimWorld};
+use sl_sim::{EventLog, Program, PruneMode, SeededRandom, SimMem, SimWorld};
 use sl_spec::{CounterOp, GrowSetOp, MaxRegisterOp, ProcId};
 use sl_universal::types::{CounterType, GrowSetType, MaxRegisterType, RegOp, RegisterType};
 use sl_universal::{NodeRef, SimpleSpec, SimpleType, Universal};
@@ -54,62 +56,69 @@ fn lin_random<T: SimpleType>(ty: T, ops: Vec<Vec<T::Op>>, seeds: u64) -> u64 {
 }
 
 /// Bounded exhaustive strong-linearizability check of a 2-process
-/// workload `[op0, op1]`; `sl_root` selects the Theorem-3 configuration.
+/// workload `[op0, op1]` on the unpruned oracle; `sl_root` selects the
+/// Theorem-3 configuration. Returns (schedules, exhausted, verdict
+/// cell).
 fn strong_bounded<T: SimpleType>(
     ty: T,
     op0: T::Op,
     op1: T::Op,
     sl_root: bool,
     max_runs: usize,
-) -> (usize, bool, bool) {
-    let mut transcripts = Vec::new();
-    let explored = explore(
-        |script| {
-            let world = SimWorld::new(2);
-            let mem = world.mem();
-            let log: EventLog<SimpleSpec<T>> = EventLog::new(&world);
-            let builder = ObjectBuilder::on(&mem).processes(2);
-            let programs: Vec<Program> = if sl_root {
-                let obj = builder.universal(ty.clone());
-                mk_programs(&obj, &log, op0.clone(), op1.clone())
-            } else {
-                let root = builder.atomic_snapshot::<NodeRef<T>>();
-                let obj = Universal::new(ty.clone(), root, 2);
-                mk_programs(&obj, &log, op0.clone(), op1.clone())
-            };
-            let mut sched = Scripted::new(script.to_vec());
-            let outcome = world.run(programs, &mut sched, 2_000);
-            transcripts.push(log.transcript(&outcome));
-            outcome
-        },
+) -> (usize, bool, String)
+where
+    T::Op: Send + Sync,
+    T::Resp: Send + Sync,
+    T::State: Send + Sync,
+{
+    let cfg = SimExplore {
         max_runs,
-        |_, _| {},
-    );
-    let tree = HistoryTree::from_transcripts(&transcripts);
-    let report = check_strongly_linearizable(&SimpleSpec(ty), &tree);
-    (explored.runs, explored.exhausted, report.holds)
+        mode: PruneMode::Unpruned,
+        workers: 1,
+        step_budget: 2_000,
+        ..SimExplore::default()
+    };
+    let ops = [vec![op0], vec![op1]];
+    if sl_root {
+        let factory = |mem: &SimMem| ObjectBuilder::on(mem).processes(2).universal(ty.clone());
+        check_universal(&ty, factory, &ops, &cfg)
+    } else {
+        let factory = |mem: &SimMem| {
+            let root = ObjectBuilder::on(mem)
+                .processes(2)
+                .atomic_snapshot::<NodeRef<T>>();
+            Universal::new(ty.clone(), root, 2)
+        };
+        check_universal(&ty, factory, &ops, &cfg)
+    }
 }
 
-fn mk_programs<T: SimpleType, O: SnapshotObject<NodeRef<T>>>(
-    obj: &Universal<T, O>,
-    log: &EventLog<SimpleSpec<T>>,
-    op0: T::Op,
-    op1: T::Op,
-) -> Vec<Program> {
-    [op0, op1]
-        .into_iter()
-        .enumerate()
-        .map(|(pid, op)| {
-            let mut h = obj.handle(ProcId(pid));
-            let log = log.clone();
-            Box::new(move |ctx: sl_sim::ProcCtx| {
-                ctx.pause();
-                let id = log.invoke(ctx.proc_id(), op.clone());
-                let resp = h.execute(op);
-                log.respond(id, resp);
-            }) as Program
-        })
-        .collect()
+fn check_universal<T, O, F>(
+    ty: &T,
+    factory: F,
+    ops: &[Vec<T::Op>],
+    cfg: &SimExplore,
+) -> (usize, bool, String)
+where
+    T: SimpleType,
+    T::Op: Send + Sync,
+    T::Resp: Send + Sync,
+    T::State: Send + Sync,
+    O: SnapshotObject<NodeRef<T>> + SharedObject<SimMem>,
+    F: Fn(&SimMem) -> Universal<T, O> + Sync,
+{
+    let explored = explore_object_dag_with::<SimpleSpec<T>, _, _, _>(
+        factory,
+        ops,
+        |h: &mut sl_universal::UniversalHandle<T, O>, op: &T::Op| h.execute(op.clone()),
+        cfg,
+    );
+    let report = explored.check_strong(&SimpleSpec(ty.clone()));
+    (
+        explored.outcome.runs,
+        explored.outcome.exhausted,
+        verdict_cell(&explored.outcome, report.holds),
+    )
 }
 
 fn main() {
@@ -180,7 +189,7 @@ fn main() {
             label.to_string(),
             runs.to_string(),
             exhausted.to_string(),
-            holds.to_string(),
+            holds,
         ]);
     }
     {
@@ -190,7 +199,7 @@ fn main() {
             label.to_string(),
             runs.to_string(),
             exhausted.to_string(),
-            holds.to_string(),
+            holds,
         ]);
     }
     print_table(

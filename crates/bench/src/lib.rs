@@ -28,6 +28,6 @@ pub mod workloads;
 
 pub use baseline::{Baseline, Gate};
 pub use obs4::{obs4_scripts, run_obs4_family, FamilyRun};
-pub use table::print_table;
+pub use table::{print_table, verdict_cell};
 pub use timing::{bench, time_ns_per_op};
 pub use trace::steps_per_op;

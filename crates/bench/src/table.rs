@@ -1,5 +1,20 @@
 //! Minimal aligned-markdown table printing for experiment output.
 
+use sl_sim::ExploreOutcome;
+
+/// The "strongly linearizable" cell of a bounded check: `true` only
+/// when the schedule space was exhausted. A PASS over a budget-capped
+/// prefix is no verdict, so it reads `partial`; a FAIL stands, because
+/// a violation in a prefix-closed subset of the transcript tree is a
+/// violation of the whole tree.
+pub fn verdict_cell(outcome: &ExploreOutcome, holds: bool) -> String {
+    if holds && !outcome.exhausted {
+        "partial".to_string()
+    } else {
+        holds.to_string()
+    }
+}
+
 /// Prints a markdown table with aligned columns to stdout.
 pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     let cols = headers.len();

@@ -127,16 +127,17 @@ pub fn dist_ops(name: &str) -> Option<Vec<Vec<AbaOp<u64>>>> {
 }
 
 /// Parses the prune-mode name that travels in `hello` frames
-/// ([`PruneMode::name`] round trip). Only the DPOR modes the dispatched
-/// explorer accepts appear here; `StaticDpor` is excluded because its
-/// certificate cannot travel by name alone.
+/// ([`PruneMode::name`] round trip). Every mode runs on the dispatched
+/// task engine; a certificate cannot travel by name, so the fleet's
+/// workloads explore without one.
 pub fn dist_mode(name: &str) -> Option<PruneMode> {
-    match name {
-        "SourceDpor" => Some(PruneMode::SourceDpor),
-        "ValueDpor" => Some(PruneMode::ValueDpor),
-        "OptimalDpor" => Some(PruneMode::OptimalDpor),
-        _ => None,
-    }
+    [
+        PruneMode::Unpruned,
+        PruneMode::SourceDpor,
+        PruneMode::OptimalDpor,
+    ]
+    .into_iter()
+    .find(|mode| mode.name() == name)
 }
 
 /// The exploration budget both sides of the pipe must share. A worker

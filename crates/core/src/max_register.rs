@@ -19,7 +19,7 @@
 //!   value ever written — the unbounded-space cost that the paper's
 //!   Theorem 2 eliminates.
 
-use sl_mem::{HandleGuard, HandleLease, Mem, Register, Value};
+use sl_mem::{HandleGuard, HandleLease, Mem, Register, RmwCell, Value};
 use sl_spec::ProcId;
 use std::sync::{Arc, RwLock};
 
@@ -315,18 +315,24 @@ impl<M: Mem> BoundedMaxRegisterHandle<M> {
 /// `x' > x`.
 ///
 /// One register per value, grown on demand (the model is a static
-/// infinite array; growth is bookkeeping, not a shared-memory step):
-/// `max_write(v, y)` writes register `v` in **one** shared step, and
-/// `max_read` scans from the highest allocated register downwards,
-/// returning at the first set register — which is also its linearization
-/// point, making the implementation strongly linearizable. Space grows
-/// linearly with the largest value written: [`UnaryMaxRegister::allocated_cells`]
-/// measures exactly the unbounded-space behaviour of §4.1 (experiment
-/// `exp_space`).
+/// infinite array; allocating a register is bookkeeping, not a
+/// shared-memory step). How far the array reaches is *announced* in a
+/// shared length cell: `max_write(v, y)` raises it to `v + 1` (one
+/// atomic read-modify-write step) and then writes register `v` (one
+/// step), and every collect of `max_read` reads the length before the
+/// registers below it. A read's steps therefore depend on other
+/// processes only through declared accesses — the schedule explorer's
+/// partial-order reduction assumes exactly that, and a read sized by
+/// the allocation itself would change its step count on an undeclared
+/// allocation. Space grows linearly with the largest value written:
+/// [`UnaryMaxRegister::allocated_cells`] measures exactly the
+/// unbounded-space behaviour of §4.1 (experiment `exp_space`).
 pub struct UnaryMaxRegister<P: Value, M: Mem> {
     mem: M,
     name: Arc<String>,
     cells: Arc<RwLock<CellArray<P, M>>>,
+    /// The announced array length: registers below it are allocated.
+    len: M::Cell<u64>,
 }
 
 impl<P: Value, M: Mem> Clone for UnaryMaxRegister<P, M> {
@@ -335,6 +341,7 @@ impl<P: Value, M: Mem> Clone for UnaryMaxRegister<P, M> {
             mem: self.mem.clone(),
             name: Arc::clone(&self.name),
             cells: Arc::clone(&self.cells),
+            len: self.len.clone(),
         }
     }
 }
@@ -359,6 +366,7 @@ impl<P: Value, M: Mem> UnaryMaxRegister<P, M> {
                 epoch: mem.epoch(),
                 regs: Vec::new(),
             })),
+            len: mem.alloc_cell(&format!("{name}.len"), 0),
         }
     }
 
@@ -386,9 +394,11 @@ impl<P: Value, M: Mem> UnaryMaxRegister<P, M> {
     }
 
     /// `maxWrite(v, payload)`: records that value `v` (with `payload`)
-    /// was reached. One shared-memory step.
+    /// was reached. Two shared-memory steps: announce the length, then
+    /// write register `v`.
     pub fn max_write(&self, v: u64, payload: P) {
         self.ensure(v as usize + 1);
+        self.len.update(|&len| len.max(v + 1));
         let reg = self.cells.read().unwrap().regs[v as usize].clone();
         reg.write(Some(payload));
     }
@@ -396,9 +406,9 @@ impl<P: Value, M: Mem> UnaryMaxRegister<P, M> {
     /// `maxRead()`: returns the largest recorded value and its payload,
     /// or `(0, None)` if nothing was written.
     ///
-    /// Repeats full low-to-high collects of the registers allocated at
-    /// the start of each attempt until two consecutive collects agree —
-    /// a *clean double collect*. The response is then determined at the
+    /// Repeats full low-to-high collects — of the registers below the
+    /// length announced at the start of each attempt — until two
+    /// consecutive collects agree: a *clean double collect*. The response is then determined at the
     /// read's final step and reflects every `max_write` completed before
     /// it, which is what strong linearizability's prefix-preservation
     /// requires (single-pass scans in either direction fail it: the
@@ -408,14 +418,14 @@ impl<P: Value, M: Mem> UnaryMaxRegister<P, M> {
     /// loop makes this read only **lock-free**, matching the
     /// lock-freedom of the §4.1 construction that uses it. Writes
     /// completed before a collect began are always covered: `max_write(v)`
-    /// allocates register `v` before writing it.
+    /// announces register `v` before writing it.
     pub fn max_read(&self) -> (u64, Option<P>) {
         let mut previous: Option<Vec<Option<P>>> = None;
         loop {
+            let len = self.len.read() as usize;
             let regs: Vec<M::Reg<Option<P>>> = {
-                let mut cells = self.cells.write().unwrap();
-                self.sync_epoch(&mut cells);
-                cells.regs.clone()
+                self.ensure(len);
+                self.cells.read().unwrap().regs[..len].to_vec()
             };
             let collected: Vec<Option<P>> = regs.iter().map(|r| r.read()).collect();
             if let Some(prev) = &previous {
@@ -436,7 +446,8 @@ impl<P: Value, M: Mem> UnaryMaxRegister<P, M> {
     /// Pre-allocates registers for values `< len` without writing any,
     /// so that model-checking workloads can fix the array size up front
     /// (the algorithm's model is a static infinite array; growth is
-    /// bookkeeping, not a shared step).
+    /// bookkeeping, not a shared step). Reads still collect only the
+    /// registers below the announced length.
     pub fn reserve(&self, len: usize) {
         self.ensure(len);
     }

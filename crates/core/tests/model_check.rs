@@ -249,10 +249,10 @@ fn sl_aba_three_process_mixed_deep() {
     );
 }
 
-/// Pruning soundness cross-check: unpruned, sleep-set, source-DPOR,
-/// value-DPOR, and optimal-DPOR explorations give the same
-/// strong-linearizability verdict (and conflict depth), and the
-/// memoised and unmemoised checkers agree on each tree.
+/// Pruning cross-check: the unpruned oracle, source DPOR and optimal
+/// DPOR give the same strong-linearizability verdict (the two
+/// reductions also the same conflict depth), and the memoised and
+/// unmemoised checkers agree on each tree.
 #[test]
 fn all_explorer_modes_and_checkers_agree() {
     for (writes, reads) in [(1, 1), (2, 1)] {
@@ -264,36 +264,23 @@ fn all_explorer_modes_and_checkers_agree() {
             explore_sl_aba_tree(&[writes], &[reads], &explorer)
         };
         let (uo, utree) = explore_with(PruneMode::Unpruned);
-        let (so, stree) = explore_with(PruneMode::SleepSet);
         let (po, ptree) = explore_with(PruneMode::SourceDpor);
-        let (vo, vtree) = explore_with(PruneMode::ValueDpor);
         let (oo, otree) = explore_with(PruneMode::OptimalDpor);
-        assert!(uo.exhausted && so.exhausted && po.exhausted && vo.exhausted && oo.exhausted);
-        assert!(po.runs <= uo.runs && so.runs <= uo.runs);
+        assert!(uo.exhausted && po.exhausted && oo.exhausted);
+        assert_eq!((uo.cut_runs, uo.pruned), (0, 0), "the oracle never prunes");
+        assert!(po.runs <= uo.runs);
         assert!(
-            vo.schedules_replayed() <= po.schedules_replayed(),
-            "value-aware DPOR must never replay more than syntactic DPOR"
-        );
-        assert!(
-            oo.schedules_replayed() <= vo.schedules_replayed(),
-            "optimal DPOR must never replay more in total than value-aware DPOR"
+            oo.schedules_replayed() <= po.schedules_replayed(),
+            "optimal DPOR must never replay more in total than source DPOR"
         );
         assert_eq!(oo.cut_runs, 0, "optimal DPOR must never cut a replay");
         assert!(ptree.node_count() <= utree.node_count());
         let spec = ASpec::new(2);
         let uv = check_strongly_linearizable(&spec, &utree);
-        let sv = check_strongly_linearizable(&spec, &stree);
         let pv = check_strongly_linearizable(&spec, &ptree);
-        let vv = check_strongly_linearizable(&spec, &vtree);
         let ov = check_strongly_linearizable(&spec, &otree);
-        assert_eq!(uv.holds, sv.holds, "sleep sets changed the verdict");
         assert_eq!(uv.holds, pv.holds, "source DPOR changed the verdict");
-        assert_eq!(uv.holds, vv.holds, "value-aware DPOR changed the verdict");
         assert_eq!(uv.holds, ov.holds, "optimal DPOR changed the verdict");
-        assert_eq!(
-            pv.conflict_depth, vv.conflict_depth,
-            "value-aware DPOR changed the conflict depth"
-        );
         assert_eq!(
             pv.conflict_depth, ov.conflict_depth,
             "optimal DPOR changed the conflict depth"
@@ -306,25 +293,20 @@ fn all_explorer_modes_and_checkers_agree() {
     }
 }
 
-/// The headline of the refined independence relations: on the pinned
-/// mixed-role 3-process workload (two writers + one reader), value
-/// DPOR replays strictly fewer schedules than syntactic source DPOR,
-/// and optimal DPOR (wakeup sequences + observer-aware commutation)
-/// strictly fewer again without cutting a single replay — verdicts and
-/// conflict depths equal across all modes, replay counts plus DAG
-/// structural hashes equal across worker counts 1/2/4/8 within each
-/// mode.
+/// The headline of the refined independence relation: on the pinned
+/// mixed-role 3-process workload (two writers + one reader), optimal
+/// DPOR (value and observer layers, wakeup sequences) replays strictly
+/// fewer schedules than syntactic source DPOR without cutting a single
+/// replay — verdicts and conflict depths equal across both modes,
+/// replay counts plus DAG structural hashes equal across worker counts
+/// 1/2/4/8 within each mode.
 #[test]
 fn value_dpor_reduces_mixed_role_schedules() {
     let writers = [1u64, 1];
     let readers = [1u64];
     let spec = ASpec::new(3);
     let mut per_mode = Vec::new();
-    for mode in [
-        PruneMode::SourceDpor,
-        PruneMode::ValueDpor,
-        PruneMode::OptimalDpor,
-    ] {
+    for mode in [PruneMode::SourceDpor, PruneMode::OptimalDpor] {
         let mut reference: Option<(sl_sim::ExploreOutcome, u64)> = None;
         for workers in [1usize, 2, 4, 8] {
             let explorer = Explorer {
@@ -357,25 +339,15 @@ fn value_dpor_reduces_mixed_role_schedules() {
         }
     }
     let (_, ref source_out, ref source_report) = per_mode[0];
-    let (_, ref value_out, ref value_report) = per_mode[1];
-    let (_, ref optimal_out, ref optimal_report) = per_mode[2];
+    let (_, ref optimal_out, ref optimal_report) = per_mode[1];
     assert!(
-        value_out.schedules_replayed() < source_out.schedules_replayed(),
-        "value-aware independence must prune mixed-role schedules \
-         (source {} vs value {})",
+        optimal_out.schedules_replayed() < source_out.schedules_replayed(),
+        "the refined relation + wakeup sequences must prune mixed-role schedules \
+         (source {} vs optimal {})",
         source_out.schedules_replayed(),
-        value_out.schedules_replayed()
-    );
-    assert!(
-        optimal_out.schedules_replayed() < value_out.schedules_replayed(),
-        "wakeup sequences + observers must prune mixed-role schedules \
-         (value {} vs optimal {})",
-        value_out.schedules_replayed(),
         optimal_out.schedules_replayed()
     );
     assert_eq!(optimal_out.cut_runs, 0, "optimal DPOR cut a replay");
-    assert_eq!(source_report.holds, value_report.holds);
-    assert_eq!(source_report.conflict_depth, value_report.conflict_depth);
     assert_eq!(source_report.holds, optimal_report.holds);
     assert_eq!(source_report.conflict_depth, optimal_report.conflict_depth);
     assert!(source_report.holds, "Theorem 12 on the mixed-role workload");
@@ -407,22 +379,12 @@ fn randomized_differential_modes_and_workers() {
         let spec = ASpec::new(n);
         let mut verdicts = Vec::new();
         for mode in [
-            PruneMode::ValueDpor,
             PruneMode::OptimalDpor,
             PruneMode::SourceDpor,
-            PruneMode::SleepSet,
             PruneMode::Unpruned,
         ] {
-            // The partitioned parallel engine only serves the DPOR
-            // modes; the frame modes' (older) parallel frontier gets a
-            // lighter sweep.
-            let dpor = matches!(
-                mode,
-                PruneMode::SourceDpor | PruneMode::ValueDpor | PruneMode::OptimalDpor
-            );
-            let worker_counts: &[usize] = if dpor { &[1, 2, 4, 8] } else { &[1, 4] };
             let mut reference: Option<(sl_sim::ExploreOutcome, u64, bool)> = None;
-            for &workers in worker_counts {
+            for workers in [1, 2, 4, 8] {
                 let explorer = Explorer {
                     max_runs: 1_000_000,
                     mode,
@@ -430,18 +392,9 @@ fn randomized_differential_modes_and_workers() {
                     stem: vec![],
                     statics: None,
                 };
-                // The DAG path shards per subtree in DPOR mode and
-                // falls back to the materialised tree for frame modes;
-                // either way the structural hash is content-based.
-                let (out, hash, verdict) = if dpor {
-                    let (out, dag) = explore_sl_aba_dag(&writers, &readers, &explorer);
-                    let verdict = check_strongly_linearizable_dag(&spec, &dag).holds;
-                    (out, dag.structural_hash(), verdict)
-                } else {
-                    let (out, tree) = explore_sl_aba_tree(&writers, &readers, &explorer);
-                    let verdict = check_strongly_linearizable(&spec, &tree).holds;
-                    (out, TreeDag::from_tree(&tree).structural_hash(), verdict)
-                };
+                let (out, dag) = explore_sl_aba_dag(&writers, &readers, &explorer);
+                let verdict = check_strongly_linearizable_dag(&spec, &dag).holds;
+                let hash = dag.structural_hash();
                 assert!(out.exhausted, "round {round} {mode:?} at {workers} workers");
                 match &reference {
                     None => reference = Some((out, hash, verdict)),

@@ -1,68 +1,54 @@
 //! Bounded exhaustive exploration of scheduling choices.
 //!
-//! Two generations of explorer live here:
+//! One engine explores every schedule space: the stateless depth-first
+//! [`Explorer`], built for the step VM. The caller's runner executes a
+//! world per schedule under a [`ScheduleDriver`] (an adversarial
+//! [`Scheduler`] handed to `SimWorld::run`). The driver replays a
+//! decision prefix and extends it depth-first; after each replay the
+//! explorer detects *races* in the executed schedule with vector clocks
+//! and backtracks only where a reversal is demanded — source-set
+//! dynamic partial-order reduction (Abdulla–Aronis–Jonsson–Sagonas)
+//! with sleep sets over the declared [`PendingAccess`]es. Subtrees are
+//! delegated to a work-stealing pool, checkpointed, quarantined and
+//! dispatched the same way whatever the [`PruneMode`].
 //!
-//! * [`explore`] — the original script-replay enumerator, kept for
-//!   compatibility. It re-derives branch points from
-//!   `RunOutcome::decisions` after each run and prunes nothing.
-//! * [`Explorer`] — the stateless depth-first explorer built for the
-//!   step VM. The caller's runner executes a world per schedule under a
-//!   [`ScheduleDriver`] (an adversarial [`Scheduler`] handed to
-//!   `SimWorld::run`); the driver replays a decision prefix, extends it
-//!   depth-first, and prunes per the configured [`PruneMode`]:
+//! # One relation, three settings
 //!
-//!   - [`PruneMode::Unpruned`] branches on every enabled process at
-//!     every decision — the full schedule tree.
-//!   - [`PruneMode::SleepSet`] additionally maintains **sleep sets**
-//!     over the VM's declared [`PendingAccess`]es, so schedules
-//!     differing only in the order of commuting steps (accesses by
-//!     different processes to different registers) are explored once.
-//!     Branches are still recorded for every non-sleeping sibling, and
-//!     frames are distributed over a work-stealing pool of workers.
-//!   - [`PruneMode::SourceDpor`] runs **source-set dynamic
-//!     partial-order reduction** (the wakeup-free variant of
-//!     Abdulla–Aronis–Jonsson–Sagonas SDPOR) on top of the same sleep
-//!     sets: instead of eagerly branching on every sibling, the
-//!     explorer detects *races* in each executed schedule with vector
-//!     clocks over the declared accesses, and backtracks only where a
-//!     reversal is actually demanded. Schedules that sleep sets would
-//!     replay just to cut are mostly never scheduled at all.
-//!   - [`PruneMode::ValueDpor`] (the default) is source-set DPOR with a
-//!     **value-aware** independence relation for race detection: two
-//!     same-register steps additionally commute when they are a
-//!     read/read pair, or a write/write pair storing the *same*
-//!     (interned) value — provided no high-level event marker rode on
-//!     either step's activation. The execution metadata (value id +
-//!     event flag) is observed post-hoc from the recorded trace, so
-//!     only *race detection* is refined; sleep-set filtering keeps the
-//!     conservative syntactic relation (see the soundness section).
-//!   - [`PruneMode::StaticDpor`] is value-aware DPOR plus a **static
-//!     placement relaxation** licensed by an `sl-analyze` footprint
-//!     certificate ([`crate::StaticConflicts`]): a `Local` (pause)
-//!     step carrying at most an *invocation* marker commutes with a
-//!     marker-free data step on a certificate-licensed register,
-//!     cutting the invocation-placement branching that dominates
-//!     mixed-role workloads. Every dynamically detected data race is
-//!     validated against the certificate's may-conflict matrix, and
-//!     an unpredicted race aborts the exploration — the static
-//!     analysis is load-bearing but fail-closed.
-//!   - [`PruneMode::OptimalDpor`] upgrades the wakeup-free source sets
-//!     to **wakeup sequences**: a detected race inserts the entire
-//!     reversing continuation (not just its first process) into the
-//!     racing node's wakeup queue, and backtracking replays that
-//!     sequence wholesale before extending freely — so exploration
-//!     never *initiates* a run that sleep sets would abandon. Race
-//!     detection additionally uses the **observer** refinement: two
-//!     same-register writes commute whenever neither written value is
-//!     observed before being overwritten. A static certificate is
-//!     consulted when installed (enabling the placement relaxation)
-//!     but, unlike [`PruneMode::StaticDpor`], is not required.
+//! A [`PruneMode`] selects one setting of a single independence
+//! relation. One function decides whether two steps commute, for race
+//! detection, sleep-set filtering and the wakeup-sequence side
+//! condition ([`seq_wakes_all`]) alike:
+//!
+//! - [`PruneMode::Unpruned`] — **all-dependent**: every pair of steps
+//!   conflicts, so every schedule is its own class and the engine
+//!   explores the whole schedule tree. This is the oracle; paper
+//!   verdicts are decided here (see "The gap" below).
+//! - [`PruneMode::SourceDpor`] — **syntactic**:
+//!   [`PendingAccess::independent`] — different processes, different
+//!   registers, neither a `Local` (pause) step. The independent
+//!   reference reduction.
+//! - [`PruneMode::OptimalDpor`] (the default) — **refined**: the
+//!   syntactic relation plus three internal layers over *executed*
+//!   steps: the value rules (same-register read/read and same-value
+//!   write/write pairs), the observer rule (writes unobserved before
+//!   being overwritten) and, when a [`StaticConflicts`] certificate is
+//!   installed in [`Explorer::statics`], the certificate's placement
+//!   and op-pair relaxations. It is also the only setting that
+//!   backtracks by **wakeup sequences**: a race enqueues the whole
+//!   reversing continuation at the racing node, so no replay it starts
+//!   is ever cut by a sleep set.
+//!
+//! The layers read execution metadata ([`ExecMeta`]: value, event
+//! markers, register and op identity) observed post-hoc from the
+//! recorded trace, so they refine race detection only. Sleep-set
+//! filtering and the wakeup side condition judge *declared* accesses of
+//! future steps, whose metadata is unknowable; given unknown metadata
+//! the relation reduces to its syntactic base (or stays all-dependent).
 //!
 //! # Parallel source-set DPOR
 //!
-//! Source DPOR's backtrack sets mutate while descendants run, which
-//! pinned exploration to a sequential spine until this revision. The
-//! explorer now parallelises it with **per-subtree ownership**: when a
+//! Source DPOR's backtrack sets mutate while descendants run. The
+//! explorer parallelises it with **per-subtree ownership**: when a
 //! decision node holds several unexplored backtrack candidates, the
 //! owning worker keeps the first as its own continuation and publishes
 //! the rest as frozen [`SubtreeTask`]s — decision prefix, the declared
@@ -92,47 +78,93 @@
 //! can keep one DFS-ordered shard per subtree and hash-cons-merge the
 //! shards afterwards.
 //!
-//! # Why the pruning is sound here
+//! # The all-dependent setting is exhaustive
+//!
+//! Under [`PruneMode::Unpruned`] every step depends on every earlier
+//! one, so happens-before is the word order itself: a step's only race
+//! is with its immediate predecessor, when that belongs to another
+//! process. Reversing it makes the later process's step the earlier
+//! node's next choice, and the reversed run races one node further up,
+//! so a process enabled at a node is demanded there as soon as some
+//! explored run steps it again. SDPOR's completeness theorem then
+//! covers every trace — and every schedule is its own trace. Sleep-set
+//! filtering keeps nothing, so no replay is cut and no enabled child is
+//! left unexplored (`cut_runs` and `pruned` are 0). As in every
+//! setting, a run the step budget stops early demands nothing for the
+//! processes it never stepped again; the budget is for runs that
+//! finish. `crates/api/tests/unpruned_oracle.rs` pins runs, DAG size
+//! and verdict on four workloads against the counts of the retired
+//! explorer that branched on every enabled process.
+//!
+//! # What the reductions preserve, and the gap
 //!
 //! Strong linearizability quantifies over the *tree* of transcripts, so
-//! pruning schedules changes the checked object. Two guarantees keep
-//! the verdict intact, for sleep sets and source sets alike (both prune
-//! exactly reorderings of *independent* steps):
+//! pruning schedules changes the checked object. The argument for a
+//! reduction has two steps:
 //!
-//! 1. Only steps with [`PendingAccess::independent`] are commuted:
-//!    different processes, different registers, neither a `Local`
-//!    (pause) step. Swapping two such steps changes neither the memory
-//!    state, nor either step's record, nor any process's continuation —
-//!    and because invocation/response events ride on `Local` steps,
-//!    which are never commuted, the *history* along both orders is
-//!    identical event-for-event.
-//! 2. A pruned schedule therefore differs from some explored schedule
-//!    only by reordering adjacent independent internal steps. A strong
-//!    linearization function for the explored tree extends to the
-//!    pruned branches by assigning each reordered prefix the
-//!    linearization of its explored permutation image: the history at
-//!    corresponding nodes is equal, and prefix preservation transfers
-//!    because commitments forced at response events are untouched.
+//! 1. Swapping two adjacent independent steps changes neither the
+//!    memory state, nor either step's record, nor any process's
+//!    continuation.
+//! 2. A pruned schedule differs from some explored schedule only by
+//!    such swaps. A strong linearization function for the explored
+//!    tree extends to the pruned branches by assigning each reordered
+//!    prefix the linearization of its explored permutation image —
+//!    *provided the history at corresponding nodes is equal*, so that
+//!    the commitments forced at response events transfer.
+//!
+//! The proviso needs every swap to leave the event sequence of every
+//! prefix unchanged, and **the syntactic relation does not guarantee
+//! it.** Markers do not ride only on `Local` (pause) steps, which it
+//! never commutes: `log.respond` runs in the activation of an
+//! operation's last data step, so the response marker rides on that
+//! data step ([`ExecMeta::resp`] exists for this case), and
+//! [`PendingAccess::independent`] ignores markers. The syntactic
+//! relation therefore commutes a response-carrying data step with
+//! another process's step on a different register. The swap moves the
+//! response across that step: the final histories agree, but the
+//! intermediate prefix in which the response came first is missing
+//! from the reduced tree, and with it a commitment every strong
+//! linearization function must make there.
+//!
+//! The counterexample is the Aspnes–Attiya–Censor trie max-register
+//! (`trie_max_register(4)`; MaxWrite(1) ∥ MaxWrite(3) ∥ MaxRead with
+//! the top-down read). [`PruneMode::Unpruned`] refutes strong
+//! linearizability (1,568 schedules, conflict depth 15). Every
+//! reduction exhausts and passes: [`PruneMode::SourceDpor`] after 294
+//! runs, [`PruneMode::OptimalDpor`] after 274. With a
+//! `ctx.pause()` before each response, so that every marker rides on a
+//! pause, every mode fails at depth 18 (the reductions after 10,170 and
+//! 7,605 runs, the oracle within a 30,000-schedule cap). The
+//! double-collect read variant is refuted by `Unpruned`, `SourceDpor`
+//! and `OptimalDpor` alike.
+//!
+//! Closing the gap means treating a response-carrying step as dependent
+//! with every step of another process; that moves the frozen schedule
+//! floors and needs its own measured change. Until then a reduction's
+//! PASS is evidence only for workloads whose responses all ride on
+//! pauses, and paper verdicts run on the oracle. A FAIL under any
+//! setting is a genuine refutation: every explored transcript is a real
+//! transcript of the object, the explored set is prefix-closed, and a
+//! violation in a prefix-closed subset of the transcript tree is a
+//! violation of the whole tree.
 //!
 //! Source-set DPOR additionally relies on the completeness theorem of
 //! SDPOR: every Mazurkiewicz trace of the schedule space is reachable
 //! from the explored set by the recorded race reversals, so for every
 //! pruned schedule some explored schedule is equivalent to it under
-//! the (conservative) independence relation above. In
-//! [`PruneMode::SourceDpor`] the dependence relation used for race
-//! detection is *exactly* `!PendingAccess::independent` —
-//! same-register accesses always conflict (even two reads), and
-//! `Local` steps conflict with everything — so the argument above
-//! covers it verbatim. The parallel partitioning does not touch this
-//! argument: it changes *who* runs a subtree and *when* a backtrack
-//! demand is written into its node, not which demands are raised or
-//! which candidates are explored.
+//! the relation's setting. Under [`PruneMode::SourceDpor`] the
+//! dependence relation used for race detection is *exactly*
+//! `!PendingAccess::independent` — same-register accesses always
+//! conflict (even two reads), and `Local` steps conflict with
+//! everything. The parallel partitioning does not touch this argument:
+//! it changes *who* runs a subtree and *when* a backtrack demand is
+//! written into its node, not which demands are raised or which
+//! candidates are explored.
 //!
-//! # Why the value-aware refinement is sound
+//! # Why the value layer is sound
 //!
-//! [`PruneMode::ValueDpor`] refines the independence relation used for
-//! **race detection only**: two executed same-register steps of
-//! different processes additionally commute when they are (a) both
+//! The value layer of the refined relation commutes two executed
+//! same-register steps of different processes when they are (a) both
 //! reads, or (b) both writes of the same interned value — and in either
 //! case no invocation/response marker rode on either step's activation
 //! (observed from the recorded trace; unknown metadata is treated as
@@ -144,11 +176,9 @@
 //! process's continuation is unchanged (a read returns the same value
 //! in both orders), and because neither step carries an event marker,
 //! the interleaving of high-level events with all *other* steps is
-//! untouched. So guarantee (1) above holds for the refined relation,
-//! and guarantee (2) transfers verbatim: a pruned schedule differs
-//! from an explored one only by such swaps, and the strong
-//! linearization function extends along the permutation image exactly
-//! as before.
+//! untouched. So step (1) above holds for the refined relation, and
+//! step (2) transfers verbatim for these swaps: the marker guard keeps
+//! the proviso.
 //!
 //! Sleep-set filtering deliberately keeps the conservative syntactic
 //! relation (pending accesses are *future* steps — their values and
@@ -159,18 +189,18 @@
 //! syntactic relation, hence a fortiori under the refined one. Race
 //! detection and the vector clocks it builds on use the refined
 //! relation consistently with each other, which is what SDPOR's
-//! completeness theorem needs. The pruned-vs-unpruned and
-//! DPOR-vs-value-DPOR verdict-equivalence suites cross-check all of
-//! this on small configurations.
+//! completeness theorem needs. The oracle-agreement suites cross-check
+//! all of this on small configurations.
 //!
 //! # Why the static placement relaxation is sound
 //!
-//! [`PruneMode::StaticDpor`] relaxes the rule "`Local` steps conflict
-//! with everything" in exactly one shape: a pause step `l` of process
-//! `p` and a data step `d` of process `q ≠ p` commute when (a) no
-//! *response* marker rode on `l` (an invocation marker may), (b) no
-//! event marker at all rode on `d`, and (c) `d`'s register is licensed
-//! by the static certificate. Swapping two such adjacent steps:
+//! With a certificate installed, the refined relation relaxes the rule
+//! "`Local` steps conflict with everything" in exactly one shape: a
+//! pause step `l` of process `p` and a data step `d` of process `q ≠ p`
+//! commute when (a) no *response* marker rode on `l` (an invocation
+//! marker may), (b) no event marker at all rode on `d`, and (c) `d`'s
+//! register is licensed by the static certificate. Swapping two such
+//! adjacent steps:
 //!
 //! * changes no memory state and no step record — a pause touches no
 //!   register, so `d` reads/writes identically in both orders, and
@@ -198,7 +228,7 @@
 //! data race against the same certificate, aborting on any race the
 //! static matrix failed to predict ([`validate_race`]). Unknown
 //! execution metadata (untraced runs) satisfies neither (a) nor (b),
-//! so the relaxation degrades to [`PruneMode::ValueDpor`] behaviour.
+//! so the relaxation degrades to the relation without a certificate.
 //!
 //! # Why the per-op-pair relaxations are sound
 //!
@@ -244,28 +274,27 @@
 //!   [`validate_race`] maps every dynamic race back to the licensing
 //!   cell and aborts if the matrix failed to predict it.
 //!
-//! # Why the observer refinement is sound
+//! # Why the observer layer is sound
 //!
-//! [`PruneMode::OptimalDpor`] further refines race detection with an
-//! **observer** rule (after Aronis–Jonsson–Lång–Sagonas): two
-//! same-register writes of different processes, neither carrying an
-//! event marker, additionally commute when each write is *unobserved
-//! and overwritten* in the executed word — the next same-register
-//! access after it exists and is a plain write (not a read, not an
-//! RMW, which returns the old value). Swapping two adjacent such
-//! writes `w_j`, `w_k` changes the register's value only *between* the
-//! two writes and between `w_k` and its overwriter — intervals in
-//! which, by construction, no step reads the register (any
+//! The observer layer of the refined relation (after
+//! Aronis–Jonsson–Lång–Sagonas) commutes two same-register writes of
+//! different processes, neither carrying an event marker, when each
+//! write is *unobserved and overwritten* in the executed word — the
+//! next same-register access after it exists and is a plain write (not
+//! a read, not an RMW, which returns the old value). Swapping two
+//! adjacent such writes `w_j`, `w_k` changes the register's value only
+//! *between* the two writes and between `w_k` and its overwriter —
+//! intervals in which, by construction, no step reads the register (any
 //! same-register read between them would order the pair through
 //! happens-before and no race would be reported). Every step record is
 //! unchanged (a write's record carries its own value, which does not
 //! depend on the register's prior state), every continuation is
 //! unchanged (writes return nothing), the final register state is
 //! unchanged (the overwriter executes in both orders), and no event
-//! marker moves. So guarantee (1) holds and guarantee (2) transfers
-//! exactly as for the value-aware rule, which this one strictly
-//! subsumes together with it (a same-value pair commutes by the value
-//! rule even when the value *is* later read).
+//! marker moves. So step (1) holds and step (2) transfers exactly as
+//! for the value layer, which this one strictly subsumes together with
+//! it (a same-value pair commutes by the value rule even when the value
+//! *is* later read).
 //!
 //! Observer status is a property of the whole executed word, so it is
 //! recomputed after every replay; when a prefix step's status changes
@@ -305,7 +334,7 @@
 //! conflict with it are demanded by the race with that step — whose
 //! reversing continuation contains the waking step and passes the
 //! check. Conversely, an initiated sequence wakes every sleeper by its
-//! end (the driver filters with the same access-level relation), the
+//! end (the driver filters with the same declared-access relation), the
 //! sleep set is empty when the free extension begins, and a sleep set
 //! that only ever shrinks cannot block it: **no initiated replay is
 //! ever cut**. Completeness is therefore the SDPOR argument verbatim —
@@ -317,13 +346,13 @@
 //! carry sleep sets; escapes merge at the owner's join point, so the
 //! schedule set stays bit-identical at any worker count.
 //!
-//! All of this is **conservative**, and the pruned-vs-unpruned (and
-//! DPOR-vs-sleep-set, and parallel-vs-sequential) verdict-equivalence
-//! tests in the model-check and fuzz suites cross-check it on small
-//! configurations.
+//! The oracle-agreement suites (model-check, fuzz and `sl-analyze`
+//! differentials) and the parallel-vs-sequential suites cross-check all
+//! of this on small configurations — on correct objects, which is why
+//! they could not see the gap above.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use sl_check::{OpSym, RegSym, ValueId};
@@ -346,8 +375,8 @@ pub struct ExploreOutcome {
     /// `false` if exploration stopped at `max_runs` with schedules
     /// left, drained to a checkpoint, or quarantined a subtree.
     pub exhausted: bool,
-    /// Number of branch candidates skipped by pruning (0 when pruning
-    /// is off or the legacy [`explore`] entry point is used).
+    /// Number of branch candidates skipped by pruning (0 under
+    /// [`PruneMode::Unpruned`]).
     pub pruned: u64,
     /// Number of replays abandoned mid-run because every enabled
     /// process was sleeping — continuations that sleep-set theory
@@ -379,22 +408,6 @@ impl ExploreOutcome {
     /// quantity that bounds exploration wall-clock.
     pub fn schedules_replayed(&self) -> usize {
         self.runs + self.cut_runs
-    }
-
-    /// An outcome with no robustness events (no retries, quarantines,
-    /// or drains) — the frame explorers and the legacy entry point.
-    fn clean(runs: usize, exhausted: bool, pruned: u64, cut_runs: usize) -> ExploreOutcome {
-        ExploreOutcome {
-            runs,
-            exhausted,
-            pruned,
-            cut_runs,
-            retried: 0,
-            quarantined: 0,
-            drained: false,
-            partial: false,
-            poisoned: Vec::new(),
-        }
     }
 }
 
@@ -441,109 +454,196 @@ fn env_workers_of(s: &str) -> usize {
     }
 }
 
-/// Explores the schedule space of a deterministic simulated system
-/// (legacy script-replay interface).
-///
-/// `run_with_script` must build a **fresh** world (same programs, same
-/// initial state) and run it under a [`crate::Scripted`] scheduler
-/// seeded with the given decision prefix; it returns the run's
-/// [`RunOutcome`]. `visit` is called once per executed run.
-///
-/// Exploration is depth-first and stops after `max_runs` runs; the
-/// returned [`ExploreOutcome`] says whether the space was exhausted.
-/// No pruning is performed; prefer [`Explorer`] for new code.
-pub fn explore<F, V>(mut run_with_script: F, max_runs: usize, mut visit: V) -> ExploreOutcome
-where
-    F: FnMut(&[usize]) -> RunOutcome,
-    V: FnMut(&[usize], &RunOutcome),
-{
-    let mut stack: Vec<Vec<usize>> = vec![Vec::new()];
-    let mut runs = 0;
-    while let Some(script) = stack.pop() {
-        if runs >= max_runs {
-            return ExploreOutcome::clean(runs, false, 0, 0);
-        }
-        let outcome = run_with_script(&script);
-        runs += 1;
-        // Branch on every decision beyond the replayed prefix: the next
-        // scripts share the actually-chosen decisions up to that point
-        // and substitute one alternative.
-        for (i, d) in outcome.decisions.iter().enumerate().skip(script.len()) {
-            for &alt in d.runnable.iter().rev() {
-                if alt == d.chosen {
-                    continue;
-                }
-                let mut next: Vec<usize> =
-                    outcome.decisions[..i].iter().map(|d| d.chosen).collect();
-                next.push(alt);
-                stack.push(next);
-            }
-        }
-        visit(&script, &outcome);
-    }
-    ExploreOutcome::clean(runs, true, 0, 0)
-}
-
-/// How the [`Explorer`] prunes the schedule tree. See the module docs
-/// for the four levels and the soundness arguments.
+/// Which setting of the one independence relation the [`Explorer`]
+/// runs under. See the module docs for the three settings and the
+/// soundness arguments.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PruneMode {
-    /// Branch on every enabled process at every decision.
+    /// The oracle: every pair of steps is dependent, so every schedule
+    /// is explored (the full schedule tree, no cut and no pruned
+    /// candidate).
     Unpruned,
-    /// Sleep sets over declared pending accesses; parallel frontier.
-    SleepSet,
-    /// Source-set DPOR (wakeup-free) + sleep sets over the syntactic
-    /// independence relation: backtrack only at detected races.
-    /// Parallelised by per-subtree ownership (see the module docs);
-    /// typically replays far fewer schedules than
-    /// [`PruneMode::SleepSet`].
+    /// Source-set DPOR over the syntactic relation
+    /// ([`PendingAccess::independent`]): backtrack only at detected
+    /// races. The independent reference reduction.
     SourceDpor,
-    /// Source-set DPOR with **value-aware** race detection (the
-    /// default): same-register read/read pairs and same-value
-    /// write/write pairs additionally commute when no high-level event
-    /// marker rode on either step. Replays strictly no more schedules
-    /// than [`PruneMode::SourceDpor`], and markedly fewer on
-    /// mixed-role (reader-heavy) workloads.
+    /// Source-set DPOR with **wakeup sequences** over the refined
+    /// relation (the default): race reversals enqueue the entire
+    /// reversing continuation at the racing node, replayed in full
+    /// before free extension, so no sleep-set-blocked run is ever
+    /// initiated. Race detection adds the value rules (same-register
+    /// read/read and same-value write/write pairs), the observer rule
+    /// (writes unobserved before being overwritten) and — when a
+    /// [`StaticConflicts`] certificate is installed in
+    /// [`Explorer::statics`] — the placement and op-pair relaxations,
+    /// with fail-closed race validation. The certificate is optional.
     #[default]
-    ValueDpor,
-    /// [`PruneMode::ValueDpor`] plus the **static placement
-    /// relaxation**: a `Local` (pause) step carrying at most an
-    /// *invocation* marker additionally commutes with a marker-free
-    /// data step whose register is licensed by the
-    /// [`StaticConflicts`] certificate installed in
-    /// [`Explorer::statics`] (produced by the `sl-analyze` footprint
-    /// probe). Every dynamically detected data race is validated
-    /// against the certificate's may-conflict matrix; an unpredicted
-    /// race aborts the exploration (fail closed). Requires
-    /// `Explorer::statics`; panics without it.
-    StaticDpor,
-    /// Source-set DPOR with **wakeup sequences** and **observer-aware**
-    /// race detection: race reversals enqueue the entire reversing
-    /// continuation at the racing node (replayed in full before free
-    /// extension, so no sleep-set-blocked run is ever initiated), and
-    /// two same-register writes additionally commute when neither
-    /// written value is observed before being overwritten (strictly
-    /// subsuming the same-value rule together with it). A
-    /// [`StaticConflicts`] certificate in [`Explorer::statics`] is
-    /// consulted when present (placement relaxation + fail-closed race
-    /// validation) but is not required.
     OptimalDpor,
 }
 
 impl PruneMode {
-    /// Stable name recorded in checkpoint metadata; resume rejects a
-    /// checkpoint taken under a different mode (the frontier encoding
-    /// is mode-specific).
+    /// Stable name recorded in checkpoint metadata and fleet frames;
+    /// resume rejects a checkpoint taken under a different mode (the
+    /// frontier encoding is mode-specific).
     pub fn name(self) -> &'static str {
         match self {
             PruneMode::Unpruned => "Unpruned",
-            PruneMode::SleepSet => "SleepSet",
             PruneMode::SourceDpor => "SourceDpor",
-            PruneMode::ValueDpor => "ValueDpor",
-            PruneMode::StaticDpor => "StaticDpor",
             PruneMode::OptimalDpor => "OptimalDpor",
         }
     }
+
+    fn relation(self, statics: Option<&StaticConflicts>) -> Relation<'_> {
+        match self {
+            PruneMode::Unpruned => Relation::AllDependent,
+            PruneMode::SourceDpor => Relation::Syntactic,
+            PruneMode::OptimalDpor => Relation::Refined(statics),
+        }
+    }
+}
+
+/// The independence relation of one exploration: the setting its
+/// [`PruneMode`] selects, plus the certificate the refined setting
+/// consults.
+#[derive(Clone, Copy)]
+enum Relation<'a> {
+    AllDependent,
+    Syntactic,
+    Refined(Option<&'a StaticConflicts>),
+}
+
+impl<'a> Relation<'a> {
+    /// Whether two steps of *different* processes commute — the one
+    /// decision behind race detection (executed steps, metadata
+    /// known), sleep-set filtering and [`seq_wakes_all`] (declared
+    /// steps, [`StepMeta::unknown`]). Given unknown metadata every
+    /// refined layer declines, so declared steps are judged by the
+    /// syntactic base. The syntactic test runs first in every refining
+    /// setting: race detection calls this for every pair of steps, and
+    /// most pairs are settled by it.
+    fn independent(self, a: &StepMeta, b: &StepMeta) -> bool {
+        match self {
+            Relation::AllDependent => false,
+            _ if a.access.independent(&b.access) => true,
+            Relation::Syntactic => false,
+            Relation::Refined(statics) => {
+                statics.is_some_and(|st| certificate_commutes(st, a, b))
+                    || value_commutes(a, b, statics)
+            }
+        }
+    }
+
+    /// [`Relation::independent`] on two declared accesses. Unknown
+    /// metadata makes every refined layer decline (debug-checked), so
+    /// the answer is the syntactic base's, or `false` when every pair
+    /// is dependent — computed directly on the sleep-set hot path.
+    fn declared_independent(self, a: PendingAccess, b: PendingAccess) -> bool {
+        let independent = !matches!(self, Relation::AllDependent) && a.independent(&b);
+        debug_assert_eq!(
+            independent,
+            self.independent(&StepMeta::unknown(a), &StepMeta::unknown(b))
+        );
+        independent
+    }
+
+    /// The relation as the driver applies it to declared accesses: the
+    /// certificate never fires on unknown metadata, so it is dropped
+    /// (which also frees the driver of its lifetime).
+    fn declared(self) -> Relation<'static> {
+        match self {
+            Relation::AllDependent => Relation::AllDependent,
+            Relation::Syntactic => Relation::Syntactic,
+            Relation::Refined(_) => Relation::Refined(None),
+        }
+    }
+
+    /// The certificate consulted by the refined setting, if any.
+    fn statics(self) -> Option<&'a StaticConflicts> {
+        match self {
+            Relation::Refined(statics) => statics,
+            _ => None,
+        }
+    }
+}
+
+/// The certificate layer: the **placement relaxation** (a `Local` step
+/// carrying at most an invocation marker commutes with a marker-free
+/// data step whose register the certificate licenses) and argument R1
+/// (two response-free pauses of probed ops). See the module docs.
+fn certificate_commutes(st: &StaticConflicts, a: &StepMeta, b: &StepMeta) -> bool {
+    // Exactly one of the pair is a pause: the placement candidate.
+    let local_data = match (a.access.is_local(), b.access.is_local()) {
+        (true, false) => Some((a, b)),
+        (false, true) => Some((b, a)),
+        _ => None,
+    };
+    if let Some((local, data)) = local_data {
+        if !local.exec.resp
+            && !data.exec.hi
+            && data.exec.reg != RegSym::LOCAL
+            && st.licensed(data.exec.reg)
+        {
+            st.note_relaxed();
+            return true;
+        }
+    }
+    // Pause/pause, response-free on both sides, both activations
+    // attributed to probed ops: swapping reorders two adjacent
+    // *invocation* events only, which changes no
+    // response-before-invocation precedence pair (argument R1). The
+    // pair-probed license keeps the relaxation attributable — and
+    // fail-closed for unknown ops.
+    if a.access.is_local()
+        && b.access.is_local()
+        && !a.exec.resp
+        && !b.exec.resp
+        && st.pair_probed(a.exec.op, b.exec.op)
+    {
+        st.note_relaxed();
+        return true;
+    }
+    false
+}
+
+/// The value and observer layers: same-register read/read and
+/// same-value write/write pairs, and write pairs whose values both die
+/// unread, commute when no event marker rode on either step — or, with
+/// the certificate's op-pair license, on at most one (argument R2).
+fn value_commutes(a: &StepMeta, b: &StepMeta, statics: Option<&StaticConflicts>) -> bool {
+    if a.access.is_local() || b.access.is_local() {
+        return false;
+    }
+    // Moving a step that carries an event marker reorders the history,
+    // unless the other step carries none and the op-pair matrix
+    // licenses the pair on this register.
+    let marked = a.exec.hi || b.exec.hi;
+    if marked
+        && !statics.is_some_and(|st| {
+            !(a.exec.hi && b.exec.hi)
+                && a.exec.reg != RegSym::LOCAL
+                && st.pair_licensed(a.exec.op, b.exec.op, a.exec.reg)
+        })
+    {
+        return false;
+    }
+    let commutes = match (a.access.kind, b.access.kind) {
+        (AccessKind::Read, AccessKind::Read) => true,
+        (AccessKind::Write, AccessKind::Write) => {
+            (!a.exec.value.is_none() && a.exec.value == b.exec.value)
+                // Observer rule: both values die unread — swapping the
+                // writes changes no read, no record, and (because the
+                // overwriter executes either way) no final state.
+                || (a.exec.unobs_w && b.exec.unobs_w)
+        }
+        _ => false,
+    };
+    if commutes && marked {
+        // Reached only through the op-pair license above.
+        if let Some(st) = statics {
+            st.note_relaxed();
+        }
+    }
+    commutes
 }
 
 /// Per-worker replay state owned by the caller of
@@ -552,15 +652,13 @@ impl PruneMode {
 /// for a reusable [`crate::SimWorld`], scratch buffers, and transcript
 /// sinks.
 ///
-/// The two hooks bracket **subtrees** in source-DPOR mode: every
-/// delegated [`SubtreeTask`] a worker executes (and the root
-/// exploration itself) is wrapped in `subtree_begin`/`subtree_end`, and
-/// the replays in between stream that subtree's transcripts in
-/// depth-first order — exactly the contract `sl_check::DagBuilder`
-/// needs, so a context can keep a stack of DFS-ordered shards (tasks
-/// nest when a worker helps with another task while waiting at a join)
-/// and merge them afterwards. Frame modes call the hooks once per
-/// worker.
+/// The two hooks bracket **subtrees**: every delegated [`SubtreeTask`]
+/// a worker executes (and the root exploration itself) is wrapped in
+/// `subtree_begin`/`subtree_end`, and the replays in between stream
+/// that subtree's transcripts in depth-first order — exactly the
+/// contract `sl_check::DagBuilder` needs, so a context can keep a stack
+/// of DFS-ordered shards (tasks nest when a worker helps with another
+/// task while waiting at a join) and merge them afterwards.
 pub trait ReplayCtx {
     /// A new subtree's replays start after this call.
     fn subtree_begin(&mut self) {}
@@ -570,16 +668,8 @@ pub trait ReplayCtx {
 
 impl ReplayCtx for () {}
 
-/// One unexplored node of the schedule tree: the decision prefix that
-/// reaches it and the sleep set holding there.
-#[derive(Clone, Debug)]
-struct Frame {
-    script: Vec<usize>,
-    sleep: u64,
-}
-
-/// One decision observed by a DPOR-mode driver: the configuration at
-/// the decision point (the chosen process is in the driver's script).
+/// One decision observed by the driver: the configuration at the
+/// decision point (the chosen process is in the driver's script).
 struct Observed {
     runnable: Vec<usize>,
     pending: Vec<PendingAccess>,
@@ -634,37 +724,11 @@ impl ExecMeta {
     };
 }
 
-enum DriverMode {
-    /// Record every eligible sibling as a frame (Unpruned / SleepSet).
-    Frames { prune: bool, branches: Vec<Frame> },
-    /// Record the observed configuration of each decision from
-    /// `record_from` onwards for post-run race detection (the DPOR
-    /// modes), plus per-decision execution metadata for value-aware
-    /// race detection.
-    Dpor {
-        record_from: usize,
-        observed: Vec<Observed>,
-        /// Execution metadata per decision, aligned with `chosen`;
-        /// decision `i` is finalised at decision `i + 1` (or at
-        /// [`Scheduler::run_end`]), when its step is in the trace.
-        exec: Vec<ExecMeta>,
-        /// Trace items consumed by exec finalisation so far.
-        trace_seen: usize,
-        /// The op each process is currently executing (indexed by
-        /// process id, grown on demand): set by the invocation marker
-        /// riding a step's activation, cleared by a response marker.
-        /// Deterministic — metadata is observed from decision 0 in
-        /// every replay, so the attribution replays identically.
-        cur_op: Vec<OpSym>,
-    },
-}
-
 /// The adversarial scheduler driving one replay of the depth-first
-/// explorer: replays the frame's decision prefix, then extends the
-/// schedule (lowest eligible process first). In frame mode it records
-/// every eligible sibling as a new frame with its sleep set; in DPOR
-/// mode it records each decision's configuration so the explorer can
-/// detect races afterwards.
+/// explorer: replays the task's decision prefix, then extends the
+/// schedule (lowest eligible process first), recording each decision's
+/// configuration from `record_from` on so the explorer can detect races
+/// afterwards.
 ///
 /// Handed to the caller's runner, which passes it to `SimWorld::run` as
 /// the scheduler of a (fresh or reset) world.
@@ -673,18 +737,34 @@ pub struct ScheduleDriver {
     /// Decisions taken so far in this run.
     chosen: Vec<usize>,
     /// Current sleep set: seeded with the sleep set holding at decision
-    /// `record_from` (DPOR mode) or at the first decision past the
-    /// prefix (frame modes — identical, since frame replays never touch
-    /// it earlier), then evolves across recorded decisions.
+    /// `record_from`, then evolves across recorded decisions.
     z: u64,
-    mode: DriverMode,
+    /// The exploration's relation on declared accesses.
+    relation: Relation<'static>,
+    /// First decision index whose configuration the explorer still
+    /// needs (everything below already has a spine node).
+    record_from: usize,
+    observed: Vec<Observed>,
+    /// Execution metadata per decision, aligned with `chosen`; decision
+    /// `i` is finalised at decision `i + 1` (or at
+    /// [`Scheduler::run_end`]), when its step is in the trace.
+    exec: Vec<ExecMeta>,
+    /// Trace items consumed by exec finalisation so far.
+    trace_seen: usize,
+    /// The op each process is currently executing (indexed by process
+    /// id, grown on demand): set by the invocation marker riding a
+    /// step's activation, cleared by a response marker. Deterministic —
+    /// metadata is observed from decision 0 in every replay, so the
+    /// attribution replays identically.
+    cur_op: Vec<OpSym>,
     pruned: u64,
     cut: bool,
 }
 
 /// Keeps the bits of `set` whose process's pending access (looked up in
-/// `runnable`/`pending`) is independent of `of`.
+/// `runnable`/`pending`) is independent of `of` under `relation`.
 fn filter_independent(
+    relation: Relation<'_>,
     set: u64,
     of: PendingAccess,
     runnable: &[usize],
@@ -695,54 +775,41 @@ fn filter_independent(
     }
     let mut kept = 0u64;
     for (i, &p) in runnable.iter().enumerate() {
-        if set & (1 << p) != 0 {
-            let indep = match pending.get(i) {
-                Some(b) => of.independent(b),
-                // Unknown pending: assume conflict.
-                None => false,
-            };
-            if indep {
-                kept |= 1 << p;
-            }
+        // Unknown pending: assume conflict.
+        if set & (1 << p) != 0
+            && pending
+                .get(i)
+                .is_some_and(|&b| relation.declared_independent(of, b))
+        {
+            kept |= 1 << p;
         }
     }
     kept
 }
 
 impl ScheduleDriver {
-    fn frames(frame: Frame, prune: bool) -> ScheduleDriver {
-        ScheduleDriver {
-            z: frame.sleep,
-            chosen: Vec::with_capacity(frame.script.len() + 16),
-            prefix: frame.script,
-            mode: DriverMode::Frames {
-                prune,
-                branches: Vec::new(),
-            },
-            pruned: 0,
-            cut: false,
-        }
-    }
-
     /// `record_from`: first decision index whose configuration the
-    /// explorer still needs (everything below already has a spine
-    /// node) — replayed decisions before it are not recorded, which
-    /// keeps the replay hot path allocation-free. `sleep_at_record` is
-    /// the sleep set holding at decision `record_from`; prefix
-    /// decisions from there on (the forced steps of a wakeup sequence)
-    /// are recorded and evolve it.
-    fn dpor(prefix: Vec<usize>, sleep_at_record: u64, record_from: usize) -> ScheduleDriver {
+    /// explorer still needs — replayed decisions before it are not
+    /// recorded, which keeps the replay hot path allocation-free.
+    /// `sleep_at_record` is the sleep set holding at decision
+    /// `record_from`; prefix decisions from there on (the forced steps
+    /// of a wakeup sequence) are recorded and evolve it.
+    fn new(
+        prefix: Vec<usize>,
+        sleep_at_record: u64,
+        record_from: usize,
+        relation: Relation<'static>,
+    ) -> ScheduleDriver {
         ScheduleDriver {
             z: sleep_at_record,
             chosen: Vec::with_capacity(prefix.len() + 16),
             prefix,
-            mode: DriverMode::Dpor {
-                record_from,
-                observed: Vec::new(),
-                exec: Vec::new(),
-                trace_seen: 0,
-                cur_op: Vec::new(),
-            },
+            relation,
+            record_from,
+            observed: Vec::new(),
+            exec: Vec::new(),
+            trace_seen: 0,
+            cur_op: Vec::new(),
             pruned: 0,
             cut: false,
         }
@@ -751,29 +818,20 @@ impl ScheduleDriver {
     /// Finalises the execution metadata of the previous decision from
     /// the trace items recorded since it was granted: the step's value
     /// id, and whether event markers followed it in the same
-    /// activation. No-op outside DPOR mode.
+    /// activation.
     fn observe_exec(&mut self, trace: &[TraceItem]) {
-        let DriverMode::Dpor {
-            exec,
-            trace_seen,
-            cur_op,
-            ..
-        } = &mut self.mode
-        else {
-            return;
-        };
-        let window = &trace[(*trace_seen).min(trace.len())..];
-        *trace_seen = trace.len();
-        if exec.len() >= self.chosen.len() {
+        let window = &trace[self.trace_seen.min(trace.len())..];
+        self.trace_seen = trace.len();
+        if self.exec.len() >= self.chosen.len() {
             return; // nothing pending (first decision, or already done)
         }
-        let p = self.chosen[exec.len()];
-        if cur_op.len() <= p {
-            cur_op.resize(p + 1, OpSym::NONE);
+        let p = self.chosen[self.exec.len()];
+        if self.cur_op.len() <= p {
+            self.cur_op.resize(p + 1, OpSym::NONE);
         }
         let mut meta = ExecMeta::UNKNOWN;
         // Default attribution: the op the process was already inside.
-        meta.op = cur_op[p];
+        meta.op = self.cur_op[p];
         let mut seen_step = false;
         for item in window {
             match item {
@@ -789,19 +847,35 @@ impl ScheduleDriver {
                     // The step *carries* the invocation: it belongs to
                     // the op it places, as do the following steps.
                     meta.op = *tag;
-                    cur_op[p] = *tag;
+                    self.cur_op[p] = *tag;
                 }
                 TraceItem::Hi(_) if seen_step => {
                     meta.hi = true;
                     meta.resp = true;
                     // Response (or unknown) marker: the activation
                     // completes its op; later steps are outside it.
-                    cur_op[p] = OpSym::NONE;
+                    self.cur_op[p] = OpSym::NONE;
                 }
                 TraceItem::Hi(_) | TraceItem::HiInvoke(..) => {}
             }
         }
-        exec.push(meta);
+        self.exec.push(meta);
+    }
+
+    /// Records the configuration at the current decision and evolves
+    /// the sleep set across granting `p`: sleeping processes stay
+    /// asleep only while the granted step commutes with their pending
+    /// access.
+    fn record(&mut self, view: &SchedView<'_>, p: usize) {
+        self.observed.push(Observed {
+            runnable: view.runnable.to_vec(),
+            pending: view.pending.to_vec(),
+            sleep: self.z,
+        });
+        self.z = match view.pending_of(p) {
+            Some(of) => filter_independent(self.relation, self.z, of, view.runnable, view.pending),
+            None => 0,
+        };
     }
 
     /// The decision script of the run so far (the full schedule once
@@ -810,7 +884,7 @@ impl ScheduleDriver {
         &self.chosen
     }
 
-    /// How many decisions were replayed from the frame prefix.
+    /// How many decisions were replayed from the task's prefix.
     pub fn replayed(&self) -> usize {
         self.prefix.len()
     }
@@ -838,32 +912,14 @@ impl Scheduler for ScheduleDriver {
                  (runnable: {:?})",
                 view.runnable
             );
-            if let DriverMode::Dpor {
-                record_from,
-                observed,
-                ..
-            } = &mut self.mode
-            {
-                if i >= *record_from {
-                    observed.push(Observed {
-                        runnable: view.runnable.to_vec(),
-                        pending: view.pending.to_vec(),
-                        sleep: self.z,
-                    });
-                    // Recorded replay decisions are the forced steps of
-                    // a wakeup sequence (or a stem): the sleep set must
-                    // evolve across them exactly as across fresh
-                    // decisions, so the first free decision — and every
-                    // recorded node on the way — sees the sleep set the
-                    // sequential explorer would have. (`z` starts as
-                    // `sleep_after_prefix`, the sleep set holding at
-                    // decision `record_from`.)
-                    if let Some(of) = view.pending_of(want) {
-                        self.z = filter_independent(self.z, of, view.runnable, view.pending);
-                    } else {
-                        self.z = 0;
-                    }
-                }
+            if i >= self.record_from {
+                // Recorded replay decisions are the forced steps of a
+                // wakeup sequence (or a stem): the sleep set must
+                // evolve across them exactly as across fresh decisions,
+                // so the first free decision — and every recorded node
+                // on the way — sees the sleep set the sequential
+                // explorer would have.
+                self.record(view, want);
             }
             self.chosen.push(want);
             return want;
@@ -875,19 +931,13 @@ impl Scheduler for ScheduleDriver {
             view.runnable.iter().all(|&p| p < 64),
             "sleep sets support at most 64 processes"
         );
-        let prune = !matches!(self.mode, DriverMode::Frames { prune: false, .. });
         // Candidates: runnable processes not in the sleep set.
-        let mut first: Option<usize> = None;
-        let mut candidates = 0u64;
-        for &p in view.runnable {
-            if !prune || self.z & (1 << p) == 0 {
-                candidates |= 1 << p;
-                if first.is_none() {
-                    first = Some(p);
-                }
-            }
-        }
-        let Some(chosen) = first else {
+        let candidates = view
+            .runnable
+            .iter()
+            .filter(|&&p| self.z & (1 << p) == 0)
+            .count();
+        let Some(&chosen) = view.runnable.iter().find(|&&p| self.z & (1 << p) == 0) else {
             // Every enabled process is sleeping: any continuation from
             // here only reorders commuting steps of schedules explored
             // elsewhere. Abandon the run.
@@ -895,49 +945,8 @@ impl Scheduler for ScheduleDriver {
             self.pruned += view.runnable.len() as u64;
             return STOP_RUN;
         };
-        self.pruned += (view.runnable.len() as u64) - (candidates.count_ones() as u64);
-        match &mut self.mode {
-            DriverMode::Frames { prune, branches } => {
-                // Record sibling branches. Sibling `alt` sleeps on the
-                // chosen process and on every candidate listed before
-                // it: exactly one representative interleaving of each
-                // commuting pair survives.
-                let mut acc = self.z | (1 << chosen);
-                for &alt in view.runnable {
-                    if alt == chosen || candidates & (1 << alt) == 0 {
-                        continue;
-                    }
-                    let sleep = if *prune {
-                        // Unknown pending: the conservative LOCAL access
-                        // conflicts with everything.
-                        let of = view.pending_of(alt).unwrap_or(PendingAccess::LOCAL);
-                        filter_independent(acc, of, view.runnable, view.pending)
-                    } else {
-                        0
-                    };
-                    let mut script = self.chosen.clone();
-                    script.push(alt);
-                    branches.push(Frame { script, sleep });
-                    acc |= 1 << alt;
-                }
-            }
-            DriverMode::Dpor { observed, .. } => {
-                observed.push(Observed {
-                    runnable: view.runnable.to_vec(),
-                    pending: view.pending.to_vec(),
-                    sleep: self.z,
-                });
-            }
-        }
-        // Descend along `chosen`: sleeping processes stay asleep only
-        // while the executed steps commute with their pending access.
-        if prune {
-            if let Some(of) = view.pending_of(chosen) {
-                self.z = filter_independent(self.z, of, view.runnable, view.pending);
-            } else {
-                self.z = 0;
-            }
-        }
+        self.pruned += (view.runnable.len() - candidates) as u64;
+        self.record(view, chosen);
         self.chosen.push(chosen);
         chosen
     }
@@ -956,21 +965,20 @@ pub struct Explorer {
     /// Stop after this many replays (completed + cut; the space may not
     /// be exhausted).
     pub max_runs: usize,
-    /// Partial-order reduction level (default: value-aware source-set
-    /// DPOR).
+    /// Setting of the independence relation (default:
+    /// [`PruneMode::OptimalDpor`]).
     pub mode: PruneMode,
     /// Worker threads replaying schedules. `1` explores sequentially on
-    /// the calling thread; source-set DPOR partitions the schedule tree
-    /// into delegated subtrees (deterministic result at any count).
+    /// the calling thread; more partition the schedule tree into
+    /// delegated subtrees (deterministic result at any count).
     pub workers: usize,
     /// Initial decision prefix: exploration covers exactly the
     /// schedules extending this stem (empty = the full space).
     pub stem: Vec<usize>,
-    /// Static conflict certificate consulted by
-    /// [`PruneMode::StaticDpor`] (required for that mode) and
-    /// [`PruneMode::OptimalDpor`] (optional there; ignored by every
-    /// other mode). Shared by `Arc` so one certificate serves all
-    /// workers and repeated explorations.
+    /// Static conflict certificate, consulted by
+    /// [`PruneMode::OptimalDpor`] when present and ignored by the other
+    /// modes. Shared by `Arc` so one certificate serves all workers and
+    /// repeated explorations.
     pub statics: Option<Arc<StaticConflicts>>,
 }
 
@@ -1027,183 +1035,13 @@ impl Explorer {
         NF: Fn() -> C + Sync,
         F: Fn(&mut C, &mut ScheduleDriver) + Sync,
     {
-        match self.mode {
-            PruneMode::SourceDpor
-            | PruneMode::ValueDpor
-            | PruneMode::StaticDpor
-            | PruneMode::OptimalDpor => self.explore_dpor(&new_ctx, &runner),
-            PruneMode::Unpruned | PruneMode::SleepSet => {
-                let root = Frame {
-                    script: self.stem.clone(),
-                    sleep: 0,
-                };
-                let prune = self.mode == PruneMode::SleepSet;
-                if self.workers <= 1 {
-                    self.explore_sequential(root, prune, &new_ctx, &runner)
-                } else {
-                    self.explore_parallel(root, prune, &new_ctx, &runner)
-                }
-            }
-        }
-    }
-
-    fn explore_sequential<C, NF, F>(
-        &self,
-        root: Frame,
-        prune: bool,
-        new_ctx: &NF,
-        runner: &F,
-    ) -> ExploreOutcome
-    where
-        C: ReplayCtx,
-        NF: Fn() -> C + Sync,
-        F: Fn(&mut C, &mut ScheduleDriver) + Sync,
-    {
-        let mut ctx = new_ctx();
-        ctx.subtree_begin();
-        let mut stack = vec![root];
-        let mut runs = 0usize;
-        let mut cut_runs = 0usize;
-        let mut pruned = 0u64;
-        let mut exhausted = true;
-        while let Some(frame) = stack.pop() {
-            if runs + cut_runs >= self.max_runs {
-                exhausted = false;
-                break;
-            }
-            let mut driver = ScheduleDriver::frames(frame, prune);
-            runner(&mut ctx, &mut driver);
-            if driver.cut {
-                cut_runs += 1;
-            } else {
-                runs += 1;
-            }
-            pruned += driver.pruned;
-            if let DriverMode::Frames { branches, .. } = &mut driver.mode {
-                stack.append(branches);
-            }
-        }
-        ctx.subtree_end();
-        ExploreOutcome::clean(runs, exhausted, pruned, cut_runs)
-    }
-
-    fn explore_parallel<C, NF, F>(
-        &self,
-        root: Frame,
-        prune: bool,
-        new_ctx: &NF,
-        runner: &F,
-    ) -> ExploreOutcome
-    where
-        C: ReplayCtx,
-        NF: Fn() -> C + Sync,
-        F: Fn(&mut C, &mut ScheduleDriver) + Sync,
-    {
-        let workers = self.workers;
-        let deques: Vec<Mutex<VecDeque<Frame>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        deques[0].lock().unwrap().push_back(root);
-        let runs = AtomicUsize::new(0);
-        let cut_runs = AtomicUsize::new(0);
-        let pruned = AtomicU64::new(0);
-        let active = AtomicUsize::new(0);
-        let capped = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for me in 0..workers {
-                let deques = &deques;
-                let runs = &runs;
-                let cut_runs = &cut_runs;
-                let pruned = &pruned;
-                let active = &active;
-                let capped = &capped;
-                let max_runs = self.max_runs;
-                scope.spawn(move || {
-                    /// Decrements `active` when dropped, so the count
-                    /// stays correct on every exit path — including a
-                    /// panic inside the runner (a simulated program or
-                    /// a runner assertion failing), which would
-                    /// otherwise leave peers spinning on `active != 0`
-                    /// forever.
-                    struct ActiveGuard<'a>(&'a AtomicUsize);
-                    impl Drop for ActiveGuard<'_> {
-                        fn drop(&mut self) {
-                            self.0.fetch_sub(1, Ordering::SeqCst);
-                        }
-                    }
-                    let mut ctx = new_ctx();
-                    ctx.subtree_begin();
-                    loop {
-                        // `active` is raised *before* looking for work:
-                        // a frame is never out of a deque while its
-                        // holder is invisible to the termination check.
-                        active.fetch_add(1, Ordering::SeqCst);
-                        // Own deque first (LIFO: depth-first locally),
-                        // then steal oldest frames from siblings
-                        // (FIFO: breadth-first stealing splits the tree
-                        // near the root, the classic work-stealing
-                        // shape).
-                        let frame = {
-                            let own = deques[me].lock().unwrap().pop_back();
-                            own.or_else(|| {
-                                (0..workers)
-                                    .filter(|v| *v != me)
-                                    .find_map(|v| deques[v].lock().unwrap().pop_front())
-                            })
-                        };
-                        let Some(frame) = frame else {
-                            active.fetch_sub(1, Ordering::SeqCst);
-                            if active.load(Ordering::SeqCst) == 0 {
-                                // No frames anywhere and nobody holding
-                                // one who could produce more: done.
-                                let empty =
-                                    (0..workers).all(|v| deques[v].lock().unwrap().is_empty());
-                                if empty && active.load(Ordering::SeqCst) == 0 {
-                                    break;
-                                }
-                            }
-                            std::thread::yield_now();
-                            continue;
-                        };
-                        // The guard owns the decrement from here on —
-                        // every exit path, including a runner panic.
-                        let _guard = ActiveGuard(active);
-                        if runs.load(Ordering::SeqCst) + cut_runs.load(Ordering::SeqCst) >= max_runs
-                        {
-                            capped.store(true, Ordering::SeqCst);
-                            break;
-                        }
-                        let mut driver = ScheduleDriver::frames(frame, prune);
-                        runner(&mut ctx, &mut driver);
-                        if driver.cut {
-                            cut_runs.fetch_add(1, Ordering::SeqCst);
-                        } else {
-                            runs.fetch_add(1, Ordering::SeqCst);
-                        }
-                        pruned.fetch_add(driver.pruned, Ordering::Relaxed);
-                        if let DriverMode::Frames { branches, .. } = &mut driver.mode {
-                            if !branches.is_empty() {
-                                let mut own = deques[me].lock().unwrap();
-                                own.extend(branches.drain(..));
-                            }
-                        }
-                    }
-                    ctx.subtree_end();
-                });
-            }
-        });
-        let capped = capped.load(Ordering::SeqCst);
-        ExploreOutcome::clean(
-            runs.load(Ordering::SeqCst),
-            !capped,
-            pruned.load(Ordering::SeqCst),
-            cut_runs.load(Ordering::SeqCst),
-        )
+        self.explore_session(&new_ctx, &runner, None, None)
     }
 }
 
 // ---------------------------------------------------------------------
-// Source-set DPOR: the task engine shared by the sequential and the
-// partitioned parallel explorer.
+// The task engine: source-set DPOR, sequential or partitioned across a
+// work-stealing pool.
 // ---------------------------------------------------------------------
 
 /// One decision point on a DPOR spine: the configuration, the child
@@ -1269,10 +1107,15 @@ type WakeupSeq = Vec<(usize, PendingAccess)>;
 /// later step does conflict with it are demanded by the race with that
 /// step, whose reversing continuation contains the waking step and so
 /// passes this check. Conversely, when the check holds, the driver —
-/// which filters its sleep set with the same access-level relation at
-/// every forced decision — has woken every sleeper by the end of the
+/// which filters its sleep set with the same declared-access relation
+/// at every forced decision — has woken every sleeper by the end of the
 /// sequence, so the free extension beyond it can never block.
-fn seq_wakes_all(node: &SpineNode, sleep: u64, seq: &[(usize, PendingAccess)]) -> bool {
+fn seq_wakes_all(
+    relation: Relation<'_>,
+    node: &SpineNode,
+    sleep: u64,
+    seq: &[(usize, PendingAccess)],
+) -> bool {
     if sleep == 0 {
         return true;
     }
@@ -1281,7 +1124,10 @@ fn seq_wakes_all(node: &SpineNode, sleep: u64, seq: &[(usize, PendingAccess)]) -
             continue;
         }
         let pending = node.pending.get(i).copied().unwrap_or(PendingAccess::LOCAL);
-        if seq.iter().all(|(_, a)| a.independent(&pending)) {
+        if seq
+            .iter()
+            .all(|&(_, a)| relation.declared_independent(a, pending))
+        {
             return false;
         }
     }
@@ -1322,109 +1168,14 @@ struct StepMeta {
 }
 
 impl StepMeta {
-    /// A step whose execution metadata is not (yet) known — treated as
-    /// conflicting by the value-aware refinement.
+    /// A step whose execution metadata is not (yet) known — every
+    /// refined layer of the relation treats it as conflicting.
     fn unknown(access: PendingAccess) -> StepMeta {
         StepMeta {
             access,
             exec: ExecMeta::UNKNOWN,
         }
     }
-}
-
-/// Whether two executed steps of *different* processes commute, under
-/// the mode's independence relation. The syntactic half delegates to
-/// [`PendingAccess::independent`]; `value_aware` adds same-register
-/// read/read and same-value write/write commutation when no high-level
-/// event marker rode on either step; `observers` (set only in
-/// [`PruneMode::OptimalDpor`]) additionally commutes two writes whose
-/// values are both unobserved-and-overwritten in the current word;
-/// `statics` (set in [`PruneMode::StaticDpor`], optionally in
-/// [`PruneMode::OptimalDpor`]) adds the **placement relaxation**: a
-/// `Local` step carrying at most an invocation marker commutes with a
-/// marker-free data step whose register the certificate licenses (see
-/// the module-level soundness arguments).
-fn step_independent(
-    a: &StepMeta,
-    b: &StepMeta,
-    value_aware: bool,
-    observers: bool,
-    statics: Option<&StaticConflicts>,
-) -> bool {
-    if a.access.independent(&b.access) {
-        return true;
-    }
-    if let Some(st) = statics {
-        // Exactly one of the pair is a pause: the placement relaxation
-        // candidate.
-        let local_data = match (a.access.is_local(), b.access.is_local()) {
-            (true, false) => Some((a, b)),
-            (false, true) => Some((b, a)),
-            _ => None,
-        };
-        if let Some((local, data)) = local_data {
-            if !local.exec.resp
-                && !data.exec.hi
-                && data.exec.reg != RegSym::LOCAL
-                && st.licensed(data.exec.reg)
-            {
-                st.note_relaxed();
-                return true;
-            }
-        }
-        // Pause/pause, response-free on both sides, both activations
-        // attributed to probed ops: swapping reorders two adjacent
-        // *invocation* events only, which changes no
-        // response-before-invocation precedence pair (module-level
-        // soundness argument R1). The pair-probed license keeps the
-        // relaxation attributable — and fail-closed for unknown ops.
-        if a.access.is_local()
-            && b.access.is_local()
-            && !a.exec.resp
-            && !b.exec.resp
-            && st.pair_probed(a.exec.op, b.exec.op)
-        {
-            st.note_relaxed();
-            return true;
-        }
-    }
-    if !value_aware || a.access.is_local() || b.access.is_local() {
-        return false;
-    }
-    // Value rules require marker-free steps: moving a step that carries
-    // an event marker reorders the history. Exception (argument R2): if
-    // *at most one* of the pair carries markers and the certificate's
-    // op-pair matrix licenses the pair on this register, the marked
-    // step's events move across an event-free step — the recorded event
-    // sequence is unchanged.
-    if a.exec.hi || b.exec.hi {
-        let pair_ok = statics.is_some_and(|st| {
-            !(a.exec.hi && b.exec.hi)
-                && a.exec.reg != RegSym::LOCAL
-                && st.pair_licensed(a.exec.op, b.exec.op, a.exec.reg)
-        });
-        if !pair_ok {
-            return false;
-        }
-    }
-    let commutes = match (a.access.kind, b.access.kind) {
-        (AccessKind::Read, AccessKind::Read) => true,
-        (AccessKind::Write, AccessKind::Write) => {
-            (!a.exec.value.is_none() && a.exec.value == b.exec.value)
-                // Observer rule: both values die unread — swapping the
-                // writes changes no read, no record, and (because the
-                // overwriter executes either way) no final state.
-                || (observers && a.exec.unobs_w && b.exec.unobs_w)
-        }
-        _ => false,
-    };
-    if commutes && (a.exec.hi || b.exec.hi) {
-        // Reached only through the op-pair license above.
-        if let Some(st) = statics {
-            st.note_relaxed();
-        }
-    }
-    commutes
 }
 
 /// Recomputes every spine step's unobserved-and-overwritten flag
@@ -1757,23 +1508,18 @@ impl TaskSlot {
     }
 }
 
-/// State shared by every worker of one source-DPOR exploration.
+/// State shared by every worker of one exploration.
 struct DporShared<'a, NF, F> {
     new_ctx: &'a NF,
     runner: &'a F,
     max_runs: usize,
-    /// Race detection uses the value-aware independence relation
-    /// ([`PruneMode::ValueDpor`] and up).
-    value_aware: bool,
-    /// [`PruneMode::OptimalDpor`]: wakeup sequences and observer-aware
-    /// race detection.
+    /// The independence relation of [`Explorer::mode`]: race detection,
+    /// sleep sets and the wakeup side condition all consult it, and its
+    /// certificate (if any) validates every detected race.
+    relation: Relation<'a>,
+    /// [`PruneMode::OptimalDpor`]: backtrack by wakeup sequences, and
+    /// keep the observer flags of the executed word current.
     optimal: bool,
-    /// The static certificate, when the mode is
-    /// [`PruneMode::StaticDpor`] (required) or
-    /// [`PruneMode::OptimalDpor`] (optional): enables the placement
-    /// relaxation in [`step_independent`] and fail-closed race
-    /// validation in [`add_race_reversals`].
-    statics: Option<&'a StaticConflicts>,
     /// Length of the user-supplied stem: demands below it are dropped
     /// (the stem is never backtracked into).
     hard_stem: usize,
@@ -1808,6 +1554,35 @@ struct DporShared<'a, NF, F> {
 const MAX_HELP_DEPTH: usize = 32;
 
 impl<'a, NF, F> DporShared<'a, NF, F> {
+    fn new(
+        explorer: &'a Explorer,
+        new_ctx: &'a NF,
+        runner: &'a F,
+        workers: usize,
+        max_runs: usize,
+        fault: Option<&'a FaultPlan>,
+        dispatcher: Option<&'a dyn TaskDispatcher>,
+    ) -> Self {
+        DporShared {
+            new_ctx,
+            runner,
+            max_runs,
+            relation: explorer.mode.relation(explorer.statics.as_deref()),
+            optimal: explorer.mode == PruneMode::OptimalDpor,
+            hard_stem: explorer.stem.len(),
+            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            queued: AtomicUsize::new(0),
+            replays: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+            poison: Mutex::new(None),
+            poisoned: AtomicBool::new(false),
+            fault,
+            draining: AtomicBool::new(false),
+            poison_dir: std::env::var_os("SL_POISON_DIR").map(std::path::PathBuf::from),
+            dispatcher,
+        }
+    }
+
     fn record_poison(&self, payload: Box<dyn std::any::Any + Send>) {
         let mut slot = self.poison.lock().unwrap();
         if slot.is_none() {
@@ -1848,19 +1623,7 @@ impl<'a, NF, F> DporShared<'a, NF, F> {
 }
 
 impl Explorer {
-    /// Source-set DPOR exploration: sequential on the calling thread
-    /// for `workers <= 1`, partitioned across a work-stealing pool
-    /// otherwise. Identical results either way (see the module docs).
-    fn explore_dpor<C, NF, F>(&self, new_ctx: &NF, runner: &F) -> ExploreOutcome
-    where
-        C: ReplayCtx,
-        NF: Fn() -> C + Sync,
-        F: Fn(&mut C, &mut ScheduleDriver) + Sync,
-    {
-        self.explore_dpor_session(new_ctx, runner, None, None)
-    }
-
-    /// Source-set DPOR exploration with a remote dispatch hook: every
+    /// [`Explorer::explore_with`] with a remote dispatch hook: every
     /// delegated (non-root) subtree task is first offered to
     /// `dispatcher`, and only runs in-process when the dispatcher
     /// declines — see [`TaskDispatcher`]. With a dispatcher that always
@@ -1869,9 +1632,6 @@ impl Explorer {
     /// is still bit-identical (the wire task shape round-trips the
     /// frozen spec, and counters/escapes merge the same way a local
     /// join does).
-    ///
-    /// Panics unless [`Explorer::mode`] is one of the DPOR modes — the
-    /// frame explorers have no subtree tasks to dispatch.
     pub fn explore_dispatched<C, NF, F>(
         &self,
         new_ctx: NF,
@@ -1883,18 +1643,7 @@ impl Explorer {
         NF: Fn() -> C + Sync,
         F: Fn(&mut C, &mut ScheduleDriver) + Sync,
     {
-        assert!(
-            matches!(
-                self.mode,
-                PruneMode::SourceDpor
-                    | PruneMode::ValueDpor
-                    | PruneMode::StaticDpor
-                    | PruneMode::OptimalDpor
-            ),
-            "explore_dispatched requires a DPOR mode (fail-closed: the frame \
-             explorers have no subtree tasks to dispatch)"
-        );
-        self.explore_dpor_session(&new_ctx, &runner, None, Some(dispatcher))
+        self.explore_session(&new_ctx, &runner, None, Some(dispatcher))
     }
 
     /// Worker-process side of distributed dispatch: explores one frozen
@@ -1915,58 +1664,18 @@ impl Explorer {
         NF: Fn() -> C + Sync,
         F: Fn(&mut C, &mut ScheduleDriver) + Sync,
     {
-        assert!(
-            matches!(
-                self.mode,
-                PruneMode::SourceDpor
-                    | PruneMode::ValueDpor
-                    | PruneMode::StaticDpor
-                    | PruneMode::OptimalDpor
-            ),
-            "explore_frozen_task requires a DPOR mode (fail-closed: the frame \
-             explorers have no subtree tasks to thaw)"
-        );
-        let statics = match self.mode {
-            PruneMode::StaticDpor => Some(self.statics.as_deref().expect(
-                "PruneMode::StaticDpor requires Explorer::statics \
-                 (a StaticConflicts certificate from sl-analyze)",
-            )),
-            PruneMode::OptimalDpor => self.statics.as_deref(),
-            _ => None,
-        };
-        let shared = DporShared {
-            new_ctx: &new_ctx,
-            runner: &runner,
-            max_runs: usize::MAX,
-            value_aware: matches!(
-                self.mode,
-                PruneMode::ValueDpor | PruneMode::StaticDpor | PruneMode::OptimalDpor
-            ),
-            optimal: self.mode == PruneMode::OptimalDpor,
-            statics,
-            hard_stem: self.stem.len(),
-            deques: vec![Mutex::new(VecDeque::new())],
-            queued: AtomicUsize::new(0),
-            replays: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            poison: Mutex::new(None),
-            poisoned: AtomicBool::new(false),
-            fault: None,
-            draining: AtomicBool::new(false),
-            poison_dir: std::env::var_os("SL_POISON_DIR").map(std::path::PathBuf::from),
-            dispatcher: None,
-        };
+        let shared = DporShared::new(self, &new_ctx, &runner, 1, usize::MAX, None, None);
         let spec = task.thaw();
         let mut ctx = (shared.new_ctx)();
         let out = run_task_guarded(&shared, 0, 0, &mut ctx, &spec, None);
         WireTaskResult::freeze(&out)
     }
 
-    /// Resumable exploration: source-set DPOR with periodic frontier
-    /// checkpoints, budget-drained degradation, and (optionally)
-    /// deterministic fault injection — see the [`crate::checkpoint`]
-    /// module docs for the format, the budget semantics, and the
-    /// quarantine soundness argument.
+    /// Resumable exploration: periodic frontier checkpoints,
+    /// budget-drained degradation, and (optionally) deterministic fault
+    /// injection — see the [`crate::checkpoint`] module docs for the
+    /// format, the budget semantics, and the quarantine soundness
+    /// argument.
     ///
     /// If `session.store` holds a checkpoint, it is loaded (fail-closed:
     /// any load error panics with the store's named diagnostic) and the
@@ -1979,9 +1688,6 @@ impl Explorer {
     /// its resumption is bit-identical to an uninterrupted run at any
     /// worker count. A finished (non-drained) resumable run deletes its
     /// checkpoint.
-    ///
-    /// Panics unless [`Explorer::mode`] is one of the DPOR modes — the
-    /// frame explorers have no task frontier to checkpoint.
     pub fn explore_resumable<C, NF, F>(
         &self,
         new_ctx: NF,
@@ -1993,17 +1699,6 @@ impl Explorer {
         NF: Fn() -> C + Sync,
         F: Fn(&mut C, &mut ScheduleDriver) + Sync,
     {
-        assert!(
-            matches!(
-                self.mode,
-                PruneMode::SourceDpor
-                    | PruneMode::ValueDpor
-                    | PruneMode::StaticDpor
-                    | PruneMode::OptimalDpor
-            ),
-            "explore_resumable requires a DPOR mode (fail-closed: the frame \
-             explorers have no task frontier to checkpoint)"
-        );
         let workers = self.workers.max(1);
         let (restore, base) = if session.store.exists() {
             let expect = ResumeExpectation {
@@ -2021,7 +1716,7 @@ impl Explorer {
         } else {
             (None, CkptCounters::default())
         };
-        self.explore_dpor_session(
+        self.explore_session(
             &new_ctx,
             &runner,
             Some(SessionState {
@@ -2036,7 +1731,11 @@ impl Explorer {
         )
     }
 
-    fn explore_dpor_session<C, NF, F>(
+    /// The task engine behind every entry point: sequential on the
+    /// calling thread for `workers <= 1`, partitioned across a
+    /// work-stealing pool otherwise, with identical results either way
+    /// (see the module docs).
+    fn explore_session<C, NF, F>(
         &self,
         new_ctx: &NF,
         runner: &F,
@@ -2049,42 +1748,19 @@ impl Explorer {
         F: Fn(&mut C, &mut ScheduleDriver) + Sync,
     {
         let workers = self.workers.max(1);
-        let statics = match self.mode {
-            PruneMode::StaticDpor => Some(self.statics.as_deref().expect(
-                "PruneMode::StaticDpor requires Explorer::statics \
-                 (a StaticConflicts certificate from sl-analyze)",
-            )),
-            // Optional for optimal DPOR: consulted when installed.
-            PruneMode::OptimalDpor => self.statics.as_deref(),
-            _ => None,
-        };
         let base = session.as_ref().map(|s| s.base).unwrap_or_default();
         let base_schedules = (base.runs + base.cut_runs) as usize;
-        let fault = session.as_ref().and_then(|s| s.fault);
-        let shared = DporShared {
+        let shared = DporShared::new(
+            self,
             new_ctx,
             runner,
+            workers,
             // Already-banked schedules count against the run budget, so
             // an interrupted + resumed run caps at the same total.
-            max_runs: self.max_runs.saturating_sub(base_schedules),
-            value_aware: matches!(
-                self.mode,
-                PruneMode::ValueDpor | PruneMode::StaticDpor | PruneMode::OptimalDpor
-            ),
-            optimal: self.mode == PruneMode::OptimalDpor,
-            statics,
-            hard_stem: self.stem.len(),
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            queued: AtomicUsize::new(0),
-            replays: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            poison: Mutex::new(None),
-            poisoned: AtomicBool::new(false),
-            fault,
-            draining: AtomicBool::new(false),
-            poison_dir: std::env::var_os("SL_POISON_DIR").map(std::path::PathBuf::from),
+            self.max_runs.saturating_sub(base_schedules),
+            session.as_ref().and_then(|s| s.fault),
             dispatcher,
-        };
+        );
         // Checkpoint IO runs on a dedicated writer thread: filesystem
         // commit latency (temp write + rename, ~1ms on a journaling
         // filesystem) would otherwise stall every cadence tick of the
@@ -2174,7 +1850,7 @@ impl Explorer {
 }
 
 /// Per-invocation state of a resumable DPOR session, threaded into
-/// [`Explorer::explore_dpor_session`].
+/// [`Explorer::explore_session`].
 struct SessionState<'a> {
     store: &'a CheckpointStore,
     policy: &'a CheckpointPolicy,
@@ -2229,10 +1905,6 @@ fn write_root_checkpoint(
     if spine.is_empty() {
         return;
     }
-    let wire_access = |a: &PendingAccess| CkptAccess {
-        reg: a.reg.0,
-        kind: a.kind,
-    };
     let counters = CkptCounters {
         runs: rc.base.runs + out.runs as u64,
         cut_runs: rc.base.cut_runs + out.cut_runs as u64,
@@ -2251,11 +1923,11 @@ fn write_root_checkpoint(
             sleep: node.sleep_now,
             backtrack: node.backtrack.clone(),
             runnable: node.runnable.clone(),
-            pending: node.pending.iter().map(wire_access).collect(),
+            pending: node.pending.iter().map(wire_access_of).collect(),
             wakeups: node
                 .wakeups
                 .iter()
-                .map(|seq| seq.iter().map(|(p, a)| (*p, wire_access(a))).collect())
+                .map(|seq| seq.iter().map(|(p, a)| (*p, wire_access_of(a))).collect())
                 .collect(),
             tasks: node
                 .delegated
@@ -2270,7 +1942,7 @@ fn write_root_checkpoint(
                             .spec
                             .accesses
                             .iter()
-                            .map(|m| wire_access(&m.access))
+                            .map(|m| wire_access_of(&m.access))
                             .collect(),
                         sleep: slot.spec.sleep,
                         floor: slot.spec.floor,
@@ -2325,14 +1997,10 @@ fn restore_spine<NF, F>(
     me: usize,
     ckpt: &Checkpoint,
 ) -> Vec<SpineNode> {
-    let live_access = |a: &CkptAccess| PendingAccess {
-        reg: RegId(a.reg),
-        kind: a.kind,
-    };
     ckpt.spine
         .iter()
         .map(|node| {
-            let pending: Vec<PendingAccess> = node.pending.iter().map(live_access).collect();
+            let pending: Vec<PendingAccess> = node.pending.iter().map(live_access_of).collect();
             // Ghost prefix nodes have empty `runnable`; their access is
             // unknowable here, but also never consulted (the first
             // replay's exec pass refreshes every node's meta).
@@ -2351,7 +2019,7 @@ fn restore_spine<NF, F>(
                         accesses: t
                             .accesses
                             .iter()
-                            .map(|a| StepMeta::unknown(live_access(a)))
+                            .map(|a| StepMeta::unknown(live_access_of(a)))
                             .collect(),
                         clocks: Vec::new(),
                         sleep: t.sleep,
@@ -2378,7 +2046,7 @@ fn restore_spine<NF, F>(
                 wakeups: node
                     .wakeups
                     .iter()
-                    .map(|seq| seq.iter().map(|(p, a)| (*p, live_access(a))).collect())
+                    .map(|seq| seq.iter().map(|(p, a)| (*p, live_access_of(a))).collect())
                     .collect(),
             }
         })
@@ -2608,8 +2276,9 @@ fn backoff(idle: &mut u32) {
 }
 
 /// Explores one subtree to exhaustion (or budget cap): the sequential
-/// wakeup-free source-set DPOR loop of PR 3, generalised with a ghost
-/// prefix, escaping race demands, and sibling delegation.
+/// source-set DPOR loop (with wakeup sequences under
+/// [`PruneMode::OptimalDpor`]), generalised with a ghost prefix,
+/// escaping race demands, and sibling delegation.
 fn run_task<C, NF, F>(
     shared: &DporShared<'_, NF, F>,
     me: usize,
@@ -2716,7 +2385,12 @@ where
             drain_delegated(shared, me, help_depth, ctx, &mut spine, floor, &mut out);
             return out;
         }
-        let mut driver = ScheduleDriver::dpor(prefix, sleep_at_record, spine.len());
+        let mut driver = ScheduleDriver::new(
+            prefix,
+            sleep_at_record,
+            spine.len(),
+            shared.relation.declared(),
+        );
         (shared.runner)(ctx, &mut driver);
         if driver.cut {
             out.cut_runs += 1;
@@ -2724,12 +2398,9 @@ where
             out.runs += 1;
         }
         out.pruned += driver.pruned;
-        let DriverMode::Dpor { observed, exec, .. } = driver.mode else {
-            unreachable!("DPOR explorer uses DPOR drivers");
-        };
         // Extend the spine with this run's recorded decisions
         // (observed[0] is the decision at the current spine tip).
-        for obs in observed {
+        for obs in driver.observed {
             let chosen = driver.chosen[spine.len()];
             let access = obs
                 .pending
@@ -2760,7 +2431,7 @@ where
         // here (until now they carried the conservative unknown). The
         // observer flag is word-level, not per-step — preserve it
         // across the refresh, then recompute it below.
-        for (node, em) in spine.iter_mut().zip(&exec) {
+        for (node, em) in spine.iter_mut().zip(&driver.exec) {
             let unobs_w = node.meta.exec.unobs_w;
             node.meta.exec = *em;
             node.meta.exec.unobs_w = unobs_w;
@@ -2782,9 +2453,8 @@ where
             first_new,
             floor,
             shared.hard_stem,
-            shared.value_aware,
+            shared.relation,
             shared.optimal,
-            shared.statics,
             &mut out.escapes,
         );
         // Backtrack: retire finished children bottom-up until a
@@ -2816,7 +2486,7 @@ where
                     let q = seq[0].0;
                     if spine[d].done & (1 << q) != 0
                         || spine[d].sleep_now & (1 << q) != 0
-                        || !seq_wakes_all(&spine[d], spine[d].sleep_now, &seq)
+                        || !seq_wakes_all(shared.relation, &spine[d], spine[d].sleep_now, &seq)
                     {
                         continue;
                     }
@@ -2840,6 +2510,7 @@ where
                             // condition applies.
                             && (!shared.optimal
                                 || seq_wakes_all(
+                                    shared.relation,
                                     node,
                                     node.sleep_now,
                                     &[(q, node.pending_of(q))],
@@ -2853,7 +2524,13 @@ where
                     let access = node.pending_of(q);
                     (
                         access,
-                        filter_independent(node.sleep_now, access, &node.runnable, &node.pending),
+                        filter_independent(
+                            shared.relation,
+                            node.sleep_now,
+                            access,
+                            &node.runnable,
+                            &node.pending,
+                        ),
                     )
                 };
                 publish_extras(shared, me, &mut spine, d, q, &clocks);
@@ -2917,8 +2594,13 @@ fn publish_extras<NF, F>(
         }
         let e = seq[0].0;
         let access_e = spine[d].pending_of(e);
-        let sleep_e =
-            filter_independent(*sleep_acc, access_e, &spine[d].runnable, &spine[d].pending);
+        let sleep_e = filter_independent(
+            shared.relation,
+            *sleep_acc,
+            access_e,
+            &spine[d].runnable,
+            &spine[d].pending,
+        );
         let mut prefix: Vec<usize> = spine[..d].iter().map(|n| n.chosen).collect();
         prefix.extend(seq.iter().map(|&(p, _)| p));
         let mut accesses: Vec<StepMeta> = spine[..d].iter().map(|n| n.meta).collect();
@@ -2954,7 +2636,7 @@ fn publish_extras<NF, F>(
             let e = seq[0].0;
             if done_acc & (1 << e) != 0
                 || sleep_acc & (1 << e) != 0
-                || !seq_wakes_all(&spine[d], sleep_acc, &seq)
+                || !seq_wakes_all(shared.relation, &spine[d], sleep_acc, &seq)
             {
                 // Covered — dropped exactly as the sequential selection
                 // would drop it (the accumulators mirror the sleep set
@@ -3089,8 +2771,8 @@ fn apply_escape(node: &mut SpineNode, esc: Escape) {
 /// backtrack (source) sets of the racing decision points.
 ///
 /// Happens-before is computed with vector clocks over the dependence
-/// relation `!PendingAccess::independent` (program order + conflicting
-/// accesses). A pair `(j, k)` races when the steps are dependent, by
+/// relation `!relation.independent` (program order + conflicting
+/// steps). A pair `(j, k)` races when the steps are dependent, by
 /// different processes, and `j` does not happen-before `k` through any
 /// intermediate step — i.e. the two could have been adjacent. For each
 /// race, the wakeup-free source-set rule applies: if no *weak initial*
@@ -3102,14 +2784,12 @@ fn apply_escape(node: &mut SpineNode, esc: Escape) {
 /// `escapes` in detection order, except below `hard_stem` (the
 /// user-supplied stem, which is never backtracked into at all).
 ///
-/// `value_aware` and `statics` select the independence relation for
-/// both the vector clocks and the race test (they must agree):
-/// syntactic ([`PendingAccess::independent`]), value-aware, or
-/// value-aware plus the static placement relaxation
-/// ([`step_independent`]).
+/// The one relation serves both the vector clocks and the race test
+/// (they must agree). With `optimal` set, each race also carries its
+/// reversing continuation as a wakeup sequence.
 ///
-/// When `statics` is present, every dependent concurrent data/data
-/// pair is additionally **validated** against the certificate's
+/// When the relation carries a certificate, every dependent concurrent
+/// data/data pair is additionally **validated** against the certificate's
 /// may-conflict matrix: a dynamically observed race on a register the
 /// matrix does not predict racy aborts the exploration with a
 /// diagnostic (fail closed — see [`StaticConflicts`]).
@@ -3120,9 +2800,8 @@ fn add_race_reversals(
     first_new: usize,
     apply_floor: usize,
     hard_stem: usize,
-    value_aware: bool,
+    relation: Relation<'_>,
     optimal: bool,
-    statics: Option<&StaticConflicts>,
     escapes: &mut Vec<Escape>,
 ) {
     let len = spine.len();
@@ -3174,14 +2853,14 @@ fn add_race_reversals(
         let mut races: Vec<usize> = Vec::new();
         for j in (0..k).rev() {
             let (q, b) = (spine[j].chosen, spine[j].meta);
-            if step_independent(&a, &b, value_aware, optimal, statics) {
+            if relation.independent(&a, &b) {
                 continue;
             }
             if !clock_leq(&clocks[j], &base) {
                 // Not yet happens-before `k` through closer steps: this
                 // is an immediate race (when by another process).
                 if q != p {
-                    if let Some(st) = statics {
+                    if let Some(st) = relation.statics() {
                         validate_race(st, &a, &b);
                     }
                     if k >= first_new && j >= hard_stem {
@@ -3292,7 +2971,7 @@ fn validate_race(st: &StaticConflicts, a: &StepMeta, b: &StepMeta) {
         "static conflict matrix failed closed: dynamic {:?}/{:?} race on {} \
          (op pair {:?}/{:?}) is not predicted by the certificate — the \
          sl-analyze footprint probe missed a conflicting access path; \
-         regenerate the certificate or fall back to PruneMode::ValueDpor",
+         regenerate the certificate or explore without one",
         a.access.kind,
         b.access.kind,
         st.describe(ra),
@@ -3304,27 +2983,8 @@ fn validate_race(st: &StaticConflicts, a: &StepMeta, b: &StepMeta) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Scripted, SimWorld};
+    use crate::SimWorld;
     use sl_mem::{Mem, Register};
-
-    /// Two processes, one register write each: the schedule space has
-    /// exactly 2 decision points with 2, then 1 choices ⇒ 2 schedules.
-    fn run_two_writers(script: &[usize]) -> RunOutcome {
-        let world = SimWorld::new(2);
-        let mem = world.mem();
-        let reg = mem.alloc("X", 0u64);
-        let r0 = reg.clone();
-        let r1 = reg;
-        let mut sched = Scripted::new(script.to_vec());
-        world.run(
-            vec![
-                Box::new(move |_| r0.write(1)),
-                Box::new(move |_| r1.write(2)),
-            ],
-            &mut sched,
-            100,
-        )
-    }
 
     #[test]
     fn env_workers_accepts_literal_counts_and_zero_for_all_cores() {
@@ -3355,47 +3015,6 @@ mod tests {
                 "diagnostic for {value:?} must name the variable and the reason: {msg}"
             );
         }
-    }
-
-    #[test]
-    fn explores_all_interleavings_of_two_single_step_programs() {
-        let mut finals = Vec::new();
-        let outcome = explore(run_two_writers, 100, |_script, run| {
-            let last = run.steps().last().unwrap().value().render();
-            finals.push(last);
-        });
-        assert!(outcome.exhausted);
-        assert_eq!(outcome.runs, 2);
-        finals.sort();
-        assert_eq!(finals, vec!["1".to_string(), "2".to_string()]);
-    }
-
-    #[test]
-    fn respects_run_budget() {
-        let outcome = explore(run_two_writers, 1, |_, _| {});
-        assert_eq!(outcome.runs, 1);
-        assert!(!outcome.exhausted);
-    }
-
-    /// Three single-step processes ⇒ 3! = 6 schedules.
-    #[test]
-    fn counts_schedules_of_three_writers() {
-        let run = |script: &[usize]| {
-            let world = SimWorld::new(3);
-            let mem = world.mem();
-            let reg = mem.alloc("X", 0u64);
-            let handles: Vec<_> = (0..3).map(|_| reg.clone()).collect();
-            let mut sched = Scripted::new(script.to_vec());
-            let programs: Vec<crate::Program> = handles
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| Box::new(move |_| r.write(i as u64)) as crate::Program)
-                .collect();
-            world.run(programs, &mut sched, 100)
-        };
-        let outcome = explore(run, 1000, |_, _| {});
-        assert!(outcome.exhausted);
-        assert_eq!(outcome.runs, 6);
     }
 
     /// Driver-based runner over `n` writers to one shared or `n`
@@ -3445,6 +3064,48 @@ mod tests {
         }
     }
 
+    fn unpruned(max_runs: usize) -> Explorer {
+        Explorer {
+            mode: PruneMode::Unpruned,
+            max_runs,
+            ..Explorer::default()
+        }
+    }
+
+    /// Two processes, one register write each: the schedule space has
+    /// exactly 2 decision points with 2, then 1 choices ⇒ 2 schedules.
+    #[test]
+    fn explores_all_interleavings_of_two_single_step_programs() {
+        let finals = Mutex::new(Vec::new());
+        let runner = writers_runner(2, false);
+        let outcome = unpruned(100).explore(|d| {
+            let run = runner(d);
+            let last = run.steps().last().unwrap().value().render();
+            finals.lock().unwrap().push(last);
+            run
+        });
+        assert!(outcome.exhausted);
+        assert_eq!(outcome.runs, 2);
+        let mut finals = finals.into_inner().unwrap();
+        finals.sort();
+        assert_eq!(finals, vec!["0".to_string(), "1".to_string()]);
+    }
+
+    #[test]
+    fn respects_run_budget() {
+        let outcome = unpruned(1).explore(writers_runner(2, false));
+        assert_eq!(outcome.runs, 1);
+        assert!(!outcome.exhausted);
+    }
+
+    /// Three single-step processes ⇒ 3! = 6 schedules.
+    #[test]
+    fn counts_schedules_of_three_writers() {
+        let outcome = unpruned(1000).explore(writers_runner(3, false));
+        assert!(outcome.exhausted);
+        assert_eq!(outcome.runs, 6);
+    }
+
     #[test]
     fn driver_explorer_matches_legacy_count_without_pruning() {
         let explorer = Explorer {
@@ -3455,20 +3116,6 @@ mod tests {
         assert!(outcome.exhausted);
         assert_eq!(outcome.runs, 6);
         assert_eq!(outcome.pruned, 0);
-    }
-
-    #[test]
-    fn sleep_sets_collapse_commuting_writers_to_one_schedule() {
-        // Three writers to three *distinct* registers: all 6
-        // interleavings are equivalent, so sleep sets leave one.
-        let explorer = Explorer {
-            mode: PruneMode::SleepSet,
-            ..Explorer::default()
-        };
-        let outcome = explorer.explore(writers_runner(3, true));
-        assert!(outcome.exhausted);
-        assert_eq!(outcome.runs, 1, "all interleavings commute");
-        assert!(outcome.pruned > 0);
     }
 
     #[test]
@@ -3548,12 +3195,8 @@ mod tests {
     #[test]
     fn dpor_collapses_commuting_writers_to_one_schedule() {
         let explorer = Explorer::default();
-        assert_eq!(explorer.mode, PruneMode::ValueDpor);
-        for mode in [
-            PruneMode::SourceDpor,
-            PruneMode::ValueDpor,
-            PruneMode::OptimalDpor,
-        ] {
+        assert_eq!(explorer.mode, PruneMode::OptimalDpor);
+        for mode in [PruneMode::SourceDpor, PruneMode::OptimalDpor] {
             let explorer = Explorer {
                 mode,
                 ..Explorer::default()
@@ -3572,9 +3215,8 @@ mod tests {
         // (value-aware or not), all 6 traces remain, in every mode.
         for mode in [
             PruneMode::Unpruned,
-            PruneMode::SleepSet,
             PruneMode::SourceDpor,
-            PruneMode::ValueDpor,
+            PruneMode::OptimalDpor,
         ] {
             let explorer = Explorer {
                 mode,
@@ -3654,10 +3296,9 @@ mod tests {
     fn parallel_dpor_is_bit_identical_to_sequential() {
         use std::collections::BTreeSet;
         for (n, mode) in [
+            (2, PruneMode::Unpruned),
             (3, PruneMode::SourceDpor),
             (4, PruneMode::SourceDpor),
-            (3, PruneMode::ValueDpor),
-            (4, PruneMode::ValueDpor),
             (3, PruneMode::OptimalDpor),
             (4, PruneMode::OptimalDpor),
         ] {
@@ -3744,9 +3385,7 @@ mod tests {
         };
         let unpruned = finals_for(PruneMode::Unpruned);
         assert_eq!(unpruned.len(), 3, "last write can be any of the three");
-        assert_eq!(finals_for(PruneMode::SleepSet), unpruned);
         assert_eq!(finals_for(PruneMode::SourceDpor), unpruned);
-        assert_eq!(finals_for(PruneMode::ValueDpor), unpruned);
         // The observer rule only ever commutes a write that is later
         // overwritten, so the last write of every trace — and with it
         // the final state — survives the collapse.
@@ -3754,8 +3393,8 @@ mod tests {
     }
 
     /// Two readers of one shared register: syntactic DPOR treats the
-    /// reads as conflicting (2 schedules); the value-aware relation
-    /// commutes read/read pairs (1 schedule). A writer of the *same*
+    /// reads as conflicting (2 schedules); the refined relation's value
+    /// layer commutes read/read pairs (1 schedule). A writer of the *same*
     /// value as the initial write commutes too; distinct values don't.
     #[test]
     fn value_dpor_commutes_reads_and_same_value_writes() {
@@ -3799,23 +3438,24 @@ mod tests {
             };
         assert_eq!(count(PruneMode::SourceDpor, &readers), 2);
         assert_eq!(
-            count(PruneMode::ValueDpor, &readers),
+            count(PruneMode::OptimalDpor, &readers),
             1,
             "read/read commutes"
         );
         assert_eq!(count(PruneMode::SourceDpor, &same_writers), 2);
         assert_eq!(
-            count(PruneMode::ValueDpor, &same_writers),
+            count(PruneMode::OptimalDpor, &same_writers),
             1,
             "same-value writes commute"
         );
-        // Distinct values: the write/write race is real in both modes.
-        assert_eq!(count(PruneMode::ValueDpor, &writers_runner(2, false)), 2);
+        // Distinct values, and the last write is never overwritten: the
+        // write/write race is real in both modes.
+        assert_eq!(count(PruneMode::OptimalDpor, &writers_runner(2, false)), 2);
     }
 
     /// The event guard: when a high-level event marker rides on a step
     /// (here: each process's read is the last access before its
-    /// `respond`-style marker), the value-aware relation must *not*
+    /// `respond`-style marker), the refined relation must *not*
     /// commute it — swapping would move the event across the other
     /// process's step in the transcript.
     #[test]
@@ -3840,7 +3480,7 @@ mod tests {
             ];
             world.run(programs, driver, 100)
         };
-        for mode in [PruneMode::SourceDpor, PruneMode::ValueDpor] {
+        for mode in [PruneMode::SourceDpor, PruneMode::OptimalDpor] {
             let explorer = Explorer {
                 mode,
                 ..Explorer::default()
@@ -3884,9 +3524,10 @@ mod tests {
     }
 
     /// One pausing invoker vs one writer: the pause carries an
-    /// invocation marker, so `ValueDpor` treats it as conflicting with
-    /// the write (2 placements), while `StaticDpor` with the writer's
-    /// register licensed commutes the pair (1 schedule).
+    /// invocation marker, so the syntactic relation treats it as
+    /// conflicting with the write (2 placements), while the refined
+    /// relation with the writer's register licensed commutes the pair
+    /// (1 schedule).
     fn invoke_placement_runner(respond: bool) -> impl Fn(&mut ScheduleDriver) -> RunOutcome + Sync {
         move |driver: &mut ScheduleDriver| {
             let world = SimWorld::new(2);
@@ -3909,16 +3550,16 @@ mod tests {
         let runner = invoke_placement_runner(false);
         let syms = collect_data_syms(&runner);
         assert_eq!(syms.len(), 1, "one data register");
-        let value = Explorer {
-            mode: PruneMode::ValueDpor,
+        let source = Explorer {
+            mode: PruneMode::SourceDpor,
             ..Explorer::default()
         }
         .explore(&runner);
-        assert!(value.exhausted);
-        assert_eq!(value.schedules_replayed(), 2, "placement branches");
+        assert!(source.exhausted);
+        assert_eq!(source.schedules_replayed(), 2, "placement branches");
         let st = Arc::new(StaticConflicts::new(syms.clone(), syms));
         let out = Explorer {
-            mode: PruneMode::StaticDpor,
+            mode: PruneMode::OptimalDpor,
             statics: Some(Arc::clone(&st)),
             ..Explorer::default()
         }
@@ -3938,7 +3579,7 @@ mod tests {
         let syms = collect_data_syms(&runner);
         let st = Arc::new(StaticConflicts::new(syms.clone(), syms));
         let out = Explorer {
-            mode: PruneMode::StaticDpor,
+            mode: PruneMode::OptimalDpor,
             statics: Some(st),
             ..Explorer::default()
         }
@@ -3954,13 +3595,13 @@ mod tests {
     #[test]
     fn static_dpor_keeps_all_conflicting_interleavings() {
         // Same register, distinct values: fully racy. With the
-        // register licensed *and* predicted racy, StaticDpor must keep
-        // every trace ValueDpor keeps.
+        // register licensed *and* predicted racy, the certificate must
+        // keep every trace the relation without it keeps.
         let runner = writers_runner(3, false);
         let syms = collect_data_syms(&runner);
         let st = Arc::new(StaticConflicts::new(syms.clone(), syms));
         let out = Explorer {
-            mode: PruneMode::StaticDpor,
+            mode: PruneMode::OptimalDpor,
             statics: Some(Arc::clone(&st)),
             ..Explorer::default()
         }
@@ -3980,7 +3621,7 @@ mod tests {
         // report carries the named diagnostic.
         let st = Arc::new(StaticConflicts::new(syms, []));
         let out = Explorer {
-            mode: PruneMode::StaticDpor,
+            mode: PruneMode::OptimalDpor,
             statics: Some(st),
             ..Explorer::default()
         }
@@ -3999,34 +3640,23 @@ mod tests {
         );
     }
 
-    #[test]
-    fn static_dpor_requires_a_certificate() {
-        let runner = writers_runner(2, true);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Explorer {
-                mode: PruneMode::StaticDpor,
-                ..Explorer::default()
-            }
-            .explore(&runner)
-        }));
-        assert!(result.is_err(), "StaticDpor without statics must panic");
-    }
-
-    /// The bit-identity guarantee extends to StaticDpor: same outcome
-    /// and schedule set at any worker count, and — on a workload with
-    /// no pauses — identical to ValueDpor.
+    /// The bit-identity guarantee extends to a certificate-carrying
+    /// exploration: same outcome and schedule set at any worker count,
+    /// and — on a workload with no pauses and no markers, where the
+    /// certificate layer has nothing to relax — identical to the
+    /// exploration without a certificate.
     #[test]
     fn parallel_static_dpor_is_bit_identical_to_sequential() {
         use std::collections::BTreeSet;
         let syms = collect_data_syms(&mixed_runner(3));
         let st = Arc::new(StaticConflicts::new(syms.clone(), syms));
-        let explore_at = |workers: usize, mode: PruneMode| {
+        let explore_at = |workers: usize, certified: bool| {
             let runner = mixed_runner(3);
             let scripts = Mutex::new(BTreeSet::new());
             let explorer = Explorer {
-                mode,
+                mode: PruneMode::OptimalDpor,
                 workers,
-                statics: (mode == PruneMode::StaticDpor).then(|| Arc::clone(&st)),
+                statics: certified.then(|| Arc::clone(&st)),
                 ..Explorer::default()
             };
             let out = explorer.explore(|d| {
@@ -4036,15 +3666,15 @@ mod tests {
                 }
                 o
             });
-            assert!(out.exhausted, "{mode:?} at {workers} workers");
+            assert!(out.exhausted, "certified {certified} at {workers} workers");
             (out, scripts.into_inner().unwrap())
         };
-        let (seq, seq_scripts) = explore_at(1, PruneMode::StaticDpor);
-        let (value, value_scripts) = explore_at(1, PruneMode::ValueDpor);
-        assert_eq!(seq, value, "no pauses: StaticDpor == ValueDpor");
-        assert_eq!(seq_scripts, value_scripts);
+        let (seq, seq_scripts) = explore_at(1, true);
+        let (bare, bare_scripts) = explore_at(1, false);
+        assert_eq!(seq, bare, "no pauses: the certificate changes nothing");
+        assert_eq!(seq_scripts, bare_scripts);
         for workers in [2, 4, 8] {
-            let (par, par_scripts) = explore_at(workers, PruneMode::StaticDpor);
+            let (par, par_scripts) = explore_at(workers, true);
             assert_eq!(seq, par, "outcome diverged at {workers} workers");
             assert_eq!(seq_scripts, par_scripts, "schedules diverged at {workers}");
         }
@@ -4053,7 +3683,7 @@ mod tests {
     /// One process writes `X` twice (distinct values), the other once:
     /// in the schedule where the lone write lands between the pair,
     /// both racing writes are overwritten before any read, so the
-    /// observer relation commutes them. `ValueDpor` keeps all three
+    /// observer relation commutes them. `SourceDpor` keeps all three
     /// placements; `OptimalDpor` collapses to two.
     fn overwritten_writers_runner(
         marker: bool,
@@ -4097,7 +3727,7 @@ mod tests {
                 out.schedules_replayed()
             };
         let plain = overwritten_writers_runner(false);
-        assert_eq!(count(PruneMode::ValueDpor, &plain), 3);
+        assert_eq!(count(PruneMode::SourceDpor, &plain), 3);
         assert_eq!(
             count(PruneMode::OptimalDpor, &plain),
             2,
@@ -4107,7 +3737,7 @@ mod tests {
         // other process's writes: the event guard fires before the
         // observer arm is ever consulted.
         let marked = overwritten_writers_runner(true);
-        assert_eq!(count(PruneMode::ValueDpor, &marked), 3);
+        assert_eq!(count(PruneMode::SourceDpor, &marked), 3);
         assert_eq!(
             count(PruneMode::OptimalDpor, &marked),
             3,
@@ -4118,7 +3748,7 @@ mod tests {
     /// A read between the two program-ordered writes observes the
     /// first one in every schedule, so no write/write pair is ever
     /// unobserved-on-both-sides and `OptimalDpor` keeps every
-    /// placement `ValueDpor` keeps.
+    /// placement `SourceDpor` keeps.
     #[test]
     fn optimal_dpor_keeps_writes_observed_by_a_read() {
         let runner = |driver: &mut ScheduleDriver| {
@@ -4137,7 +3767,7 @@ mod tests {
             ];
             world.run(programs, driver, 100)
         };
-        for mode in [PruneMode::ValueDpor, PruneMode::OptimalDpor] {
+        for mode in [PruneMode::SourceDpor, PruneMode::OptimalDpor] {
             let explorer = Explorer {
                 mode,
                 ..Explorer::default()
@@ -4174,8 +3804,7 @@ mod tests {
     }
 
     /// `OptimalDpor` consults an installed access-footprint
-    /// certificate exactly like `StaticDpor` does — but unlike
-    /// `StaticDpor` it never requires one.
+    /// certificate, but never requires one.
     #[test]
     fn optimal_dpor_consults_an_optional_certificate() {
         let runner = invoke_placement_runner(false);
@@ -4204,7 +3833,7 @@ mod tests {
     }
 
     /// The headline optimality property on the bushier mixed workload:
-    /// `OptimalDpor` explores no more schedules than `ValueDpor`,
+    /// `OptimalDpor` explores no more schedules than `SourceDpor`,
     /// initiates zero sleep-set-blocked runs, and still covers the
     /// same final shared-register states.
     #[test]
@@ -4228,16 +3857,16 @@ mod tests {
             assert!(out.exhausted, "{mode:?}");
             (out, finals.into_inner().unwrap())
         };
-        let (value, value_finals) = explore_at(PruneMode::ValueDpor);
+        let (source, source_finals) = explore_at(PruneMode::SourceDpor);
         let (optimal, optimal_finals) = explore_at(PruneMode::OptimalDpor);
         assert_eq!(optimal.cut_runs, 0, "no sleep-set-blocked run initiated");
         assert!(
-            optimal.runs <= value.schedules_replayed(),
-            "optimal ({}) must not exceed value-DPOR ({})",
+            optimal.runs <= source.schedules_replayed(),
+            "optimal ({}) must not exceed source DPOR ({})",
             optimal.runs,
-            value.schedules_replayed()
+            source.schedules_replayed()
         );
-        assert_eq!(optimal_finals, value_finals, "verdict-relevant coverage");
+        assert_eq!(optimal_finals, source_finals, "verdict-relevant coverage");
     }
 
     #[test]
@@ -4461,13 +4090,14 @@ mod tests {
     #[test]
     fn drained_exploration_resumes_to_the_uninterrupted_outcome() {
         use std::collections::BTreeSet;
-        for (mode, workers) in [
-            (PruneMode::ValueDpor, 1),
-            (PruneMode::ValueDpor, 2),
-            (PruneMode::OptimalDpor, 1),
-            (PruneMode::OptimalDpor, 4),
+        for (mode, workers, n) in [
+            (PruneMode::SourceDpor, 1, 3),
+            (PruneMode::SourceDpor, 2, 3),
+            (PruneMode::OptimalDpor, 1, 3),
+            (PruneMode::OptimalDpor, 4, 3),
+            (PruneMode::Unpruned, 2, 2),
         ] {
-            let runner = mixed_runner(3);
+            let runner = mixed_runner(n);
             let explorer = Explorer {
                 mode,
                 workers,
@@ -4703,7 +4333,7 @@ mod tests {
             err.downcast_ref::<String>().cloned().unwrap_or_default()
         };
         let msg = panic_msg(Explorer {
-            mode: PruneMode::OptimalDpor,
+            mode: PruneMode::SourceDpor,
             workers: 2,
             ..Explorer::default()
         });

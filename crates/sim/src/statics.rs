@@ -1,6 +1,5 @@
-//! Static conflict summaries consumed by [`PruneMode::StaticDpor`]
-//! (required) and [`PruneMode::OptimalDpor`] (consulted when
-//! installed).
+//! Static conflict summaries consulted by [`PruneMode::OptimalDpor`]
+//! when installed: the certificate layer of its independence relation.
 //!
 //! A [`StaticConflicts`] value is the runtime form of the
 //! **placement-commutation certificate** produced by the `sl-analyze`
@@ -42,7 +41,6 @@
 //! of them comes from the same `Mem::alloc` call site, which is
 //! exactly what the footprint analysis reasons about.
 //!
-//! [`PruneMode::StaticDpor`]: crate::PruneMode::StaticDpor
 //! [`PruneMode::OptimalDpor`]: crate::PruneMode::OptimalDpor
 
 use std::collections::{BTreeSet, HashMap, HashSet};

@@ -195,14 +195,16 @@ pub enum TraceItem {
     /// The `i`-th high-level event of the event log. Without further
     /// qualification the marker is treated as a *response or unknown*
     /// event by every consumer that distinguishes marker kinds — the
-    /// conservative reading (responses pin real-time order, so steps
-    /// carrying them never commute with anything).
+    /// conservative reading (responses pin real-time order, so no
+    /// relaxation of the explorer's refined relation commutes a step
+    /// carrying one; the syntactic base still can — see the `explore`
+    /// module docs on the gap).
     Hi(usize),
     /// The `i`-th high-level event of the event log, known to be an
     /// **invocation**, carrying the interned identity of the invoked
     /// operation. [`crate::EventLog::invoke`] emits this; the
-    /// explorer's static placement relaxation (`PruneMode::StaticDpor`)
-    /// is licensed only for steps whose riding markers are all
+    /// explorer's static placement relaxation (the certificate layer of
+    /// `PruneMode::OptimalDpor`) is licensed only for steps whose riding markers are all
     /// invocations, and attributes every subsequent step of the
     /// activation to the carried [`OpSym`] (the key of the
     /// certificate's op-pair matrix). Checkers and transcripts treat it

@@ -4,7 +4,10 @@
 
 use sl_check::{check_linearizable, check_strongly_linearizable, HistoryTree};
 use sl_mem::{Mem, Register};
-use sl_sim::{explore, EventLog, Program, RoundRobin, Scripted, SeededRandom, SimWorld};
+use sl_sim::{
+    EventLog, Explorer, Program, PruneMode, RoundRobin, ScheduleDriver, Scripted, SeededRandom,
+    SimWorld,
+};
 use sl_spec::types::RegisterSpec;
 use sl_spec::{ProcId, RegisterOp, RegisterResp};
 
@@ -130,7 +133,13 @@ fn scripted_schedules_control_interleaving_exactly() {
 /// so every step is its own linearization point).
 #[test]
 fn atomic_register_is_strongly_linearizable_under_exhaustive_exploration() {
-    let run = |script: &[usize]| {
+    let transcripts = std::sync::Mutex::new(Vec::new());
+    let explorer = Explorer {
+        mode: PruneMode::Unpruned,
+        max_runs: 100,
+        ..Explorer::default()
+    };
+    let explored = explorer.explore(|driver: &mut ScheduleDriver| {
         let world = SimWorld::new(2);
         let mem = world.mem();
         let reg = mem.alloc("X", None::<u64>);
@@ -139,7 +148,6 @@ fn atomic_register_is_strongly_linearizable_under_exhaustive_exploration() {
         let r1 = reg;
         let l0 = log.clone();
         let l1 = log.clone();
-        let mut sched = Scripted::new(script.to_vec());
         let outcome = world.run(
             vec![
                 Box::new(move |ctx| {
@@ -153,26 +161,16 @@ fn atomic_register_is_strongly_linearizable_under_exhaustive_exploration() {
                     l1.respond(id, RegisterResp::Value(v));
                 }),
             ],
-            &mut sched,
+            driver,
             100,
         );
-        (outcome, log)
-    };
-
-    let mut transcripts = Vec::new();
-    let explored = explore(
-        |script| {
-            let (outcome, log) = run(script);
-            transcripts.push(log.transcript(&outcome));
-            outcome
-        },
-        100,
-        |_, _| {},
-    );
+        transcripts.lock().unwrap().push(log.transcript(&outcome));
+        outcome
+    });
     assert!(explored.exhausted);
     assert_eq!(explored.runs, 2, "two steps, two interleavings");
 
-    let tree = HistoryTree::from_transcripts(&transcripts);
+    let tree = HistoryTree::from_transcripts(&transcripts.into_inner().unwrap());
     let report = check_strongly_linearizable(&Spec::new(), &tree);
     assert!(report.holds, "an atomic register is strongly linearizable");
 }

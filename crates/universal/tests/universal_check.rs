@@ -176,7 +176,7 @@ fn universal_counter_versioned_root_strongly_linearizable_exhaustive() {
     let builder: TreeBuilder<SimpleSpec<CounterType>> = TreeBuilder::new();
     let explorer = Explorer {
         max_runs: 500_000,
-        mode: PruneMode::ValueDpor,
+        mode: PruneMode::OptimalDpor,
         workers: 1,
         stem: vec![],
         statics: None,

@@ -80,13 +80,12 @@
 //! Any object built by the builder (or any hand-rolled
 //! [`SharedObject`](prelude::SharedObject)) can be model-checked end to
 //! end in a few lines. The `sl-api` harness runs it on the simulator's
-//! coroutine-stepped VM, enumerates adversary schedules with
-//! **value-aware source-set DPOR** (race-directed partial-order
-//! reduction over the declared pending accesses, refined by observed
-//! values — see *Trace encoding & value-aware commutation* below;
-//! syntactic-DPOR, sleep-set, and unpruned modes remain available via
-//! `sim::PruneMode`), and streams every transcript into the prefix
-//! tree that strong linearizability quantifies over:
+//! coroutine-stepped VM, enumerates adversary schedules on one
+//! exploration engine under the `sim::PruneMode` you choose — the
+//! unpruned oracle, syntactic source DPOR, or the default optimal DPOR
+//! (see *One relation, three settings* below) — and streams every
+//! transcript into the prefix tree that strong linearizability
+//! quantifies over:
 //!
 //! ```
 //! use strongly_linearizable::api::sim::{explore_object, SimExplore};
@@ -101,11 +100,15 @@
 //! };
 //! // 2. A per-process workload of sequential-spec operations.
 //! let workload = [vec![SnapshotOp::Update(5)], vec![SnapshotOp::Scan]];
-//! // 3. Explore every schedule (bounded) and decide.
+//! // 3. Explore every schedule (bounded) and decide — on the
+//! //    unpruned oracle, as a verdict should be.
 //! let explored = explore_object::<SnapshotSpec<u64>, _, _>(
 //!     factory,
 //!     &workload,
-//!     &SimExplore::default(),
+//!     &SimExplore {
+//!         mode: strongly_linearizable::sim::PruneMode::Unpruned,
+//!         ..SimExplore::default()
+//!     },
 //! );
 //! assert!(explored.outcome.exhausted);
 //! assert!(explored.check_strong(&SnapshotSpec::<u64>::new(2)).holds);
@@ -133,7 +136,7 @@
 //!
 //! ## Parallel exploration
 //!
-//! Source-set DPOR now runs **partitioned across worker threads**: when
+//! The explorer runs **partitioned across worker threads**: when
 //! a decision node holds several unexplored backtrack candidates, the
 //! owning worker keeps one and publishes the rest as frozen subtree
 //! tasks onto a work-stealing deque; race reversals that point above a
@@ -155,7 +158,7 @@
 //! shared-memory algorithm; per-process state lives in handles, which
 //! are rebuilt per replay.
 //!
-//! ## Trace encoding & value-aware commutation
+//! ## Trace encoding
 //!
 //! Traced steps are **never rendered to text** on the checking path.
 //! The VM records each shared-memory step as one `Copy`
@@ -169,30 +172,48 @@
 //! checker, which compare steps by integer equality; label text is
 //! decoded lazily (`StepCode::write_label`) only on report and pretty
 //! paths. This lifted `traced` VM throughput from ~6.9M to ~11.6M
-//! steps/s (counted: ~15.5M — the gap fell from ~2.2× to ~1.35×) and
-//! makes a traced explorer replay ≥1.6× faster than the retired
-//! per-step `format!`+intern pipeline (gated in CI via
-//! `exp_sim_throughput --baseline`, `min_format_speedup`).
+//! steps/s (counted: ~15.5M — the gap fell from ~2.2× to ~1.35×).
 //!
-//! On top of the value-interned steps, the default explorer mode
-//! (`sim::PruneMode::ValueDpor`) refines the DPOR independence
-//! relation for **race detection**: two same-register steps of
-//! different processes additionally commute when they are a read/read
-//! pair, or a write/write pair storing the same interned value —
-//! provided no invocation/response marker rode on either step's
-//! activation (observed post-hoc from the trace; unknown metadata is
-//! treated as conflicting, and sleep-set filtering keeps the
-//! conservative syntactic relation). Mixed-role (reader-carrying)
-//! workloads shrink measurably — the pinned 3-process mixed workloads
-//! drop from 2,746 to 2,242 schedules (1 op per process) and from
-//! 204,257 to 179,697 (writers 2+1 ops + reader), ~12–18% — with
-//! verdicts and conflict depths asserted equal to syntactic source
-//! DPOR by randomized differential tests (and bit-identical replay
-//! counts and DAG hashes across worker counts 1/2/4/8, like every
-//! DPOR mode here). Workloads without cross-process read/read or
-//! same-value write/write pairs (e.g. the 2-process `aba_2w2r` pin)
-//! are unchanged. The soundness argument lives in `sim::explore`'s
-//! module docs.
+//! ## One relation, three settings
+//!
+//! The explorer has one engine — source-set DPOR with sleep sets,
+//! partitioned into subtree tasks that are checkpointed, quarantined
+//! and dispatched alike — and one independence relation.
+//! `sim::PruneMode` selects its setting:
+//!
+//! - `Unpruned` treats every pair of steps as dependent, so every
+//!   schedule is its own class: the **oracle**, exploring the whole
+//!   schedule tree (0 cut replays, 0 pruned candidates).
+//! - `SourceDpor` uses the syntactic relation over declared accesses
+//!   (different processes, different registers, no pause step).
+//! - `OptimalDpor` (the default) refines race detection with layers
+//!   over *executed* steps, observed post-hoc from the trace: the
+//!   **value** layer (same-register read/read pairs and same-value
+//!   write/write pairs commute when no invocation/response marker rode
+//!   on either step), the **observer** layer (two same-register writes
+//!   commute when neither value is read before being overwritten) and,
+//!   with an `sl-analyze` certificate installed, the **certificate**
+//!   layer described below. It backtracks by **wakeup sequences**:
+//!   race reversals enqueue the entire reversing continuation,
+//!   replayed in full before free extension and only when it conflicts
+//!   with every sleeping process — so no sleep-set-blocked run is ever
+//!   initiated (`cut_runs == 0`, gated).
+//!
+//! On the pinned 3-process mixed-role workloads, source DPOR replays
+//! 2,746 and 204,257 schedules and optimal DPOR with the certificate
+//! 598 and 23,888 (the counts before the op-pair matrix, 660 and
+//! 26,638, are frozen floors the CI gate must stay strictly below;
+//! *Depth budgets* below breaks the counts down layer by layer).
+//!
+//! **The reductions can hide a violation.** A response marker rides on
+//! an operation's last data step, and the syntactic relation commutes
+//! such a step with another process's step on a different register —
+//! moving the response. The Aspnes–Attiya–Censor trie max-register is
+//! refuted by `Unpruned` and passed by both reductions. A FAIL under
+//! any setting is genuine; a PASS is a verdict only on the oracle, so
+//! the paper experiments run there. The explorer's module docs
+//! (`crates/sim/src/explore.rs`) hold the soundness arguments of every
+//! layer and the counterexample.
 //!
 //! ## Static conflict analysis & sanitizer lanes
 //!
@@ -220,7 +241,7 @@
 //! named diagnostics, and the sim-deep baseline gate fails if the
 //! checked-in catalog is not byte-identical to a fresh regeneration.
 //!
-//! `sim::PruneMode::StaticDpor` layers on `ValueDpor`: a pause step
+//! The certificate layer of `OptimalDpor`'s relation: a pause step
 //! carrying at most an invocation marker additionally commutes with a
 //! marker-free data step on a certificate-licensed register — exactly
 //! the invocation-placement branching the paper's proofs quantify
@@ -236,28 +257,12 @@
 //! relaxed/validated/unattributed telemetry; an unpredicted race
 //! aborts the exploration with a diagnostic naming the registers,
 //! footprints, and op pair), so an unsound certificate can never
-//! silently change a verdict. Differential
-//! suites assert verdict and conflict-depth equality with `ValueDpor`
-//! and bit-identical outcomes across 1/2/4/8 workers; the pinned
-//! mixed-role workloads drop a further ~45–56% below their value-DPOR
-//! counts (gated in CI, `crates/bench/baselines/explorer_baseline.json`,
-//! with the certificate catalog serialized alongside as
-//! `certificates.json`).
-//!
-//! `sim::PruneMode::OptimalDpor` goes further with **wakeup
-//! sequences**: race reversals enqueue the entire reversing
-//! continuation (not just its first step), replayed in full before
-//! free extension and only when it conflicts with every sleeping
-//! process — so no sleep-set-blocked run is ever initiated
-//! (`cut_runs == 0`, gated). Its race detection adds the **observer
-//! rule**: two same-register writes commute when neither written
-//! value is read before being overwritten. A certificate is consulted
-//! when present but not required. On the pinned mixed-role workloads
-//! this roughly halves (or better) even the static-certificate
-//! counts, and the op-pair relaxations shave another ~10%: 598 vs
-//! 1,232 and 23,888 vs 79,502 total replays (the pre-pair counts,
-//! 660 and 26,638, are frozen floors the CI gate must stay strictly
-//! below).
+//! silently change a verdict. Differential suites assert verdict and
+//! conflict-depth equality with the source-DPOR reference and with
+//! `OptimalDpor` without the certificate, and bit-identical outcomes
+//! across 1/2/4/8 workers; the schedule counts are gated in CI
+//! (`crates/bench/baselines/explorer_baseline.json`, with the
+//! certificate catalog serialized alongside as `certificates.json`).
 //!
 //! Complementing the static lane, CI runs two sanitizer lanes: **Miri**
 //! over the fiber-free crates (`sl-spec`, `sl-check`, `sl-mem`,
@@ -316,12 +321,13 @@
 //! zero-format-trace work (Algorithm-2 family; schedule counts are
 //! exact — the explorer is deterministic at any worker count;
 //! wall-clocks measured at 1 worker on the reference container, so
-//! multi-core runners divide the deep rows further; *DPOR* = syntactic
-//! source DPOR, *value* = value-aware default, *static* = value +
-//! placement certificate, *optimal* = wakeup sequences + observer
-//! rule, *+op-pair* = optimal with the version-2 per-op-pair
-//! commutation matrix installed — gated counts where pinned, "—"
-//! where not measured):
+//! multi-core runners divide the deep rows further; *DPOR* =
+//! `SourceDpor`; *value*, *static* and *optimal* = the refined
+//! relation's layers as measured when each was its own mode (the value
+//! layer; plus the placement certificate; plus wakeup sequences and the
+//! observer layer); *+op-pair* = `OptimalDpor` with the version-2
+//! per-op-pair commutation matrix installed — gated counts where
+//! pinned, "—" where not measured):
 //!
 //! | Workload | Schedules (DPOR) | Schedules (value) | Schedules (static) | Schedules (optimal) | Schedules (+op-pair) | Tier |
 //! |---|---|---|---|---|---|---|
