@@ -45,6 +45,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use sl_check::RegSym;
 use sl_mem::SymSite;
+use sl_sim::wire::{non_canonical, push_str, Fields, Json, Parser};
 use sl_sim::StaticConflicts;
 
 /// The certificate format version this crate produces and consumes.
@@ -400,21 +401,23 @@ impl Certificate {
 
     /// Serialises the certificate as a self-describing JSON object.
     /// The format is documented in the crate README and stable enough
-    /// to diff across runs (all sets are sorted).
+    /// to diff across runs (all sets are sorted). It is the one
+    /// canonical form: [`Certificate::from_json`] accepts exactly these
+    /// bytes.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"family\": \"{}\",\n", esc(&self.family)));
-        out.push_str(&format!("  \"substrate\": \"{}\",\n", esc(&self.substrate)));
+        out.push_str(&format!("  \"family\": {},\n", quoted(&self.family)));
+        out.push_str(&format!("  \"substrate\": {},\n", quoted(&self.substrate)));
         out.push_str(&format!("  \"version\": {},\n", self.version));
         out.push_str(&format!("  \"procs\": {},\n", self.procs));
         out.push_str("  \"sites\": [\n");
         for (s, site) in self.sites.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"id\": {s}, \"name\": \"{}\", \"file\": \"{}\", \"line\": {}, \
+                "    {{\"id\": {s}, \"name\": {}, \"file\": {}, \"line\": {}, \
                  \"column\": {}, \"licensed\": {}, \"racy\": {}, \"probed\": {}}}{}\n",
-                esc(&site.name),
-                esc(site.file),
+                quoted(&site.name),
+                quoted(site.file),
                 site.line,
                 site.column,
                 self.licensed_sites.contains(&s),
@@ -427,9 +430,9 @@ impl Certificate {
         out.push_str("  \"footprints\": [\n");
         for (i, f) in self.footprints.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"op\": \"{}\", \"proc\": {}, \"reads\": {}, \"writes\": {}, \
+                "    {{\"op\": {}, \"proc\": {}, \"reads\": {}, \"writes\": {}, \
                  \"rmws\": {}, \"value_dependent\": {}}}{}\n",
-                esc(&f.op),
+                quoted(&f.op),
                 f.proc,
                 ids(&f.reads),
                 ids(&f.writes),
@@ -441,11 +444,11 @@ impl Certificate {
         out.push_str("  ],\n");
         out.push_str("  \"may_conflict\": [\n");
         for (i, c) in self.conflicts.iter().enumerate() {
-            let kinds: Vec<String> = c.kinds.iter().map(|k| format!("\"{}\"", esc(k))).collect();
+            let kinds: Vec<String> = c.kinds.iter().map(|k| quoted(k)).collect();
             out.push_str(&format!(
-                "    {{\"a\": \"{}\", \"b\": \"{}\", \"sites\": {}, \"kinds\": [{}]}}{}\n",
-                esc(&c.a),
-                esc(&c.b),
+                "    {{\"a\": {}, \"b\": {}, \"sites\": {}, \"kinds\": [{}]}}{}\n",
+                quoted(&c.a),
+                quoted(&c.b),
                 ids(&c.sites),
                 kinds.join(", "),
                 comma(i, self.conflicts.len()),
@@ -453,7 +456,7 @@ impl Certificate {
         }
         out.push_str("  ],\n");
         out.push_str("  \"ops\": [");
-        let ops: Vec<String> = self.ops.iter().map(|o| format!("\"{}\"", esc(o))).collect();
+        let ops: Vec<String> = self.ops.iter().map(|o| quoted(o)).collect();
         out.push_str(&ops.join(", "));
         out.push_str("],\n");
         out.push_str("  \"pairs\": [\n");
@@ -492,6 +495,13 @@ impl Certificate {
     }
 }
 
+/// `s` as a JSON string literal.
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    push_str(&mut out, s);
+    out
+}
+
 /// Serialises a sorted site-id set as a JSON array.
 fn ids(set: &BTreeSet<usize>) -> String {
     let items: Vec<String> = set.iter().map(|s| s.to_string()).collect();
@@ -506,224 +516,7 @@ fn comma(i: usize, len: usize) -> &'static str {
     }
 }
 
-/// Escapes a string for embedding in a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-// --- Strict fail-closed parsing -------------------------------------
-
-/// A parsed JSON value. Only what the certificate format emits:
-/// strings, unsigned integers, booleans, arrays, objects. Anything
-/// else (null, floats, negatives) is rejected at parse time — the
-/// format never produces them, so their presence means the artifact
-/// was not written by this crate.
-enum Json {
-    Str(String),
-    Num(u64),
-    Bool(bool),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> String {
-        let line = 1 + self.bytes[..self.pos.min(self.bytes.len())]
-            .iter()
-            .filter(|&&b| b == b'\n')
-            .count();
-        format!("certificate JSON invalid at line {line}: {msg}")
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!(
-                "expected '{}', found {:?}",
-                b as char,
-                self.bytes.get(self.pos).map(|&c| c as char)
-            )))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b't') => self.literal("true").map(|_| Json::Bool(true)),
-            Some(b'f') => self.literal("false").map(|_| Json::Bool(false)),
-            Some(b'0'..=b'9') => self.number().map(Json::Num),
-            other => Err(self.err(&format!(
-                "expected a value, found {:?} (null/float/negative are rejected)",
-                other.map(|&c| c as char)
-            ))),
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected literal '{lit}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        let start = self.pos;
-        while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if matches!(self.bytes.get(self.pos), Some(b'.' | b'e' | b'E')) {
-            return Err(self.err("fractional numbers are not part of the format"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| self.err("unparseable integer"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            out.push(hex);
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("unsupported escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    // Multi-byte UTF-8 passes through byte-wise; the
-                    // input is a &str so it is valid by construction.
-                    let ch_len = match b {
-                        0..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + ch_len])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                    self.pos += ch_len;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields: Vec<(String, Json)> = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(self.err(&format!("duplicate key \"{key}\"")));
-            }
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-}
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing garbage after the top-level value"));
-    }
-    Ok(v)
-}
+// --- Strict fail-closed parsing (on the `sl_sim::wire` grammar) -----
 
 /// Leaks `file` strings once per distinct path so parsed sites carry
 /// the `&'static str` [`SymSite`] requires. A process-wide dedup map
@@ -742,91 +535,25 @@ fn static_file(file: &str) -> &'static str {
     leaked
 }
 
-/// Strict-object helper: destructures `obj` against an exact key set.
-struct Fields {
-    ctx: String,
-    fields: Vec<(String, Json)>,
-}
-
-impl Fields {
-    fn new(v: Json, ctx: &str, keys: &[&str]) -> Result<Fields, String> {
-        let Json::Obj(fields) = v else {
-            return Err(format!("{ctx}: expected an object"));
-        };
-        for (k, _) in &fields {
-            if !keys.contains(&k.as_str()) {
-                return Err(format!(
-                    "{ctx}: unknown field \"{k}\" (fail-closed: refusing to guess)"
-                ));
-            }
+/// The named field as a duplicate-free set of in-range site ids.
+fn id_set(
+    f: &mut Fields,
+    ctx: &str,
+    key: &str,
+    site_count: usize,
+) -> Result<BTreeSet<usize>, String> {
+    let mut out = BTreeSet::new();
+    for id in f.usizes(key)? {
+        if id >= site_count {
+            return Err(format!(
+                "{ctx}: \"{key}\" references site {id} but only {site_count} sites exist"
+            ));
         }
-        for k in keys {
-            if !fields.iter().any(|(f, _)| f == k) {
-                return Err(format!("{ctx}: missing required field \"{k}\""));
-            }
-        }
-        Ok(Fields {
-            ctx: ctx.to_string(),
-            fields,
-        })
-    }
-
-    fn take(&mut self, key: &str) -> Json {
-        let i = self.fields.iter().position(|(k, _)| k == key).unwrap();
-        self.fields.remove(i).1
-    }
-
-    fn str(&mut self, key: &str) -> Result<String, String> {
-        match self.take(key) {
-            Json::Str(s) => Ok(s),
-            _ => Err(format!("{}: \"{key}\" must be a string", self.ctx)),
+        if !out.insert(id) {
+            return Err(format!("{ctx}: duplicate site id {id} in \"{key}\""));
         }
     }
-
-    fn num(&mut self, key: &str) -> Result<u64, String> {
-        match self.take(key) {
-            Json::Num(n) => Ok(n),
-            _ => Err(format!(
-                "{}: \"{key}\" must be an unsigned integer",
-                self.ctx
-            )),
-        }
-    }
-
-    fn bool(&mut self, key: &str) -> Result<bool, String> {
-        match self.take(key) {
-            Json::Bool(b) => Ok(b),
-            _ => Err(format!("{}: \"{key}\" must be a boolean", self.ctx)),
-        }
-    }
-
-    fn arr(&mut self, key: &str) -> Result<Vec<Json>, String> {
-        match self.take(key) {
-            Json::Arr(items) => Ok(items),
-            _ => Err(format!("{}: \"{key}\" must be an array", self.ctx)),
-        }
-    }
-
-    fn id_set(&mut self, key: &str, site_count: usize) -> Result<BTreeSet<usize>, String> {
-        let items = self.arr(key)?;
-        let mut out = BTreeSet::new();
-        for item in items {
-            let Json::Num(n) = item else {
-                return Err(format!("{}: \"{key}\" must hold site ids", self.ctx));
-            };
-            let id = n as usize;
-            if id >= site_count {
-                return Err(format!(
-                    "{}: \"{key}\" references site {id} but only {site_count} sites exist",
-                    self.ctx
-                ));
-            }
-            if !out.insert(id) {
-                return Err(format!("{}: duplicate site id {id} in \"{key}\"", self.ctx));
-            }
-        }
-        Ok(out)
-    }
+    Ok(out)
 }
 
 impl Certificate {
@@ -834,16 +561,23 @@ impl Certificate {
     ///
     /// The parser fails closed: unknown fields, missing fields,
     /// unsupported versions, out-of-range or duplicate site ids,
-    /// duplicate site identities, and classification inconsistencies
-    /// (e.g. `race_free_sites` disagreeing with `licensed - racy`) are
-    /// all rejected with a named diagnostic rather than repaired. A
-    /// certificate that parses re-serialises byte-identically.
+    /// duplicate site identities, labels missing from `ops`, and
+    /// classification inconsistencies (e.g. `race_free_sites`
+    /// disagreeing with `licensed - racy`) are all rejected with a
+    /// named diagnostic rather than repaired. Last, the text must be
+    /// exactly the parsed certificate's [`Certificate::to_json`]
+    /// (`non-canonical certificate` otherwise).
     pub fn from_json(text: &str) -> Result<Certificate, String> {
-        Self::from_value(parse_json(text)?, "certificate")
+        let value = Parser::new(text, "certificate").parse_document()?;
+        let cert = Self::from_value(value, "certificate")?;
+        if cert.to_json() != text {
+            return Err(non_canonical("certificate"));
+        }
+        Ok(cert)
     }
 
     fn from_value(v: Json, ctx: &str) -> Result<Certificate, String> {
-        let mut top = Fields::new(
+        let mut top = Fields::exact(
             v,
             ctx,
             &[
@@ -859,8 +593,8 @@ impl Certificate {
                 "placement",
             ],
         )?;
-        let family = top.str("family")?;
-        let substrate = top.str("substrate")?;
+        let family = top.string("family")?;
+        let substrate = top.string("substrate")?;
         let version = top.num("version")?;
         if version != CERT_VERSION {
             return Err(format!(
@@ -871,15 +605,14 @@ impl Certificate {
         }
         let procs = top.num("procs")? as usize;
 
-        let site_items = top.arr("sites")?;
         let mut sites = Vec::new();
         let mut licensed_flags = BTreeSet::new();
         let mut racy_flags = BTreeSet::new();
         let mut probed_flags = BTreeSet::new();
         let mut identities = BTreeSet::new();
-        for (i, item) in site_items.into_iter().enumerate() {
+        for (i, item) in top.array("sites")?.into_iter().enumerate() {
             let sctx = format!("{ctx}: sites[{i}]");
-            let mut f = Fields::new(
+            let mut f = Fields::exact(
                 item,
                 &sctx,
                 &[
@@ -890,8 +623,8 @@ impl Certificate {
             if id != i {
                 return Err(format!("{sctx}: id {id} is not dense (expected {i})"));
             }
-            let name = f.str("name")?;
-            let file = f.str("file")?;
+            let name = f.string("name")?;
+            let file = f.string("file")?;
             let line = f.num("line")? as u32;
             let column = f.num("column")? as u32;
             if !identities.insert((name.clone(), file.clone(), line, column)) {
@@ -900,14 +633,14 @@ impl Certificate {
                      would intern to the same register symbol"
                 ));
             }
-            if f.bool("licensed")? {
-                licensed_flags.insert(i);
-            }
-            if f.bool("racy")? {
-                racy_flags.insert(i);
-            }
-            if f.bool("probed")? {
-                probed_flags.insert(i);
+            for (key, flags) in [
+                ("licensed", &mut licensed_flags),
+                ("racy", &mut racy_flags),
+                ("probed", &mut probed_flags),
+            ] {
+                if f.boolean(key)? {
+                    flags.insert(i);
+                }
             }
             sites.push(SymSite {
                 name,
@@ -925,47 +658,74 @@ impl Certificate {
         let unprobed_sites: BTreeSet<usize> = (0..sites.len())
             .filter(|s| !probed_flags.contains(s))
             .collect();
-        for &s in &unprobed_sites {
-            if !racy_flags.contains(&s) {
-                return Err(format!(
-                    "{ctx} ({family}/{substrate}): site {s} is unprobed but not marked racy — \
-                     unknown must classify as top"
-                ));
-            }
+        if let Some(s) = unprobed_sites.iter().find(|s| !racy_flags.contains(s)) {
+            return Err(format!(
+                "{ctx} ({family}/{substrate}): site {s} is unprobed but not marked racy — \
+                 unknown must classify as top"
+            ));
         }
 
-        let fp_items = top.arr("footprints")?;
+        // The op index comes first: every footprint and matrix label
+        // must be drawn from it.
+        let mut ops: Vec<String> = Vec::new();
+        for (i, item) in top.array("ops")?.into_iter().enumerate() {
+            let Json::Str(o) = item else {
+                return Err(format!("{ctx}: ops[{i}] must be a string"));
+            };
+            if let Some(prev) = ops.last() {
+                if *prev >= o {
+                    return Err(format!(
+                        "{ctx}: ops must be strictly sorted (\"{prev}\" before \"{o}\")"
+                    ));
+                }
+            }
+            ops.push(o);
+        }
+        let in_ops = |lctx: &str, label: &str| {
+            if ops.binary_search_by(|o| o.as_str().cmp(label)).is_ok() {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{lctx}: label \"{label}\" is not in ops (every label must be drawn from \
+                     the op index)"
+                ))
+            }
+        };
+
         let mut footprints = Vec::new();
-        for (i, item) in fp_items.into_iter().enumerate() {
+        for (i, item) in top.array("footprints")?.into_iter().enumerate() {
             let fctx = format!("{ctx}: footprints[{i}]");
-            let mut f = Fields::new(
+            let mut f = Fields::exact(
                 item,
                 &fctx,
                 &["op", "proc", "reads", "writes", "rmws", "value_dependent"],
             )?;
+            let op = f.string("op")?;
+            in_ops(&fctx, &op)?;
             footprints.push(OpFootprint {
-                op: f.str("op")?,
+                op,
                 proc: f.num("proc")? as usize,
-                reads: f.id_set("reads", sites.len())?,
-                writes: f.id_set("writes", sites.len())?,
-                rmws: f.id_set("rmws", sites.len())?,
-                value_dependent: f.id_set("value_dependent", sites.len())?,
+                reads: id_set(&mut f, &fctx, "reads", sites.len())?,
+                writes: id_set(&mut f, &fctx, "writes", sites.len())?,
+                rmws: id_set(&mut f, &fctx, "rmws", sites.len())?,
+                value_dependent: id_set(&mut f, &fctx, "value_dependent", sites.len())?,
             });
         }
 
-        let conflict_items = top.arr("may_conflict")?;
         let mut conflicts = Vec::new();
-        for (i, item) in conflict_items.into_iter().enumerate() {
+        for (i, item) in top.array("may_conflict")?.into_iter().enumerate() {
             let cctx = format!("{ctx}: may_conflict[{i}]");
-            let mut f = Fields::new(item, &cctx, &["a", "b", "sites", "kinds"])?;
-            let a = f.str("a")?;
-            let b = f.str("b")?;
+            let mut f = Fields::exact(item, &cctx, &["a", "b", "sites", "kinds"])?;
+            let a = f.string("a")?;
+            let b = f.string("b")?;
             if a > b {
                 return Err(format!("{cctx}: cell ({a}, {b}) is not label-normalised"));
             }
-            let cell_sites = f.id_set("sites", sites.len())?;
+            in_ops(&cctx, &a)?;
+            in_ops(&cctx, &b)?;
+            let cell_sites = id_set(&mut f, &cctx, "sites", sites.len())?;
             let mut kinds = BTreeSet::new();
-            for k in f.arr("kinds")? {
+            for k in f.array("kinds")? {
                 let Json::Str(k) = k else {
                     return Err(format!("{cctx}: \"kinds\" must hold strings"));
                 };
@@ -981,26 +741,10 @@ impl Certificate {
             });
         }
 
-        let mut ops: Vec<String> = Vec::new();
-        for (i, item) in top.arr("ops")?.into_iter().enumerate() {
-            let Json::Str(o) = item else {
-                return Err(format!("{ctx}: ops[{i}] must be a string"));
-            };
-            if let Some(prev) = ops.last() {
-                if *prev >= o {
-                    return Err(format!(
-                        "{ctx}: ops must be strictly sorted (\"{prev}\" before \"{o}\")"
-                    ));
-                }
-            }
-            ops.push(o);
-        }
-
-        let pair_items = top.arr("pairs")?;
         let mut pairs: Vec<PairEntry> = Vec::new();
-        for (i, item) in pair_items.into_iter().enumerate() {
+        for (i, item) in top.array("pairs")?.into_iter().enumerate() {
             let pctx = format!("{ctx}: pairs[{i}]");
-            let mut f = Fields::new(item, &pctx, &["a", "b", "observed", "conflict"])?;
+            let mut f = Fields::exact(item, &pctx, &["a", "b", "observed", "conflict"])?;
             let a = f.num("a")? as usize;
             let b = f.num("b")? as usize;
             if a > b || b >= ops.len() {
@@ -1017,8 +761,8 @@ impl Certificate {
                     ));
                 }
             }
-            let observed = f.id_set("observed", sites.len())?;
-            let conflict = f.id_set("conflict", sites.len())?;
+            let observed = id_set(&mut f, &pctx, "observed", sites.len())?;
+            let conflict = id_set(&mut f, &pctx, "conflict", sites.len())?;
             if !conflict.is_subset(&observed) {
                 return Err(format!(
                     "{pctx}: conflict sites must be a subset of observed sites"
@@ -1032,19 +776,20 @@ impl Certificate {
             });
         }
 
-        let mut placement = Fields::new(
-            top.take("placement"),
-            &format!("{ctx}: placement"),
+        let lctx = format!("{ctx}: placement");
+        let mut placement = Fields::exact(
+            top.take("placement")?,
+            &lctx,
             &["licensed_sites", "race_free_sites", "guard"],
         )?;
-        let licensed_sites = placement.id_set("licensed_sites", sites.len())?;
+        let licensed_sites = id_set(&mut placement, &lctx, "licensed_sites", sites.len())?;
         if licensed_sites != licensed_flags {
             return Err(format!(
                 "{ctx} ({family}/{substrate}): placement.licensed_sites disagrees with the \
                  per-site licensed flags"
             ));
         }
-        let race_free = placement.id_set("race_free_sites", sites.len())?;
+        let race_free = id_set(&mut placement, &lctx, "race_free_sites", sites.len())?;
         let expect_race_free: BTreeSet<usize> =
             licensed_sites.difference(&racy_flags).copied().collect();
         if race_free != expect_race_free {
@@ -1053,7 +798,7 @@ impl Certificate {
                  licensed_sites minus racy sites — the partition is inconsistent"
             ));
         }
-        placement.str("guard")?;
+        placement.string("guard")?;
 
         Ok(Certificate {
             family,
@@ -1073,16 +818,21 @@ impl Certificate {
 }
 
 /// Parses a whole catalog ([`catalog_json`] output). Fails closed on
-/// the first invalid certificate, naming its index.
+/// the first invalid certificate, naming its index, and on any text
+/// that is not exactly the parsed catalog's [`catalog_json`].
 pub fn catalog_from_json(text: &str) -> Result<Vec<Certificate>, String> {
-    let Json::Arr(items) = parse_json(text)? else {
+    let Json::Arr(items) = Parser::new(text, "certificate catalog").parse_document()? else {
         return Err("certificate catalog: expected a top-level array".to_string());
     };
-    items
+    let certs = items
         .into_iter()
         .enumerate()
         .map(|(i, v)| Certificate::from_value(v, &format!("certificate[{i}]")))
-        .collect()
+        .collect::<Result<Vec<_>, _>>()?;
+    if catalog_json(&certs) != text {
+        return Err(non_canonical("certificate catalog"));
+    }
+    Ok(certs)
 }
 
 /// Serialises a set of certificates as one JSON array (the catalog

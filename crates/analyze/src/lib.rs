@@ -537,6 +537,69 @@ mod tests {
         );
     }
 
+    /// The doctored-certificate battery, beyond the cases above: each
+    /// row edits the first `from` in the `tiny_cert()` JSON to `to` and
+    /// names the diagnostic that must reject it.
+    #[test]
+    fn every_doctored_certificate_is_rejected_by_name() {
+        let json = tiny_cert().to_json();
+        let conflict = r#"{"a": "Get", "b": "Zap", "sites": [1], "kinds": []}"#;
+        let pair = r#"{"a": 0, "b": 1, "observed": [0, 1], "conflict": [1]}"#;
+        #[rustfmt::skip]
+        let rows = [
+            (r#"{"id": 1,"#, r#"{"id": 5,"#, "id 5 is not dense"),
+            (r#""probed": true"#, r#""probed": false"#, "licensed flags disagree with probed"),
+            (r#"true, "racy": false, "probed": true"#, r#"false, "racy": false, "probed": false"#,
+             "site 0 is unprobed but not marked racy"),
+            (r#"["Get", "Put"]"#, r#"["Put", "Get"]"#, "ops must be strictly sorted"),
+            (r#""op": "Get""#, r#""op": "Zap""#, r#"footprints[0]: label "Zap" is not in ops"#),
+            ("\"may_conflict\": [\n", &format!("\"may_conflict\": [\n    {conflict}\n"),
+             r#"may_conflict[0]: label "Zap" is not in ops"#),
+            (r#"{"a": 0, "b": 1,"#, r#"{"a": 0, "b": 7,"#, "must satisfy a <= b < 2 ops"),
+            (pair, &format!("{pair},\n    {pair}"), "strictly sorted by (a, b)"),
+            (r#""licensed_sites": [0, 1]"#, r#""licensed_sites": [0]"#, "licensed_sites disagrees"),
+            (r#""procs": 2"#, r#""procs":  2"#, "non-canonical certificate"),
+        ];
+        for (from, to, needle) in rows {
+            assert!(json.contains(from), "{from} is not in the certificate");
+            let err = Certificate::from_json(&json.replacen(from, to, 1))
+                .expect_err(&format!("{from} -> {to} must be rejected"));
+            assert!(
+                err.contains(needle),
+                "{from} -> {to}: {err:?} lacks {needle:?}"
+            );
+        }
+        let catalog = catalog_json(&[tiny_cert(), tiny_cert()]);
+        let err = catalog_from_json(&catalog.replace("},\n  {", "},\n\n  {")).unwrap_err();
+        assert!(err.contains("non-canonical certificate catalog"), "{err}");
+    }
+
+    #[test]
+    fn randomized_site_names_round_trip_exactly() {
+        // Site names cross the certificate losslessly whatever they
+        // hold: quotes, backslashes, C0 and C1 controls, non-ASCII and
+        // non-BMP characters.
+        let mut rng = sl_mem::SmallRng::new(0xce47_5eed);
+        for _ in 0..300 {
+            let len = rng.gen_range(12);
+            let name: String = (0..len)
+                .map(|_| match rng.gen_range(6) {
+                    0 => *rng.choose(&['"', '\\', '\r', '\t', '\n']),
+                    1 => char::from_u32(rng.gen_range(0x20) as u32).unwrap(),
+                    2 => char::from_u32(0x80 + rng.gen_range(0x20) as u32).unwrap(),
+                    3 => *rng.choose(&['é', '—', '€', '😀', '𝄞']),
+                    _ => char::from(b' ' + rng.gen_range(95) as u8),
+                })
+                .collect();
+            let mut cert = tiny_cert();
+            cert.sites[0].name = format!("site:{name}");
+            let json = cert.to_json();
+            let parsed = Certificate::from_json(&json).unwrap_or_else(|e| panic!("{name:?}: {e}"));
+            assert_eq!(parsed.sites[0].name, cert.sites[0].name);
+            assert_eq!(parsed.to_json(), json);
+        }
+    }
+
     #[test]
     fn the_catalog_covers_every_family_and_substrate() {
         let certs = catalog(2);

@@ -5,9 +5,10 @@
 //! `crates/bench/baselines/`. This module owns the three pieces every
 //! gate needs, so binaries don't hand-roll them:
 //!
-//! * [`Baseline::load`] + the extraction helpers — a tiny scanner for
-//!   our own JSON emissions (the workspace has no JSON dependency, and
-//!   the format is ours).
+//! * [`Baseline::load`] + the extraction helpers — the file is parsed
+//!   by the workspace's one fail-closed JSON parser
+//!   ([`sl_sim::wire`]); baselines are pretty-printed, so they are the
+//!   one format exempt from its canonical-bytes rule.
 //! * [`Gate`] — accumulates pass/fail comparisons with uniform
 //!   reporting; `regressed()` drives the process exit code.
 //! * [`refresh`] — rewrites a baseline file from a freshly measured
@@ -16,78 +17,95 @@
 
 use std::fmt::Write as _;
 
-/// A loaded baseline file.
+use sl_sim::wire::{push_str, Json, Parser};
+
+/// A loaded baseline file: its parsed top-level object.
 pub struct Baseline {
-    text: String,
+    fields: Vec<(String, Json)>,
+}
+
+/// The value of `key` in an object's fields, if present.
+fn get<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
+    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// A present baseline number; anything else panics with a named
+/// diagnostic.
+fn as_f64(key: &str, v: &Json) -> f64 {
+    match v {
+        Json::Num(n) => *n as f64,
+        Json::Dec(d) => d.parse().expect("a d+.d+ decimal is a valid f64"),
+        other => panic!("baseline key \"{key}\": expected a number, found {other:?} (fail-closed)"),
+    }
 }
 
 impl Baseline {
     /// Reads the baseline at `path`; panics with a clear message on
-    /// I/O errors (the gate cannot run without its reference) and
-    /// rejects truncated or structurally invalid JSON fail-closed — a
-    /// torn write must not silently disable the gates it recorded.
+    /// I/O errors (the gate cannot run without its reference) and on
+    /// truncated or invalid JSON — a torn write must not silently
+    /// disable the gates it recorded.
     pub fn load(path: &str) -> Baseline {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        if let Err(why) = structurally_valid_json(&text) {
-            panic!("truncated or invalid baseline JSON at {path} (fail-closed): {why}; re-record it with --refresh-baseline");
+        Baseline::parse(&text).unwrap_or_else(|why| {
+            panic!(
+                "truncated or invalid baseline JSON at {path} (fail-closed): {why}; re-record it \
+                 with --refresh-baseline"
+            )
+        })
+    }
+
+    /// Parses baseline text: one JSON object.
+    pub fn parse(text: &str) -> Result<Baseline, String> {
+        match Parser::new(text, "baseline").parse_document()? {
+            Json::Obj(fields) => Ok(Baseline { fields }),
+            other => Err(format!("baseline: expected an object, found {other:?}")),
         }
-        Baseline { text }
     }
 
-    /// A baseline over already-loaded text (used by tests).
-    pub fn from_text(text: String) -> Baseline {
-        Baseline { text }
-    }
-
-    /// Extracts a top-level numeric value (e.g. `"min_speedup_8w": 3.0`).
-    /// Absent keys return `None` (which disables the associated gate).
+    /// A top-level number (e.g. `"min_speedup_8w": 3.0`). An absent key
+    /// returns `None` (which disables the associated opt-in gate); a
+    /// present key that is not a number panics (fail-closed: a
+    /// malformed threshold must not switch its gate off).
     pub fn number(&self, key: &str) -> Option<f64> {
-        let needle = format!("\"{key}\":");
-        let pos = self.text.find(&needle)?;
-        let rest = self.text[pos + needle.len()..].trim_start();
-        let num: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        num.parse().ok()
+        get(&self.fields, key).map(|v| as_f64(key, v))
     }
 
-    /// Extracts `(workload name, count)` pairs for `key`, matching each
-    /// `"name"` to the next occurrence of `key` (the emitter writes them
-    /// in that order within each workload object), so gates compare
-    /// workloads by name, not by position.
-    pub fn workload_counts(&self, key: &str) -> Vec<(String, usize)> {
-        let name_key = "\"name\": \"";
-        let count_key = format!("\"{key}\":");
-        let mut out = Vec::new();
-        let mut rest = self.text.as_str();
-        while let Some(pos) = rest.find(name_key) {
-            rest = &rest[pos + name_key.len()..];
-            let Some(end) = rest.find('"') else { break };
-            let name = rest[..end].to_string();
-            // The key must appear before the next workload object.
-            let horizon = rest.find(name_key).unwrap_or(rest.len());
-            let Some(pos) = rest[..horizon].find(&count_key) else {
-                continue;
-            };
-            let digits: String = rest[pos + count_key.len()..]
-                .trim_start()
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect();
-            if let Ok(n) = digits.parse() {
-                out.push((name, n));
-            }
+    /// A number inside a top-level object (e.g. `vm_steps_per_sec`'s
+    /// `"full"` rate), with [`Baseline::number`]'s semantics.
+    pub fn number_in(&self, object: &str, key: &str) -> Option<f64> {
+        match get(&self.fields, object)? {
+            Json::Obj(fields) => get(fields, key).map(|v| as_f64(key, v)),
+            other => panic!("baseline key \"{object}\": expected an object, found {other:?}"),
         }
-        out
     }
 
-    /// The recorded count of `key` for one workload.
+    /// The recorded count of `key` for the object in `workloads` whose
+    /// `name` is `name`. `None` when the workload or its key is absent;
+    /// a present but malformed entry panics with a named diagnostic.
     pub fn workload_count(&self, name: &str, key: &str) -> Option<usize> {
-        self.workload_counts(key)
-            .into_iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, c)| c)
+        let malformed = |what: &str, v: &Json| -> ! {
+            panic!("baseline {what}: malformed entry {v:?} (fail-closed)")
+        };
+        let workloads = match get(&self.fields, "workloads")? {
+            Json::Arr(items) => items,
+            other => malformed("\"workloads\"", other),
+        };
+        for w in workloads {
+            let Json::Obj(fields) = w else {
+                malformed("workload", w)
+            };
+            match get(fields, "name") {
+                Some(Json::Str(n)) if n == name => {}
+                Some(Json::Str(_)) => continue,
+                _ => malformed("workload without a string \"name\"", w),
+            }
+            let v = get(fields, key)?;
+            let n = v
+                .as_num(&format!("baseline workload {name:?} key {key:?}"))
+                .unwrap_or_else(|e| panic!("{e} (fail-closed)"));
+            return Some(n as usize);
+        }
+        None
     }
 }
 
@@ -149,55 +167,6 @@ impl Gate {
     }
 }
 
-/// Checks that `text` is a structurally complete JSON object: it must
-/// open with `{`, close with `}`, balance its braces and brackets
-/// outside string literals, and terminate every string. This is not a
-/// JSON parser (the workspace has none by design) — it is exactly the
-/// torn-write detector the scanning extractors above need, since they
-/// would otherwise read a truncated file as "gate key absent".
-fn structurally_valid_json(text: &str) -> Result<(), String> {
-    let trimmed = text.trim();
-    if trimmed.is_empty() {
-        return Err("file is empty".into());
-    }
-    if !trimmed.starts_with('{') {
-        return Err("does not open with `{`".into());
-    }
-    let (mut depth, mut in_str, mut esc) = (0i64, false, false);
-    for c in trimmed.chars() {
-        if in_str {
-            match (esc, c) {
-                (true, _) => esc = false,
-                (false, '\\') => esc = true,
-                (false, '"') => in_str = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' | '[' => depth += 1,
-            '}' | ']' => {
-                depth -= 1;
-                if depth < 0 {
-                    return Err("unbalanced closing brace".into());
-                }
-            }
-            _ => {}
-        }
-    }
-    if in_str {
-        return Err("unterminated string literal".into());
-    }
-    if depth != 0 {
-        return Err(format!("{depth} unclosed brace(s) — truncated write"));
-    }
-    if !trimmed.ends_with('}') {
-        return Err("does not close with `}`".into());
-    }
-    Ok(())
-}
-
 /// Writes `contents` to `path` atomically: a process-unique temp file
 /// in the same directory, then a rename over the target — a crash
 /// mid-write leaves either the old file or the new one on disk, never
@@ -222,7 +191,9 @@ pub fn refresh(path: &str, comment: &str, gates: &[(&str, f64)], measured_json: 
         .and_then(|s| s.strip_suffix('}'))
         .unwrap_or_else(|| panic!("measured summary is not a JSON object"));
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"_comment\": {},", quote(comment));
+    out.push_str("  \"_comment\": ");
+    push_str(&mut out, comment);
+    out.push_str(",\n");
     for (key, value) in gates {
         let _ = writeln!(out, "  \"{key}\": {value},");
     }
@@ -232,17 +203,14 @@ pub fn refresh(path: &str, comment: &str, gates: &[(&str, f64)], measured_json: 
     println!("(baseline refreshed at {path})");
 }
 
-fn quote(s: &str) -> String {
-    format!("\"{}\"", sl_sim::wire::escape_json(s))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const SAMPLE: &str = r#"{
-  "_comment": "x",
+  "_comment": "x — y",
   "min_reuse_speedup": 1.0,
+  "vm_steps_per_sec": {"full": 12, "traced": 7.5},
   "workloads": [
     {
       "name": "a",
@@ -258,40 +226,38 @@ mod tests {
 
     #[test]
     fn extracts_numbers_and_counts() {
-        let b = Baseline::from_text(SAMPLE.to_string());
+        let b = Baseline::parse(SAMPLE).unwrap();
         assert_eq!(b.number("min_reuse_speedup"), Some(1.0));
         assert_eq!(b.number("absent"), None);
-        assert_eq!(
-            b.workload_counts("dpor_replayed"),
-            vec![("a".to_string(), 17), ("b".to_string(), 7228)]
-        );
+        assert_eq!(b.number_in("vm_steps_per_sec", "full"), Some(12.0));
+        assert_eq!(b.number_in("vm_steps_per_sec", "traced"), Some(7.5));
+        assert_eq!(b.workload_count("a", "dpor_replayed"), Some(17));
+        assert_eq!(b.workload_count("b", "dpor_replayed"), Some(7228));
         assert_eq!(b.workload_count("a", "value_dpor_replayed"), Some(11));
         // `b` has no value_dpor_replayed: it must not steal a later
         // workload's count (none here) nor misattribute `a`'s.
         assert_eq!(b.workload_count("b", "value_dpor_replayed"), None);
+        assert_eq!(b.workload_count("c", "dpor_replayed"), None);
     }
 
     #[test]
     fn load_rejects_truncated_or_invalid_json_fail_closed() {
         // A torn write of SAMPLE at any cut point must be rejected, not
-        // scanned as "every gate key absent".
-        assert!(structurally_valid_json(SAMPLE).is_ok());
+        // read as "every gate key absent".
         for cut in 1..SAMPLE.len() - 1 {
             if !SAMPLE.is_char_boundary(cut) {
                 continue;
             }
             let torn = &SAMPLE[..cut];
             assert!(
-                structurally_valid_json(torn).is_err(),
+                Baseline::parse(torn).is_err(),
                 "cut at {cut} accepted: {torn:?}"
             );
         }
-        assert!(structurally_valid_json("").is_err(), "empty file");
-        assert!(structurally_valid_json("null").is_err(), "not an object");
-        assert!(
-            structurally_valid_json("{\"a\": 1}}").is_err(),
-            "extra brace"
-        );
+        assert!(Baseline::parse("").is_err(), "empty file");
+        assert!(Baseline::parse("null").is_err(), "not an object");
+        assert!(Baseline::parse("[]").is_err(), "not an object");
+        assert!(Baseline::parse("{\"a\": 1}}").is_err(), "extra brace");
         let dir = std::env::temp_dir().join(format!("sl-baseline-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("torn.json");
@@ -308,6 +274,51 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let err = std::panic::catch_unwind(f).expect_err("must fail closed");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    fn a_quoted_threshold_fails_closed_instead_of_skipping_its_gate() {
+        let b = Baseline::parse("{\"min_ckpt_ratio\": \"0.95\"}").unwrap();
+        let msg = panic_message(move || {
+            b.number("min_ckpt_ratio");
+        });
+        assert!(
+            msg.contains("\"min_ckpt_ratio\": expected a number"),
+            "named diagnostic: {msg}"
+        );
+        let b =
+            Baseline::parse(r#"{"workloads": [{"name": "a", "dpor_replayed": "17"}]}"#).unwrap();
+        let msg = panic_message(move || {
+            b.workload_count("a", "dpor_replayed");
+        });
+        assert!(msg.contains("expected an unsigned integer"), "{msg}");
+    }
+
+    #[test]
+    fn a_nested_key_never_shadows_the_top_level_one() {
+        let text = r#"{
+  "workloads": [{"name": "a", "min_ckpt_ratio": 0.10}],
+  "min_ckpt_ratio": 0.95
+}"#;
+        let b = Baseline::parse(text).unwrap();
+        assert_eq!(b.number("min_ckpt_ratio"), Some(0.95));
+        // Absent at the top level: absent, whatever a workload holds.
+        let b =
+            Baseline::parse(r#"{"workloads": [{"name": "a", "min_ckpt_ratio": 0.10}]}"#).unwrap();
+        assert_eq!(b.number("min_ckpt_ratio"), None);
+    }
+
+    #[test]
+    fn a_threshold_without_a_leading_digit_is_rejected() {
+        let err = Baseline::parse("{\"min_ckpt_ratio\": .95}").err().unwrap();
+        assert!(err.contains("unexpected character"), "{err}");
+        let err = Baseline::parse("{\"min_ckpt_ratio\": 1e-1}").err().unwrap();
+        assert!(err.contains("exponents"), "{err}");
+    }
+
     #[test]
     fn refresh_writes_atomically_and_roundtrips() {
         let dir = std::env::temp_dir().join(format!("sl-baseline-rw-{}", std::process::id()));
@@ -316,7 +327,7 @@ mod tests {
         let path_str = path.to_str().unwrap();
         refresh(
             path_str,
-            "test",
+            "test \"quoted\" — comment",
             &[("min_x", 1.5)],
             "{\n  \"workloads\": []\n}",
         );

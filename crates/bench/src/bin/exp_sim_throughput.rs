@@ -753,7 +753,7 @@ fn summary_markdown(
         _ => "—".to_string(),
     };
     for (name, rate) in throughput {
-        let before = num(name);
+        let before = baseline.and_then(|b| b.number_in("vm_steps_per_sec", name));
         let _ = writeln!(
             md,
             "| VM steps/s ({name}) | {} | {rate:.0} | {} |",

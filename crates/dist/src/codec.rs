@@ -28,17 +28,20 @@
 //! Children precede parents in `nodes` (the [`TreeDag`] interning
 //! invariant), which [`TreeDag::assemble`] re-verifies on decode.
 
+use std::fmt::Write as _;
+
 use sl_check::{NodeId, TreeDag, TreeStep};
-use sl_sim::wire::{Fields, Json, Parser};
+use sl_sim::wire::{push_list, push_str, Fields, Json, Parser};
 use sl_spec::types::AbaSpec;
 use sl_spec::{AbaOp, AbaResp, Event, EventKind, OpId, ProcId, SeqSpec};
 
 /// A sequential specification whose ops and responses can cross a
-/// process boundary. Encodings must be wire-safe strings (no quotes,
-/// backslashes, or control characters) and `decode(encode(x)) == x`
-/// must hold exactly; decoders are fail-closed — an unknown encoding
-/// is an error, never a default. Ops and responses must be `Send`:
-/// decoded shards hop threads on their way into the coordinator sink.
+/// process boundary. An encoding may be any string — the wire escapes
+/// what needs escaping ([`sl_sim::wire::push_str`]) — but
+/// `decode(encode(x)) == x` must hold exactly; decoders are fail-closed
+/// — an unknown encoding is an error, never a default. Ops and
+/// responses must be `Send`: decoded shards hop threads on their way
+/// into the coordinator sink.
 pub trait WireSpec: SeqSpec<Op: Send, Resp: Send> {
     /// Encodes an invocation description.
     fn encode_op(op: &Self::Op) -> String;
@@ -110,66 +113,38 @@ impl WireSpec for AbaSpec<u64> {
     }
 }
 
-fn push_wire_str(out: &mut String, s: &str) {
-    assert!(
-        s.chars().all(|c| c != '"' && c != '\\' && !c.is_control()),
-        "string {s:?} cannot cross the shard wire verbatim (fail-closed)"
-    );
-    out.push('"');
-    out.push_str(s);
-    out.push('"');
-}
-
 /// Renders a DAG shard as a canonical document (see the module docs).
 /// Call on a **symbolized** shard: symbolization collision-checks the
 /// label space; encoding a raw packed shard would conflate any
 /// colliding codes silently.
 pub fn encode_dag<S: WireSpec>(dag: &TreeDag<S>) -> String {
     let mut b = String::with_capacity(64 * dag.unique_nodes().max(1));
-    b.push_str("{\"nodes\":[");
-    for id in 0..dag.unique_nodes() as NodeId {
-        if id > 0 {
-            b.push(',');
-        }
-        b.push('[');
-        for (i, (step, child)) in dag.edges(id).iter().enumerate() {
-            if i > 0 {
-                b.push(',');
-            }
-            b.push_str("[[");
+    b.push_str("{\"nodes\":");
+    push_list(&mut b, 0..dag.unique_nodes() as NodeId, |b, id| {
+        push_list(b, dag.edges(id), |b, (step, child)| {
             match step {
                 TreeStep::Internal(p, code) => {
-                    b.push_str("\"i\",");
-                    b.push_str(&p.0.to_string());
-                    b.push(',');
-                    push_wire_str(&mut b, &code.wire_label());
+                    let _ = write!(b, "[[\"i\",{},", p.0);
+                    push_str(b, &code.wire_label());
                 }
                 TreeStep::Event(e) => {
                     let (tag, payload) = match &e.kind {
                         EventKind::Invoke(op) => ("inv", S::encode_op(op)),
                         EventKind::Respond(r) => ("rsp", S::encode_resp(r)),
                     };
-                    b.push('"');
-                    b.push_str(tag);
-                    b.push_str("\",");
-                    b.push_str(&e.op.0.to_string());
-                    b.push(',');
-                    b.push_str(&e.proc.0.to_string());
-                    b.push(',');
-                    push_wire_str(&mut b, &payload);
+                    let _ = write!(b, "[[\"{tag}\",{},{},", e.op.0, e.proc.0);
+                    push_str(b, &payload);
                 }
             }
-            b.push_str("],");
-            b.push_str(&child.to_string());
-            b.push(']');
-        }
-        b.push(']');
-    }
-    b.push_str("],\"root\":");
-    b.push_str(&dag.root().to_string());
-    b.push_str(",\"transcripts\":");
-    b.push_str(&dag.transcripts_ingested().to_string());
-    b.push('}');
+            let _ = write!(b, "],{child}]");
+        })
+    });
+    let _ = write!(
+        b,
+        ",\"root\":{},\"transcripts\":{}}}",
+        dag.root(),
+        dag.transcripts_ingested()
+    );
     b
 }
 
@@ -217,8 +192,7 @@ fn step_of<S: WireSpec>(v: &Json) -> Result<TreeStep<S>, String> {
 /// is a named rejection.
 pub fn decode_dag<S: WireSpec>(text: &str) -> Result<TreeDag<S>, String> {
     let doc = Parser::new(text, "shard").parse_document()?;
-    let mut f = Fields::new(doc, "shard")?;
-    f.allow(&["nodes", "root", "transcripts"])?;
+    let mut f = Fields::exact(doc, "shard", &["nodes", "root", "transcripts"])?;
     let nodes = f.array("nodes")?;
     let root =
         u32::try_from(f.num("root")?).map_err(|_| "shard: root id out of range".to_string())?;

@@ -17,11 +17,10 @@
 //!
 //! # Documents
 //!
-//! Every frame document extends the checkpoint wire dialect of
-//! [`sl_sim::wire`] (canonical-compact rendering, duplicate-field and
-//! escape-sequence rejection, unsigned integers only, fail-closed
-//! parsing) with a leading FNV-1a-64 `checksum` over the rest of the
-//! document and a `version`/`frame` pair:
+//! Every frame document is written in the one grammar of
+//! [`sl_sim::wire`] (UTF-8 strings, unsigned integers, duplicate-key
+//! rejection, fail-closed parsing) with a leading FNV-1a-64 `checksum`
+//! over the rest of the document and a `version`/`frame` pair:
 //!
 //! ```text
 //! {"checksum":N,"version":1,"frame":"hello","workload":...,"mode":...,"pid":N}
@@ -37,16 +36,26 @@
 //! {"checksum":N,"version":1,"frame":"shutdown"}
 //! ```
 //!
-//! [`Frame::render`] → [`Frame::parse`] → [`Frame::render`] is
-//! byte-identical, and parsing verifies the checksum against the
-//! received bytes' canonical form before anything is interpreted —
-//! a torn, doctored, or version-skewed frame is a named rejection,
-//! never a silently different task.
+//! [`Frame::parse`] verifies the checksum before anything is
+//! interpreted, then every field: lease ids are nonzero, and a task
+//! satisfies the same invariants a checkpointed task does
+//! ([`sl_sim::validate_task`]). Last, the received bytes must be
+//! exactly [`Frame::render`] of the parsed frame, shard included, so a
+//! torn, doctored, reflowed or version-skewed frame is a named
+//! rejection, never a silently different task. Strings cross
+//! losslessly: a quarantined subtree's panic message arrives as
+//! written, whatever characters it holds.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 
-use sl_sim::wire::{escape_json, fnv1a64, ident_ok, push_usizes, Fields, Json, Parser};
-use sl_sim::{AccessKind, CkptAccess, PoisonReport, WireEscape, WireTask, WireTaskResult};
+use sl_sim::wire::{
+    fnv1a64, ident_ok, non_canonical, push_list, push_str, push_usizes, seal_checksum, Fields,
+    Json, Parser,
+};
+use sl_sim::{
+    validate_task, AccessKind, CkptAccess, PoisonReport, WireEscape, WireTask, WireTaskResult,
+};
 
 /// The supported frame format version.
 pub const FRAME_VERSION: u64 = 1;
@@ -96,129 +105,40 @@ pub enum Frame {
 }
 
 // ---------------------------------------------------------------------
-// String hygiene
+// Accesses: `[reg,"kind"]` pairs, `[proc,reg,"kind"]` escape steps
 // ---------------------------------------------------------------------
 
-/// Whether `s` survives the wire dialect verbatim: the parser rejects
-/// escape sequences, so only strings that need none may be rendered.
-fn wire_str_ok(s: &str) -> bool {
-    s.chars().all(|c| c != '"' && c != '\\' && !c.is_control())
-}
-
-/// Renders a string field, fail-closed: a label or op encoding that
-/// the dialect cannot carry is a bug at the encoder, not a silent
-/// mutation in transit.
-fn push_str_checked(out: &mut String, s: &str) {
-    assert!(
-        wire_str_ok(s),
-        "string {s:?} cannot cross the frame wire verbatim \
-         (fail-closed: the dialect carries no escape sequences)"
-    );
-    out.push('"');
-    out.push_str(s);
-    out.push('"');
-}
-
-/// Lossy cleanup for diagnostic-only strings (panic messages): every
-/// character the dialect cannot carry becomes `?`. Identities never go
-/// through here — only human-facing text.
-pub fn clean_diagnostic(s: &str) -> String {
-    s.chars()
-        .map(|c| {
-            if c == '"' || c == '\\' || c.is_control() {
-                '?'
-            } else {
-                c
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Canonical JSON re-rendering (checksum verification)
-// ---------------------------------------------------------------------
-
-/// Renders a parsed [`Json`] value back to canonical-compact text.
-/// Field order is preserved, so a document that was canonical on the
-/// wire re-renders byte-identically — the checksum recomputation
-/// below relies on exactly this.
-pub fn render_json(v: &Json, out: &mut String) {
-    match v {
-        Json::Str(s) => push_str_checked(out, s),
-        Json::Num(n) => {
-            out.push_str(&n.to_string());
-        }
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_json(item, out);
-            }
-            out.push(']');
-        }
-        Json::Obj(fields) => {
-            out.push('{');
-            for (i, (k, v)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_str_checked(out, k);
-                out.push(':');
-                render_json(v, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Access / escape helpers (the checkpoint dialect's names)
-// ---------------------------------------------------------------------
-
-fn kind_name(kind: AccessKind) -> &'static str {
-    match kind {
-        AccessKind::Read => "read",
-        AccessKind::Write => "write",
-        AccessKind::Rmw => "rmw",
-        AccessKind::Local => "local",
-    }
-}
-
-fn kind_of(name: &str) -> Option<AccessKind> {
-    match name {
-        "read" => Some(AccessKind::Read),
-        "write" => Some(AccessKind::Write),
-        "rmw" => Some(AccessKind::Rmw),
-        "local" => Some(AccessKind::Local),
-        _ => None,
-    }
-}
-
-fn push_access(out: &mut String, a: &CkptAccess) {
+fn push_access(out: &mut String, proc: Option<usize>, a: &CkptAccess) {
     out.push('[');
-    out.push_str(&a.reg.to_string());
-    out.push_str(",\"");
-    out.push_str(kind_name(a.kind));
-    out.push_str("\"]");
+    if let Some(p) = proc {
+        let _ = write!(out, "{p},");
+    }
+    let _ = write!(out, "{},\"{}\"]", a.reg, a.kind.name());
 }
 
+/// Parses a `[reg,"kind"]` pair.
 fn access_of(v: &Json, ctx: &str) -> Result<CkptAccess, String> {
-    let Json::Arr(pair) = v else {
+    let Json::Arr(parts) = v else {
         return Err(format!("{ctx}: expected a [reg,\"kind\"] pair"));
     };
-    if pair.len() != 2 {
+    let [reg, Json::Str(kind)] = parts.as_slice() else {
         return Err(format!("{ctx}: expected a [reg,\"kind\"] pair"));
-    }
-    let reg = pair[0].as_num(ctx)?;
+    };
+    let reg = reg.as_num(ctx)?;
     let reg = u32::try_from(reg).map_err(|_| format!("{ctx}: register id {reg} out of range"))?;
-    let Json::Str(name) = &pair[1] else {
-        return Err(format!("{ctx}: access kind must be a string"));
-    };
-    let kind = kind_of(name).ok_or_else(|| format!("{ctx}: unknown access kind {name:?}"))?;
+    let kind = AccessKind::from_name(kind).map_err(|e| format!("{ctx}: {e}"))?;
     Ok(CkptAccess { reg, kind })
+}
+
+/// Parses a `[proc,reg,"kind"]` escape step.
+fn step_of(v: &Json) -> Result<(usize, CkptAccess), String> {
+    match v {
+        Json::Arr(parts) if parts.len() == 3 => Ok((
+            parts[0].as_num("seq")? as usize,
+            access_of(&Json::Arr(parts[1..].to_vec()), "seq")?,
+        )),
+        _ => Err("seq: expected a [proc,reg,\"kind\"] triple".to_string()),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -229,12 +149,11 @@ impl Frame {
     /// The frame's canonical document, checksum sealed.
     pub fn render(&self) -> String {
         let mut b = String::with_capacity(128);
-        b.push('{');
-        b.push_str("\"version\":");
-        b.push_str(&FRAME_VERSION.to_string());
-        b.push_str(",\"frame\":\"");
-        b.push_str(self.kind_name());
-        b.push('"');
+        let _ = write!(
+            b,
+            "{{\"version\":{FRAME_VERSION},\"frame\":\"{}\"",
+            self.kind_name()
+        );
         match self {
             Frame::Hello {
                 workload,
@@ -245,108 +164,68 @@ impl Frame {
                     ident_ok(workload) && ident_ok(mode),
                     "hello identities must be identifiers (fail-closed)"
                 );
-                b.push_str(",\"workload\":\"");
-                b.push_str(workload);
-                b.push_str("\",\"mode\":\"");
-                b.push_str(mode);
-                b.push_str("\",\"pid\":");
-                b.push_str(&pid.to_string());
+                b.push_str(",\"workload\":");
+                push_str(&mut b, workload);
+                b.push_str(",\"mode\":");
+                push_str(&mut b, mode);
+                let _ = write!(b, ",\"pid\":{pid}");
             }
             Frame::Task { task, spec } => {
-                b.push_str(",\"task\":");
-                b.push_str(&task.to_string());
-                b.push_str(",\"prefix\":");
+                let _ = write!(b, ",\"task\":{task},\"prefix\":");
                 push_usizes(&mut b, &spec.prefix);
-                b.push_str(",\"accesses\":[");
-                for (i, a) in spec.accesses.iter().enumerate() {
-                    if i > 0 {
-                        b.push(',');
-                    }
-                    push_access(&mut b, a);
-                }
-                b.push_str("],\"sleep\":");
-                b.push_str(&spec.sleep.to_string());
-                b.push_str(",\"floor\":");
-                b.push_str(&spec.floor.to_string());
+                b.push_str(",\"accesses\":");
+                push_list(&mut b, &spec.accesses, |b, a| push_access(b, None, a));
+                let _ = write!(b, ",\"sleep\":{},\"floor\":{}", spec.sleep, spec.floor);
             }
             Frame::Heartbeat { task } => {
-                b.push_str(",\"task\":");
-                b.push_str(&task.to_string());
+                let _ = write!(b, ",\"task\":{task}");
             }
             Frame::Result {
                 task,
-                result,
+                result: r,
                 shard,
             } => {
-                b.push_str(",\"task\":");
-                b.push_str(&task.to_string());
-                b.push_str(",\"runs\":");
-                b.push_str(&result.runs.to_string());
-                b.push_str(",\"cut_runs\":");
-                b.push_str(&result.cut_runs.to_string());
-                b.push_str(",\"pruned\":");
-                b.push_str(&result.pruned.to_string());
-                b.push_str(",\"capped\":");
-                b.push_str(if result.capped { "true" } else { "false" });
-                b.push_str(",\"retried\":");
-                b.push_str(&result.retried.to_string());
-                b.push_str(",\"quarantined\":");
-                b.push_str(&result.quarantined.to_string());
-                b.push_str(",\"poisoned\":[");
-                for (i, p) in result.poisoned.iter().enumerate() {
-                    if i > 0 {
-                        b.push(',');
-                    }
+                let _ = write!(
+                    b,
+                    ",\"task\":{task},\"runs\":{},\"cut_runs\":{},\"pruned\":{},\"capped\":{},\
+                     \"retried\":{},\"quarantined\":{},\"poisoned\":",
+                    r.runs, r.cut_runs, r.pruned, r.capped, r.retried, r.quarantined
+                );
+                push_list(&mut b, &r.poisoned, |b, p| {
                     b.push_str("{\"prefix\":");
-                    push_usizes(&mut b, &p.prefix);
-                    b.push_str(",\"attempts\":");
-                    b.push_str(&p.attempts.to_string());
-                    b.push_str(",\"message\":\"");
-                    // Panic text is diagnostic-only: carried lossily.
-                    b.push_str(&escape_json(&clean_diagnostic(&p.message)));
-                    b.push_str("\"}");
-                }
-                b.push_str("],\"escapes\":[");
-                for (i, e) in result.escapes.iter().enumerate() {
-                    if i > 0 {
-                        b.push(',');
-                    }
-                    b.push_str("{\"depth\":");
-                    b.push_str(&e.depth.to_string());
-                    b.push_str(",\"first_proc\":");
-                    b.push_str(&e.first_proc.to_string());
-                    b.push_str(",\"initials\":");
-                    push_usizes(&mut b, &e.initials);
+                    push_usizes(b, &p.prefix);
+                    let _ = write!(b, ",\"attempts\":{},\"message\":", p.attempts);
+                    push_str(b, &p.message);
+                    b.push('}');
+                });
+                b.push_str(",\"escapes\":");
+                push_list(&mut b, &r.escapes, |b, e| {
+                    let _ = write!(
+                        b,
+                        "{{\"depth\":{},\"first_proc\":{},\"initials\":",
+                        e.depth, e.first_proc
+                    );
+                    push_usizes(b, &e.initials);
                     // Wakeup sequences are nonempty by construction, so
                     // an empty array is an unambiguous "no continuation".
-                    b.push_str(",\"seq\":[");
-                    if let Some(seq) = &e.seq {
-                        for (j, (p, a)) in seq.iter().enumerate() {
-                            if j > 0 {
-                                b.push(',');
-                            }
-                            b.push('[');
-                            b.push_str(&p.to_string());
-                            b.push(',');
-                            b.push_str(&a.reg.to_string());
-                            b.push_str(",\"");
-                            b.push_str(kind_name(a.kind));
-                            b.push_str("\"]");
-                        }
-                    }
-                    b.push_str("]}");
-                }
-                b.push_str("],\"shard\":");
+                    b.push_str(",\"seq\":");
+                    push_list(b, e.seq.as_deref().unwrap_or_default(), |b, (p, a)| {
+                        push_access(b, Some(*p), a)
+                    });
+                    b.push('}');
+                });
                 // Already a canonical document (codec-produced).
+                b.push_str(",\"shard\":");
                 b.push_str(shard);
             }
             Frame::Shutdown => {}
         }
         b.push('}');
-        sl_sim::wire::seal_checksum(&b)
+        seal_checksum(&b)
     }
 
-    fn kind_name(&self) -> &'static str {
+    /// The frame kind's wire name (`"task"`, `"result"`, ...).
+    pub fn kind_name(&self) -> &'static str {
         match self {
             Frame::Hello { .. } => "hello",
             Frame::Task { .. } => "task",
@@ -358,29 +237,29 @@ impl Frame {
 
     /// Parses and verifies one frame document. Fail-closed: a torn
     /// document, a checksum mismatch, a version skew, a duplicate or
-    /// unknown field, or a malformed payload is a named rejection.
+    /// unknown field, a malformed payload, or bytes that are not the
+    /// frame's canonical rendering is a named rejection.
     pub fn parse(text: &str) -> Result<Frame, String> {
-        let doc = Parser::new(text, "frame").parse_document()?;
-        let Json::Obj(fields) = doc else {
+        let Json::Obj(mut fields) = Parser::new(text, "frame").parse_document()? else {
             return Err("frame: expected an object".to_string());
         };
         // The checksum must lead (canonical position) and covers the
         // canonical rendering of everything after it.
-        match fields.first() {
-            Some((k, _)) if k == "checksum" => {}
-            _ => return Err("frame: missing leading \"checksum\" field".to_string()),
+        if fields.first().map(|(k, _)| k.as_str()) != Some("checksum") {
+            return Err("frame: missing leading \"checksum\" field".to_string());
         }
-        let claimed = fields[0].1.as_num("checksum")?;
-        let mut body = String::with_capacity(text.len());
-        render_json(&Json::Obj(fields[1..].to_vec()), &mut body);
-        let actual = fnv1a64(body.as_bytes());
+        let claimed = fields.remove(0).1.as_num("checksum")?;
+        let body = Json::Obj(fields);
+        let mut canonical = String::with_capacity(text.len());
+        body.render(&mut canonical);
+        let actual = fnv1a64(canonical.as_bytes());
         if claimed != actual {
             return Err(format!(
                 "frame checksum mismatch: header says {claimed}, body hashes to {actual} \
                  (torn or doctored frame?)"
             ));
         }
-        let mut f = Fields::new(Json::Obj(fields[1..].to_vec()), "frame")?;
+        let mut f = Fields::new(body, "frame")?;
         let version = f.num("version")?;
         if version != FRAME_VERSION {
             return Err(format!(
@@ -388,7 +267,7 @@ impl Frame {
             ));
         }
         let kind = f.string("frame")?;
-        match kind.as_str() {
+        let frame = match kind.as_str() {
             "hello" => {
                 f.allow(&["workload", "mode", "pid"])?;
                 let workload = f.string("workload")?;
@@ -396,38 +275,34 @@ impl Frame {
                 if !ident_ok(&workload) || !ident_ok(&mode) {
                     return Err("hello: identities must be identifiers".to_string());
                 }
-                Ok(Frame::Hello {
+                Frame::Hello {
                     workload,
                     mode,
                     pid: f.num("pid")?,
-                })
+                }
             }
             "task" => {
                 f.allow(&["task", "prefix", "accesses", "sleep", "floor"])?;
-                let task = f.num("task")?;
-                let prefix = usize_array(&mut f, "prefix")?;
-                let accesses = f
-                    .array("accesses")?
-                    .iter()
-                    .map(|v| access_of(v, "accesses"))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let sleep = f.num("sleep")?;
-                let floor = f.num("floor")? as usize;
-                Ok(Frame::Task {
-                    task,
-                    spec: WireTask {
-                        prefix,
-                        accesses,
-                        sleep,
-                        floor,
-                    },
-                })
+                let task = lease_of(&mut f, "task")?;
+                let spec = WireTask {
+                    prefix: f.usizes("prefix")?,
+                    accesses: f
+                        .array("accesses")?
+                        .iter()
+                        .map(|v| access_of(v, "accesses"))
+                        .collect::<Result<_, _>>()?,
+                    sleep: f.num("sleep")?,
+                    floor: f.num("floor")? as usize,
+                };
+                validate_task(&spec.prefix, &spec.accesses, spec.floor)
+                    .map_err(|e| format!("task frame: {e}"))?;
+                Frame::Task { task, spec }
             }
             "heartbeat" => {
                 f.allow(&["task"])?;
-                Ok(Frame::Heartbeat {
-                    task: f.num("task")?,
-                })
+                Frame::Heartbeat {
+                    task: lease_of(&mut f, "heartbeat")?,
+                }
             }
             "result" => {
                 f.allow(&[
@@ -442,114 +317,78 @@ impl Frame {
                     "escapes",
                     "shard",
                 ])?;
-                let task = f.num("task")?;
-                let runs = f.num("runs")? as usize;
-                let cut_runs = f.num("cut_runs")? as usize;
-                let pruned = f.num("pruned")?;
-                let capped = f.boolean("capped")?;
-                let retried = f.num("retried")?;
-                let quarantined = f.num("quarantined")?;
-                let poisoned = f
-                    .array("poisoned")?
-                    .into_iter()
-                    .map(poison_of)
-                    .collect::<Result<Vec<_>, _>>()?;
-                let escapes = f
-                    .array("escapes")?
-                    .into_iter()
-                    .map(escape_of)
-                    .collect::<Result<Vec<_>, _>>()?;
+                let task = lease_of(&mut f, "result")?;
+                let result = WireTaskResult {
+                    runs: f.num("runs")? as usize,
+                    cut_runs: f.num("cut_runs")? as usize,
+                    pruned: f.num("pruned")?,
+                    capped: f.boolean("capped")?,
+                    retried: f.num("retried")?,
+                    quarantined: f.num("quarantined")?,
+                    poisoned: f
+                        .array("poisoned")?
+                        .into_iter()
+                        .map(poison_of)
+                        .collect::<Result<_, _>>()?,
+                    escapes: f
+                        .array("escapes")?
+                        .into_iter()
+                        .map(escape_of)
+                        .collect::<Result<_, _>>()?,
+                };
                 let mut shard = String::new();
-                render_json(&f.take("shard")?, &mut shard);
-                Ok(Frame::Result {
+                f.take("shard")?.render(&mut shard);
+                Frame::Result {
                     task,
-                    result: WireTaskResult {
-                        runs,
-                        cut_runs,
-                        pruned,
-                        capped,
-                        retried,
-                        quarantined,
-                        poisoned,
-                        escapes,
-                    },
+                    result,
                     shard,
-                })
+                }
             }
             "shutdown" => {
                 f.allow(&[])?;
-                Ok(Frame::Shutdown)
+                Frame::Shutdown
             }
-            other => Err(format!("frame: unknown frame kind {other:?}")),
+            other => return Err(format!("frame: unknown frame kind {other:?}")),
+        };
+        if frame.render() != text {
+            return Err(non_canonical("frame"));
         }
+        Ok(frame)
     }
 }
 
-fn usize_array(f: &mut Fields, key: &'static str) -> Result<Vec<usize>, String> {
-    f.array(key)?
-        .iter()
-        .map(|v| v.as_num(key).map(|n| n as usize))
-        .collect()
+/// A frame's lease id: coordinator-unique and nonzero.
+fn lease_of(f: &mut Fields, kind: &str) -> Result<u64, String> {
+    match f.num("task")? {
+        0 => Err(format!(
+            "{kind} frame: lease id 0 is reserved (lease ids are nonzero)"
+        )),
+        id => Ok(id),
+    }
 }
 
 fn poison_of(v: Json) -> Result<PoisonReport, String> {
-    let mut f = Fields::new(v, "poisoned")?;
-    f.allow(&["prefix", "attempts", "message"])?;
-    let prefix = f
-        .array("prefix")?
-        .iter()
-        .map(|v| v.as_num("prefix").map(|n| n as usize))
-        .collect::<Result<Vec<_>, _>>()?;
-    let attempts = u32::try_from(f.num("attempts")?)
-        .map_err(|_| "poisoned: attempts out of range".to_string())?;
+    let mut f = Fields::exact(v, "poisoned", &["prefix", "attempts", "message"])?;
     Ok(PoisonReport {
-        prefix,
-        attempts,
+        prefix: f.usizes("prefix")?,
+        attempts: u32::try_from(f.num("attempts")?)
+            .map_err(|_| "poisoned: attempts out of range".to_string())?,
         message: f.string("message")?,
     })
 }
 
 fn escape_of(v: Json) -> Result<WireEscape, String> {
-    let mut f = Fields::new(v, "escapes")?;
-    f.allow(&["depth", "first_proc", "initials", "seq"])?;
-    let depth = f.num("depth")? as usize;
-    let first_proc = f.num("first_proc")? as usize;
-    let initials = f
-        .array("initials")?
+    let mut f = Fields::exact(v, "escapes", &["depth", "first_proc", "initials", "seq"])?;
+    let seq = f
+        .array("seq")?
         .iter()
-        .map(|v| v.as_num("initials").map(|n| n as usize))
+        .map(step_of)
         .collect::<Result<Vec<_>, _>>()?;
-    let raw = f.array("seq")?;
-    let seq = if raw.is_empty() {
-        None
-    } else {
-        Some(
-            raw.iter()
-                .map(|v| {
-                    let Json::Arr(triple) = v else {
-                        return Err("seq: expected a [proc,reg,\"kind\"] triple".to_string());
-                    };
-                    if triple.len() != 3 {
-                        return Err("seq: expected a [proc,reg,\"kind\"] triple".to_string());
-                    }
-                    let p = triple[0].as_num("seq")? as usize;
-                    let reg = u32::try_from(triple[1].as_num("seq")?)
-                        .map_err(|_| "seq: register id out of range".to_string())?;
-                    let Json::Str(name) = &triple[2] else {
-                        return Err("seq: access kind must be a string".to_string());
-                    };
-                    let kind = kind_of(name)
-                        .ok_or_else(|| format!("seq: unknown access kind {name:?}"))?;
-                    Ok((p, CkptAccess { reg, kind }))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        )
-    };
     Ok(WireEscape {
-        depth,
-        first_proc,
-        initials,
-        seq,
+        depth: f.num("depth")? as usize,
+        first_proc: f.num("first_proc")? as usize,
+        initials: f.usizes("initials")?,
+        seq: (!seq.is_empty()).then_some(seq),
     })
 }
 
@@ -790,23 +629,110 @@ mod tests {
         assert!(err.contains("identities must be identifiers"), "{err}");
     }
 
-    #[test]
-    fn diagnostic_text_is_carried_lossily_not_rejected() {
-        let mut result = match sample_result() {
-            Frame::Result { result, .. } => result,
-            _ => unreachable!(),
-        };
-        result.poisoned[0].message = "tab\there \"and\" back\\slash".to_string();
-        let frame = Frame::Result {
-            task: 1,
-            result,
-            shard: "{\"nodes\":[[]],\"root\":0,\"transcripts\":0}".to_string(),
-        };
-        let parsed = Frame::parse(&frame.render()).expect("lossy diagnostic");
-        let Frame::Result { result, .. } = parsed else {
+    /// A result frame quarantining one subtree with `message`.
+    fn poisoned_result(message: &str) -> Frame {
+        let Frame::Result {
+            mut result, shard, ..
+        } = sample_result()
+        else {
             unreachable!()
         };
-        assert_eq!(result.poisoned[0].message, "tab?here ?and? back?slash");
+        result.poisoned[0].message = message.to_string();
+        Frame::Result {
+            task: 1,
+            result,
+            shard,
+        }
+    }
+
+    fn assert_message_round_trips(message: &str) {
+        let frame = poisoned_result(message);
+        let text = frame.render();
+        let parsed = Frame::parse(&text).unwrap_or_else(|e| panic!("{message:?}: {e}"));
+        assert_eq!(parsed, frame, "{message:?} must cross the wire unchanged");
+        assert_eq!(parsed.render(), text);
+    }
+
+    #[test]
+    fn diagnostic_text_round_trips_losslessly() {
+        assert_message_round_trips("tab\there \"and\" back\\slash\nline two\r\u{1}");
+    }
+
+    #[test]
+    fn utf8_diagnostics_round_trip_exactly() {
+        // The explorer's own fail-closed race diagnostic carries an em
+        // dash; read byte-wise as Latin-1 it became two C1 control
+        // characters and the parse panicked in the checksum re-render.
+        assert_message_round_trips(
+            "static conflict matrix failed closed: dynamic Write/Read race on X (op pair \
+             \"DWrite\"/\"DRead\") is not predicted by the certificate — the sl-analyze \
+             footprint probe missed a conflicting access path",
+        );
+        assert_message_round_trips("café");
+    }
+
+    /// A string drawn from the characters the escape rules treat
+    /// specially: quotes, backslashes, C0 and C1 controls, non-ASCII
+    /// and non-BMP characters.
+    fn random_text(rng: &mut sl_mem::SmallRng) -> String {
+        let len = rng.gen_range(12);
+        (0..len)
+            .map(|_| match rng.gen_range(7) {
+                0 => *rng.choose(&['"', '\\', '\r', '\t', '\n']),
+                1 => char::from_u32(rng.gen_range(0x20) as u32).unwrap(),
+                2 => char::from_u32(0x80 + rng.gen_range(0x20) as u32).unwrap(),
+                3 => *rng.choose(&['é', '—', 'ß', '€', '\u{7f}']),
+                4 => *rng.choose(&['😀', '𝄞', '\u{10ffff}']),
+                _ => char::from(b' ' + rng.gen_range(95) as u8),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn randomized_strings_round_trip_through_poisoned_messages() {
+        let mut rng = sl_mem::SmallRng::new(0x5eed_f4a3);
+        for _ in 0..500 {
+            assert_message_round_trips(&random_text(&mut rng));
+        }
+    }
+
+    /// The doctored-frame battery for what the tests above do not
+    /// cover. Each row edits the first `from` in the rendered
+    /// `all_kinds()[i]` to `to`, reseals it under a fresh checksum (so
+    /// only the edit is at fault) and names the diagnostic that must
+    /// reject it.
+    #[test]
+    fn every_doctored_frame_is_rejected_by_name() {
+        let frames: Vec<String> = all_kinds().iter().map(Frame::render).collect();
+        #[rustfmt::skip]
+        let rows = [
+            (4, r#""version":1,"frame":"shutdown""#, r#""frame":"shutdown","version":1"#, "non-canonical frame"),
+            (2, r#""task":9"#, r#""task":0"#, "heartbeat frame: lease id 0"),
+            (1, r#""task":7"#, r#""task":0"#, "task frame: lease id 0"),
+            (3, r#""task":7"#, r#""task":0"#, "result frame: lease id 0"),
+            (1, r#"[[3,"write"],[0,"rmw"]]"#, r#"[[3,"write"]]"#, "1 ghost accesses but floor 2"),
+            (1, r#""floor":2"#, r#""floor":0"#, "floor 0 is outside its prefix"),
+            (1, "[0,2,1,1]", "[0]", "floor 2 is outside its prefix (length 1)"),
+            (1, "[0,2,1,1]", "[0,64,1,1]", "task frame: process index out of range"),
+            (1, r#""rmw""#, r#""fetch_add""#, r#"unknown access kind "fetch_add""#),
+            (3, r#"[0,5,"read"]"#, "[0,5]", r#"expected a [proc,reg,"kind"] triple"#),
+        ];
+        for (i, from, to, needle) in rows {
+            let text = &frames[i];
+            assert!(text.contains(from), "{from} is not in frame {i}");
+            let body = format!("{{{}", &text[text.find(',').unwrap() + 1..]);
+            let doctored = sl_sim::wire::seal_checksum(&body.replacen(from, to, 1));
+            let err =
+                Frame::parse(&doctored).expect_err(&format!("{from} -> {to} must be rejected"));
+            assert!(
+                err.contains(needle),
+                "{from} -> {to}: {err:?} lacks {needle:?}"
+            );
+        }
+        // Reflowed bytes keep their checksum valid: only the canonical
+        // rule can tell.
+        let err = Frame::parse(&frames[2].replace(',', ", ")).unwrap_err();
+        assert!(err.contains("non-canonical frame"), "{err}");
     }
 
     // -- pipe framing: records, EOF, torn reads

@@ -203,20 +203,10 @@ where
             other => {
                 return Err(format!(
                     "worker: unexpected {:?} frame from the coordinator",
-                    frame_kind(&other)
+                    other.kind_name()
                 ))
             }
         }
-    }
-}
-
-fn frame_kind(f: &Frame) -> &'static str {
-    match f {
-        Frame::Hello { .. } => "hello",
-        Frame::Task { .. } => "task",
-        Frame::Heartbeat { .. } => "heartbeat",
-        Frame::Result { .. } => "result",
-        Frame::Shutdown => "shutdown",
     }
 }
 

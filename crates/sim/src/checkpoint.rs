@@ -36,7 +36,10 @@
 //! `checksum` is FNV-1a-64 over the canonical serialization of every
 //! *other* field; the parser re-serializes what it read and verifies
 //! the digest, so torn or doctored files are rejected with a named
-//! diagnostic, never half-loaded. Only plain data crosses the file
+//! diagnostic, never half-loaded. Last, the parser requires the file to
+//! be byte-identical to the re-rendered checkpoint (`non-canonical
+//! checkpoint` otherwise), so reflowed or reordered files are refused.
+//! Only plain data crosses the file
 //! boundary: decision prefixes, declared accesses (`RegId` is the
 //! world-local dense allocation index, stable across processes for the
 //! same deterministic workload), sleep masks, and floors. Interned
@@ -95,12 +98,13 @@
 //! external SIGKILL through interrupt + resume and gates bit-identity
 //! against the uninterrupted run.
 
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::wire::{
-    atomic_publish, escape_json, fnv1a64, ident_ok, push_usizes, seal_checksum, Fields, Json,
-    Parser,
+    atomic_publish, fnv1a64, ident_ok, non_canonical, push_list, push_str, push_usizes,
+    seal_checksum, Fields, Json, Parser,
 };
 use crate::world::AccessKind;
 
@@ -216,35 +220,50 @@ pub struct Checkpoint {
     pub spine: Vec<CkptNode>,
 }
 
-fn kind_name(kind: AccessKind) -> &'static str {
-    match kind {
-        AccessKind::Read => "read",
-        AccessKind::Write => "write",
-        AccessKind::Rmw => "rmw",
-        AccessKind::Local => "local",
-    }
+/// The diagnostic for a process index beyond the sleep-mask universe.
+const PROC_RANGE: &str = "process index out of range (sleep masks support at most 64 processes)";
+
+fn proc_ok(p: usize) -> bool {
+    p < 64
 }
 
-fn kind_of(name: &str) -> Option<AccessKind> {
-    match name {
-        "read" => Some(AccessKind::Read),
-        "write" => Some(AccessKind::Write),
-        "rmw" => Some(AccessKind::Rmw),
-        "local" => Some(AccessKind::Local),
-        _ => None,
+/// The invariants of one frozen subtree task, checked by both parsers
+/// that carry tasks (checkpoints and `sl-dist` task frames): the floor
+/// lies inside the prefix, the ghost spine holds exactly `floor`
+/// accesses, and every prefix process fits the sleep-mask universe.
+pub fn validate_task(
+    prefix: &[usize],
+    accesses: &[CkptAccess],
+    floor: usize,
+) -> Result<(), String> {
+    if floor == 0 || floor > prefix.len() {
+        return Err(format!(
+            "floor {floor} is outside its prefix (length {})",
+            prefix.len()
+        ));
     }
+    if accesses.len() != floor {
+        return Err(format!(
+            "{} ghost accesses but floor {floor}",
+            accesses.len()
+        ));
+    }
+    if !prefix.iter().all(|&p| proc_ok(p)) {
+        return Err(PROC_RANGE.into());
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
 // Canonical serializer (shared primitives live in `crate::wire`)
 // ---------------------------------------------------------------------
 
-fn push_access_body(out: &mut String, a: &CkptAccess) {
-    out.push_str("\"reg\":");
-    out.push_str(&a.reg.to_string());
-    out.push_str(",\"kind\":\"");
-    out.push_str(kind_name(a.kind));
-    out.push('"');
+fn push_access(out: &mut String, proc: Option<usize>, a: &CkptAccess) {
+    out.push('{');
+    if let Some(p) = proc {
+        let _ = write!(out, "\"proc\":{p},");
+    }
+    let _ = write!(out, "\"reg\":{},\"kind\":\"{}\"}}", a.reg, a.kind.name());
 }
 
 impl Checkpoint {
@@ -254,112 +273,61 @@ impl Checkpoint {
     /// serialize` is byte-identical over.
     pub fn canonical_body(&self) -> String {
         let mut s = String::with_capacity(256 + self.spine.len() * 64);
-        s.push_str("{\"version\":");
-        s.push_str(&CHECKPOINT_VERSION.to_string());
-        s.push_str(",\"workload\":\"");
-        s.push_str(&self.workload);
-        s.push_str("\",\"mode\":\"");
-        s.push_str(&self.mode);
-        s.push_str("\",\"workers\":");
-        s.push_str(&self.workers.to_string());
-        s.push_str(",\"seq\":");
-        s.push_str(&self.seq.to_string());
-        s.push_str(",\"stem_len\":");
-        s.push_str(&self.stem_len.to_string());
-        s.push_str(",\"counters\":{\"runs\":");
-        s.push_str(&self.counters.runs.to_string());
-        s.push_str(",\"cut_runs\":");
-        s.push_str(&self.counters.cut_runs.to_string());
-        s.push_str(",\"pruned\":");
-        s.push_str(&self.counters.pruned.to_string());
-        s.push_str(",\"retried\":");
-        s.push_str(&self.counters.retried.to_string());
-        s.push_str(",\"quarantined\":");
-        s.push_str(&self.counters.quarantined.to_string());
-        s.push_str("},\"shard_hashes\":[");
-        for (i, h) in self.shard_hashes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&h.to_string());
-        }
-        s.push_str("],\"next\":{\"prefix\":");
+        let c = &self.counters;
+        let _ = write!(s, "{{\"version\":{CHECKPOINT_VERSION},\"workload\":");
+        push_str(&mut s, &self.workload);
+        s.push_str(",\"mode\":");
+        push_str(&mut s, &self.mode);
+        let _ = write!(
+            s,
+            ",\"workers\":{},\"seq\":{},\"stem_len\":{},\"counters\":{{\"runs\":{},\
+             \"cut_runs\":{},\"pruned\":{},\"retried\":{},\"quarantined\":{}}},\
+             \"shard_hashes\":",
+            self.workers,
+            self.seq,
+            self.stem_len,
+            c.runs,
+            c.cut_runs,
+            c.pruned,
+            c.retried,
+            c.quarantined
+        );
+        push_list(&mut s, &self.shard_hashes, |s, h| {
+            let _ = write!(s, "{h}");
+        });
+        s.push_str(",\"next\":{\"prefix\":");
         push_usizes(&mut s, &self.next.prefix);
-        s.push_str(",\"sleep\":");
-        s.push_str(&self.next.sleep.to_string());
-        s.push_str(",\"new_from\":");
-        s.push_str(&self.next.new_from.to_string());
-        s.push_str("},\"spine\":[");
-        for (i, node) in self.spine.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"chosen\":");
-            s.push_str(&node.chosen.to_string());
-            s.push_str(",\"done\":");
-            s.push_str(&node.done.to_string());
-            s.push_str(",\"sleep\":");
-            s.push_str(&node.sleep.to_string());
-            s.push_str(",\"backtrack\":");
-            push_usizes(&mut s, &node.backtrack);
+        let _ = write!(
+            s,
+            ",\"sleep\":{},\"new_from\":{}}},\"spine\":",
+            self.next.sleep, self.next.new_from
+        );
+        push_list(&mut s, &self.spine, |s, node| {
+            let _ = write!(
+                s,
+                "{{\"chosen\":{},\"done\":{},\"sleep\":{},\"backtrack\":",
+                node.chosen, node.done, node.sleep
+            );
+            push_usizes(s, &node.backtrack);
             s.push_str(",\"runnable\":");
-            push_usizes(&mut s, &node.runnable);
-            s.push_str(",\"pending\":[");
-            for (j, a) in node.pending.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push('{');
-                push_access_body(&mut s, a);
-                s.push('}');
-            }
-            s.push_str("],\"wakeups\":[");
-            for (j, seq) in node.wakeups.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push('[');
-                for (k, (proc, access)) in seq.iter().enumerate() {
-                    if k > 0 {
-                        s.push(',');
-                    }
-                    s.push_str("{\"proc\":");
-                    s.push_str(&proc.to_string());
-                    s.push(',');
-                    push_access_body(&mut s, access);
-                    s.push('}');
-                }
-                s.push(']');
-            }
-            s.push_str("],\"tasks\":[");
-            for (j, task) in node.tasks.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str("{\"id\":");
-                s.push_str(&task.id.to_string());
-                s.push_str(",\"proc\":");
-                s.push_str(&task.proc.to_string());
-                s.push_str(",\"prefix\":");
-                push_usizes(&mut s, &task.prefix);
-                s.push_str(",\"accesses\":[");
-                for (k, a) in task.accesses.iter().enumerate() {
-                    if k > 0 {
-                        s.push(',');
-                    }
-                    s.push('{');
-                    push_access_body(&mut s, a);
-                    s.push('}');
-                }
-                s.push_str("],\"sleep\":");
-                s.push_str(&task.sleep.to_string());
-                s.push_str(",\"floor\":");
-                s.push_str(&task.floor.to_string());
-                s.push('}');
-            }
-            s.push_str("]}");
-        }
-        s.push_str("]}");
+            push_usizes(s, &node.runnable);
+            s.push_str(",\"pending\":");
+            push_list(s, &node.pending, |s, a| push_access(s, None, a));
+            s.push_str(",\"wakeups\":");
+            push_list(s, &node.wakeups, |s, seq| {
+                push_list(s, seq, |s, (p, a)| push_access(s, Some(*p), a))
+            });
+            s.push_str(",\"tasks\":");
+            push_list(s, &node.tasks, |s, t| {
+                let _ = write!(s, "{{\"id\":{},\"proc\":{},\"prefix\":", t.id, t.proc);
+                push_usizes(s, &t.prefix);
+                s.push_str(",\"accesses\":");
+                push_list(s, &t.accesses, |s, a| push_access(s, None, a));
+                let _ = write!(s, ",\"sleep\":{},\"floor\":{}}}", t.sleep, t.floor);
+            });
+            s.push('}');
+        });
+        s.push('}');
         s
     }
 
@@ -370,24 +338,29 @@ impl Checkpoint {
     }
 
     /// Parses and fully validates checkpoint text: JSON structure,
-    /// field sets, version, checksum, and the structural invariants of
-    /// the frontier. Every rejection carries a named diagnostic.
+    /// field sets, version, checksum, the structural invariants of the
+    /// frontier, and last the canonical rule (the text must be exactly
+    /// [`Checkpoint::render`] of what it parsed to). Every rejection
+    /// carries a named diagnostic.
     pub fn parse(text: &str) -> Result<Checkpoint, String> {
         let value = Parser::new(text, "checkpoint").parse_document()?;
-        let mut top = Fields::new(value, "checkpoint")?;
-        top.allow(&[
-            "checksum",
-            "version",
-            "workload",
-            "mode",
-            "workers",
-            "seq",
-            "stem_len",
-            "counters",
-            "shard_hashes",
-            "next",
-            "spine",
-        ])?;
+        let mut top = Fields::exact(
+            value,
+            "checkpoint",
+            &[
+                "checksum",
+                "version",
+                "workload",
+                "mode",
+                "workers",
+                "seq",
+                "stem_len",
+                "counters",
+                "shard_hashes",
+                "next",
+                "spine",
+            ],
+        )?;
         let version = top.num("version")?;
         if version != CHECKPOINT_VERSION {
             return Err(format!(
@@ -401,117 +374,48 @@ impl Checkpoint {
         for (what, s) in [("workload", &workload), ("mode", &mode)] {
             if !ident_ok(s) {
                 return Err(format!(
-                    "checkpoint {what} \"{s}\" is not a plain identifier \
+                    "checkpoint {what} {s:?} is not a plain identifier \
                      (fail-closed: refusing a non-canonical encoding)"
                 ));
             }
         }
-        let workers = top.num("workers")? as usize;
-        let seq = top.num("seq")?;
-        let stem_len = top.num("stem_len")? as usize;
-
-        let mut counters = Fields::new(top.take("counters")?, "counters")?;
-        counters.allow(&["runs", "cut_runs", "pruned", "retried", "quarantined"])?;
-        let counters = CkptCounters {
-            runs: counters.num("runs")?,
-            cut_runs: counters.num("cut_runs")?,
-            pruned: counters.num("pruned")?,
-            retried: counters.num("retried")?,
-            quarantined: counters.num("quarantined")?,
-        };
-
-        let shard_hashes = top
-            .array("shard_hashes")?
-            .into_iter()
-            .map(|v| v.as_num("shard_hashes entry"))
-            .collect::<Result<Vec<u64>, String>>()?;
-
-        let mut next = Fields::new(top.take("next")?, "next")?;
-        next.allow(&["prefix", "sleep", "new_from"])?;
-        let next = CkptNext {
-            prefix: usize_array(next.array("prefix")?, "next.prefix")?,
-            sleep: next.num("sleep")?,
-            new_from: next.num("new_from")? as usize,
-        };
-
-        let mut spine = Vec::new();
-        for (d, v) in top.array("spine")?.into_iter().enumerate() {
-            let ctx = "spine node";
-            let mut f = Fields::new(v, ctx)?;
-            f.allow(&[
-                "chosen",
-                "done",
-                "sleep",
-                "backtrack",
-                "runnable",
-                "pending",
-                "wakeups",
-                "tasks",
-            ])?;
-            let mut pending = Vec::new();
-            for a in f.array("pending")? {
-                let mut af = Fields::new(a, "pending access")?;
-                af.allow(&["reg", "kind"])?;
-                pending.push(access_of(&mut af)?);
-            }
-            let mut wakeups = Vec::new();
-            for seq in f.array("wakeups")? {
-                let Json::Arr(steps) = seq else {
-                    return Err("wakeup sequence must be an array".into());
-                };
-                let mut out = Vec::new();
-                for step in steps {
-                    let mut sf = Fields::new(step, "wakeup step")?;
-                    sf.allow(&["proc", "reg", "kind"])?;
-                    out.push((sf.num("proc")? as usize, access_of(&mut sf)?));
-                }
-                wakeups.push(out);
-            }
-            let mut tasks = Vec::new();
-            for v in f.array("tasks")? {
-                let mut tf = Fields::new(v, "task")?;
-                tf.allow(&["id", "proc", "prefix", "accesses", "sleep", "floor"])?;
-                let mut accesses = Vec::new();
-                for a in tf.array("accesses")? {
-                    let mut af = Fields::new(a, "task access")?;
-                    af.allow(&["reg", "kind"])?;
-                    accesses.push(access_of(&mut af)?);
-                }
-                tasks.push(CkptTask {
-                    id: tf.num("id")?,
-                    proc: tf.num("proc")? as usize,
-                    prefix: usize_array(tf.array("prefix")?, "task prefix")?,
-                    accesses,
-                    sleep: tf.num("sleep")?,
-                    floor: tf.num("floor")? as usize,
-                });
-            }
-            let node = CkptNode {
-                chosen: f.num("chosen")? as usize,
-                done: f.num("done")?,
-                sleep: f.num("sleep")?,
-                backtrack: usize_array(f.array("backtrack")?, "backtrack")?,
-                runnable: usize_array(f.array("runnable")?, "runnable")?,
-                pending,
-                wakeups,
-                tasks,
-            };
-            let _ = d;
-            spine.push(node);
-        }
-
+        let mut counters = Fields::exact(
+            top.take("counters")?,
+            "counters",
+            &["runs", "cut_runs", "pruned", "retried", "quarantined"],
+        )?;
+        let mut next = Fields::exact(top.take("next")?, "next", &["prefix", "sleep", "new_from"])?;
         let ckpt = Checkpoint {
             workload,
             mode,
-            workers,
-            seq,
-            stem_len,
-            counters,
-            shard_hashes,
-            next,
-            spine,
+            workers: top.num("workers")? as usize,
+            seq: top.num("seq")?,
+            stem_len: top.num("stem_len")? as usize,
+            counters: CkptCounters {
+                runs: counters.num("runs")?,
+                cut_runs: counters.num("cut_runs")?,
+                pruned: counters.num("pruned")?,
+                retried: counters.num("retried")?,
+                quarantined: counters.num("quarantined")?,
+            },
+            shard_hashes: top
+                .array("shard_hashes")?
+                .iter()
+                .map(|v| v.as_num("shard_hashes entry"))
+                .collect::<Result<_, _>>()?,
+            next: CkptNext {
+                prefix: next.usizes("prefix")?,
+                sleep: next.num("sleep")?,
+                new_from: next.num("new_from")? as usize,
+            },
+            spine: top
+                .array("spine")?
+                .into_iter()
+                .map(node_of)
+                .collect::<Result<_, _>>()?,
         };
-        let computed = fnv1a64(ckpt.canonical_body().as_bytes());
+        let body = ckpt.canonical_body();
+        let computed = fnv1a64(body.as_bytes());
         if computed != stored_sum {
             return Err(format!(
                 "checkpoint checksum mismatch: stored {stored_sum}, recomputed {computed} \
@@ -519,6 +423,9 @@ impl Checkpoint {
             ));
         }
         ckpt.validate_structure()?;
+        if seal_checksum(&body) != text {
+            return Err(non_canonical("checkpoint"));
+        }
         Ok(ckpt)
     }
 
@@ -555,7 +462,6 @@ impl Checkpoint {
                 self.spine.len()
             ));
         }
-        let proc_ok = |p: usize| p < 64;
         for (d, node) in self.spine.iter().enumerate() {
             if self.next.prefix[d] != node.chosen {
                 return Err(format!(
@@ -566,9 +472,7 @@ impl Checkpoint {
                 || node.backtrack.iter().any(|&p| !proc_ok(p))
                 || node.runnable.iter().any(|&p| !proc_ok(p))
             {
-                return Err(
-                    "process index out of range (sleep masks support at most 64 processes)".into(),
-                );
+                return Err(PROC_RANGE.into());
             }
             if node.pending.len() != node.runnable.len() {
                 return Err(format!(
@@ -600,29 +504,12 @@ impl Checkpoint {
                     return Err(format!("checkpoint spine node {d}: empty wakeup sequence"));
                 }
                 if seq.iter().any(|&(p, _)| !proc_ok(p)) {
-                    return Err(
-                        "process index out of range (sleep masks support at most 64 processes)"
-                            .into(),
-                    );
+                    return Err(PROC_RANGE.into());
                 }
             }
             for task in &node.tasks {
-                if task.floor == 0 || task.floor > task.prefix.len() {
-                    return Err(format!(
-                        "checkpoint task {}: floor {} is outside its prefix (length {})",
-                        task.id,
-                        task.floor,
-                        task.prefix.len()
-                    ));
-                }
-                if task.accesses.len() != task.floor {
-                    return Err(format!(
-                        "checkpoint task {}: {} ghost accesses but floor {}",
-                        task.id,
-                        task.accesses.len(),
-                        task.floor
-                    ));
-                }
+                validate_task(&task.prefix, &task.accesses, task.floor)
+                    .map_err(|e| format!("checkpoint task {}: {e}", task.id))?;
                 if task.prefix[task.floor - 1] != task.proc {
                     return Err(format!(
                         "checkpoint task {}: reversal process {} differs from its prefix at \
@@ -630,18 +517,10 @@ impl Checkpoint {
                         task.id, task.proc
                     ));
                 }
-                if task.prefix.iter().any(|&p| !proc_ok(p)) {
-                    return Err(
-                        "process index out of range (sleep masks support at most 64 processes)"
-                            .into(),
-                    );
-                }
             }
         }
         if self.next.prefix.iter().any(|&p| !proc_ok(p)) {
-            return Err(
-                "process index out of range (sleep masks support at most 64 processes)".into(),
-            );
+            return Err(PROC_RANGE.into());
         }
         let mut ids: Vec<u64> = self
             .spine
@@ -664,26 +543,83 @@ impl Checkpoint {
     }
 }
 
-fn access_of(f: &mut Fields) -> Result<CkptAccess, String> {
-    let reg = f.num("reg")?;
-    if reg > u64::from(u32::MAX) {
-        return Err(format!("register id {reg} exceeds the u32 register space"));
+fn node_of(v: Json) -> Result<CkptNode, String> {
+    let mut f = Fields::exact(
+        v,
+        "spine node",
+        &[
+            "chosen",
+            "done",
+            "sleep",
+            "backtrack",
+            "runnable",
+            "pending",
+            "wakeups",
+            "tasks",
+        ],
+    )?;
+    let mut wakeups = Vec::new();
+    for seq in f.array("wakeups")? {
+        let Json::Arr(steps) = seq else {
+            return Err("wakeup sequence must be an array".into());
+        };
+        let step_of = |step| {
+            let mut sf = Fields::exact(step, "wakeup step", &["proc", "reg", "kind"])?;
+            Ok((sf.num("proc")? as usize, access_of(&mut sf)?))
+        };
+        wakeups.push(
+            steps
+                .into_iter()
+                .map(step_of)
+                .collect::<Result<_, String>>()?,
+        );
     }
-    let kind = f.string("kind")?;
-    let kind = kind_of(&kind).ok_or_else(|| {
-        format!("unknown access kind \"{kind}\" (fail-closed: refusing to guess)")
-    })?;
-    Ok(CkptAccess {
-        reg: reg as u32,
-        kind,
+    let task_of = |v| {
+        let mut tf = Fields::exact(
+            v,
+            "task",
+            &["id", "proc", "prefix", "accesses", "sleep", "floor"],
+        )?;
+        Ok(CkptTask {
+            id: tf.num("id")?,
+            proc: tf.num("proc")? as usize,
+            prefix: tf.usizes("prefix")?,
+            accesses: accesses_of(tf.array("accesses")?, "task access")?,
+            sleep: tf.num("sleep")?,
+            floor: tf.num("floor")? as usize,
+        })
+    };
+    Ok(CkptNode {
+        chosen: f.num("chosen")? as usize,
+        done: f.num("done")?,
+        sleep: f.num("sleep")?,
+        backtrack: f.usizes("backtrack")?,
+        runnable: f.usizes("runnable")?,
+        pending: accesses_of(f.array("pending")?, "pending access")?,
+        wakeups,
+        tasks: f
+            .array("tasks")?
+            .into_iter()
+            .map(task_of)
+            .collect::<Result<_, String>>()?,
     })
 }
 
-fn usize_array(values: Vec<Json>, ctx: &str) -> Result<Vec<usize>, String> {
-    values
+fn accesses_of(items: Vec<Json>, ctx: &str) -> Result<Vec<CkptAccess>, String> {
+    items
         .into_iter()
-        .map(|v| v.as_num(ctx).map(|n| n as usize))
+        .map(|a| access_of(&mut Fields::exact(a, ctx, &["reg", "kind"])?))
         .collect()
+}
+
+fn access_of(f: &mut Fields) -> Result<CkptAccess, String> {
+    let reg = f.num("reg")?;
+    let reg = u32::try_from(reg)
+        .map_err(|_| format!("register id {reg} exceeds the u32 register space"))?;
+    Ok(CkptAccess {
+        reg,
+        kind: AccessKind::from_name(&f.string("kind")?)?,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1202,11 +1138,9 @@ pub fn write_poison_report(dir: &Path, report: &PoisonReport) -> Result<PathBuf,
         .map_err(|e| format!("creating poison-report dir {}: {e}", dir.display()))?;
     let mut body = String::from("{\"prefix\":");
     push_usizes(&mut body, &report.prefix);
-    body.push_str(",\"attempts\":");
-    body.push_str(&report.attempts.to_string());
-    body.push_str(",\"message\":\"");
-    body.push_str(&escape_json(&report.message));
-    body.push_str("\"}\n");
+    let _ = write!(body, ",\"attempts\":{},\"message\":", report.attempts);
+    push_str(&mut body, &report.message);
+    body.push_str("}\n");
     let digest = {
         let mut key = String::new();
         push_usizes(&mut key, &report.prefix);
@@ -1233,6 +1167,13 @@ mod tests {
     use super::*;
 
     fn sample() -> Checkpoint {
+        let acc = |reg, kind| CkptAccess { reg, kind };
+        let (read, write, rmw, local) = (
+            AccessKind::Read,
+            AccessKind::Write,
+            AccessKind::Rmw,
+            AccessKind::Local,
+        );
         Checkpoint {
             workload: "aba_mixed3".into(),
             mode: "OptimalDpor".into(),
@@ -1259,44 +1200,13 @@ mod tests {
                     sleep: 0b1,
                     backtrack: vec![0, 2],
                     runnable: vec![0, 1, 2],
-                    pending: vec![
-                        CkptAccess {
-                            reg: 0,
-                            kind: AccessKind::Rmw,
-                        },
-                        CkptAccess {
-                            reg: 3,
-                            kind: AccessKind::Read,
-                        },
-                        CkptAccess {
-                            reg: 3,
-                            kind: AccessKind::Write,
-                        },
-                    ],
-                    wakeups: vec![vec![
-                        (
-                            2,
-                            CkptAccess {
-                                reg: 3,
-                                kind: AccessKind::Write,
-                            },
-                        ),
-                        (
-                            1,
-                            CkptAccess {
-                                reg: 3,
-                                kind: AccessKind::Read,
-                            },
-                        ),
-                    ]],
+                    pending: vec![acc(0, rmw), acc(3, read), acc(3, write)],
+                    wakeups: vec![vec![(2, acc(3, write)), (1, acc(3, read))]],
                     tasks: vec![CkptTask {
                         id: 1,
                         proc: 2,
                         prefix: vec![2],
-                        accesses: vec![CkptAccess {
-                            reg: 0,
-                            kind: AccessKind::Rmw,
-                        }],
+                        accesses: vec![acc(0, rmw)],
                         sleep: 0b1,
                         floor: 1,
                     }],
@@ -1307,39 +1217,13 @@ mod tests {
                     sleep: 0,
                     backtrack: vec![1],
                     runnable: vec![0, 1, 2],
-                    pending: vec![
-                        CkptAccess {
-                            reg: 0,
-                            kind: AccessKind::Read,
-                        },
-                        CkptAccess {
-                            reg: 1,
-                            kind: AccessKind::Write,
-                        },
-                        CkptAccess {
-                            reg: u32::MAX,
-                            kind: AccessKind::Local,
-                        },
-                    ],
+                    pending: vec![acc(0, read), acc(1, write), acc(u32::MAX, local)],
                     wakeups: vec![],
                     tasks: vec![CkptTask {
                         id: 2,
                         proc: 0,
                         prefix: vec![0, 1, 0],
-                        accesses: vec![
-                            CkptAccess {
-                                reg: 0,
-                                kind: AccessKind::Read,
-                            },
-                            CkptAccess {
-                                reg: u32::MAX,
-                                kind: AccessKind::Local,
-                            },
-                            CkptAccess {
-                                reg: 1,
-                                kind: AccessKind::Write,
-                            },
-                        ],
+                        accesses: vec![acc(0, read), acc(u32::MAX, local), acc(1, write)],
                         sleep: 0,
                         floor: 3,
                     }],
@@ -1350,16 +1234,7 @@ mod tests {
                     sleep: 0,
                     backtrack: vec![2],
                     runnable: vec![1, 2],
-                    pending: vec![
-                        CkptAccess {
-                            reg: 1,
-                            kind: AccessKind::Read,
-                        },
-                        CkptAccess {
-                            reg: 2,
-                            kind: AccessKind::Write,
-                        },
-                    ],
+                    pending: vec![acc(1, read), acc(2, write)],
                     wakeups: vec![],
                     tasks: vec![],
                 },
@@ -1377,11 +1252,15 @@ mod tests {
     }
 
     #[test]
-    fn whitespace_tolerant_parse_recanonicalises() {
-        let c = sample();
-        let text = c.render().replace(",\"mode\"", ",\n  \"mode\"");
-        let parsed = Checkpoint::parse(&text).expect("whitespace is cosmetic");
-        assert_eq!(parsed.render(), c.render());
+    fn whitespace_reflow_is_rejected_as_non_canonical() {
+        // Same content, same checksum, reflowed bytes: only the
+        // canonical rule can tell, and it does.
+        let text = sample().render();
+        expect_reject(
+            &text.replace(",\"mode\"", ",\n  \"mode\""),
+            "non-canonical checkpoint",
+        );
+        expect_reject(&text.replace(',', ", "), "non-canonical checkpoint");
     }
 
     fn expect_reject(text: &str, needle: &str) {
@@ -1390,6 +1269,43 @@ mod tests {
             err.contains(needle),
             "diagnostic {err:?} does not name {needle:?}"
         );
+    }
+
+    /// The doctored-checkpoint battery for what the `rejects_*` tests
+    /// do not cover. Each row edits the first `from` in the rendered
+    /// `sample()` to `to`, reseals the result under a fresh checksum (so
+    /// only the edit is at fault) and names the diagnostic that must
+    /// reject it.
+    #[test]
+    fn every_doctored_variant_is_rejected_by_name() {
+        let text = sample().render();
+        let body = format!("{{{}", &text[text.find(',').unwrap() + 1..]);
+        #[rustfmt::skip]
+        let rows = [
+            (r#""seq":7,"#, "", r#"missing required field "seq""#),
+            ("aba_mixed3", "aba mixed/3", "is not a plain identifier"),
+            (r#""workers":4"#, r#""workers":0"#, "zero workers"),
+            (r#""new_from":2"#, r#""new_from":0"#, "must equal spine length - 1"),
+            ("[0,1,2,1]", "[0,1]", "shorter than the spine"),
+            (r#""runnable":[1,2]"#, r#""runnable":[1,3]"#, "chosen child 2 is not runnable"),
+            (r#""backtrack":[1]"#, r#""backtrack":[2]"#, "missing from its backtrack set"),
+            (r#""backtrack":[2]"#, r#""backtrack":[2,0]"#, "outside the runnable set"),
+            (r#",{"reg":2,"kind":"write"}"#, "", "1 pending accesses for 2 runnable"),
+            (r#""rmw""#, r#""fetch_add""#, r#"unknown access kind "fetch_add""#),
+            (r#""wakeups":[["#, r#""wakeups":[[],["#, "empty wakeup sequence"),
+            (r#"[{"reg":0,"kind":"rmw"}],"sleep""#, r#"[],"sleep""#, "0 ghost accesses but floor 1"),
+            (r#""prefix":[2]"#, r#""prefix":[0]"#, "reversal process 2 differs"),
+        ];
+        for (from, to, needle) in rows {
+            assert!(body.contains(from), "{from} is not in the sample");
+            let doctored = seal_checksum(&body.replacen(from, to, 1));
+            let err = Checkpoint::parse(&doctored)
+                .expect_err(&format!("{from} -> {to} must be rejected"));
+            assert!(
+                err.contains(needle),
+                "{from} -> {to}: {err:?} lacks {needle:?}"
+            );
+        }
     }
 
     #[test]

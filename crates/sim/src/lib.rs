@@ -140,9 +140,9 @@ mod vm;
 mod world;
 
 pub use checkpoint::{
-    write_poison_report, Checkpoint, CheckpointPolicy, CheckpointStore, CkptAccess, CkptCounters,
-    CkptNext, CkptNode, CkptTask, CkptWriter, FaultCrash, FaultPlan, FaultPoint, PoisonReport,
-    ResumeExpectation, ResumeSession,
+    validate_task, write_poison_report, Checkpoint, CheckpointPolicy, CheckpointStore, CkptAccess,
+    CkptCounters, CkptNext, CkptNode, CkptTask, CkptWriter, FaultCrash, FaultPlan, FaultPoint,
+    PoisonReport, ResumeExpectation, ResumeSession,
 };
 pub use explore::{
     env_workers, ExploreOutcome, Explorer, PruneMode, ReplayCtx, ScheduleDriver, TaskDispatcher,

@@ -35,14 +35,36 @@ pub enum AccessKind {
     Local,
 }
 
+impl AccessKind {
+    /// The kind's name: its `Display` form and its spelling in
+    /// checkpoints and frames.
+    pub fn name(self) -> &'static str {
+        match self {
+            AccessKind::Read => "read",
+            AccessKind::Write => "write",
+            AccessKind::Rmw => "rmw",
+            AccessKind::Local => "local",
+        }
+    }
+
+    /// The kind spelled `name` (see [`AccessKind::name`]); anything
+    /// else is a named rejection.
+    pub fn from_name(name: &str) -> Result<AccessKind, String> {
+        [
+            AccessKind::Read,
+            AccessKind::Write,
+            AccessKind::Rmw,
+            AccessKind::Local,
+        ]
+        .into_iter()
+        .find(|k| k.name() == name)
+        .ok_or_else(|| format!("unknown access kind {name:?} (fail-closed: refusing to guess)"))
+    }
+}
+
 impl std::fmt::Display for AccessKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AccessKind::Read => write!(f, "read"),
-            AccessKind::Write => write!(f, "write"),
-            AccessKind::Rmw => write!(f, "rmw"),
-            AccessKind::Local => write!(f, "local"),
-        }
+        f.write_str(self.name())
     }
 }
 

@@ -289,9 +289,10 @@
 //! is **bit-identical** to an uninterrupted exploration at any worker
 //! count: schedule counts, cut/pruned telemetry, merged `TreeDag`
 //! structural hash, verdict, and conflict depth all agree. The loader
-//! is fail-closed end to end — torn, stale, version-skewed, or
-//! doctored checkpoints abort with named diagnostics
-//! (`scripts/ckpt_lint.py` lints the same format out-of-process).
+//! is fail-closed end to end — torn, stale, version-skewed, doctored,
+//! or non-canonically re-encoded checkpoints abort with named
+//! diagnostics (one parser, `sim::Checkpoint::parse`, on the
+//! workspace's one JSON grammar in `sim::wire`).
 //!
 //! Three degradation paths keep a run useful when something breaks:
 //!
