@@ -57,8 +57,8 @@ pub const CERT_VERSION: u64 = 2;
 /// Raw concurrent-probe evidence for one unordered op pair, in master
 /// site indices: every site either op touched in some pair schedule,
 /// and the subset where the two windows collided with at least one
-/// writer. Produced by the probe driver, folded by
-/// [`Certificate::build`].
+/// writer. Produced by the probe driver, folded into the op-pair
+/// matrix of a [`Certificate`].
 #[derive(Clone, Debug, Default)]
 pub struct PairObs {
     /// Sites either op's window touched across the pair's schedules.

@@ -142,7 +142,7 @@ impl<S: SeqSpec> TreeDag<S> {
     }
 
     /// Re-encodes every packed internal step as the symbolic code of
-    /// its site-qualified [`StepCode::wire_label`], re-interning the
+    /// its site-qualified [`crate::StepCode::wire_label`], re-interning the
     /// whole DAG — the **label space**, the one step identity that is
     /// stable across processes.
     ///

@@ -275,20 +275,31 @@ mod tests {
     #[test]
     fn concurrent_threads_smoke() {
         let r = PackedSlAbaRegister::new(4);
+        // Readers keep reading until one read starts after the last
+        // write, so each must see a change however the threads are
+        // scheduled (a reader could otherwise finish before the writer
+        // first runs, and rightly see none).
+        let written = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
             for p in 0..4usize {
                 let r = r.clone();
+                let written = &written;
                 s.spawn(move || {
                     let mut h = r.handle(ProcId(p));
                     if p == 0 {
                         for i in 0..10_000u32 {
                             h.dwrite(i);
                         }
+                        written.store(true, Ordering::SeqCst);
                     } else {
                         let mut seen_change = false;
-                        for _ in 0..10_000 {
+                        for reads in 1.. {
+                            let after_writes = written.load(Ordering::SeqCst);
                             let (_, a) = h.dread();
                             seen_change |= a;
+                            if after_writes && reads >= 10_000 {
+                                break;
+                            }
                         }
                         assert!(seen_change);
                     }

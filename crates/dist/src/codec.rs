@@ -5,7 +5,7 @@
 //! [`sl_check::StepCode`]s — `u64`s embedding *process-local* interner
 //! ids. Raw codes therefore must never cross a process boundary; the
 //! wire carries each internal step's site-qualified label
-//! ([`StepCode::wire_label`]) instead, and the receiving side re-interns
+//! ([`sl_check::StepCode::wire_label`]) instead, and the receiving side re-interns
 //! it. High-level events carry the spec's op/response payloads, encoded
 //! through the [`WireSpec`] codec — a compact colon-joined rendering
 //! with a fail-closed decoder.

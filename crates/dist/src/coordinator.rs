@@ -32,13 +32,16 @@
 //! ```
 //!
 //! Every revocation path requeues the *same frozen task* — the subtree
-//! is bit-identically re-explorable because the wire task is exactly
-//! the frozen spec ([`sl_sim::WireTask`]). When the retry budget is
-//! spent, the subtree is quarantined through the same
-//! [`PoisonReport`] path the in-process panic quarantine uses, so the
-//! outcome is marked partial. When no worker can be spawned at all,
-//! the coordinator declines every dispatch and the run degrades to
-//! plain in-process exploration.
+//! is bit-identically re-explorable because the task frame carries the
+//! engine's own portable record ([`sl_sim::FrozenTask`]). A result is
+//! checked against its task before the engine merges it: an escape
+//! whose depth is not below the task's floor revokes the lease like a
+//! torn frame does (the frame parser already refused malformed
+//! escapes). When the retry budget is spent, the subtree is quarantined
+//! through the same [`PoisonReport`] path the in-process panic
+//! quarantine uses, so the outcome is marked partial. When no worker
+//! can be spawned at all, the coordinator declines every dispatch and
+//! the run degrades to plain in-process exploration.
 
 use std::collections::VecDeque;
 use std::io::BufReader;
@@ -50,8 +53,8 @@ use std::time::Duration;
 
 use sl_check::TreeDag;
 use sl_sim::{
-    write_poison_report, FaultPlan, FaultPoint, PoisonReport, TaskDispatcher, WireTask,
-    WireTaskResult,
+    write_poison_report, Counters, FaultPlan, FaultPoint, FrozenTask, PoisonReport, TaskDispatcher,
+    TaskResult,
 };
 
 use crate::codec::{decode_dag, WireSpec};
@@ -225,7 +228,6 @@ impl<'s, S: WireSpec> DistCoordinator<'s, S> {
             Ok(Ok(Frame::Hello { workload, mode, .. }))
                 if workload == self.workload && mode == self.mode =>
             {
-                self.alive.fetch_add(1, Ordering::SeqCst);
                 Ok(conn)
             }
             Ok(Ok(Frame::Hello { workload, mode, .. })) => {
@@ -257,22 +259,18 @@ impl<'s, S: WireSpec> DistCoordinator<'s, S> {
         if let Some(conn) = self.idle.lock().unwrap().pop_front() {
             return Some(Ok(conn));
         }
-        loop {
-            let n = self.alive.load(Ordering::SeqCst);
-            if n >= self.cfg.workers {
-                return None;
-            }
-            // Optimistic claim of a fleet slot; spawn failure rolls the
-            // claim back in `dispatch` via `degraded`.
-            if self
-                .alive
-                .compare_exchange(n, n, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                break;
-            }
+        // Reserve the fleet slot before spawning, so concurrent callers
+        // cannot overshoot the cap; a failed spawn or hello releases it.
+        self.alive
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < self.cfg.workers).then_some(n + 1)
+            })
+            .ok()?;
+        let conn = self.spawn_worker();
+        if conn.is_err() {
+            self.alive.fetch_sub(1, Ordering::SeqCst);
         }
-        Some(self.spawn_worker())
+        Some(conn)
     }
 
     fn revoke(&self, conn: WorkerConn) {
@@ -291,8 +289,8 @@ impl<'s, S: WireSpec> DistCoordinator<'s, S> {
         &self,
         conn: &mut WorkerConn,
         lease_id: u64,
-        spec: &WireTask,
-    ) -> Result<(WireTaskResult, TreeDag<S>), String> {
+        spec: &FrozenTask,
+    ) -> Result<(TaskResult, TreeDag<S>), String> {
         let text = Frame::Task {
             task: lease_id,
             spec: spec.clone(),
@@ -317,6 +315,14 @@ impl<'s, S: WireSpec> DistCoordinator<'s, S> {
                     result,
                     shard,
                 })) if task == lease_id => {
+                    // An escape demands a reversal in the owner's spine,
+                    // strictly below the task's floor.
+                    if let Some(e) = result.escapes.iter().find(|e| e.depth >= spec.floor) {
+                        return Err(format!(
+                            "result escape depth {} is not below the task floor {} (fail-closed)",
+                            e.depth, spec.floor
+                        ));
+                    }
                     let dag = decode_dag::<S>(&shard)
                         .map_err(|e| format!("result shard rejected: {e}"))?;
                     return Ok((result, dag));
@@ -340,7 +346,7 @@ impl<'s, S: WireSpec> DistCoordinator<'s, S> {
         }
     }
 
-    fn quarantine(&self, spec: &WireTask, attempts: u32, last_error: String) -> WireTaskResult {
+    fn quarantine(&self, spec: &FrozenTask, attempts: u32, last_error: String) -> TaskResult {
         self.stats.quarantined.fetch_add(1, Ordering::SeqCst);
         let report = PoisonReport {
             prefix: spec.prefix.clone(),
@@ -352,10 +358,13 @@ impl<'s, S: WireSpec> DistCoordinator<'s, S> {
             // also travels in the result.
             let _ = write_poison_report(std::path::Path::new(&dir), &report);
         }
-        WireTaskResult {
-            quarantined: 1,
+        TaskResult {
+            counters: Counters {
+                quarantined: 1,
+                ..Counters::default()
+            },
             poisoned: vec![report],
-            ..WireTaskResult::default()
+            ..TaskResult::default()
         }
     }
 
@@ -384,36 +393,41 @@ impl<S: WireSpec> Drop for DistCoordinator<'_, S> {
 }
 
 impl<S: WireSpec> TaskDispatcher for DistCoordinator<'_, S> {
-    fn dispatch(&self, task: &WireTask) -> Option<WireTaskResult> {
+    fn dispatch(&self, task: &FrozenTask) -> Option<TaskResult> {
         if let Some(plan) = &self.fault {
             plan.fire(FaultPoint::Dispatch);
         }
-        if self.degraded.load(Ordering::SeqCst) {
-            self.stats.declined.fetch_add(1, Ordering::SeqCst);
-            return None;
-        }
-        let mut conn = match self.checkout() {
-            None => {
-                // Whole fleet busy: run in-process rather than queue
-                // (bit-identical either way; latency is not).
-                self.stats.declined.fetch_add(1, Ordering::SeqCst);
-                return None;
-            }
-            Some(Ok(conn)) => conn,
-            Some(Err(e)) => {
-                // No spawnable worker at all: degrade for the rest of
-                // the run. The exploration stays complete and correct —
-                // every task runs in-process from here on.
-                eprintln!("sl-dist: degrading to in-process exploration: {e}");
-                self.degraded.store(true, Ordering::SeqCst);
-                self.stats.declined.fetch_add(1, Ordering::SeqCst);
-                return None;
-            }
-        };
         let lease_id = self.next_lease.fetch_add(1, Ordering::SeqCst);
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
+        for attempt in 1u32.. {
+            if attempt > 1 {
+                // Capped exponential backoff before the re-lease.
+                let backoff = self
+                    .cfg
+                    .backoff_base
+                    .saturating_mul(1 << (attempt - 2).min(16));
+                std::thread::sleep(backoff.min(self.cfg.backoff_cap));
+            }
+            let conn = if self.is_degraded() {
+                None
+            } else {
+                self.checkout()
+            };
+            let mut conn = match conn {
+                Some(Ok(conn)) => conn,
+                other => {
+                    if let Some(Err(e)) = other {
+                        // No spawnable worker at all: degrade for the
+                        // rest of the run.
+                        eprintln!("sl-dist: degrading to in-process exploration: {e}");
+                        self.degraded.store(true, Ordering::SeqCst);
+                    }
+                    // Degraded or whole fleet busy: the engine runs the
+                    // task in-process (bit-identical either way; latency
+                    // is not). The task itself is unharmed.
+                    self.stats.declined.fetch_add(1, Ordering::SeqCst);
+                    return None;
+                }
+            };
             match self.lease(&mut conn, lease_id, task) {
                 Ok((result, dag)) => {
                     self.stats.completed.fetch_add(1, Ordering::SeqCst);
@@ -423,35 +437,13 @@ impl<S: WireSpec> TaskDispatcher for DistCoordinator<'_, S> {
                 }
                 Err(reason) => {
                     self.revoke(conn);
-                    if attempts > self.cfg.retry_budget {
-                        return Some(self.quarantine(task, attempts, reason));
+                    if attempt > self.cfg.retry_budget {
+                        return Some(self.quarantine(task, attempt, reason));
                     }
-                    // Capped exponential backoff before the re-lease.
-                    let backoff = self
-                        .cfg
-                        .backoff_base
-                        .saturating_mul(1 << (attempts - 1).min(16))
-                        .min(self.cfg.backoff_cap);
-                    std::thread::sleep(backoff);
-                    conn = match self.checkout() {
-                        Some(Ok(conn)) => conn,
-                        Some(Err(e)) => {
-                            eprintln!("sl-dist: degrading to in-process exploration: {e}");
-                            self.degraded.store(true, Ordering::SeqCst);
-                            self.stats.declined.fetch_add(1, Ordering::SeqCst);
-                            // The task itself is unharmed: decline, and
-                            // the engine runs it in-process.
-                            return None;
-                        }
-                        None => {
-                            // Fleet busy after a revocation: in-process.
-                            self.stats.declined.fetch_add(1, Ordering::SeqCst);
-                            return None;
-                        }
-                    };
                 }
             }
         }
+        unreachable!("every lease attempt returns or retries")
     }
 }
 
@@ -471,6 +463,165 @@ fn reader_loop(stdout: std::process::ChildStdout, tx: SyncSender<Result<Frame, S
                 let _ = tx.send(Err(e));
                 return;
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use sl_check::DagBuilder;
+    use sl_sim::{Escape, PendingAccess};
+    use sl_spec::types::AbaSpec;
+
+    use super::*;
+    use crate::codec::encode_dag;
+
+    type Spec = AbaSpec<u64>;
+
+    /// One length-prefixed record, as the pipe carries it.
+    fn record(frame: &Frame) -> String {
+        let text = frame.render();
+        format!("{}\n{}\n", text.len(), text)
+    }
+
+    fn hello() -> Frame {
+        Frame::Hello {
+            workload: "scripted".to_string(),
+            mode: "OptimalDpor".to_string(),
+            pid: 1,
+        }
+    }
+
+    /// A fleet whose worker is an `sh` script replaying pre-rendered
+    /// frames: `before_hello` runs first, then the hello, then each
+    /// record in `replies` once a task frame has arrived. The script
+    /// then idles until the coordinator closes its stdin or kills it.
+    fn scripted_fleet(before_hello: &str, replies: &[Frame], workers: usize) -> FleetConfig {
+        let replies: String = replies.iter().map(record).collect();
+        let script = format!(
+            "{before_hello}printf '%s' '{}'; read -r _; read -r _; printf '%s' '{replies}'; \
+             exec cat >/dev/null",
+            record(&hello())
+        );
+        FleetConfig {
+            worker_cmd: vec!["sh".to_string(), "-c".to_string(), script],
+            workers,
+            lease_timeout: Duration::from_secs(10),
+            retry_budget: 1,
+            backoff_base: Duration::from_millis(1),
+            ..FleetConfig::default()
+        }
+    }
+
+    /// A leased task with floor 2.
+    fn task() -> FrozenTask {
+        FrozenTask {
+            prefix: vec![0, 1],
+            accesses: vec![PendingAccess::LOCAL; 2],
+            sleep: 0,
+            floor: 2,
+        }
+    }
+
+    /// A result frame for lease 1 carrying one escape.
+    fn result_with(escape: Escape) -> Frame {
+        Frame::Result {
+            task: 1,
+            result: TaskResult {
+                counters: Counters {
+                    runs: 5,
+                    ..Counters::default()
+                },
+                escapes: vec![escape],
+                ..TaskResult::default()
+            },
+            shard: encode_dag(&DagBuilder::<Spec>::new().finish()),
+        }
+    }
+
+    fn escape(depth: usize, first_proc: usize) -> Escape {
+        Escape {
+            depth,
+            first_proc,
+            initials: vec![first_proc],
+            seq: None,
+        }
+    }
+
+    /// Dispatches `task()` to a one-worker scripted fleet replying
+    /// `reply`; returns the merged-or-quarantined result and the fleet
+    /// counters (dispatched, completed, revoked, quarantined).
+    fn dispatch_scripted(reply: Frame) -> (TaskResult, [u64; 4]) {
+        let sink = Mutex::new(Vec::new());
+        let fleet = scripted_fleet("", &[reply], 1);
+        let coord = DistCoordinator::<Spec>::new(fleet, "scripted", "OptimalDpor", &sink);
+        let res = coord.dispatch(&task()).expect("a verdict, not a decline");
+        coord.finish();
+        let s = &coord.stats;
+        let counts = [&s.dispatched, &s.completed, &s.revoked, &s.quarantined]
+            .map(|c| c.load(Ordering::SeqCst));
+        (res, counts)
+    }
+
+    #[test]
+    fn an_honest_scripted_result_is_merged() {
+        let (res, counts) = dispatch_scripted(result_with(escape(1, 1)));
+        assert_eq!(
+            counts,
+            [1, 1, 0, 0],
+            "dispatched, completed, revoked, quarantined"
+        );
+        assert_eq!(res.counters.runs, 5);
+        assert_eq!(res.escapes, vec![escape(1, 1)]);
+    }
+
+    #[test]
+    fn results_failing_their_task_are_revoked_then_quarantined() {
+        // An escape at the floor (the coordinator's check) and one
+        // naming process 70 (the frame parser's): each revokes the
+        // lease, is re-leased once to a fresh worker, then quarantines
+        // that task alone.
+        for (reply, needle) in [
+            (
+                escape(2, 1),
+                "result escape depth 2 is not below the task floor 2",
+            ),
+            (escape(1, 70), "escape: process index out of range"),
+        ] {
+            let (res, counts) = dispatch_scripted(result_with(reply));
+            assert_eq!(counts, [2, 0, 2, 1], "{needle}");
+            assert_eq!(res.counters.quarantined, 1, "{needle}");
+            assert_eq!((res.counters.runs, res.escapes.len()), (0, 0), "{needle}");
+            let message = &res.poisoned[0].message;
+            assert!(message.contains(needle), "{message:?} lacks {needle:?}");
+        }
+    }
+
+    #[test]
+    fn concurrent_checkouts_spawn_at_most_the_fleet_size() {
+        // Four callers start together; a slow hello holds the first
+        // spawn open while the others arrive, and the one slot must
+        // already be reserved.
+        let sink = Mutex::new(Vec::new());
+        let fleet = scripted_fleet("sleep 0.3; ", &[], 1);
+        let coord = DistCoordinator::<Spec>::new(fleet, "scripted", "OptimalDpor", &sink);
+        let start = std::sync::Barrier::new(4);
+        let conns: Vec<_> = std::thread::scope(|scope| {
+            let call = || {
+                start.wait();
+                coord.checkout()
+            };
+            let calls: Vec<_> = (0..4).map(|_| scope.spawn(call)).collect();
+            calls.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        let spawned = conns.iter().filter(|c| matches!(c, Some(Ok(_)))).count();
+        let declined = conns.iter().filter(|c| c.is_none()).count();
+        assert_eq!((spawned, declined), (1, 3));
+        assert_eq!(coord.alive.load(Ordering::SeqCst), 1);
+        for conn in conns.into_iter().flatten() {
+            conn.expect("spawned").kill();
         }
     }
 }

@@ -23,42 +23,48 @@
 //! over the rest of the document and a `version`/`frame` pair:
 //!
 //! ```text
-//! {"checksum":N,"version":1,"frame":"hello","workload":...,"mode":...,"pid":N}
-//! {"checksum":N,"version":1,"frame":"task","task":N,"prefix":[...],
-//!  "accesses":[[reg,"kind"],...],"sleep":N,"floor":N}
-//! {"checksum":N,"version":1,"frame":"heartbeat","task":N}
-//! {"checksum":N,"version":1,"frame":"result","task":N,"runs":N,"cut_runs":N,
-//!  "pruned":N,"capped":B,"retried":N,"quarantined":N,
-//!  "poisoned":[{"prefix":[...],"attempts":N,"message":"..."},...],
-//!  "escapes":[{"depth":N,"first_proc":N,"initials":[...],
-//!              "seq":[[p,reg,"kind"],...]},...],
+//! {"checksum":N,"version":2,"frame":"hello","workload":...,"mode":...,"pid":N}
+//! {"checksum":N,"version":2,"frame":"task","task":N,"prefix":[...],
+//!  "accesses":[{"reg":N,"kind":"k"},...],"sleep":N,"floor":N}
+//! {"checksum":N,"version":2,"frame":"heartbeat","task":N}
+//! {"checksum":N,"version":2,"frame":"result","task":N,
+//!  "counters":{"runs":N,"cut_runs":N,"pruned":N,"retried":N,"quarantined":N},
+//!  "capped":B,"poisoned":[{"prefix":[...],"attempts":N,"message":"..."},...],
+//!  "escapes":[{"depth":N,"first_proc":P,"initials":[...],
+//!              "seq":[{"proc":P,"reg":N,"kind":"k"},...]},...],
 //!  "shard":{...}}
-//! {"checksum":N,"version":1,"frame":"shutdown"}
+//! {"checksum":N,"version":2,"frame":"shutdown"}
 //! ```
 //!
+//! A task frame carries a [`sl_sim::FrozenTask`] and a result frame a
+//! [`sl_sim::TaskResult`], the records the engine itself delegates and
+//! joins. Their pieces — accesses, steps, task fields, counters, poison
+//! reports, escapes — render and parse through sl-sim's functions, the
+//! ones checkpoints use, so both formats spell them alike. A result's
+//! `drained` flag never crosses: a worker holds no budget.
+//!
 //! [`Frame::parse`] verifies the checksum before anything is
-//! interpreted, then every field: lease ids are nonzero, and a task
+//! interpreted, then every field: lease ids are nonzero, a task
 //! satisfies the same invariants a checkpointed task does
-//! ([`sl_sim::validate_task`]). Last, the received bytes must be
-//! exactly [`Frame::render`] of the parsed frame, shard included, so a
-//! torn, doctored, reflowed or version-skewed frame is a named
-//! rejection, never a silently different task. Strings cross
-//! losslessly: a quarantined subtree's panic message arrives as
-//! written, whatever characters it holds.
+//! ([`sl_sim::FrozenTask::check`]), and an escape names processes
+//! inside the sleep-mask universe, with `first_proc` among its initials
+//! and leading its sequence ([`sl_sim::Escape::from_json`]). Last, the
+//! received bytes must be exactly [`Frame::render`] of the parsed
+//! frame, shard included, so a torn, doctored, reflowed or
+//! version-skewed frame is a named rejection, never a silently
+//! different task. Strings cross losslessly: a quarantined subtree's
+//! panic message arrives as written, whatever characters it holds.
 
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 
 use sl_sim::wire::{
-    fnv1a64, ident_ok, non_canonical, push_list, push_str, push_usizes, seal_checksum, Fields,
-    Json, Parser,
+    fnv1a64, ident_ok, non_canonical, push_list, push_str, seal_checksum, Fields, Json, Parser,
 };
-use sl_sim::{
-    validate_task, AccessKind, CkptAccess, PoisonReport, WireEscape, WireTask, WireTaskResult,
-};
+use sl_sim::{Counters, Escape, FrozenTask, PoisonReport, TaskResult};
 
 /// The supported frame format version.
-pub const FRAME_VERSION: u64 = 1;
+pub const FRAME_VERSION: u64 = 2;
 
 /// Upper bound on one frame's document length: a length prefix beyond
 /// this is rejected before any allocation (a corrupted prefix must not
@@ -83,7 +89,7 @@ pub enum Frame {
         /// Lease id (coordinator-unique, nonzero).
         task: u64,
         /// The frozen subtree.
-        spec: WireTask,
+        spec: FrozenTask,
     },
     /// Worker → coordinator: still alive on this lease.
     Heartbeat {
@@ -94,51 +100,15 @@ pub enum Frame {
     Result {
         /// The lease this result settles.
         task: u64,
-        /// Counters and escapes of the explored subtree.
-        result: WireTaskResult,
+        /// Counters, quarantine reports and escapes of the explored
+        /// subtree (`drained` is always `false`).
+        result: TaskResult,
         /// The subtree's symbolized DAG shard, as a canonical JSON
         /// document (see [`crate::codec::encode_dag`]).
         shard: String,
     },
     /// Coordinator → worker: drain and exit cleanly.
     Shutdown,
-}
-
-// ---------------------------------------------------------------------
-// Accesses: `[reg,"kind"]` pairs, `[proc,reg,"kind"]` escape steps
-// ---------------------------------------------------------------------
-
-fn push_access(out: &mut String, proc: Option<usize>, a: &CkptAccess) {
-    out.push('[');
-    if let Some(p) = proc {
-        let _ = write!(out, "{p},");
-    }
-    let _ = write!(out, "{},\"{}\"]", a.reg, a.kind.name());
-}
-
-/// Parses a `[reg,"kind"]` pair.
-fn access_of(v: &Json, ctx: &str) -> Result<CkptAccess, String> {
-    let Json::Arr(parts) = v else {
-        return Err(format!("{ctx}: expected a [reg,\"kind\"] pair"));
-    };
-    let [reg, Json::Str(kind)] = parts.as_slice() else {
-        return Err(format!("{ctx}: expected a [reg,\"kind\"] pair"));
-    };
-    let reg = reg.as_num(ctx)?;
-    let reg = u32::try_from(reg).map_err(|_| format!("{ctx}: register id {reg} out of range"))?;
-    let kind = AccessKind::from_name(kind).map_err(|e| format!("{ctx}: {e}"))?;
-    Ok(CkptAccess { reg, kind })
-}
-
-/// Parses a `[proc,reg,"kind"]` escape step.
-fn step_of(v: &Json) -> Result<(usize, CkptAccess), String> {
-    match v {
-        Json::Arr(parts) if parts.len() == 3 => Ok((
-            parts[0].as_num("seq")? as usize,
-            access_of(&Json::Arr(parts[1..].to_vec()), "seq")?,
-        )),
-        _ => Err("seq: expected a [proc,reg,\"kind\"] triple".to_string()),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -171,11 +141,8 @@ impl Frame {
                 let _ = write!(b, ",\"pid\":{pid}");
             }
             Frame::Task { task, spec } => {
-                let _ = write!(b, ",\"task\":{task},\"prefix\":");
-                push_usizes(&mut b, &spec.prefix);
-                b.push_str(",\"accesses\":");
-                push_list(&mut b, &spec.accesses, |b, a| push_access(b, None, a));
-                let _ = write!(b, ",\"sleep\":{},\"floor\":{}", spec.sleep, spec.floor);
+                let _ = write!(b, ",\"task\":{task},");
+                spec.push_fields(&mut b);
             }
             Frame::Heartbeat { task } => {
                 let _ = write!(b, ",\"task\":{task}");
@@ -185,35 +152,12 @@ impl Frame {
                 result: r,
                 shard,
             } => {
-                let _ = write!(
-                    b,
-                    ",\"task\":{task},\"runs\":{},\"cut_runs\":{},\"pruned\":{},\"capped\":{},\
-                     \"retried\":{},\"quarantined\":{},\"poisoned\":",
-                    r.runs, r.cut_runs, r.pruned, r.capped, r.retried, r.quarantined
-                );
-                push_list(&mut b, &r.poisoned, |b, p| {
-                    b.push_str("{\"prefix\":");
-                    push_usizes(b, &p.prefix);
-                    let _ = write!(b, ",\"attempts\":{},\"message\":", p.attempts);
-                    push_str(b, &p.message);
-                    b.push('}');
-                });
+                let _ = write!(b, ",\"task\":{task},\"counters\":");
+                r.counters.push_json(&mut b);
+                let _ = write!(b, ",\"capped\":{},\"poisoned\":", r.capped);
+                push_list(&mut b, &r.poisoned, |b, p| p.push_json(b));
                 b.push_str(",\"escapes\":");
-                push_list(&mut b, &r.escapes, |b, e| {
-                    let _ = write!(
-                        b,
-                        "{{\"depth\":{},\"first_proc\":{},\"initials\":",
-                        e.depth, e.first_proc
-                    );
-                    push_usizes(b, &e.initials);
-                    // Wakeup sequences are nonempty by construction, so
-                    // an empty array is an unambiguous "no continuation".
-                    b.push_str(",\"seq\":");
-                    push_list(b, e.seq.as_deref().unwrap_or_default(), |b, (p, a)| {
-                        push_access(b, Some(*p), a)
-                    });
-                    b.push('}');
-                });
+                push_list(&mut b, &r.escapes, |b, e| e.push_json(b));
                 // Already a canonical document (codec-produced).
                 b.push_str(",\"shard\":");
                 b.push_str(shard);
@@ -284,18 +228,8 @@ impl Frame {
             "task" => {
                 f.allow(&["task", "prefix", "accesses", "sleep", "floor"])?;
                 let task = lease_of(&mut f, "task")?;
-                let spec = WireTask {
-                    prefix: f.usizes("prefix")?,
-                    accesses: f
-                        .array("accesses")?
-                        .iter()
-                        .map(|v| access_of(v, "accesses"))
-                        .collect::<Result<_, _>>()?,
-                    sleep: f.num("sleep")?,
-                    floor: f.num("floor")? as usize,
-                };
-                validate_task(&spec.prefix, &spec.accesses, spec.floor)
-                    .map_err(|e| format!("task frame: {e}"))?;
+                let spec = FrozenTask::take_fields(&mut f)?;
+                spec.check().map_err(|e| format!("task frame: {e}"))?;
                 Frame::Task { task, spec }
             }
             "heartbeat" => {
@@ -305,35 +239,21 @@ impl Frame {
                 }
             }
             "result" => {
-                f.allow(&[
-                    "task",
-                    "runs",
-                    "cut_runs",
-                    "pruned",
-                    "capped",
-                    "retried",
-                    "quarantined",
-                    "poisoned",
-                    "escapes",
-                    "shard",
-                ])?;
+                f.allow(&["task", "counters", "capped", "poisoned", "escapes", "shard"])?;
                 let task = lease_of(&mut f, "result")?;
-                let result = WireTaskResult {
-                    runs: f.num("runs")? as usize,
-                    cut_runs: f.num("cut_runs")? as usize,
-                    pruned: f.num("pruned")?,
+                let result = TaskResult {
+                    counters: Counters::from_json(f.take("counters")?)?,
                     capped: f.boolean("capped")?,
-                    retried: f.num("retried")?,
-                    quarantined: f.num("quarantined")?,
+                    drained: false,
                     poisoned: f
                         .array("poisoned")?
                         .into_iter()
-                        .map(poison_of)
+                        .map(PoisonReport::from_json)
                         .collect::<Result<_, _>>()?,
                     escapes: f
                         .array("escapes")?
                         .into_iter()
-                        .map(escape_of)
+                        .map(Escape::from_json)
                         .collect::<Result<_, _>>()?,
                 };
                 let mut shard = String::new();
@@ -365,31 +285,6 @@ fn lease_of(f: &mut Fields, kind: &str) -> Result<u64, String> {
         )),
         id => Ok(id),
     }
-}
-
-fn poison_of(v: Json) -> Result<PoisonReport, String> {
-    let mut f = Fields::exact(v, "poisoned", &["prefix", "attempts", "message"])?;
-    Ok(PoisonReport {
-        prefix: f.usizes("prefix")?,
-        attempts: u32::try_from(f.num("attempts")?)
-            .map_err(|_| "poisoned: attempts out of range".to_string())?,
-        message: f.string("message")?,
-    })
-}
-
-fn escape_of(v: Json) -> Result<WireEscape, String> {
-    let mut f = Fields::exact(v, "escapes", &["depth", "first_proc", "initials", "seq"])?;
-    let seq = f
-        .array("seq")?
-        .iter()
-        .map(step_of)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(WireEscape {
-        depth: f.num("depth")? as usize,
-        first_proc: f.num("first_proc")? as usize,
-        initials: f.usizes("initials")?,
-        seq: (!seq.is_empty()).then_some(seq),
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -456,23 +351,24 @@ pub fn read_frame(r: &mut impl BufRead) -> Result<Option<String>, String> {
 mod tests {
     use std::io::Cursor;
 
+    use sl_mem::SmallRng;
+    use sl_sim::{AccessKind, Checkpoint, CkptNext, CkptNode, CkptTask, PendingAccess, RegId};
+
     use super::*;
+
+    fn acc(reg: u32, kind: AccessKind) -> PendingAccess {
+        PendingAccess {
+            reg: RegId(reg),
+            kind,
+        }
+    }
 
     fn sample_task() -> Frame {
         Frame::Task {
             task: 7,
-            spec: WireTask {
+            spec: FrozenTask {
                 prefix: vec![0, 2, 1, 1],
-                accesses: vec![
-                    CkptAccess {
-                        reg: 3,
-                        kind: AccessKind::Write,
-                    },
-                    CkptAccess {
-                        reg: 0,
-                        kind: AccessKind::Rmw,
-                    },
-                ],
+                accesses: vec![acc(3, AccessKind::Write), acc(0, AccessKind::Rmw)],
                 sleep: 0b101,
                 floor: 2,
             },
@@ -482,41 +378,32 @@ mod tests {
     fn sample_result() -> Frame {
         Frame::Result {
             task: 7,
-            result: WireTaskResult {
-                runs: 41,
-                cut_runs: 3,
-                pruned: 17,
+            result: TaskResult {
+                counters: Counters {
+                    runs: 41,
+                    cut_runs: 3,
+                    pruned: 17,
+                    retried: 1,
+                    quarantined: 1,
+                },
                 capped: false,
-                retried: 1,
-                quarantined: 1,
+                drained: false,
                 poisoned: vec![PoisonReport {
                     prefix: vec![0, 2],
                     attempts: 3,
                     message: "panicked at 'boom'".to_string(),
                 }],
                 escapes: vec![
-                    WireEscape {
+                    Escape {
                         depth: 4,
-                        first_proc: 1,
-                        initials: vec![1, 2],
+                        first_proc: 0,
+                        initials: vec![0, 2],
                         seq: Some(vec![
-                            (
-                                0,
-                                CkptAccess {
-                                    reg: 5,
-                                    kind: AccessKind::Read,
-                                },
-                            ),
-                            (
-                                2,
-                                CkptAccess {
-                                    reg: 5,
-                                    kind: AccessKind::Write,
-                                },
-                            ),
+                            (0, acc(5, AccessKind::Read)),
+                            (2, acc(5, AccessKind::Write)),
                         ]),
                     },
-                    WireEscape {
+                    Escape {
                         depth: 9,
                         first_proc: 0,
                         initials: vec![0],
@@ -589,16 +476,16 @@ mod tests {
 
     #[test]
     fn version_skew_is_rejected_by_name() {
-        let body = "{\"version\":2,\"frame\":\"shutdown\"}";
+        let body = "{\"version\":1,\"frame\":\"shutdown\"}";
         let sealed = sl_sim::wire::seal_checksum(body);
         let err = Frame::parse(&sealed).expect_err("version skew");
-        assert!(err.contains("unsupported frame version 2"), "{err}");
-        assert!(err.contains("this build speaks 1"), "{err}");
+        assert!(err.contains("unsupported frame version 1"), "{err}");
+        assert!(err.contains("this build speaks 2"), "{err}");
     }
 
     #[test]
     fn duplicate_fields_are_rejected() {
-        let body = "{\"version\":1,\"frame\":\"heartbeat\",\"task\":1,\"task\":1}";
+        let body = "{\"version\":2,\"frame\":\"heartbeat\",\"task\":1,\"task\":1}";
         let sealed = sl_sim::wire::seal_checksum(body);
         let err = Frame::parse(&sealed).expect_err("duplicate field");
         assert!(err.contains("duplicate key"), "{err}");
@@ -606,25 +493,25 @@ mod tests {
 
     #[test]
     fn unknown_fields_and_kinds_are_rejected() {
-        let body = "{\"version\":1,\"frame\":\"heartbeat\",\"task\":1,\"zeal\":3}";
+        let body = "{\"version\":2,\"frame\":\"heartbeat\",\"task\":1,\"zeal\":3}";
         let err = Frame::parse(&sl_sim::wire::seal_checksum(body)).expect_err("unknown field");
         assert!(err.contains("unknown field \"zeal\""), "{err}");
 
-        let body = "{\"version\":1,\"frame\":\"gossip\"}";
+        let body = "{\"version\":2,\"frame\":\"gossip\"}";
         let err = Frame::parse(&sl_sim::wire::seal_checksum(body)).expect_err("unknown kind");
         assert!(err.contains("unknown frame kind \"gossip\""), "{err}");
     }
 
     #[test]
     fn missing_or_misplaced_checksum_is_rejected() {
-        let err = Frame::parse("{\"version\":1,\"frame\":\"shutdown\"}").expect_err("no checksum");
+        let err = Frame::parse("{\"version\":2,\"frame\":\"shutdown\"}").expect_err("no checksum");
         assert!(err.contains("missing leading \"checksum\""), "{err}");
     }
 
     #[test]
     fn hello_identities_are_fail_closed() {
         let body =
-            "{\"version\":1,\"frame\":\"hello\",\"workload\":\"a b\",\"mode\":\"m\",\"pid\":1}";
+            "{\"version\":2,\"frame\":\"hello\",\"workload\":\"a b\",\"mode\":\"m\",\"pid\":1}";
         let err = Frame::parse(&sl_sim::wire::seal_checksum(body)).expect_err("bad identity");
         assert!(err.contains("identities must be identifiers"), "{err}");
     }
@@ -674,7 +561,7 @@ mod tests {
     /// A string drawn from the characters the escape rules treat
     /// specially: quotes, backslashes, C0 and C1 controls, non-ASCII
     /// and non-BMP characters.
-    fn random_text(rng: &mut sl_mem::SmallRng) -> String {
+    fn random_text(rng: &mut SmallRng) -> String {
         let len = rng.gen_range(12);
         (0..len)
             .map(|_| match rng.gen_range(7) {
@@ -690,9 +577,160 @@ mod tests {
 
     #[test]
     fn randomized_strings_round_trip_through_poisoned_messages() {
-        let mut rng = sl_mem::SmallRng::new(0x5eed_f4a3);
+        let mut rng = SmallRng::new(0x5eed_f4a3);
         for _ in 0..500 {
             assert_message_round_trips(&random_text(&mut rng));
+        }
+    }
+
+    fn random_access(rng: &mut SmallRng) -> PendingAccess {
+        let reg = match rng.gen_range(3) {
+            0 => u32::MAX,
+            1 => rng.next_u64() as u32,
+            _ => rng.gen_range(8) as u32,
+        };
+        let kinds = [
+            AccessKind::Read,
+            AccessKind::Write,
+            AccessKind::Rmw,
+            AccessKind::Local,
+        ];
+        acc(reg, *rng.choose(&kinds))
+    }
+
+    fn random_procs(rng: &mut SmallRng, max_len: usize) -> Vec<usize> {
+        let len = rng.gen_range(max_len + 1);
+        (0..len).map(|_| rng.gen_range(64)).collect()
+    }
+
+    fn random_task(rng: &mut SmallRng) -> FrozenTask {
+        let floor = 1 + rng.gen_range(4);
+        let mut prefix = random_procs(rng, 2);
+        prefix.extend((0..floor).map(|_| rng.gen_range(64)));
+        FrozenTask {
+            prefix,
+            accesses: (0..floor).map(|_| random_access(rng)).collect(),
+            sleep: rng.next_u64(),
+            floor,
+        }
+    }
+
+    /// An escape with or without a sequence, shaped as the engine
+    /// raises them: `first_proc` among the initials and leading `seq`.
+    fn random_escape(rng: &mut SmallRng) -> Escape {
+        let first_proc = rng.gen_range(64);
+        let mut initials = random_procs(rng, 2);
+        initials.insert(rng.gen_range(initials.len() + 1), first_proc);
+        let seq = rng.gen_bool(0.5).then(|| {
+            let procs = [vec![first_proc], random_procs(rng, 3)].concat();
+            procs.into_iter().map(|p| (p, random_access(rng))).collect()
+        });
+        Escape {
+            depth: rng.gen_range(1 << 20),
+            first_proc,
+            initials,
+            seq,
+        }
+    }
+
+    fn random_result(rng: &mut SmallRng) -> TaskResult {
+        let mut n = || rng.next_u64() >> rng.gen_range(64);
+        let counters = Counters {
+            runs: n(),
+            cut_runs: n(),
+            pruned: n(),
+            retried: n(),
+            quarantined: n(),
+        };
+        TaskResult {
+            counters,
+            capped: rng.gen_bool(0.5),
+            drained: false,
+            poisoned: (0..rng.gen_range(3))
+                .map(|_| PoisonReport {
+                    prefix: random_procs(rng, 5),
+                    attempts: rng.next_u64() as u32,
+                    message: random_text(rng),
+                })
+                .collect(),
+            escapes: (0..rng.gen_range(4)).map(|_| random_escape(rng)).collect(),
+        }
+    }
+
+    /// A one-node checkpoint carrying `task`, `counters` and the
+    /// escapes' sequences as wakeups.
+    fn checkpoint_of(task: &FrozenTask, result: &TaskResult) -> Checkpoint {
+        Checkpoint {
+            workload: "random".to_string(),
+            mode: "OptimalDpor".to_string(),
+            workers: 1,
+            seq: 1,
+            stem_len: 0,
+            counters: result.counters,
+            shard_hashes: Vec::new(),
+            next: CkptNext {
+                prefix: vec![0],
+                sleep: 0,
+                new_from: 0,
+            },
+            spine: vec![CkptNode {
+                backtrack: vec![0],
+                runnable: vec![0],
+                pending: vec![task.accesses[0]],
+                wakeups: result
+                    .escapes
+                    .iter()
+                    .filter_map(|e| e.seq.clone())
+                    .collect(),
+                tasks: vec![CkptTask {
+                    id: 1,
+                    proc: task.prefix[task.floor - 1],
+                    task: task.clone(),
+                }],
+                ..CkptNode::default()
+            }],
+        }
+    }
+
+    /// Render -> parse -> render over random frozen tasks, escapes,
+    /// counters and poison reports, through frames and checkpoints:
+    /// value-equal and byte-identical in both formats, and a task's
+    /// fields spelled alike in each.
+    #[test]
+    fn random_records_round_trip_through_frames_and_checkpoints() {
+        let mut rng = SmallRng::new(0x0f20_2e77);
+        for lease in 1..=500 {
+            let spec = random_task(&mut rng);
+            let result = random_result(&mut rng);
+            let ckpt = checkpoint_of(&spec, &result);
+            let task_frame = Frame::Task {
+                task: lease,
+                spec: spec.clone(),
+            };
+            for frame in [
+                task_frame.clone(),
+                Frame::Result {
+                    task: lease,
+                    result,
+                    shard: "{}".to_string(),
+                },
+            ] {
+                let text = frame.render();
+                let parsed = Frame::parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+                assert_eq!(parsed, frame);
+                assert_eq!(parsed.render(), text);
+            }
+            let text = ckpt.render();
+            let parsed = Checkpoint::parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(parsed, ckpt);
+            assert_eq!(parsed.render(), text);
+            let mut fields = String::new();
+            spec.push_fields(&mut fields);
+            assert!(task_frame.render().ends_with(&format!(",{fields}}}")));
+            assert!(text.contains(&format!(
+                "\"proc\":{},{fields}}}",
+                spec.prefix[spec.floor - 1]
+            )));
         }
     }
 
@@ -706,16 +744,22 @@ mod tests {
         let frames: Vec<String> = all_kinds().iter().map(Frame::render).collect();
         #[rustfmt::skip]
         let rows = [
-            (4, r#""version":1,"frame":"shutdown""#, r#""frame":"shutdown","version":1"#, "non-canonical frame"),
+            (4, r#""version":2,"frame":"shutdown""#, r#""frame":"shutdown","version":2"#, "non-canonical frame"),
             (2, r#""task":9"#, r#""task":0"#, "heartbeat frame: lease id 0"),
             (1, r#""task":7"#, r#""task":0"#, "task frame: lease id 0"),
             (3, r#""task":7"#, r#""task":0"#, "result frame: lease id 0"),
-            (1, r#"[[3,"write"],[0,"rmw"]]"#, r#"[[3,"write"]]"#, "1 ghost accesses but floor 2"),
+            (1, r#",{"reg":0,"kind":"rmw"}]"#, "]", "1 ghost accesses but floor 2"),
             (1, r#""floor":2"#, r#""floor":0"#, "floor 0 is outside its prefix"),
             (1, "[0,2,1,1]", "[0]", "floor 2 is outside its prefix (length 1)"),
             (1, "[0,2,1,1]", "[0,64,1,1]", "task frame: process index out of range"),
             (1, r#""rmw""#, r#""fetch_add""#, r#"unknown access kind "fetch_add""#),
-            (3, r#"[0,5,"read"]"#, "[0,5]", r#"expected a [proc,reg,"kind"] triple"#),
+            (3, r#"{"proc":0,"reg":5,"kind":"read"}"#, r#"{"proc":0,"reg":5}"#, r#"escape step: missing required field "kind""#),
+            (3, r#""first_proc":0,"initials":[0,2]"#, r#""first_proc":70,"initials":[70,2]"#, "escape: process index out of range"),
+            (3, r#""initials":[0,2]"#, r#""initials":[0,64]"#, "escape: process index out of range"),
+            (3, r#"{"proc":2,"reg":5"#, r#"{"proc":66,"reg":5"#, "escape: process index out of range"),
+            (3, r#""initials":[0,2]"#, r#""initials":[2]"#, "escape: initials [2] lack first_proc 0"),
+            (3, r#""initials":[0,2],"seq":[{"proc":0"#, r#""initials":[0,2],"seq":[{"proc":2"#, "escape: seq starts with process 2, not first_proc 0"),
+            (3, r#""counters":{"runs":41,"#, r#""counters":{"#, r#"counters: missing required field "runs""#),
         ];
         for (i, from, to, needle) in rows {
             let text = &frames[i];

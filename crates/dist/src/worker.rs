@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use sl_check::TreeDag;
-use sl_sim::{FaultPlan, FaultPoint, WireTask, WireTaskResult};
+use sl_sim::{FaultPlan, FaultPoint, FrozenTask, TaskResult};
 
 use crate::codec::{encode_dag, WireSpec};
 use crate::frames::{read_frame, write_frame, Frame};
@@ -81,15 +81,15 @@ pub fn heartbeat_interval() -> Duration {
 
 /// Serves frames on stdin/stdout until a `shutdown` frame or EOF.
 ///
-/// `explore` runs one thawed task to completion and returns its
-/// portable result plus the **symbolized** DAG shard of exactly that
+/// `explore` runs one [`FrozenTask`] to completion and returns its
+/// [`TaskResult`] plus the **symbolized** DAG shard of exactly that
 /// subtree's transcripts (see [`crate::codec`]). The function returns
 /// `Err` on a protocol violation (the process should then exit
 /// nonzero, which the coordinator treats as a revoked lease).
 pub fn serve<S, H>(workload: &str, mode: &str, mut explore: H) -> Result<(), String>
 where
     S: WireSpec,
-    H: FnMut(&WireTask) -> (WireTaskResult, TreeDag<S>),
+    H: FnMut(&FrozenTask) -> (TaskResult, TreeDag<S>),
 {
     let fault = FaultPlan::from_env().map(Arc::new);
     let stdout = Arc::new(Mutex::new(std::io::stdout()));
@@ -150,7 +150,7 @@ fn serve_loop<S, H>(
 ) -> Result<(), String>
 where
     S: WireSpec,
-    H: FnMut(&WireTask) -> (WireTaskResult, TreeDag<S>),
+    H: FnMut(&FrozenTask) -> (TaskResult, TreeDag<S>),
 {
     let stdin = std::io::stdin();
     let mut stdin = stdin.lock();
@@ -198,7 +198,7 @@ where
                         plan.crash(FaultPoint::ResultFrame);
                     }
                 }
-                write_locked_ref(stdout, &text)?;
+                write_locked(stdout, &text)?;
             }
             other => {
                 return Err(format!(
@@ -210,11 +210,7 @@ where
     }
 }
 
-fn write_locked(stdout: &Arc<Mutex<std::io::Stdout>>, text: &str) -> Result<(), String> {
-    write_locked_ref(stdout, text)
-}
-
-fn write_locked_ref(stdout: &Mutex<std::io::Stdout>, text: &str) -> Result<(), String> {
+fn write_locked(stdout: &Mutex<std::io::Stdout>, text: &str) -> Result<(), String> {
     let mut out = stdout.lock().unwrap();
     write_frame(&mut *out, text).map_err(|e| format!("worker: stdout write failed: {e}"))
 }

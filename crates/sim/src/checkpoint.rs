@@ -39,10 +39,14 @@
 //! diagnostic, never half-loaded. Last, the parser requires the file to
 //! be byte-identical to the re-rendered checkpoint (`non-canonical
 //! checkpoint` otherwise), so reflowed or reordered files are refused.
-//! Only plain data crosses the file
-//! boundary: decision prefixes, declared accesses (`RegId` is the
-//! world-local dense allocation index, stable across processes for the
-//! same deterministic workload), sleep masks, and floors. Interned
+//! Only plain data crosses the file boundary, as the engine's own
+//! records: decision prefixes, declared accesses ([`PendingAccess`];
+//! `RegId` is the world-local dense allocation index, stable across
+//! processes for the same deterministic workload), sleep masks, floors,
+//! [`FrozenTask`]s and [`Counters`]. Each record has one render and one
+//! parse function in this module, and `sl-dist` frames call the same
+//! ones, so a task or a counter set is spelled alike in a checkpoint
+//! and on a worker pipe. Interned
 //! execution metadata (`ValueId`/`RegSym`/`OpSym`) is deliberately
 //! *not* persisted — the engine re-derives it from the first replay
 //! after resume, exactly as it refreshes it on every replay anyway.
@@ -102,43 +106,134 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::explore::Escape;
 use crate::wire::{
     atomic_publish, fnv1a64, ident_ok, non_canonical, push_list, push_str, push_usizes,
     seal_checksum, Fields, Json, Parser,
 };
-use crate::world::AccessKind;
+use crate::world::{AccessKind, PendingAccess, RegId};
 
 // ---------------------------------------------------------------------
-// Wire structs
+// Records, each with the one encoding checkpoints and frames share
 // ---------------------------------------------------------------------
 
 /// The supported checkpoint format version.
 pub const CHECKPOINT_VERSION: u64 = 1;
 
-/// One declared access on the wire: the world-local dense register
-/// index plus the access kind. `RegId::LOCAL` (`u32::MAX`) encodes a
-/// pause.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CkptAccess {
-    /// Raw [`crate::RegId`] value.
-    pub reg: u32,
-    /// The declared access kind.
-    pub kind: AccessKind,
-}
-
-/// Union counters accumulated by every checkpointed run so far.
+/// Exploration counters: summed at every join, banked across a
+/// checkpoint and its resumption, carried by `sl-dist` result frames.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CkptCounters {
+pub struct Counters {
     /// Completed runs.
     pub runs: u64,
     /// Sleep-set-cut replays.
     pub cut_runs: u64,
     /// Pruned branch candidates.
     pub pruned: u64,
-    /// Successful panic retries.
+    /// Retry attempts on panicking subtree tasks, whether or not the
+    /// task later succeeded.
     pub retried: u64,
-    /// Quarantined subtrees.
+    /// Subtrees quarantined after exhausting retries.
     pub quarantined: u64,
+}
+
+impl Counters {
+    /// Adds `other` field by field.
+    pub fn add(&mut self, other: Counters) {
+        self.runs += other.runs;
+        self.cut_runs += other.cut_runs;
+        self.pruned += other.pruned;
+        self.retried += other.retried;
+        self.quarantined += other.quarantined;
+    }
+
+    /// Appends `{"runs":N,"cut_runs":N,"pruned":N,"retried":N,
+    /// "quarantined":N}`.
+    pub fn push_json(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"runs\":{},\"cut_runs\":{},\"pruned\":{},\"retried\":{},\"quarantined\":{}}}",
+            self.runs, self.cut_runs, self.pruned, self.retried, self.quarantined
+        );
+    }
+
+    /// Parses what [`Counters::push_json`] writes.
+    pub fn from_json(v: Json) -> Result<Counters, String> {
+        let mut f = Fields::exact(
+            v,
+            "counters",
+            &["runs", "cut_runs", "pruned", "retried", "quarantined"],
+        )?;
+        Ok(Counters {
+            runs: f.num("runs")?,
+            cut_runs: f.num("cut_runs")?,
+            pruned: f.num("pruned")?,
+            retried: f.num("retried")?,
+            quarantined: f.num("quarantined")?,
+        })
+    }
+}
+
+/// A frozen unexplored subtree in portable form: everything needed to
+/// explore it bit-identically in another thread, process or run. The
+/// engine delegates, checkpoints and dispatches subtrees as this record.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FrozenTask {
+    /// Full decision prefix from the schedule-tree root; its entry at
+    /// `floor - 1` is the reversal the task explores.
+    pub prefix: Vec<usize>,
+    /// Declared accesses of the ghost spine, one per decision below
+    /// `floor` (a wakeup sequence's forced tail is prefix-only).
+    pub accesses: Vec<PendingAccess>,
+    /// Sleep set at the subtree root.
+    pub sleep: u64,
+    /// Backtrack floor: decision indices below it belong to the owner;
+    /// demands against them escape.
+    pub floor: usize,
+}
+
+impl FrozenTask {
+    /// The task's invariants, checked by both parsers that carry tasks
+    /// (checkpoints and `sl-dist` task frames): the floor lies inside
+    /// the prefix, the ghost spine holds exactly `floor` accesses, and
+    /// every prefix process fits the sleep-mask universe.
+    pub fn check(&self) -> Result<(), String> {
+        let (floor, len) = (self.floor, self.prefix.len());
+        if floor == 0 || floor > len {
+            return Err(format!(
+                "floor {floor} is outside its prefix (length {len})"
+            ));
+        }
+        if self.accesses.len() != floor {
+            return Err(format!(
+                "{} ghost accesses but floor {floor}",
+                self.accesses.len()
+            ));
+        }
+        procs_ok(&self.prefix)
+    }
+
+    /// Appends the task's fields, `"prefix":[..],"accesses":[..],
+    /// "sleep":N,"floor":N`, inside an enclosing object: a checkpoint
+    /// task and a task frame spell them identically.
+    pub fn push_fields(&self, out: &mut String) {
+        out.push_str("\"prefix\":");
+        push_usizes(out, &self.prefix);
+        out.push_str(",\"accesses\":");
+        push_list(out, &self.accesses, push_access);
+        let _ = write!(out, ",\"sleep\":{},\"floor\":{}", self.sleep, self.floor);
+    }
+
+    /// Takes the fields [`FrozenTask::push_fields`] writes out of an
+    /// enclosing object. The caller runs [`FrozenTask::check`].
+    pub fn take_fields(f: &mut Fields) -> Result<FrozenTask, String> {
+        Ok(FrozenTask {
+            prefix: f.usizes("prefix")?,
+            accesses: list_of(f.array("accesses")?, "task access", access_of)?,
+            sleep: f.num("sleep")?,
+            floor: f.num("floor")? as usize,
+        })
+    }
 }
 
 /// The pending descent the interrupted walk was about to replay.
@@ -152,21 +247,15 @@ pub struct CkptNext {
     pub new_from: usize,
 }
 
-/// One frozen, not-yet-joined delegated subtree task.
+/// One delegated subtree task not yet joined, as a checkpoint holds it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CkptTask {
     /// Checkpoint-unique task id.
     pub id: u64,
     /// The reversal process the owner joins this task under.
     pub proc: usize,
-    /// Full decision prefix from the schedule-tree root.
-    pub prefix: Vec<usize>,
-    /// Declared accesses of the ghost spine (`accesses.len() == floor`).
-    pub accesses: Vec<CkptAccess>,
-    /// Sleep set at the subtree root.
-    pub sleep: u64,
-    /// Backtrack floor.
-    pub floor: usize,
+    /// The frozen subtree.
+    pub task: FrozenTask,
 }
 
 /// One root-spine decision node's checkpointed bookkeeping.
@@ -188,9 +277,9 @@ pub struct CkptNode {
     /// Enabled processes at this decision.
     pub runnable: Vec<usize>,
     /// Their declared pending accesses, aligned with `runnable`.
-    pub pending: Vec<CkptAccess>,
+    pub pending: Vec<PendingAccess>,
     /// Pending wakeup sequences, FIFO.
-    pub wakeups: Vec<Vec<(usize, CkptAccess)>>,
+    pub wakeups: Vec<Vec<(usize, PendingAccess)>>,
     /// Delegated tasks attached at this node, in publish order.
     pub tasks: Vec<CkptTask>,
 }
@@ -210,7 +299,7 @@ pub struct Checkpoint {
     /// Length of the user-supplied stem.
     pub stem_len: usize,
     /// Union counters at snapshot time.
-    pub counters: CkptCounters,
+    pub counters: Counters,
     /// Sorted structural hashes of the DAG shards sunk so far
     /// (integrity metadata; see [`CheckpointStore::load`]).
     pub shard_hashes: Vec<u64>,
@@ -223,47 +312,120 @@ pub struct Checkpoint {
 /// The diagnostic for a process index beyond the sleep-mask universe.
 const PROC_RANGE: &str = "process index out of range (sleep masks support at most 64 processes)";
 
-fn proc_ok(p: usize) -> bool {
-    p < 64
+fn procs_ok<'a>(procs: impl IntoIterator<Item = &'a usize>) -> Result<(), String> {
+    let ok = procs.into_iter().all(|&p| p < 64);
+    ok.then_some(()).ok_or_else(|| PROC_RANGE.into())
 }
 
-/// The invariants of one frozen subtree task, checked by both parsers
-/// that carry tasks (checkpoints and `sl-dist` task frames): the floor
-/// lies inside the prefix, the ghost spine holds exactly `floor`
-/// accesses, and every prefix process fits the sleep-mask universe.
-pub fn validate_task(
-    prefix: &[usize],
-    accesses: &[CkptAccess],
-    floor: usize,
-) -> Result<(), String> {
-    if floor == 0 || floor > prefix.len() {
-        return Err(format!(
-            "floor {floor} is outside its prefix (length {})",
-            prefix.len()
-        ));
-    }
-    if accesses.len() != floor {
-        return Err(format!(
-            "{} ghost accesses but floor {floor}",
-            accesses.len()
-        ));
-    }
-    if !prefix.iter().all(|&p| proc_ok(p)) {
-        return Err(PROC_RANGE.into());
-    }
-    Ok(())
+/// An access, `{"reg":N,"kind":"k"}`.
+fn push_access(out: &mut String, a: &PendingAccess) {
+    let _ = write!(out, "{{\"reg\":{},\"kind\":\"{}\"}}", a.reg.0, a.kind);
 }
 
-// ---------------------------------------------------------------------
-// Canonical serializer (shared primitives live in `crate::wire`)
-// ---------------------------------------------------------------------
+/// A step of a wakeup sequence, `{"proc":P,"reg":N,"kind":"k"}`.
+fn push_step(out: &mut String, &(p, a): &(usize, PendingAccess)) {
+    let _ = write!(
+        out,
+        "{{\"proc\":{p},\"reg\":{},\"kind\":\"{}\"}}",
+        a.reg.0, a.kind
+    );
+}
 
-fn push_access(out: &mut String, proc: Option<usize>, a: &CkptAccess) {
-    out.push('{');
-    if let Some(p) = proc {
-        let _ = write!(out, "\"proc\":{p},");
+fn access_of(v: Json, ctx: &str) -> Result<PendingAccess, String> {
+    access_fields(&mut Fields::exact(v, ctx, &["reg", "kind"])?)
+}
+
+fn step_of(v: Json, ctx: &str) -> Result<(usize, PendingAccess), String> {
+    let mut f = Fields::exact(v, ctx, &["proc", "reg", "kind"])?;
+    Ok((f.num("proc")? as usize, access_fields(&mut f)?))
+}
+
+fn access_fields(f: &mut Fields) -> Result<PendingAccess, String> {
+    let reg = f.num("reg")?;
+    let reg = u32::try_from(reg)
+        .map_err(|_| format!("register id {reg} exceeds the u32 register space"))?;
+    Ok(PendingAccess {
+        reg: RegId(reg),
+        kind: AccessKind::from_name(&f.string("kind")?)?,
+    })
+}
+
+fn list_of<T>(
+    items: Vec<Json>,
+    ctx: &str,
+    each: fn(Json, &str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    items.into_iter().map(|v| each(v, ctx)).collect()
+}
+
+impl PoisonReport {
+    /// Appends `{"prefix":[..],"attempts":N,"message":"..."}`.
+    pub fn push_json(&self, out: &mut String) {
+        out.push_str("{\"prefix\":");
+        push_usizes(out, &self.prefix);
+        let _ = write!(out, ",\"attempts\":{},\"message\":", self.attempts);
+        push_str(out, &self.message);
+        out.push('}');
     }
-    let _ = write!(out, "\"reg\":{},\"kind\":\"{}\"}}", a.reg, a.kind.name());
+
+    /// Parses what [`PoisonReport::push_json`] writes.
+    pub fn from_json(v: Json) -> Result<PoisonReport, String> {
+        let mut f = Fields::exact(v, "poison report", &["prefix", "attempts", "message"])?;
+        Ok(PoisonReport {
+            prefix: f.usizes("prefix")?,
+            attempts: u32::try_from(f.num("attempts")?)
+                .map_err(|_| "poison report: attempts out of range".to_string())?,
+            message: f.string("message")?,
+        })
+    }
+}
+
+impl Escape {
+    /// Appends `{"depth":N,"first_proc":P,"initials":[..],"seq":[..]}`,
+    /// the sequence's steps spelled as in a checkpoint's wakeups.
+    /// Wakeup sequences are nonempty, so `"seq":[]` means "none".
+    pub fn push_json(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"depth\":{},\"first_proc\":{},\"initials\":",
+            self.depth, self.first_proc
+        );
+        push_usizes(out, &self.initials);
+        out.push_str(",\"seq\":");
+        push_list(out, self.seq.as_deref().unwrap_or_default(), push_step);
+        out.push('}');
+    }
+
+    /// Parses what [`Escape::push_json`] writes and checks the demand's
+    /// shape: every process fits the sleep-mask universe, the initials
+    /// hold `first_proc`, and a sequence starts with it.
+    pub fn from_json(v: Json) -> Result<Escape, String> {
+        let mut f = Fields::exact(v, "escape", &["depth", "first_proc", "initials", "seq"])?;
+        let seq = list_of(f.array("seq")?, "escape step", step_of)?;
+        let esc = Escape {
+            depth: f.num("depth")? as usize,
+            first_proc: f.num("first_proc")? as usize,
+            initials: f.usizes("initials")?,
+            seq: (!seq.is_empty()).then_some(seq),
+        };
+        let seq_procs: Vec<usize> = esc.seq.iter().flatten().map(|&(p, _)| p).collect();
+        let first = [esc.first_proc];
+        let procs = first.iter().chain(&esc.initials).chain(&seq_procs);
+        procs_ok(procs).map_err(|e| format!("escape: {e}"))?;
+        if !esc.initials.contains(&esc.first_proc) {
+            return Err(format!(
+                "escape: initials {:?} lack first_proc {}",
+                esc.initials, esc.first_proc
+            ));
+        }
+        match seq_procs.first() {
+            Some(&p) if p != esc.first_proc => Err(format!(
+                "escape: seq starts with process {p}, not first_proc {}",
+                esc.first_proc
+            )),
+            _ => Ok(esc),
+        }
+    }
 }
 
 impl Checkpoint {
@@ -273,25 +435,17 @@ impl Checkpoint {
     /// serialize` is byte-identical over.
     pub fn canonical_body(&self) -> String {
         let mut s = String::with_capacity(256 + self.spine.len() * 64);
-        let c = &self.counters;
         let _ = write!(s, "{{\"version\":{CHECKPOINT_VERSION},\"workload\":");
         push_str(&mut s, &self.workload);
         s.push_str(",\"mode\":");
         push_str(&mut s, &self.mode);
         let _ = write!(
             s,
-            ",\"workers\":{},\"seq\":{},\"stem_len\":{},\"counters\":{{\"runs\":{},\
-             \"cut_runs\":{},\"pruned\":{},\"retried\":{},\"quarantined\":{}}},\
-             \"shard_hashes\":",
-            self.workers,
-            self.seq,
-            self.stem_len,
-            c.runs,
-            c.cut_runs,
-            c.pruned,
-            c.retried,
-            c.quarantined
+            ",\"workers\":{},\"seq\":{},\"stem_len\":{},\"counters\":",
+            self.workers, self.seq, self.stem_len
         );
+        self.counters.push_json(&mut s);
+        s.push_str(",\"shard_hashes\":");
         push_list(&mut s, &self.shard_hashes, |s, h| {
             let _ = write!(s, "{h}");
         });
@@ -312,18 +466,14 @@ impl Checkpoint {
             s.push_str(",\"runnable\":");
             push_usizes(s, &node.runnable);
             s.push_str(",\"pending\":");
-            push_list(s, &node.pending, |s, a| push_access(s, None, a));
+            push_list(s, &node.pending, push_access);
             s.push_str(",\"wakeups\":");
-            push_list(s, &node.wakeups, |s, seq| {
-                push_list(s, seq, |s, (p, a)| push_access(s, Some(*p), a))
-            });
+            push_list(s, &node.wakeups, |s, seq| push_list(s, seq, push_step));
             s.push_str(",\"tasks\":");
             push_list(s, &node.tasks, |s, t| {
-                let _ = write!(s, "{{\"id\":{},\"proc\":{},\"prefix\":", t.id, t.proc);
-                push_usizes(s, &t.prefix);
-                s.push_str(",\"accesses\":");
-                push_list(s, &t.accesses, |s, a| push_access(s, None, a));
-                let _ = write!(s, ",\"sleep\":{},\"floor\":{}}}", t.sleep, t.floor);
+                let _ = write!(s, "{{\"id\":{},\"proc\":{},", t.id, t.proc);
+                t.task.push_fields(s);
+                s.push('}');
             });
             s.push('}');
         });
@@ -379,11 +529,6 @@ impl Checkpoint {
                 ));
             }
         }
-        let mut counters = Fields::exact(
-            top.take("counters")?,
-            "counters",
-            &["runs", "cut_runs", "pruned", "retried", "quarantined"],
-        )?;
         let mut next = Fields::exact(top.take("next")?, "next", &["prefix", "sleep", "new_from"])?;
         let ckpt = Checkpoint {
             workload,
@@ -391,13 +536,7 @@ impl Checkpoint {
             workers: top.num("workers")? as usize,
             seq: top.num("seq")?,
             stem_len: top.num("stem_len")? as usize,
-            counters: CkptCounters {
-                runs: counters.num("runs")?,
-                cut_runs: counters.num("cut_runs")?,
-                pruned: counters.num("pruned")?,
-                retried: counters.num("retried")?,
-                quarantined: counters.num("quarantined")?,
-            },
+            counters: Counters::from_json(top.take("counters")?)?,
             shard_hashes: top
                 .array("shard_hashes")?
                 .iter()
@@ -468,12 +607,12 @@ impl Checkpoint {
                     "checkpoint next.prefix diverges from the spine's chosen path at depth {d}"
                 ));
             }
-            if !proc_ok(node.chosen)
-                || node.backtrack.iter().any(|&p| !proc_ok(p))
-                || node.runnable.iter().any(|&p| !proc_ok(p))
-            {
-                return Err(PROC_RANGE.into());
-            }
+            procs_ok(
+                [node.chosen]
+                    .iter()
+                    .chain(&node.backtrack)
+                    .chain(&node.runnable),
+            )?;
             if node.pending.len() != node.runnable.len() {
                 return Err(format!(
                     "checkpoint spine node {d}: {} pending accesses for {} runnable processes",
@@ -503,25 +642,22 @@ impl Checkpoint {
                 if seq.is_empty() {
                     return Err(format!("checkpoint spine node {d}: empty wakeup sequence"));
                 }
-                if seq.iter().any(|&(p, _)| !proc_ok(p)) {
-                    return Err(PROC_RANGE.into());
-                }
+                procs_ok(seq.iter().map(|(p, _)| p))?;
             }
-            for task in &node.tasks {
-                validate_task(&task.prefix, &task.accesses, task.floor)
-                    .map_err(|e| format!("checkpoint task {}: {e}", task.id))?;
-                if task.prefix[task.floor - 1] != task.proc {
+            for t in &node.tasks {
+                t.task
+                    .check()
+                    .map_err(|e| format!("checkpoint task {}: {e}", t.id))?;
+                if t.task.prefix[t.task.floor - 1] != t.proc {
                     return Err(format!(
                         "checkpoint task {}: reversal process {} differs from its prefix at \
                          the floor",
-                        task.id, task.proc
+                        t.id, t.proc
                     ));
                 }
             }
         }
-        if self.next.prefix.iter().any(|&p| !proc_ok(p)) {
-            return Err(PROC_RANGE.into());
-        }
+        procs_ok(&self.next.prefix)?;
         let mut ids: Vec<u64> = self
             .spine
             .iter()
@@ -558,22 +694,10 @@ fn node_of(v: Json) -> Result<CkptNode, String> {
             "tasks",
         ],
     )?;
-    let mut wakeups = Vec::new();
-    for seq in f.array("wakeups")? {
-        let Json::Arr(steps) = seq else {
-            return Err("wakeup sequence must be an array".into());
-        };
-        let step_of = |step| {
-            let mut sf = Fields::exact(step, "wakeup step", &["proc", "reg", "kind"])?;
-            Ok((sf.num("proc")? as usize, access_of(&mut sf)?))
-        };
-        wakeups.push(
-            steps
-                .into_iter()
-                .map(step_of)
-                .collect::<Result<_, String>>()?,
-        );
-    }
+    let wakeup_of = |seq| match seq {
+        Json::Arr(steps) => list_of(steps, "wakeup step", step_of),
+        _ => Err("wakeup sequence must be an array".to_string()),
+    };
     let task_of = |v| {
         let mut tf = Fields::exact(
             v,
@@ -583,10 +707,7 @@ fn node_of(v: Json) -> Result<CkptNode, String> {
         Ok(CkptTask {
             id: tf.num("id")?,
             proc: tf.num("proc")? as usize,
-            prefix: tf.usizes("prefix")?,
-            accesses: accesses_of(tf.array("accesses")?, "task access")?,
-            sleep: tf.num("sleep")?,
-            floor: tf.num("floor")? as usize,
+            task: FrozenTask::take_fields(&mut tf)?,
         })
     };
     Ok(CkptNode {
@@ -595,30 +716,17 @@ fn node_of(v: Json) -> Result<CkptNode, String> {
         sleep: f.num("sleep")?,
         backtrack: f.usizes("backtrack")?,
         runnable: f.usizes("runnable")?,
-        pending: accesses_of(f.array("pending")?, "pending access")?,
-        wakeups,
+        pending: list_of(f.array("pending")?, "pending access", access_of)?,
+        wakeups: f
+            .array("wakeups")?
+            .into_iter()
+            .map(wakeup_of)
+            .collect::<Result<_, _>>()?,
         tasks: f
             .array("tasks")?
             .into_iter()
             .map(task_of)
             .collect::<Result<_, String>>()?,
-    })
-}
-
-fn accesses_of(items: Vec<Json>, ctx: &str) -> Result<Vec<CkptAccess>, String> {
-    items
-        .into_iter()
-        .map(|a| access_of(&mut Fields::exact(a, ctx, &["reg", "kind"])?))
-        .collect()
-}
-
-fn access_of(f: &mut Fields) -> Result<CkptAccess, String> {
-    let reg = f.num("reg")?;
-    let reg = u32::try_from(reg)
-        .map_err(|_| format!("register id {reg} exceeds the u32 register space"))?;
-    Ok(CkptAccess {
-        reg,
-        kind: AccessKind::from_name(&f.string("kind")?)?,
     })
 }
 
@@ -1136,11 +1244,9 @@ pub struct PoisonReport {
 pub fn write_poison_report(dir: &Path, report: &PoisonReport) -> Result<PathBuf, String> {
     std::fs::create_dir_all(dir)
         .map_err(|e| format!("creating poison-report dir {}: {e}", dir.display()))?;
-    let mut body = String::from("{\"prefix\":");
-    push_usizes(&mut body, &report.prefix);
-    let _ = write!(body, ",\"attempts\":{},\"message\":", report.attempts);
-    push_str(&mut body, &report.message);
-    body.push_str("}\n");
+    let mut body = String::new();
+    report.push_json(&mut body);
+    body.push('\n');
     let digest = {
         let mut key = String::new();
         push_usizes(&mut key, &report.prefix);
@@ -1167,7 +1273,10 @@ mod tests {
     use super::*;
 
     fn sample() -> Checkpoint {
-        let acc = |reg, kind| CkptAccess { reg, kind };
+        let acc = |reg, kind| PendingAccess {
+            reg: RegId(reg),
+            kind,
+        };
         let (read, write, rmw, local) = (
             AccessKind::Read,
             AccessKind::Write,
@@ -1180,7 +1289,7 @@ mod tests {
             workers: 4,
             seq: 7,
             stem_len: 0,
-            counters: CkptCounters {
+            counters: Counters {
                 runs: 123,
                 cut_runs: 4,
                 pruned: 567,
@@ -1205,10 +1314,12 @@ mod tests {
                     tasks: vec![CkptTask {
                         id: 1,
                         proc: 2,
-                        prefix: vec![2],
-                        accesses: vec![acc(0, rmw)],
-                        sleep: 0b1,
-                        floor: 1,
+                        task: FrozenTask {
+                            prefix: vec![2],
+                            accesses: vec![acc(0, rmw)],
+                            sleep: 0b1,
+                            floor: 1,
+                        },
                     }],
                 },
                 CkptNode {
@@ -1222,10 +1333,12 @@ mod tests {
                     tasks: vec![CkptTask {
                         id: 2,
                         proc: 0,
-                        prefix: vec![0, 1, 0],
-                        accesses: vec![acc(0, read), acc(u32::MAX, local), acc(1, write)],
-                        sleep: 0,
-                        floor: 3,
+                        task: FrozenTask {
+                            prefix: vec![0, 1, 0],
+                            accesses: vec![acc(0, read), acc(u32::MAX, local), acc(1, write)],
+                            sleep: 0,
+                            floor: 3,
+                        },
                     }],
                 },
                 CkptNode {
@@ -1423,7 +1536,7 @@ mod tests {
     #[test]
     fn rejects_task_floor_out_of_prefix() {
         let mut c = sample();
-        c.spine[0].tasks[0].floor = 5;
+        c.spine[0].tasks[0].task.floor = 5;
         expect_reject(&c.render(), "floor 5 is outside its prefix");
     }
 

@@ -358,13 +358,13 @@ use std::sync::{Arc, Mutex};
 use sl_check::{OpSym, RegSym, ValueId};
 
 use crate::checkpoint::{
-    panic_message, write_poison_report, Checkpoint, CheckpointPolicy, CheckpointStore, CkptAccess,
-    CkptCounters, CkptNext, CkptNode, CkptTask, CkptWriter, FaultCrash, FaultPlan, FaultPoint,
+    panic_message, write_poison_report, Checkpoint, CheckpointPolicy, CheckpointStore, CkptNext,
+    CkptNode, CkptTask, CkptWriter, Counters, FaultCrash, FaultPlan, FaultPoint, FrozenTask,
     PoisonReport, ResumeExpectation, ResumeSession,
 };
 use crate::sched::{Scheduler, STOP_RUN};
 use crate::statics::StaticConflicts;
-use crate::world::{AccessKind, PendingAccess, RegId, RunOutcome, SchedView, TraceItem};
+use crate::world::{AccessKind, PendingAccess, RunOutcome, SchedView, TraceItem};
 
 /// Statistics of an exploration.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -652,7 +652,7 @@ fn value_commutes(a: &StepMeta, b: &StepMeta, statics: Option<&StaticConflicts>)
 /// for a reusable [`crate::SimWorld`], scratch buffers, and transcript
 /// sinks.
 ///
-/// The two hooks bracket **subtrees**: every delegated [`SubtreeTask`]
+/// The two hooks bracket **subtrees**: every delegated subtree task
 /// a worker executes (and the root exploration itself) is wrapped in
 /// `subtree_begin`/`subtree_end`, and the replays in between stream
 /// that subtree's transcripts in depth-first order — exactly the
@@ -1220,9 +1220,9 @@ fn clock_leq(a: &[u32], b: &[u32]) -> bool {
     a.iter().zip(b).all(|(x, y)| x <= y)
 }
 
-/// A frozen unexplored subtree of the source-DPOR schedule tree,
-/// publishable onto the work-stealing deque: everything a worker needs
-/// to explore the subtree without touching the owner's spine.
+/// A frozen unexplored subtree of the source-DPOR schedule tree, in
+/// its in-process form: the portable [`FrozenTask`] plus the caches a
+/// worker of the same process may reuse.
 ///
 /// `Clone` so a [`TaskSlot`] can retain the frozen spec for the
 /// checkpointer and for quarantine retries while a claimed copy runs.
@@ -1246,213 +1246,91 @@ struct SubtreeTask {
     floor: usize,
 }
 
-/// A backtrack demand raised inside a subtree against a decision node
-/// above its floor, carried to the owner and merged at the join.
-struct Escape {
-    /// Global decision index of the demanding race's earlier step.
-    depth: usize,
-    /// Process of the first reversing step (added if no initial is
-    /// present).
-    first_proc: usize,
-    /// Weak initials of the reversing continuation.
-    initials: Vec<usize>,
-    /// The full reversing continuation ([`PruneMode::OptimalDpor`]
-    /// only): enqueued as a wakeup sequence when the demand is applied.
-    seq: Option<WakeupSeq>,
-}
-
-/// Exploration totals and escapes of one finished subtree.
-#[derive(Default)]
-struct TaskOutput {
-    runs: usize,
-    cut_runs: usize,
-    pruned: u64,
-    capped: bool,
-    escapes: Vec<Escape>,
-    /// Panicking-subtree retry attempts folded up from descendants.
-    retried: u64,
-    /// Subtrees quarantined after exhausting retries.
-    quarantined: u64,
-    /// The budget expired: this task abandoned work at a replay
-    /// boundary (the root wrote a checkpoint first).
-    drained: bool,
-    /// One report per quarantined subtree.
-    poisoned: Vec<PoisonReport>,
-}
-
-// ---------------------------------------------------------------------
-// Process-portable task freezing (distributed dispatch)
-// ---------------------------------------------------------------------
-
-/// A frozen subtree task in process-portable form: the same shape the
-/// checkpoint wire format persists ([`CkptTask`]), minus the
-/// checkpoint-local id. Vector clocks and execution metadata are
-/// deliberately absent — [`restore_spine`] proves a task rebuilt from
-/// `(prefix, accesses, sleep, floor)` with [`StepMeta::unknown`] ghosts
-/// and empty clocks explores bit-identically, because the first counted
-/// replay recomputes both exactly as the owner would have.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WireTask {
-    /// Full decision prefix from the schedule-tree root.
-    pub prefix: Vec<usize>,
-    /// Declared accesses of the ghost spine, one per prefix step.
-    pub accesses: Vec<CkptAccess>,
-    /// Sleep set at the subtree root.
-    pub sleep: u64,
-    /// Backtrack floor: decision indices below this belong to the
-    /// dispatching owner; demands against them escape.
-    pub floor: usize,
-}
-
-impl WireTask {
-    fn freeze(spec: &SubtreeTask) -> WireTask {
-        WireTask {
-            prefix: spec.prefix.clone(),
-            accesses: spec
-                .accesses
-                .iter()
-                .map(|m| wire_access_of(&m.access))
-                .collect(),
-            sleep: spec.sleep,
-            floor: spec.floor,
-        }
-    }
-
-    fn thaw(&self) -> SubtreeTask {
-        SubtreeTask {
+impl SubtreeTask {
+    /// The portable form: the caches stay behind.
+    fn freeze(&self) -> FrozenTask {
+        FrozenTask {
             prefix: self.prefix.clone(),
-            accesses: self
-                .accesses
-                .iter()
-                .map(|a| StepMeta::unknown(live_access_of(a)))
-                .collect(),
-            clocks: Vec::new(),
+            accesses: self.accesses.iter().map(|m| m.access).collect(),
             sleep: self.sleep,
             floor: self.floor,
         }
     }
+
+    /// A task rebuilt from its portable form, with unknown execution
+    /// metadata and empty clocks. It explores bit-identically: the
+    /// first counted replay recomputes both exactly as the owner would
+    /// have (see [`restore_spine`]).
+    fn thaw(task: &FrozenTask) -> SubtreeTask {
+        SubtreeTask {
+            prefix: task.prefix.clone(),
+            accesses: task
+                .accesses
+                .iter()
+                .copied()
+                .map(StepMeta::unknown)
+                .collect(),
+            clocks: Vec::new(),
+            sleep: task.sleep,
+            floor: task.floor,
+        }
+    }
 }
 
-/// A subtree's escaped backtrack demand in process-portable form (see
-/// [`Escape`]).
+/// A backtrack demand raised inside a subtree against a decision index
+/// below its floor, carried to the owner and merged at the join.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WireEscape {
+pub struct Escape {
     /// Global decision index of the demanding race's earlier step.
     pub depth: usize,
-    /// Process of the first reversing step.
+    /// Process of the first reversing step (added if no initial is
+    /// present).
     pub first_proc: usize,
-    /// Weak initials of the reversing continuation.
+    /// Weak initials of the reversing continuation; they include
+    /// `first_proc`.
     pub initials: Vec<usize>,
     /// The full reversing continuation ([`PruneMode::OptimalDpor`]
-    /// only).
-    pub seq: Option<Vec<(usize, CkptAccess)>>,
+    /// only), starting with `first_proc`: enqueued as a wakeup
+    /// sequence when the demand is applied.
+    pub seq: Option<Vec<(usize, PendingAccess)>>,
 }
 
-impl WireEscape {
-    fn freeze(e: &Escape) -> WireEscape {
-        WireEscape {
-            depth: e.depth,
-            first_proc: e.first_proc,
-            initials: e.initials.clone(),
-            seq: e
-                .seq
-                .as_ref()
-                .map(|seq| seq.iter().map(|(p, a)| (*p, wire_access_of(a))).collect()),
-        }
-    }
-
-    fn thaw(&self) -> Escape {
-        Escape {
-            depth: self.depth,
-            first_proc: self.first_proc,
-            initials: self.initials.clone(),
-            seq: self
-                .seq
-                .as_ref()
-                .map(|seq| seq.iter().map(|(p, a)| (*p, live_access_of(a))).collect()),
-        }
-    }
-}
-
-/// The completed exploration of one dispatched subtree, in
-/// process-portable form: [`TaskOutput`] minus `drained` (a remote
-/// worker holds no budget; draining is the coordinator's call).
+/// The exploration of one finished subtree: what a join merges, what a
+/// [`TaskDispatcher`] returns and what an `sl-dist` result frame
+/// carries.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WireTaskResult {
-    /// Completed runs.
-    pub runs: usize,
-    /// Sleep-set-cut replays.
-    pub cut_runs: usize,
-    /// Pruned branch candidates.
-    pub pruned: u64,
-    /// The subtree hit its run budget (never set by
+pub struct TaskResult {
+    /// Runs, cut replays, pruned candidates, retries and quarantines,
+    /// folded up from descendants.
+    pub counters: Counters,
+    /// The subtree hit the run budget (never set by
     /// [`Explorer::explore_frozen_task`], which runs uncapped).
     pub capped: bool,
-    /// Panicking-subtree retry attempts.
-    pub retried: u64,
-    /// Subtrees quarantined after exhausting retries.
-    pub quarantined: u64,
+    /// The budget expired: this task abandoned work at a replay
+    /// boundary (the root wrote a checkpoint first). Never crosses a
+    /// process boundary: a worker holds no budget.
+    pub drained: bool,
     /// One report per quarantined subtree.
     pub poisoned: Vec<PoisonReport>,
-    /// Backtrack demands against decisions above the task's floor.
-    pub escapes: Vec<WireEscape>,
-}
-
-impl WireTaskResult {
-    fn freeze(out: &TaskOutput) -> WireTaskResult {
-        WireTaskResult {
-            runs: out.runs,
-            cut_runs: out.cut_runs,
-            pruned: out.pruned,
-            capped: out.capped,
-            retried: out.retried,
-            quarantined: out.quarantined,
-            poisoned: out.poisoned.clone(),
-            escapes: out.escapes.iter().map(WireEscape::freeze).collect(),
-        }
-    }
-
-    fn thaw(&self) -> TaskOutput {
-        TaskOutput {
-            runs: self.runs,
-            cut_runs: self.cut_runs,
-            pruned: self.pruned,
-            capped: self.capped,
-            retried: self.retried,
-            quarantined: self.quarantined,
-            drained: false,
-            poisoned: self.poisoned.clone(),
-            escapes: self.escapes.iter().map(WireEscape::thaw).collect(),
-        }
-    }
-}
-
-fn wire_access_of(a: &PendingAccess) -> CkptAccess {
-    CkptAccess {
-        reg: a.reg.0,
-        kind: a.kind,
-    }
-}
-
-fn live_access_of(a: &CkptAccess) -> PendingAccess {
-    PendingAccess {
-        reg: RegId(a.reg),
-        kind: a.kind,
-    }
+    /// Backtrack demands against decision indices below the task's
+    /// floor, in detection order.
+    pub escapes: Vec<Escape>,
 }
 
 /// Farms frozen subtree tasks to somewhere else — typically worker
 /// processes, via `sl-dist`'s lease-table coordinator.
 ///
-/// `dispatch` either returns the subtree's completed
-/// [`WireTaskResult`] (possibly a quarantine verdict, after the remote
-/// retry budget is spent) or `None`, which makes the calling worker
-/// run the task in-process — the graceful-degradation path when no
-/// worker process can be spawned or every lease was revoked without a
-/// verdict. Called concurrently from every exploration thread.
+/// `dispatch` either returns the subtree's completed [`TaskResult`]
+/// (possibly a quarantine verdict, after the remote retry budget is
+/// spent) or `None`, which makes the calling worker run the task
+/// in-process — the graceful-degradation path when no worker process
+/// can be spawned or every lease was revoked without a verdict. A
+/// returned result is merged as is, so the dispatcher answers for its
+/// escapes pointing below the task's floor. Called concurrently from
+/// every exploration thread.
 pub trait TaskDispatcher: Sync {
     /// Executes one frozen task remotely, or declines with `None`.
-    fn dispatch(&self, task: &WireTask) -> Option<WireTaskResult>;
+    fn dispatch(&self, task: &FrozenTask) -> Option<TaskResult>;
 }
 
 const TASK_QUEUED: u8 = 0;
@@ -1460,7 +1338,7 @@ const TASK_RUNNING: u8 = 1;
 const TASK_DONE: u8 = 2;
 
 /// A published subtree task: claimable exactly once, completed with its
-/// [`TaskOutput`]. Deques may hold stale handles to already-claimed
+/// [`TaskResult`]. Deques may hold stale handles to already-claimed
 /// slots; `claim` arbitrates.
 struct TaskSlot {
     state: AtomicU8,
@@ -1468,7 +1346,7 @@ struct TaskSlot {
     /// reads it lock-free regardless of claim state, and claiming hands
     /// out a clone.
     spec: SubtreeTask,
-    output: Mutex<Option<TaskOutput>>,
+    output: Mutex<Option<TaskResult>>,
 }
 
 impl TaskSlot {
@@ -1498,7 +1376,7 @@ impl TaskSlot {
         }
     }
 
-    fn complete(&self, out: TaskOutput) {
+    fn complete(&self, out: TaskResult) {
         *self.output.lock().unwrap() = Some(out);
         self.state.store(TASK_DONE, Ordering::SeqCst);
     }
@@ -1629,9 +1507,8 @@ impl Explorer {
     /// declines — see [`TaskDispatcher`]. With a dispatcher that always
     /// declines this is exactly [`Explorer::explore_with`]; with one
     /// that farms tasks to `sl-dist` worker processes the merged result
-    /// is still bit-identical (the wire task shape round-trips the
-    /// frozen spec, and counters/escapes merge the same way a local
-    /// join does).
+    /// is still bit-identical (a task leaves as its [`FrozenTask`] and
+    /// its [`TaskResult`] merges the same way a local join does).
     pub fn explore_dispatched<C, NF, F>(
         &self,
         new_ctx: NF,
@@ -1646,36 +1523,33 @@ impl Explorer {
         self.explore_session(&new_ctx, &runner, None, Some(dispatcher))
     }
 
-    /// Worker-process side of distributed dispatch: explores one frozen
-    /// [`WireTask`] to exhaustion on the calling thread and returns its
-    /// portable result. The explorer must be configured identically to
-    /// the dispatching coordinator's (mode, stem, statics) — `sl-dist`
-    /// pins both to one named workload. Runs uncapped: the coordinator
-    /// owns the global run budget and banks dispatched counters
-    /// against it.
+    /// Worker-process side of distributed dispatch: explores one
+    /// [`FrozenTask`] to exhaustion on the calling thread and returns
+    /// its [`TaskResult`], the record a result frame carries back. The
+    /// explorer must be configured identically to the dispatching
+    /// coordinator's (mode, stem, statics) — `sl-dist` pins both to one
+    /// named workload. Runs uncapped: the coordinator owns the global
+    /// run budget and banks dispatched counters against it.
     pub fn explore_frozen_task<C, NF, F>(
         &self,
         new_ctx: NF,
         runner: F,
-        task: &WireTask,
-    ) -> WireTaskResult
+        task: &FrozenTask,
+    ) -> TaskResult
     where
         C: ReplayCtx,
         NF: Fn() -> C + Sync,
         F: Fn(&mut C, &mut ScheduleDriver) + Sync,
     {
         let shared = DporShared::new(self, &new_ctx, &runner, 1, usize::MAX, None, None);
-        let spec = task.thaw();
         let mut ctx = (shared.new_ctx)();
-        let out = run_task_guarded(&shared, 0, 0, &mut ctx, &spec, None);
-        WireTaskResult::freeze(&out)
+        run_task_guarded(&shared, 0, 0, &mut ctx, &SubtreeTask::thaw(task), None)
     }
 
     /// Resumable exploration: periodic frontier checkpoints,
     /// budget-drained degradation, and (optionally) deterministic fault
-    /// injection — see the [`crate::checkpoint`] module docs for the
-    /// format, the budget semantics, and the quarantine soundness
-    /// argument.
+    /// injection — see the crate docs' crash-resilience section, and
+    /// [`Checkpoint`] for the format.
     ///
     /// If `session.store` holds a checkpoint, it is loaded (fail-closed:
     /// any load error panics with the store's named diagnostic) and the
@@ -1714,7 +1588,7 @@ impl Explorer {
             let base = ckpt.counters;
             (Some(ckpt), base)
         } else {
-            (None, CkptCounters::default())
+            (None, Counters::default())
         };
         self.explore_session(
             &new_ctx,
@@ -1784,13 +1658,12 @@ impl Explorer {
             replays_since: 0,
             restore: s.restore,
         });
-        let root = SubtreeTask {
+        let root = SubtreeTask::thaw(&FrozenTask {
             prefix: self.stem.clone(),
             accesses: Vec::new(),
-            clocks: Vec::new(),
             sleep: 0,
             floor: self.stem.len(),
-        };
+        });
         let root_out = if workers <= 1 {
             let mut ctx = new_ctx();
             run_task_guarded(&shared, 0, 0, &mut ctx, &root, rc.as_mut())
@@ -1816,16 +1689,17 @@ impl Explorer {
             }
             root_out.expect("root exploration completed without a panic")
         };
-        let quarantined = base.quarantined + root_out.quarantined;
+        let mut total = base;
+        total.add(root_out.counters);
         let outcome = ExploreOutcome {
-            runs: base.runs as usize + root_out.runs,
-            exhausted: !root_out.capped && !root_out.drained && quarantined == 0,
-            pruned: base.pruned + root_out.pruned,
-            cut_runs: base.cut_runs as usize + root_out.cut_runs,
-            retried: base.retried + root_out.retried,
-            quarantined,
+            runs: total.runs as usize,
+            exhausted: !root_out.capped && !root_out.drained && total.quarantined == 0,
+            pruned: total.pruned,
+            cut_runs: total.cut_runs as usize,
+            retried: total.retried,
+            quarantined: total.quarantined,
             drained: root_out.drained,
-            partial: root_out.drained || quarantined > 0,
+            partial: root_out.drained || total.quarantined > 0,
             poisoned: root_out.poisoned,
         };
         let ckpt_store = rc.as_ref().map(|r| r.store.clone());
@@ -1859,7 +1733,7 @@ struct SessionState<'a> {
     /// The loaded checkpoint to restore from (`None` = fresh start).
     restore: Option<Checkpoint>,
     /// Counters banked by the interrupted run (zero on a fresh start).
-    base: CkptCounters,
+    base: Counters,
 }
 
 /// Root-only checkpointing state: owned by whichever thread runs the
@@ -1880,7 +1754,7 @@ struct RootCkpt<'a> {
     stem_len: usize,
     /// Counters banked by the interrupted run; snapshots write
     /// `base + out` so each checkpoint carries run-total counters.
-    base: CkptCounters,
+    base: Counters,
     seq: u64,
     replays_since: u64,
     restore: Option<Checkpoint>,
@@ -1899,19 +1773,14 @@ fn write_root_checkpoint(
     rc: &mut RootCkpt<'_>,
     spine: &[SpineNode],
     next: (&[usize], u64, usize),
-    out: &TaskOutput,
+    out: &TaskResult,
     durable: bool,
 ) {
     if spine.is_empty() {
         return;
     }
-    let counters = CkptCounters {
-        runs: rc.base.runs + out.runs as u64,
-        cut_runs: rc.base.cut_runs + out.cut_runs as u64,
-        pruned: rc.base.pruned + out.pruned,
-        retried: rc.base.retried + out.retried,
-        quarantined: rc.base.quarantined + out.quarantined,
-    };
+    let mut counters = rc.base;
+    counters.add(out.counters);
     let mut shard_hashes = rc.shard_hashes.map(|f| f()).unwrap_or_default();
     shard_hashes.sort_unstable();
     let mut task_id = 0u64;
@@ -1923,12 +1792,8 @@ fn write_root_checkpoint(
             sleep: node.sleep_now,
             backtrack: node.backtrack.clone(),
             runnable: node.runnable.clone(),
-            pending: node.pending.iter().map(wire_access_of).collect(),
-            wakeups: node
-                .wakeups
-                .iter()
-                .map(|seq| seq.iter().map(|(p, a)| (*p, wire_access_of(a))).collect())
-                .collect(),
+            pending: node.pending.clone(),
+            wakeups: node.wakeups.iter().cloned().collect(),
             tasks: node
                 .delegated
                 .iter()
@@ -1937,15 +1802,7 @@ fn write_root_checkpoint(
                     CkptTask {
                         id: task_id,
                         proc: *proc,
-                        prefix: slot.spec.prefix.clone(),
-                        accesses: slot
-                            .spec
-                            .accesses
-                            .iter()
-                            .map(|m| wire_access_of(&m.access))
-                            .collect(),
-                        sleep: slot.spec.sleep,
-                        floor: slot.spec.floor,
+                        task: slot.spec.freeze(),
                     }
                 })
                 .collect(),
@@ -1987,7 +1844,7 @@ fn write_root_checkpoint(
 
 /// Rebuilds the root spine (and republishes its delegated tasks onto
 /// `deques[me]`) from a loaded checkpoint. No replay runs here: the
-/// wire format carries every configuration field race detection needs
+/// checkpoint carries every configuration field race detection needs
 /// structurally (`runnable`/`pending`/sleep/backtrack/wakeups), and the
 /// execution metadata + vector clocks are recomputed by the first
 /// counted replay exactly as the interrupted run would have refreshed
@@ -2000,7 +1857,7 @@ fn restore_spine<NF, F>(
     ckpt.spine
         .iter()
         .map(|node| {
-            let pending: Vec<PendingAccess> = node.pending.iter().map(live_access_of).collect();
+            let pending = node.pending.clone();
             // Ghost prefix nodes have empty `runnable`; their access is
             // unknowable here, but also never consulted (the first
             // replay's exec pass refreshes every node's meta).
@@ -2014,18 +1871,7 @@ fn restore_spine<NF, F>(
                 .tasks
                 .iter()
                 .map(|t| {
-                    let spec = SubtreeTask {
-                        prefix: t.prefix.clone(),
-                        accesses: t
-                            .accesses
-                            .iter()
-                            .map(|a| StepMeta::unknown(live_access_of(a)))
-                            .collect(),
-                        clocks: Vec::new(),
-                        sleep: t.sleep,
-                        floor: t.floor,
-                    };
-                    let slot = Arc::new(TaskSlot::new(spec));
+                    let slot = Arc::new(TaskSlot::new(SubtreeTask::thaw(&t.task)));
                     shared.deques[me]
                         .lock()
                         .unwrap()
@@ -2043,11 +1889,7 @@ fn restore_spine<NF, F>(
                 chosen: node.chosen,
                 meta: StepMeta::unknown(access),
                 delegated,
-                wakeups: node
-                    .wakeups
-                    .iter()
-                    .map(|seq| seq.iter().map(|(p, a)| (*p, live_access_of(a))).collect())
-                    .collect(),
+                wakeups: node.wakeups.iter().cloned().collect(),
             }
         })
         .collect()
@@ -2127,7 +1969,7 @@ fn run_task_guarded<C, NF, F>(
     ctx: &mut C,
     spec: &SubtreeTask,
     mut root: Option<&mut RootCkpt<'_>>,
-) -> TaskOutput
+) -> TaskResult
 where
     C: ReplayCtx,
     NF: Fn() -> C + Sync,
@@ -2150,11 +1992,12 @@ where
             if let Some(plan) = shared.fault {
                 plan.fire(FaultPoint::Dispatch);
             }
-            if let Some(res) = dispatcher.dispatch(&WireTask::freeze(spec)) {
+            if let Some(res) = dispatcher.dispatch(&spec.freeze()) {
+                let c = res.counters;
                 shared
                     .replays
-                    .fetch_add(res.runs + res.cut_runs, Ordering::SeqCst);
-                return res.thaw();
+                    .fetch_add((c.runs + c.cut_runs) as usize, Ordering::SeqCst);
+                return res;
             }
         }
     }
@@ -2178,7 +2021,7 @@ where
         ctx.subtree_end();
         match result {
             Ok(mut out) => {
-                out.retried += u64::from(attempts - 1);
+                out.counters.retried += u64::from(attempts - 1);
                 return out;
             }
             Err(payload) => {
@@ -2196,13 +2039,15 @@ where
                         // outcome, so a failed write loses nothing vital.
                         let _ = write_poison_report(dir, &report);
                     }
-                    let mut out = TaskOutput {
-                        retried: u64::from(attempts - 1),
-                        quarantined: 1,
-                        ..Default::default()
+                    return TaskResult {
+                        counters: Counters {
+                            retried: u64::from(attempts - 1),
+                            quarantined: 1,
+                            ..Counters::default()
+                        },
+                        poisoned: vec![report],
+                        ..TaskResult::default()
                     };
-                    out.poisoned.push(report);
-                    return out;
                 }
                 std::thread::sleep(std::time::Duration::from_millis(
                     QUARANTINE_BACKOFF_MS[(attempts - 1) as usize],
@@ -2224,7 +2069,7 @@ fn join_slot<C, NF, F>(
     help_depth: usize,
     ctx: &mut C,
     slot: &Arc<TaskSlot>,
-) -> TaskOutput
+) -> TaskResult
 where
     C: ReplayCtx,
     NF: Fn() -> C + Sync,
@@ -2286,14 +2131,14 @@ fn run_task<C, NF, F>(
     ctx: &mut C,
     task: SubtreeTask,
     mut root: Option<&mut RootCkpt<'_>>,
-) -> TaskOutput
+) -> TaskResult
 where
     C: ReplayCtx,
     NF: Fn() -> C + Sync,
     F: Fn(&mut C, &mut ScheduleDriver) + Sync,
 {
     let floor = task.floor;
-    let mut out = TaskOutput::default();
+    let mut out = TaskResult::default();
     let mut spine: Vec<SpineNode> = task
         .prefix
         .iter()
@@ -2348,7 +2193,8 @@ where
                 }
             }
             Some(rc) => {
-                let spent = rc.base.runs + rc.base.cut_runs + (out.runs + out.cut_runs) as u64;
+                let c = &out.counters;
+                let spent = rc.base.runs + rc.base.cut_runs + c.runs + c.cut_runs;
                 let expired = rc.policy.max_schedules.is_some_and(|m| spent >= m)
                     || rc
                         .policy
@@ -2393,11 +2239,11 @@ where
         );
         (shared.runner)(ctx, &mut driver);
         if driver.cut {
-            out.cut_runs += 1;
+            out.counters.cut_runs += 1;
         } else {
-            out.runs += 1;
+            out.counters.runs += 1;
         }
-        out.pruned += driver.pruned;
+        out.counters.pruned += driver.pruned;
         // Extend the spine with this run's recorded decisions
         // (observed[0] is the decision at the current spine tip).
         for obs in driver.observed {
@@ -2547,7 +2393,7 @@ where
                 break;
             }
             let node = &spine[d];
-            out.pruned += (node.runnable.len() as u64) - u64::from(node.done.count_ones());
+            out.counters.pruned += (node.runnable.len() as u64) - u64::from(node.done.count_ones());
             debug_assert!(node.delegated.is_empty(), "popping a node with open joins");
             spine.pop();
         }
@@ -2681,7 +2527,7 @@ fn join_delegated<C, NF, F>(
     spine: &mut [SpineNode],
     d: usize,
     floor: usize,
-    out: &mut TaskOutput,
+    out: &mut TaskResult,
 ) where
     C: ReplayCtx,
     NF: Fn() -> C + Sync,
@@ -2696,12 +2542,8 @@ fn join_delegated<C, NF, F>(
             plan.fire(FaultPoint::JoinMerge);
         }
         let res = join_slot(shared, me, help_depth, ctx, &slot);
-        out.runs += res.runs;
-        out.cut_runs += res.cut_runs;
-        out.pruned += res.pruned;
+        out.counters.add(res.counters);
         out.capped |= res.capped;
-        out.retried += res.retried;
-        out.quarantined += res.quarantined;
         out.drained |= res.drained;
         out.poisoned.extend(res.poisoned);
         for esc in res.escapes {
@@ -2727,7 +2569,7 @@ fn drain_delegated<C, NF, F>(
     ctx: &mut C,
     spine: &mut [SpineNode],
     floor: usize,
-    out: &mut TaskOutput,
+    out: &mut TaskResult,
 ) where
     C: ReplayCtx,
     NF: Fn() -> C + Sync,
@@ -3123,14 +2965,14 @@ mod tests {
         let base = Explorer::default().explore(mixed_runner(3));
         assert!(base.exhausted);
 
-        // Round-trips every delegated task through the portable wire
-        // form and explores it with `explore_frozen_task`, exactly as a
+        // Hands every delegated task over as its `FrozenTask` and
+        // explores it with `explore_frozen_task`, exactly as a
         // worker process behind `sl-dist` would.
         struct Loopback {
             hits: AtomicUsize,
         }
         impl TaskDispatcher for Loopback {
-            fn dispatch(&self, task: &WireTask) -> Option<WireTaskResult> {
+            fn dispatch(&self, task: &FrozenTask) -> Option<TaskResult> {
                 self.hits.fetch_add(1, Ordering::SeqCst);
                 let run = mixed_runner(3);
                 Some(Explorer::default().explore_frozen_task(
@@ -3172,7 +3014,7 @@ mod tests {
         // degradation, still bit-identical.
         struct Decline;
         impl TaskDispatcher for Decline {
-            fn dispatch(&self, _: &WireTask) -> Option<WireTaskResult> {
+            fn dispatch(&self, _: &FrozenTask) -> Option<TaskResult> {
                 None
             }
         }

@@ -58,7 +58,12 @@
 //!   candidates are delegated as frozen subtree tasks onto a
 //!   work-stealing deque, escaping race demands merge at the joins,
 //!   and the result — schedule set, counts, merged transcript DAG — is
-//!   bit-identical to sequential exploration at any worker count.
+//!   bit-identical to sequential exploration at any worker count. A
+//!   frozen subtree is one record wherever it goes — a thread, a
+//!   checkpoint or an `sl-dist` worker pipe: a [`FrozenTask`] out, a
+//!   [`TaskResult`] ([`Counters`], [`Escape`]s, quarantine reports)
+//!   back — and checkpoints and frames spell it with the same render
+//!   and parse functions.
 //!   Replays run on warm worlds: [`SimWorld::reset`] restores
 //!   registers to their `alloc`-time values (keeping names, ids, and
 //!   allocation sites), and trace buffers, VM cores, and fiber stacks
@@ -140,13 +145,13 @@ mod vm;
 mod world;
 
 pub use checkpoint::{
-    validate_task, write_poison_report, Checkpoint, CheckpointPolicy, CheckpointStore, CkptAccess,
-    CkptCounters, CkptNext, CkptNode, CkptTask, CkptWriter, FaultCrash, FaultPlan, FaultPoint,
-    PoisonReport, ResumeExpectation, ResumeSession,
+    write_poison_report, Checkpoint, CheckpointPolicy, CheckpointStore, CkptNext, CkptNode,
+    CkptTask, CkptWriter, Counters, FaultCrash, FaultPlan, FaultPoint, FrozenTask, PoisonReport,
+    ResumeExpectation, ResumeSession,
 };
 pub use explore::{
-    env_workers, ExploreOutcome, Explorer, PruneMode, ReplayCtx, ScheduleDriver, TaskDispatcher,
-    WireEscape, WireTask, WireTaskResult,
+    env_workers, Escape, ExploreOutcome, Explorer, PruneMode, ReplayCtx, ScheduleDriver,
+    TaskDispatcher, TaskResult,
 };
 pub use log::EventLog;
 pub use mem::{SimMem, SimRegister};
