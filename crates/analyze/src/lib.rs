@@ -36,7 +36,7 @@
 //! # Example
 //!
 //! ```
-//! use sl_api::sim::{explore_object, SimExplore};
+//! use sl_api::sim::{explore_object_dag, SimExplore};
 //! use sl_api::ObjectBuilder;
 //! use sl_sim::PruneMode;
 //! use sl_spec::{AbaOp, AbaSpec};
@@ -53,7 +53,7 @@
 //!     workers: 1,
 //!     ..SimExplore::default()
 //! };
-//! let explored = explore_object::<AbaSpec<u64>, _, _>(
+//! let explored = explore_object_dag::<AbaSpec<u64>, _, _>(
 //!     |mem| ObjectBuilder::on(mem).processes(2).aba_register::<u64>(),
 //!     &[vec![AbaOp::DWrite(1)], vec![AbaOp::DRead]],
 //!     &cfg,

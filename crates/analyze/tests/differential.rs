@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use sl_api::sim::{explore_object, SimExplore};
+use sl_api::sim::{explore_object_dag, SimExplore};
 use sl_api::ObjectBuilder;
 use sl_sim::{ExploreOutcome, PruneMode, StaticConflicts};
 use sl_spec::{AbaOp, AbaSpec, CounterOp, CounterSpec, SeqSpec, SnapshotOp, SnapshotSpec};
@@ -53,7 +53,7 @@ where
     O::Handle: sl_api::sim::DriveOps<S>,
     F: Fn(&sl_sim::SimMem) -> O + Send + Sync,
 {
-    let explored = explore_object::<S, O, F>(factory, workload, c);
+    let explored = explore_object_dag::<S, O, F>(factory, workload, c);
     assert!(
         explored.outcome.exhausted,
         "budget too small: {:?}",

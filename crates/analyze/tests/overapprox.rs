@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use sl_analyze::Certificate;
-use sl_api::sim::{explore_object, explore_object_with, DriveOps, SimExplore};
+use sl_api::sim::{explore_object_dag, explore_object_dag_with, DriveOps, SimExplore};
 use sl_api::{ObjectBuilder, SharedObject, UniversalOps};
 use sl_sim::{PruneMode, SimMem, StaticConflicts};
 use sl_spec::{
@@ -67,7 +67,7 @@ fn assert_overapproximates<S, O, F>(
 {
     let st = Arc::new(cert.static_conflicts());
     st.enable_race_recording();
-    let pruned = explore_object::<S, O, F>(
+    let pruned = explore_object_dag::<S, O, F>(
         factory,
         workload,
         &cfg(PruneMode::OptimalDpor, Some(Arc::clone(&st)), budget),
@@ -78,7 +78,7 @@ fn assert_overapproximates<S, O, F>(
         return;
     }
     let baseline =
-        explore_object::<S, O, F>(factory, workload, &cfg(PruneMode::SourceDpor, None, budget));
+        explore_object_dag::<S, O, F>(factory, workload, &cfg(PruneMode::SourceDpor, None, budget));
     if baseline.outcome.exhausted {
         assert_eq!(
             baseline.check_strong(spec).holds,
@@ -244,7 +244,7 @@ macro_rules! universal_overapprox_test {
             let uni_cert = cert(&certs, "universal-counter", $name);
             let st = Arc::new(uni_cert.static_conflicts());
             st.enable_race_recording();
-            let pruned = explore_object_with::<CounterSpec, _, _, _>(
+            let pruned = explore_object_dag_with::<CounterSpec, _, _, _>(
                 |mem: &SimMem| {
                     ObjectBuilder::on(mem)
                         .processes(2)
@@ -360,7 +360,7 @@ fn lin_snapshots_overapproximate() {
 fn doctored_certificate_fails_closed() {
     let cert = sl_analyze::aba_certificate(2);
     let st = Arc::new(StaticConflicts::new(cert.licensed_syms(), []));
-    let explored = explore_object::<AbaSpec<u64>, _, _>(
+    let explored = explore_object_dag::<AbaSpec<u64>, _, _>(
         |mem: &SimMem| ObjectBuilder::on(mem).processes(2).aba_register::<u64>(),
         &aba_workload(),
         &cfg(PruneMode::OptimalDpor, Some(st), FULL),
@@ -396,7 +396,7 @@ fn doctored_pair_cell_fails_closed() {
         );
     }
     let st = Arc::new(st);
-    let explored = explore_object::<AbaSpec<u64>, _, _>(
+    let explored = explore_object_dag::<AbaSpec<u64>, _, _>(
         |mem: &SimMem| ObjectBuilder::on(mem).processes(2).aba_register::<u64>(),
         &aba_workload(),
         &cfg(PruneMode::OptimalDpor, Some(st), FULL),
@@ -420,7 +420,7 @@ fn doctored_pair_cell_fails_closed() {
 fn telemetry_counts_relaxations_and_validations() {
     let cert = sl_analyze::aba_certificate(2);
     let st = Arc::new(cert.static_conflicts());
-    let explored = explore_object::<AbaSpec<u64>, _, _>(
+    let explored = explore_object_dag::<AbaSpec<u64>, _, _>(
         |mem: &SimMem| ObjectBuilder::on(mem).processes(2).aba_register::<u64>(),
         &[vec![AbaOp::DWrite(1), AbaOp::DWrite(2)], vec![AbaOp::DRead]],
         &cfg(PruneMode::OptimalDpor, Some(Arc::clone(&st)), FULL),

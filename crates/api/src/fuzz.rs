@@ -29,7 +29,7 @@ use sl_sim::{PruneMode, Scripted, SeededRandom, SimMem, StaticConflicts};
 use sl_spec::{History, ProcId, SeqSpec};
 
 use crate::object::SharedObject;
-use crate::sim::{explore_object, run_object_schedule_with, DriveOps, SimExplore, SimRun};
+use crate::sim::{explore_object_dag, run_object_schedule_with, DriveOps, SimExplore, SimRun};
 
 /// Budgets and seed of one fuzz campaign. Scale with
 /// [`FuzzConfig::from_env`] in CI (`SL_FUZZ_WORKLOADS`,
@@ -568,7 +568,7 @@ where
     G: Fn(&mut SmallRng, ProcId) -> S::Op,
 {
     let explore = |w: &[Vec<S::Op>], mode: PruneMode, st: Option<Arc<StaticConflicts>>| {
-        explore_object::<S, O, F>(
+        explore_object_dag::<S, O, F>(
             factory,
             w,
             &SimExplore {

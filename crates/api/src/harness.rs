@@ -9,7 +9,7 @@
 //! code exercises every family × substrate × backend combination — the
 //! builder matrix test is built on this module.
 
-use sl_check::{check_linearizable, check_strongly_linearizable, HistoryTree, StrongLinReport};
+use sl_check::check_linearizable;
 use sl_mem::{Mem, Value};
 use sl_spec::types::SnapshotSpec;
 use sl_spec::{History, ProcId, SeqSpec, SnapshotOp, SnapshotResp};
@@ -152,11 +152,6 @@ where
 /// `sl_check`, re-exported here so harness users have one import).
 pub fn linearizable<S: SeqSpec>(spec: &S, history: &History<S>) -> bool {
     check_linearizable(spec, history).is_some()
-}
-
-/// Checks a transcript prefix tree for strong linearizability.
-pub fn strongly_linearizable<S: SeqSpec>(spec: &S, tree: &HistoryTree<S>) -> StrongLinReport {
-    check_strongly_linearizable(spec, tree)
 }
 
 #[cfg(test)]

@@ -1,16 +1,17 @@
 //! Model checking any built object under the schedule explorer.
 //!
 //! The builder constructs objects; this module runs them. Give
-//! [`explore_object`] a factory (a closure building the object on a
-//! fresh `SimMem` — typically an [`crate::ObjectBuilder`] chain), a
+//! [`explore_object_dag`] a factory (a closure building the object on
+//! a fresh `SimMem` — typically an [`crate::ObjectBuilder`] chain), a
 //! per-process workload of sequential-spec operations, and an
 //! [`SimExplore`] budget; it enumerates adversary schedules on the step
 //! VM under the configured [`PruneMode`] (optimal DPOR by default),
-//! streams every transcript into an incremental prefix tree, and hands
-//! back an [`ExploredObject`] ready for `sl_check`'s deciders:
+//! streams every transcript into a hash-consed [`TreeDag`], and hands
+//! back an [`ExploredDag`] ready for the memoised strong-linearizability
+//! checker:
 //!
 //! ```
-//! use sl_api::sim::{explore_object, SimExplore};
+//! use sl_api::sim::{explore_object_dag, SimExplore};
 //! use sl_api::ObjectBuilder;
 //! use sl_spec::types::AbaSpec;
 //! use sl_spec::AbaOp;
@@ -18,7 +19,7 @@
 //! // Theorem 12, bounded: Algorithm 2 is strongly linearizable over
 //! // every schedule of one DWrite and one DRead (a paper verdict, so
 //! // on the unpruned oracle).
-//! let explored = explore_object::<AbaSpec<u64>, _, _>(
+//! let explored = explore_object_dag::<AbaSpec<u64>, _, _>(
 //!     |mem| ObjectBuilder::on(mem).processes(2).aba_register::<u64>(),
 //!     &[vec![AbaOp::DWrite(9)], vec![AbaOp::DRead]],
 //!     &SimExplore {
@@ -29,19 +30,26 @@
 //! assert!(explored.outcome.exhausted);
 //! assert!(explored.check_strong(&AbaSpec::<u64>::new(2)).holds);
 //! ```
+//!
+//! Every entry point runs one harness. Each explorer worker replays
+//! the workload's [`programs_for`] on a warm [`PooledWorld`] and streams
+//! the transcripts into per-subtree [`DagShards`], which are merged
+//! after the exploration. The entry points differ only in how the
+//! explorer runs: plain ([`explore_object_dag_with`]), checkpointed
+//! ([`explore_object_dag_resumable`]), over a fleet of worker processes
+//! ([`explore_object_dag_distributed`]), or as one such worker
+//! ([`serve_object_worker`]).
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
-use sl_check::{
-    check_linearizable, check_strongly_linearizable, check_strongly_linearizable_dag, DagShards,
-    HistoryTree, StrongLinReport, TreeBuilder, TreeDag, TreeStep,
-};
+use sl_check::{check_strongly_linearizable_dag, DagShards, StrongLinReport, TreeDag, TreeStep};
 use sl_dist::{DistCoordinator, FleetConfig, WireSpec};
 use sl_mem::Value;
 use sl_sim::{
     EventLog, ExploreOutcome, Explorer, ProcCtx, Program, PruneMode, ReplayCtx, ReplayPool,
-    ResumeSession, RunOutcome, Scheduler, Sharded, SimMem, SimWorld, StaticConflicts,
+    ResumeSession, RunOutcome, ScheduleDriver, Scheduler, Sharded, SimMem, SimWorld,
+    StaticConflicts,
 };
 use sl_spec::types::{AbaSpec, CounterSpec, MaxRegisterSpec, SnapshotSpec};
 use sl_spec::{
@@ -161,47 +169,18 @@ impl Default for SimExplore {
     }
 }
 
-/// The result of exploring one object: the merged prefix tree of every
-/// transcript plus the exploration statistics.
-pub struct ExploredObject<S: SeqSpec> {
-    /// Prefix tree over all explored transcripts — the set strong
-    /// linearizability quantifies over.
-    pub tree: HistoryTree<S>,
-    /// Runs, exhaustion, pruning statistics.
-    pub outcome: ExploreOutcome,
-}
-
-impl<S: SeqSpec> ExploredObject<S> {
-    /// Decides strong linearizability of the explored transcript tree.
-    pub fn check_strong(&self, spec: &S) -> StrongLinReport {
-        check_strongly_linearizable(spec, &self.tree)
-    }
-
-    /// Checks plain linearizability of every maximal transcript,
-    /// returning the first failing history if any.
-    pub fn first_non_linearizable(&self, spec: &S) -> Option<History<S>> {
-        for transcript in self.tree.transcripts() {
-            let h = history_of_transcript::<S>(&transcript);
-            if check_linearizable(spec, &h).is_none() {
-                return Some(h);
-            }
-        }
-        None
-    }
-}
-
-/// Extracts the high-level history from a transcript.
-pub fn history_of_transcript<S: SeqSpec>(transcript: &[TreeStep<S>]) -> History<S> {
-    let mut h = History::new();
-    for step in transcript {
-        if let TreeStep::Event(e) = step {
-            match &e.kind {
-                sl_spec::EventKind::Invoke(op) => h.invoke_with_id(e.op, e.proc, op.clone()),
-                sl_spec::EventKind::Respond(r) => h.respond(e.op, r.clone()),
-            }
+impl SimExplore {
+    /// The explorer these knobs configure. The step budget is not the
+    /// explorer's: each replay passes it to the world it runs on.
+    pub fn explorer(&self) -> Explorer {
+        Explorer {
+            max_runs: self.max_runs,
+            mode: self.mode,
+            workers: self.workers,
+            stem: self.stem.clone(),
+            statics: self.statics.clone(),
         }
     }
-    h
 }
 
 /// One simulated run of an object workload under a given scheduler.
@@ -216,7 +195,11 @@ pub struct SimRun<S: SeqSpec> {
     pub pretty: Vec<String>,
 }
 
-fn programs_for<S, O, A>(
+/// The programs every harness runs for `workload`, one per process:
+/// before each operation the process pauses (the adversary schedules
+/// the invocation), then it invokes the operation on `log`, applies it
+/// to its handle of `obj` and records the response.
+pub fn programs_for<S, O, A>(
     obj: &O,
     log: &EventLog<S>,
     workload: &[Vec<S::Op>],
@@ -253,8 +236,8 @@ where
 
 /// Runs one schedule of `workload` against a freshly built object,
 /// recording everything (used by the fuzzer; exploration uses
-/// [`explore_object`]). The object is built by `factory` on the fresh
-/// world's memory; `apply` maps spec operations onto the handle.
+/// [`explore_object_dag`]). The object is built by `factory` on the
+/// fresh world's memory; `apply` maps spec operations onto the handle.
 pub fn run_object_schedule_with<S, O, F, A>(
     factory: &F,
     workload: &[Vec<S::Op>],
@@ -291,12 +274,15 @@ where
 /// One worker's warm replay state: a world (registers, the object under
 /// test, the event log) built once and reset between schedules —
 /// [`ReplayPool`] owns the reset/replay/recycle ordering; this wrapper
-/// adds the object and the workload application. Replays re-execute the
-/// workload's programs (cheap closures over the same handles) on warm
+/// adds the object and the workload application. Replays re-execute
+/// [`programs_for`] (cheap closures over the same handles) on warm
 /// fiber stacks and recycled trace buffers instead of building a fresh
-/// world per schedule — the world-reuse half of the exploration
-/// throughput work (the other half is parallel source-DPOR).
-struct PooledWorld<S: SeqSpec, O> {
+/// world per schedule.
+///
+/// On its own it is a counts-only explorer context; the exploration
+/// entry points wrap it in [`Sharded`] to stream transcripts into DAG
+/// shards.
+pub struct PooledWorld<S: SeqSpec, O> {
     pool: ReplayPool<S>,
     obj: O,
 }
@@ -309,7 +295,8 @@ where
     S::State: Send + Sync,
     O: SharedObject<SimMem>,
 {
-    fn new<F: Fn(&SimMem) -> O>(factory: &F, n: usize) -> Self {
+    /// Builds an `n`-process world and the object under test on it.
+    pub fn new<F: Fn(&SimMem) -> O>(factory: &F, n: usize) -> Self {
         let world = SimWorld::new(n);
         let obj = factory(&world.mem());
         PooledWorld {
@@ -318,9 +305,9 @@ where
         }
     }
 
-    /// Runs one schedule; afterwards `self.pool.transcript()` holds the
-    /// run's transcript.
-    fn replay<A>(
+    /// Runs one schedule of `workload`; afterwards
+    /// [`PooledWorld::transcript`] holds the run's transcript.
+    pub fn replay<A>(
         &mut self,
         workload: &[Vec<S::Op>],
         apply: &Arc<A>,
@@ -336,52 +323,76 @@ where
             step_budget,
         );
     }
+
+    /// The most recent replay's transcript.
+    pub fn transcript(&self) -> &[TreeStep<S>] {
+        self.pool.transcript()
+    }
 }
 
 impl<S: SeqSpec, O> ReplayCtx for PooledWorld<S, O> {}
 
-/// [`explore_object`] with an explicit apply closure, for objects whose
-/// operations don't map onto a spec via [`DriveOps`] (e.g. the §5
-/// universal construction).
-pub fn explore_object_with<S, O, F, A>(
+/// The one object harness every exploration entry point runs. Each
+/// explorer worker builds a context with [`Harness::ctx`]: a warm
+/// [`PooledWorld`] plus the shard stack its subtrees stream into. Per
+/// schedule, [`Harness::replay`] runs the workload and ingests the
+/// transcript into the current subtree's shard. Subtrees replay in
+/// depth-first order, so every shard is a valid
+/// [`sl_check::DagBuilder`] stream; [`TreeDag::merge`] unions the
+/// finished shards after the exploration.
+struct Harness<'w, S: SeqSpec, F, A> {
     factory: F,
-    workload: &[Vec<S::Op>],
-    apply: A,
-    cfg: &SimExplore,
-) -> ExploredObject<S>
+    workload: &'w [Vec<S::Op>],
+    apply: Arc<A>,
+    step_budget: u64,
+}
+
+impl<'w, S, F, A> Harness<'w, S, F, A>
 where
     S: SeqSpec + 'static,
     S::Op: Send + Sync,
     S::Resp: Send + Sync,
     S::State: Send + Sync,
-    O: SharedObject<SimMem>,
-    F: Fn(&SimMem) -> O + Sync,
-    A: Fn(&mut O::Handle, &S::Op) -> S::Resp + Send + Sync + 'static,
 {
-    let n = workload.len();
-    assert!(n > 0, "workload must cover at least one process");
-    let apply = Arc::new(apply);
-    let builder: TreeBuilder<S> = TreeBuilder::new();
-    let explorer = Explorer {
-        max_runs: cfg.max_runs,
-        mode: cfg.mode,
-        workers: cfg.workers,
-        stem: cfg.stem.clone(),
-        statics: cfg.statics.clone(),
-    };
-    let outcome = explorer.explore_with(
-        || PooledWorld::new(&factory, n),
-        |pool: &mut PooledWorld<S, O>, driver| {
-            pool.replay(workload, &apply, driver, cfg.step_budget);
-            // The materialised tree accepts any ingestion order, so one
-            // shared builder serves every worker.
-            builder.ingest(pool.pool.transcript());
-        },
-    );
-    ExploredObject {
-        tree: builder.finish(),
-        outcome,
+    fn new(factory: F, workload: &'w [Vec<S::Op>], apply: A, cfg: &SimExplore) -> Self {
+        assert!(
+            !workload.is_empty(),
+            "workload must cover at least one process"
+        );
+        Harness {
+            factory,
+            workload,
+            apply: Arc::new(apply),
+            step_budget: cfg.step_budget,
+        }
     }
+
+    fn ctx<'s, O>(&self, sink: &'s Mutex<Vec<TreeDag<S>>>) -> Sharded<'s, S, PooledWorld<S, O>>
+    where
+        O: SharedObject<SimMem>,
+        F: Fn(&SimMem) -> O,
+    {
+        Sharded {
+            inner: PooledWorld::new(&self.factory, self.workload.len()),
+            shards: DagShards::new(sink),
+        }
+    }
+
+    fn replay<O>(&self, ctx: &mut Sharded<'_, S, PooledWorld<S, O>>, driver: &mut ScheduleDriver)
+    where
+        O: SharedObject<SimMem>,
+        A: Fn(&mut O::Handle, &S::Op) -> S::Resp + Send + Sync + 'static,
+    {
+        ctx.inner
+            .replay(self.workload, &self.apply, driver, self.step_budget);
+        ctx.shards.ingest(ctx.inner.transcript());
+    }
+}
+
+/// The shards an exploration's workers flushed into `sink`.
+fn flushed<S: SeqSpec>(sink: Mutex<Vec<TreeDag<S>>>) -> Vec<TreeDag<S>> {
+    sink.into_inner()
+        .expect("an explorer worker panicked while flushing a DAG shard")
 }
 
 /// The result of a DAG-streamed exploration: the hash-consed transcript
@@ -402,11 +413,9 @@ impl<S: SeqSpec> ExploredDag<S> {
     }
 }
 
-/// [`explore_object_dag`] with an explicit apply closure.
-///
-/// The transcripts stream straight into hash-consed per-subtree
-/// [`sl_check::DagBuilder`] shards (the prefix tree is never
-/// materialised — this is the deep-exploration entry point).
+/// [`explore_object_dag`] with an explicit apply closure, for objects
+/// whose operations don't map onto a spec via [`DriveOps`] (e.g. the §5
+/// universal construction).
 pub fn explore_object_dag_with<S, O, F, A>(
     factory: F,
     workload: &[Vec<S::Op>],
@@ -422,32 +431,13 @@ where
     F: Fn(&SimMem) -> O + Sync,
     A: Fn(&mut O::Handle, &S::Op) -> S::Resp + Send + Sync + 'static,
 {
-    let n = workload.len();
-    assert!(n > 0, "workload must cover at least one process");
-    let apply = Arc::new(apply);
-    let sink: Mutex<Vec<TreeDag<S>>> = Mutex::new(Vec::new());
-    let explorer = Explorer {
-        max_runs: cfg.max_runs,
-        mode: cfg.mode,
-        workers: cfg.workers,
-        stem: cfg.stem.clone(),
-        statics: cfg.statics.clone(),
-    };
-    // Each subtree the explorer hands a worker streams its DFS-ordered
-    // transcripts into its own shard; [`TreeDag::merge`] unions the
-    // finished shards after exploration.
-    let outcome = explorer.explore_with(
-        || Sharded {
-            inner: PooledWorld::new(&factory, n),
-            shards: DagShards::new(&sink),
-        },
-        |ctx: &mut Sharded<'_, S, PooledWorld<S, O>>, driver| {
-            ctx.inner.replay(workload, &apply, driver, cfg.step_budget);
-            ctx.shards.ingest(ctx.inner.pool.transcript());
-        },
-    );
+    let harness = Harness::new(factory, workload, apply, cfg);
+    let sink = Mutex::new(Vec::new());
+    let outcome = cfg
+        .explorer()
+        .explore_with(|| harness.ctx(&sink), |ctx, d| harness.replay(ctx, d));
     ExploredDag {
-        dag: TreeDag::merge(sink.into_inner().unwrap()),
+        dag: TreeDag::merge(flushed(sink)),
         outcome,
     }
 }
@@ -485,43 +475,13 @@ where
     O::Handle: DriveOps<S>,
     F: Fn(&SimMem) -> O + Sync,
 {
-    explore_object_dag_resumable_with(
+    let harness = Harness::new(
         factory,
         workload,
         |h: &mut O::Handle, op: &S::Op| h.drive(op),
         cfg,
-        session,
-    )
-}
-
-/// [`explore_object_dag_resumable`] with an explicit apply closure.
-pub fn explore_object_dag_resumable_with<S, O, F, A>(
-    factory: F,
-    workload: &[Vec<S::Op>],
-    apply: A,
-    cfg: &SimExplore,
-    session: &ResumeSession<'_>,
-) -> ExploredDag<S>
-where
-    S: SeqSpec + 'static,
-    S::Op: Send + Sync,
-    S::Resp: Send + Sync,
-    S::State: Send + Sync,
-    O: SharedObject<SimMem>,
-    F: Fn(&SimMem) -> O + Sync,
-    A: Fn(&mut O::Handle, &S::Op) -> S::Resp + Send + Sync + 'static,
-{
-    let n = workload.len();
-    assert!(n > 0, "workload must cover at least one process");
-    let apply = Arc::new(apply);
-    let sink: Mutex<Vec<TreeDag<S>>> = Mutex::new(Vec::new());
-    let explorer = Explorer {
-        max_runs: cfg.max_runs,
-        mode: cfg.mode,
-        workers: cfg.workers,
-        stem: cfg.stem.clone(),
-        statics: cfg.statics.clone(),
-    };
+    );
+    let sink = Mutex::new(Vec::new());
     // Checkpoints record the hashes of the shards flushed so far —
     // sorted, so the snapshot is stable under worker scheduling.
     let shard_snapshot = || TreeDag::shard_hashes(&sink.lock().unwrap());
@@ -534,19 +494,13 @@ where
         expected_shards: None,
         shard_hashes: Some(&shard_snapshot),
     };
-    let outcome = explorer.explore_resumable(
-        || Sharded {
-            inner: PooledWorld::new(&factory, n),
-            shards: DagShards::new(&sink),
-        },
-        |ctx: &mut Sharded<'_, S, PooledWorld<S, O>>, driver| {
-            ctx.inner.replay(workload, &apply, driver, cfg.step_budget);
-            ctx.shards.ingest(ctx.inner.pool.transcript());
-        },
+    let outcome = cfg.explorer().explore_resumable(
+        || harness.ctx(&sink),
+        |ctx, d| harness.replay(ctx, d),
         &session,
     );
     ExploredDag {
-        dag: TreeDag::merge(sink.into_inner().unwrap()),
+        dag: TreeDag::merge(flushed(sink)),
         outcome,
     }
 }
@@ -629,30 +583,17 @@ where
     F: Fn(&SimMem) -> O + Sync,
     A: Fn(&mut O::Handle, &S::Op) -> S::Resp + Send + Sync + 'static,
 {
-    let n = workload.len();
-    assert!(n > 0, "workload must cover at least one process");
-    let apply = Arc::new(apply);
-    let local_sink: Mutex<Vec<TreeDag<S>>> = Mutex::new(Vec::new());
-    let remote_sink: Mutex<Vec<TreeDag<S>>> = Mutex::new(Vec::new());
+    let harness = Harness::new(factory, workload, apply, cfg);
+    let local_sink = Mutex::new(Vec::new());
+    let remote_sink = Mutex::new(Vec::new());
     let coordinator = DistCoordinator::new(fleet, workload_name, cfg.mode.name(), &remote_sink);
-    let explorer = Explorer {
-        max_runs: cfg.max_runs,
-        mode: cfg.mode,
-        // Tasks are only frozen for sharing when a sibling thread could
-        // steal them; a single-threaded explorer would never dispatch.
-        workers: cfg.workers.max(2),
-        stem: cfg.stem.clone(),
-        statics: cfg.statics.clone(),
-    };
+    let mut explorer = cfg.explorer();
+    // Tasks are only frozen for sharing when a sibling thread could
+    // steal them; a single-threaded explorer would never dispatch.
+    explorer.workers = explorer.workers.max(2);
     let outcome = explorer.explore_dispatched(
-        || Sharded {
-            inner: PooledWorld::new(&factory, n),
-            shards: DagShards::new(&local_sink),
-        },
-        |ctx: &mut Sharded<'_, S, PooledWorld<S, O>>, driver| {
-            ctx.inner.replay(workload, &apply, driver, cfg.step_budget);
-            ctx.shards.ingest(ctx.inner.pool.transcript());
-        },
+        || harness.ctx(&local_sink),
+        |ctx, d| harness.replay(ctx, d),
         &coordinator,
     );
     coordinator.finish();
@@ -665,16 +606,15 @@ where
         chaos_kills: coordinator.stats.chaos_kills.load(Ordering::SeqCst),
         degraded: coordinator.is_degraded(),
     };
-    drop(coordinator); // releases the borrow of `remote_sink`
-                       // Local shards are packed (process-local step codes); remote shards
-                       // arrived symbolized. Symbolize the local ones so the merge dedupes
-                       // across the process boundary — one label space for the whole DAG.
-    let shards: Vec<TreeDag<S>> = local_sink
-        .into_inner()
-        .unwrap()
+    // Releases the borrow of `remote_sink`.
+    drop(coordinator);
+    // Local shards are packed (process-local step codes); remote shards
+    // arrived symbolized. Symbolize the local ones so the merge dedupes
+    // across the process boundary — one label space for the whole DAG.
+    let shards: Vec<TreeDag<S>> = flushed(local_sink)
         .into_iter()
         .map(|d| d.symbolize())
-        .chain(remote_sink.into_inner().unwrap())
+        .chain(flushed(remote_sink))
         .collect();
     ExploredDistDag {
         dag: TreeDag::merge(shards),
@@ -704,38 +644,25 @@ where
     F: Fn(&SimMem) -> O + Sync,
     A: Fn(&mut O::Handle, &S::Op) -> S::Resp + Send + Sync + 'static,
 {
-    let n = workload.len();
-    assert!(n > 0, "workload must cover at least one process");
-    let apply = Arc::new(apply);
-    let explorer = Explorer {
-        max_runs: cfg.max_runs,
-        mode: cfg.mode,
-        workers: cfg.workers,
-        stem: cfg.stem.clone(),
-        statics: cfg.statics.clone(),
-    };
+    let harness = Harness::new(factory, workload, apply, cfg);
+    let explorer = cfg.explorer();
     sl_dist::serve::<S, _>(workload_name, cfg.mode.name(), |task| {
-        let sink: Mutex<Vec<TreeDag<S>>> = Mutex::new(Vec::new());
+        let sink = Mutex::new(Vec::new());
         let result = explorer.explore_frozen_task(
-            || Sharded {
-                inner: PooledWorld::new(&factory, n),
-                shards: DagShards::new(&sink),
-            },
-            |ctx: &mut Sharded<'_, S, PooledWorld<S, O>>, driver| {
-                ctx.inner.replay(workload, &apply, driver, cfg.step_budget);
-                ctx.shards.ingest(ctx.inner.pool.transcript());
-            },
+            || harness.ctx(&sink),
+            |ctx, d| harness.replay(ctx, d),
             task,
         );
-        let dag = TreeDag::merge(sink.into_inner().unwrap()).symbolize();
+        let dag = TreeDag::merge(flushed(sink)).symbolize();
         (result, dag)
     })
 }
 
 /// Explores every adversary schedule of `workload` (within the budgets)
 /// against the object built by `factory`, streaming transcripts into a
-/// hash-consed [`TreeDag`] — the entry point for deep exhaustive
-/// checks, where the materialised prefix tree would not fit in memory.
+/// hash-consed [`TreeDag`] — the prefix tree strong linearizability
+/// quantifies over is never materialised. See the module docs for an
+/// example.
 pub fn explore_object_dag<S, O, F>(
     factory: F,
     workload: &[Vec<S::Op>],
@@ -751,31 +678,6 @@ where
     F: Fn(&SimMem) -> O + Sync,
 {
     explore_object_dag_with(
-        factory,
-        workload,
-        |h: &mut O::Handle, op: &S::Op| h.drive(op),
-        cfg,
-    )
-}
-
-/// Explores every adversary schedule of `workload` (within the
-/// budgets) against the object built by `factory`, streaming the
-/// transcripts into a prefix tree. See the module docs for an example.
-pub fn explore_object<S, O, F>(
-    factory: F,
-    workload: &[Vec<S::Op>],
-    cfg: &SimExplore,
-) -> ExploredObject<S>
-where
-    S: SeqSpec + 'static,
-    S::Op: Send + Sync,
-    S::Resp: Send + Sync,
-    S::State: Send + Sync,
-    O: SharedObject<SimMem>,
-    O::Handle: DriveOps<S>,
-    F: Fn(&SimMem) -> O + Sync,
-{
-    explore_object_with(
         factory,
         workload,
         |h: &mut O::Handle, op: &S::Op| h.drive(op),

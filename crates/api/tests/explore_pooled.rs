@@ -1,19 +1,49 @@
 //! End-to-end checks of the pooled, parallel exploration harness: the
-//! tree and DAG entry points agree with each other and across worker
+//! sharded DAG agrees with a materialised prefix tree and across worker
 //! counts (the determinism contract of partitioned source-set DPOR),
 //! on objects built through the public `ObjectBuilder` factory.
 
-use sl_api::sim::{explore_object, explore_object_dag, SimExplore};
-use sl_api::ObjectBuilder;
-use sl_check::TreeDag;
+use std::sync::Arc;
+
+use sl_api::sim::{explore_object_dag, DriveOps, PooledWorld, SimExplore};
+use sl_api::{ObjectBuilder, SharedObject};
+use sl_check::{check_strongly_linearizable, HistoryTree, TreeBuilder, TreeDag};
+use sl_core::aba::SlAbaRegister;
+use sl_sim::{ExploreOutcome, SimMem};
 use sl_spec::types::{AbaSpec, SnapshotSpec};
-use sl_spec::{AbaOp, SnapshotOp};
+use sl_spec::{AbaOp, AbaResp, SnapshotOp};
 
 type ASpec = AbaSpec<u64>;
 type SSpec = SnapshotSpec<u64>;
+type AbaHandle = <SlAbaRegister<u64, SimMem> as SharedObject<SimMem>>::Handle;
 
-/// Theorem 12 through the pooled harness: tree and DAG pipelines agree
-/// on counts, structure, and verdict at 1, 2, and 4 workers.
+fn aba(mem: &SimMem) -> SlAbaRegister<u64, SimMem> {
+    ObjectBuilder::on(mem).processes(2).aba_register::<u64>()
+}
+
+/// The reference: every explored transcript materialised into one
+/// prefix tree, replayed on the same pooled worlds the harness uses.
+/// The tree accepts any ingestion order, so one shared builder serves
+/// every worker.
+fn reference_tree(
+    workload: &[Vec<AbaOp<u64>>],
+    cfg: &SimExplore,
+) -> (ExploreOutcome, HistoryTree<ASpec>) {
+    let apply = Arc::new(|h: &mut AbaHandle, op: &AbaOp<u64>| -> AbaResp<u64> { h.drive(op) });
+    let builder: TreeBuilder<ASpec> = TreeBuilder::new();
+    let outcome = cfg.explorer().explore_with(
+        || PooledWorld::new(&aba, workload.len()),
+        |world: &mut PooledWorld<ASpec, _>, driver| {
+            world.replay(workload, &apply, driver, cfg.step_budget);
+            builder.ingest(world.transcript());
+        },
+    );
+    (outcome, builder.finish())
+}
+
+/// Theorem 12 through the pooled harness: a materialised tree and the
+/// sharded DAG agree on counts, structure, and verdict at 1, 2, and 4
+/// workers.
 #[test]
 fn pooled_tree_and_dag_explorations_agree_across_workers() {
     let workload = [
@@ -26,25 +56,17 @@ fn pooled_tree_and_dag_explorations_agree_across_workers() {
             workers,
             ..SimExplore::default()
         };
-        let tree = explore_object::<ASpec, _, _>(
-            |mem| ObjectBuilder::on(mem).processes(2).aba_register::<u64>(),
-            &workload,
-            &cfg,
-        );
-        let dag = explore_object_dag::<ASpec, _, _>(
-            |mem| ObjectBuilder::on(mem).processes(2).aba_register::<u64>(),
-            &workload,
-            &cfg,
-        );
-        assert!(tree.outcome.exhausted && dag.outcome.exhausted, "{workers}");
-        assert_eq!(tree.outcome, dag.outcome, "{workers} workers");
-        let tree_hash = TreeDag::from_tree(&tree.tree).structural_hash();
+        let (tree_outcome, tree) = reference_tree(&workload, &cfg);
+        let dag = explore_object_dag::<ASpec, _, _>(aba, &workload, &cfg);
+        assert!(tree_outcome.exhausted && dag.outcome.exhausted, "{workers}");
+        assert_eq!(tree_outcome, dag.outcome, "{workers} workers");
+        let tree_hash = TreeDag::from_tree(&tree).structural_hash();
         assert_eq!(
             tree_hash,
             dag.dag.structural_hash(),
             "{workers} workers: tree and sharded DAG hold different transcript sets"
         );
-        assert!(tree.check_strong(&ASpec::new(2)).holds);
+        assert!(check_strongly_linearizable(&ASpec::new(2), &tree).holds);
         assert!(dag.check_strong(&ASpec::new(2)).holds);
         match &reference {
             None => reference = Some((dag.outcome.runs, dag.outcome.pruned, tree_hash)),
@@ -69,7 +91,7 @@ fn pooled_snapshot_exploration_is_clean_between_replays() {
             workers,
             ..SimExplore::default()
         };
-        let explored = explore_object::<SSpec, _, _>(
+        let explored = explore_object_dag::<SSpec, _, _>(
             |mem| ObjectBuilder::on(mem).processes(2).atomic_snapshot::<u64>(),
             &[vec![SnapshotOp::Update(5)], vec![SnapshotOp::Scan]],
             &cfg,

@@ -91,26 +91,25 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use sl_sim::StaticConflicts;
-
-use sl_api::sim::{explore_object_dag_distributed, explore_object_dag_with, DriveOps as _};
-use sl_api::ObjectBuilder;
-use sl_bench::workloads::{aba_programs, dist_config, dist_ops, mixed3_programs, PooledAba};
+use sl_api::sim::{
+    explore_object_dag_distributed, explore_object_dag_with, programs_for, DriveOps as _,
+    ExploredDag, PooledWorld, SimExplore,
+};
+use sl_api::{ObjectBuilder, SharedObject};
+use sl_bench::workloads::{dist_config, dist_ops, ASpec};
 use sl_bench::{baseline, print_table, Baseline, Gate};
 use sl_check::{
-    check_strongly_linearizable_dag, check_strongly_linearizable_unmemoised, DagBuilder, DagShards,
-    HistoryTree, TreeBuilder, TreeDag,
+    check_strongly_linearizable_dag, check_strongly_linearizable_unmemoised, DagShards,
+    HistoryTree, TreeBuilder, TreeDag, TreeStep,
 };
 use sl_core::aba::SlAbaRegister;
 use sl_dist::FleetConfig;
 use sl_mem::{Mem, Register};
 use sl_sim::{
-    CheckpointPolicy, CheckpointStore, EventLog, ExploreOutcome, Explorer, FaultPlan, Program,
-    PruneMode, ReplayPool, ResumeSession, RoundRobin, RunConfig, ScheduleDriver, Sharded, SimWorld,
+    CheckpointPolicy, CheckpointStore, EventLog, ExploreOutcome, FaultPlan, Program, PruneMode,
+    ResumeSession, RoundRobin, RunConfig, ScheduleDriver, Sharded, SimMem, SimWorld,
 };
-use sl_spec::types::AbaSpec;
-
-type ASpec = AbaSpec<u64>;
+use sl_spec::{AbaOp, AbaResp};
 
 fn workload(world: &SimWorld, steps_per_proc: u64) -> Vec<Program> {
     let mem = world.mem();
@@ -151,6 +150,115 @@ fn human(rate: f64) -> String {
     }
 }
 
+/// The object every pinned workload checks: Algorithm 2.
+type Aba = SlAbaRegister<u64, SimMem>;
+type AbaHandle = <Aba as SharedObject<SimMem>>::Handle;
+type Apply = fn(&mut AbaHandle, &AbaOp<u64>) -> AbaResp<u64>;
+
+fn drive(h: &mut AbaHandle, op: &AbaOp<u64>) -> AbaResp<u64> {
+    h.drive(op)
+}
+
+/// A pinned workload of the `sl_bench::workloads` registry: its op
+/// lists, replayed through the same `PooledWorld` and `programs_for`
+/// that `sl_api::sim` explores with.
+struct Pinned {
+    ops: Vec<Vec<AbaOp<u64>>>,
+    apply: Arc<Apply>,
+}
+
+impl Pinned {
+    fn new(name: &str) -> Pinned {
+        Pinned {
+            ops: dist_ops(name).expect("registered pinned workload"),
+            apply: Arc::new(drive),
+        }
+    }
+
+    fn factory(&self) -> impl Fn(&SimMem) -> Aba + Sync + Copy {
+        let n = self.ops.len();
+        move |mem| ObjectBuilder::on(mem).processes(n).aba_register::<u64>()
+    }
+
+    /// One explorer worker's warm world.
+    fn world(&self) -> PooledWorld<ASpec, Aba> {
+        PooledWorld::new(&self.factory(), self.ops.len())
+    }
+
+    /// Replays one schedule on a warm world.
+    fn replay(
+        &self,
+        world: &mut PooledWorld<ASpec, Aba>,
+        driver: &mut ScheduleDriver,
+        budget: u64,
+    ) {
+        world.replay(&self.ops, &self.apply, driver, budget);
+    }
+
+    /// Explores on warm worlds, handing every transcript to `ingest`.
+    fn explore(
+        &self,
+        cfg: &SimExplore,
+        ingest: impl Fn(&[TreeStep<ASpec>]) + Sync,
+    ) -> ExploreOutcome {
+        cfg.explorer().explore_with(
+            || self.world(),
+            |world, driver| {
+                self.replay(world, driver, cfg.step_budget);
+                ingest(world.transcript());
+            },
+        )
+    }
+
+    /// The production harness: warm worlds streaming into DAG shards.
+    fn explore_dag(&self, cfg: &SimExplore) -> ExploredDag<ASpec> {
+        explore_object_dag_with(self.factory(), &self.ops, drive, cfg)
+    }
+
+    /// [`Pinned::explore_dag`] with a fresh world per replay and
+    /// otherwise the same ingestion (a reused transcript buffer, DAG
+    /// shards) — the baseline world reuse is measured against.
+    fn explore_dag_fresh(&self, cfg: &SimExplore) -> ExploredDag<ASpec> {
+        let factory = self.factory();
+        let sink = Mutex::new(Vec::new());
+        let outcome = cfg.explorer().explore_with(
+            || Sharded {
+                inner: Vec::new(),
+                shards: DagShards::new(&sink),
+            },
+            |ctx: &mut Sharded<'_, ASpec, Vec<TreeStep<ASpec>>>, driver| {
+                let world = SimWorld::new(self.ops.len());
+                let obj = factory(&world.mem());
+                let log: EventLog<ASpec> = EventLog::new(&world);
+                let programs = programs_for(&obj, &log, &self.ops, &self.apply);
+                let out = world.run_with(programs, driver, cfg.step_budget, RunConfig::traced());
+                log.transcript_into(&out, &mut ctx.inner);
+                ctx.shards.ingest(&ctx.inner);
+            },
+        );
+        ExploredDag {
+            dag: TreeDag::merge(sink.into_inner().unwrap()),
+            outcome,
+        }
+    }
+}
+
+/// `f`'s result and its wall clock in seconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed().as_secs_f64())
+}
+
+/// The single-worker optimal-DPOR configuration with `cert`'s runtime
+/// form installed.
+fn certified(cert: &sl_analyze::Certificate) -> SimExplore {
+    SimExplore {
+        statics: Some(Arc::new(cert.static_conflicts())),
+        ..dist_config(PruneMode::OptimalDpor, 1)
+    }
+}
+
 /// Schedule counts of one mixed-role pinned workload per DPOR mode,
 /// and the certificate telemetry of the optimal-DPOR run.
 struct MixedSummary {
@@ -168,42 +276,23 @@ struct MixedSummary {
 fn run_mixed_workload(
     name: &'static str,
     label: &str,
-    writer_ops: &'static [u64],
     cert: &sl_analyze::Certificate,
 ) -> MixedSummary {
     println!();
     println!("## Pinned workload `{name}` (Algorithm 2: {label})");
+    let w = Pinned::new(name);
     // A fresh runtime form per workload: telemetry counters accumulate
     // per `StaticConflicts` instance, and the summary reports them
     // per workload.
-    let statics = &Arc::new(cert.static_conflicts());
-    let mut counts = Vec::new();
-    for mode in [PruneMode::SourceDpor, PruneMode::OptimalDpor] {
-        let explorer = Explorer {
-            max_runs: 4_000_000,
-            mode,
-            workers: 1,
-            stem: vec![],
-            statics: (mode == PruneMode::OptimalDpor).then(|| Arc::clone(statics)),
-        };
-        let out = explorer.explore_with(
-            || {
-                let world = SimWorld::new(3);
-                let reg = SlAbaRegister::<u64, _>::new(&world.mem(), 3);
-                PooledAba {
-                    pool: ReplayPool::new(world),
-                    reg,
-                }
-            },
-            |ctx: &mut PooledAba, driver| {
-                let reg = &ctx.reg;
-                ctx.pool
-                    .replay(|log| mixed3_programs(reg, log, writer_ops), driver, 2_000);
-            },
-        );
-        assert!(out.exhausted, "mixed-role pinned workload must exhaust");
-        counts.push(out);
-    }
+    let optimal = certified(cert);
+    let counts: Vec<ExploreOutcome> = [&dist_config(PruneMode::SourceDpor, 1), &optimal]
+        .into_iter()
+        .map(|cfg| {
+            let out = w.explore(cfg, |_| {});
+            assert!(out.exhausted, "mixed-role pinned workload must exhaust");
+            out
+        })
+        .collect();
     let rows: Vec<Vec<String>> = [("source DPOR", &counts[0]), ("optimal DPOR", &counts[1])]
         .iter()
         .map(|(mode, out)| {
@@ -220,7 +309,7 @@ fn run_mixed_workload(
         counts[1].cut_runs, 0,
         "optimal DPOR initiated a sleep-set-blocked replay on {name}"
     );
-    let t = statics.telemetry();
+    let t = optimal.statics.as_ref().expect("certified").telemetry();
     println!(
         "(the refined relation with the op-pair certificate removes {:.0}% of the source-DPOR \
          schedules — {} relaxations, {} validated races, {} unattributed, 0 unpredicted; \
@@ -243,138 +332,6 @@ fn run_mixed_workload(
         static_validated: t.validated,
         static_unattributed: t.unattributed,
     }
-}
-
-/// Pinned workload: 2-process Algorithm 2, `writes` DWrites vs `reads`
-/// DReads — the family the model-check suite exhausts. The DPOR run
-/// streams transcripts into both builders (the DAG is what deep checks
-/// consume; the materialised tree feeds the unmemoised checker
-/// oracle); the other modes only count schedules. Worlds are built
-/// fresh per replay — the historical baseline the pooled path is
-/// measured against.
-type BuiltSets = Option<(TreeDag<ASpec>, HistoryTree<ASpec>)>;
-
-fn explore_sl_aba_fresh(
-    writes: u64,
-    reads: u64,
-    mode: PruneMode,
-    max_runs: usize,
-    statics: Option<Arc<StaticConflicts>>,
-) -> (ExploreOutcome, BuiltSets, f64) {
-    let ingest = mode == PruneMode::SourceDpor;
-    let dag_builder: DagBuilder<ASpec> = DagBuilder::new();
-    let tree_builder: TreeBuilder<ASpec> = TreeBuilder::new();
-    let explorer = Explorer {
-        max_runs,
-        mode,
-        workers: 1,
-        stem: vec![],
-        statics,
-    };
-    let start = Instant::now();
-    let explored = explorer.explore(|driver: &mut ScheduleDriver| {
-        let world = SimWorld::new(2);
-        let mem = world.mem();
-        let reg = SlAbaRegister::<u64, _>::new(&mem, 2);
-        let log: EventLog<ASpec> = EventLog::new(&world);
-        let programs = aba_programs(&reg, &log, writes, reads);
-        let outcome = world.run_with(programs, driver, 1_000, RunConfig::traced());
-        if ingest {
-            let transcript = log.transcript(&outcome);
-            dag_builder.ingest(&transcript);
-            tree_builder.ingest(&transcript);
-        }
-        outcome
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    let built = ingest.then(|| (dag_builder.finish(), tree_builder.finish()));
-    (explored, built, elapsed)
-}
-
-/// Fresh-world-per-replay exploration with the *same* ingestion
-/// pipeline as the pooled path (reused transcript buffer, DAG shards,
-/// nothing else) — the apples-to-apples baseline the world-reuse
-/// speedup is measured and gated against.
-fn explore_sl_aba_fresh_dag(
-    writes: u64,
-    reads: u64,
-    max_runs: usize,
-) -> (ExploreOutcome, TreeDag<ASpec>, f64) {
-    let sink: Mutex<Vec<TreeDag<ASpec>>> = Mutex::new(Vec::new());
-    let explorer = Explorer {
-        max_runs,
-        mode: PruneMode::SourceDpor,
-        workers: 1,
-        stem: vec![],
-        statics: None,
-    };
-    let start = Instant::now();
-    let explored = explorer.explore_with(
-        || Sharded {
-            inner: Vec::new(),
-            shards: DagShards::new(&sink),
-        },
-        |ctx: &mut Sharded<'_, ASpec, Vec<sl_check::TreeStep<ASpec>>>, driver| {
-            let world = SimWorld::new(2);
-            let reg = SlAbaRegister::<u64, _>::new(&world.mem(), 2);
-            let log: EventLog<ASpec> = EventLog::new(&world);
-            let programs = aba_programs(&reg, &log, writes, reads);
-            let out = world.run_with(programs, driver, 1_000, RunConfig::traced());
-            log.transcript_into(&out, &mut ctx.inner);
-            ctx.shards.ingest(&ctx.inner);
-        },
-    );
-    let elapsed = start.elapsed().as_secs_f64();
-    (
-        explored,
-        TreeDag::merge(sink.into_inner().unwrap()),
-        elapsed,
-    )
-}
-
-/// Pooled source-DPOR exploration of the pinned workload at a given
-/// worker count; returns the outcome, the merged DAG, and wall-clock.
-fn explore_sl_aba_pooled(
-    writes: u64,
-    reads: u64,
-    workers: usize,
-    max_runs: usize,
-) -> (ExploreOutcome, TreeDag<ASpec>, f64) {
-    let sink: Mutex<Vec<TreeDag<ASpec>>> = Mutex::new(Vec::new());
-    let explorer = Explorer {
-        max_runs,
-        mode: PruneMode::SourceDpor,
-        workers,
-        stem: vec![],
-        statics: None,
-    };
-    let start = Instant::now();
-    let explored = explorer.explore_with(
-        || {
-            let world = SimWorld::new(2);
-            let reg = SlAbaRegister::<u64, _>::new(&world.mem(), 2);
-            Sharded {
-                inner: PooledAba {
-                    pool: ReplayPool::new(world),
-                    reg,
-                },
-                shards: DagShards::new(&sink),
-            }
-        },
-        |ctx: &mut Sharded<'_, ASpec, PooledAba>, driver| {
-            let reg = &ctx.inner.reg;
-            ctx.inner
-                .pool
-                .replay(|log| aba_programs(reg, log, writes, reads), driver, 1_000);
-            ctx.shards.ingest(ctx.inner.pool.transcript());
-        },
-    );
-    let elapsed = start.elapsed().as_secs_f64();
-    (
-        explored,
-        TreeDag::merge(sink.into_inner().unwrap()),
-        elapsed,
-    )
 }
 
 struct ScalingPoint {
@@ -406,28 +363,29 @@ struct WorkloadSummary {
     states_unmemo: u64,
 }
 
+/// Pinned workload: 2-process Algorithm 2 (writer p0, reader p1) — the
+/// family the model-check suite exhausts. The source-DPOR row runs the
+/// production harness (DAG shards; the DAG is what deep checks
+/// consume); the other modes only count schedules. The materialised
+/// prefix tree feeding the unmemoised checker oracle comes from one
+/// more source-DPOR exploration.
 fn run_pinned_workload(
     name: &'static str,
-    writes: u64,
-    reads: u64,
     max_threads: usize,
     cert: &sl_analyze::Certificate,
 ) -> WorkloadSummary {
+    let w = Pinned::new(name);
+    let (writes, reads) = (w.ops[0].len(), w.ops[1].len());
     println!();
     println!("## Pinned workload `{name}` (Algorithm 2: {writes} DWrites vs {reads} DReads)");
-    let budget = 4_000_000;
+    let source = dist_config(PruneMode::SourceDpor, 1);
     let mut rows = Vec::new();
-    let (un, _, un_t) = explore_sl_aba_fresh(writes, reads, PruneMode::Unpruned, budget, None);
-    let (dp, built, dp_t) =
-        explore_sl_aba_fresh(writes, reads, PruneMode::SourceDpor, budget, None);
-    let (od, _, od_t) = explore_sl_aba_fresh(
-        writes,
-        reads,
-        PruneMode::OptimalDpor,
-        budget,
-        Some(Arc::new(cert.static_conflicts())),
-    );
-    let (dag, tree) = built.expect("DPOR run builds the transcript sets");
+    let (un, un_t) = timed(|| w.explore(&dist_config(PruneMode::Unpruned, 1), |_| {}));
+    let (ExploredDag { dag, outcome: dp }, dp_t) = timed(|| w.explore_dag(&source));
+    let (od, od_t) = timed(|| w.explore(&certified(cert), |_| {}));
+    let builder: TreeBuilder<ASpec> = TreeBuilder::new();
+    let tree_out = w.explore(&source, |t| builder.ingest(t));
+    let tree: HistoryTree<ASpec> = builder.finish();
     assert!(
         un.exhausted && dp.exhausted && od.exhausted,
         "explorations of the pinned workloads must exhaust"
@@ -441,6 +399,15 @@ fn run_pinned_workload(
         "optimal DPOR must never replay more in total than source DPOR"
     );
     assert_eq!(od.cut_runs, 0, "optimal DPOR must never cut a replay");
+    assert_eq!(
+        tree_out, dp,
+        "the tree run must explore the DAG run's schedules"
+    );
+    assert_eq!(
+        TreeDag::from_tree(&tree).structural_hash(),
+        dag.structural_hash(),
+        "the prefix tree and the sharded DAG must hold the same transcripts"
+    );
     for (mode, out, secs) in [
         ("unpruned", &un, un_t),
         ("source DPOR", &dp, dp_t),
@@ -474,57 +441,34 @@ fn run_pinned_workload(
     // one warm world per worker (reset between replays) vs a fresh
     // world per replay. Both sides ingest DAG shards with a reused
     // transcript buffer — only the world lifecycle differs, so the
-    // ratio isolates world reuse (the triple-ingest run above feeds
-    // the checker comparison, not this gate).
+    // ratio isolates world reuse.
     // Three interleaved fresh/pooled pairs, gated on the best per-pair
     // ratio: interleaving decorrelates wall-clock drift (CPU frequency,
     // noisy neighbours) that separate measurement blocks would fold
     // into the ratio, and a real regression degrades every pair.
-    struct ReusePair {
-        out: ExploreOutcome,
-        fresh_dag: TreeDag<ASpec>,
-        fresh_t: f64,
-        pooled_dag: TreeDag<ASpec>,
-        pooled_t: f64,
-    }
-    let mut best: Option<ReusePair> = None;
+    let (mut fresh_t, mut pooled_t) = (0.0, f64::MAX);
     for _ in 0..3 {
-        let (f_out, f_dag, f_t) = explore_sl_aba_fresh_dag(writes, reads, budget);
-        let (p_out, p_dag, p_t) = explore_sl_aba_pooled(writes, reads, 1, budget);
-        assert_eq!(f_out, p_out, "fresh and pooled runs must agree");
-        let better = match &best {
-            None => true,
-            Some(b) => f_t / p_t > b.fresh_t / b.pooled_t,
-        };
-        if better {
-            best = Some(ReusePair {
-                out: p_out,
-                fresh_dag: f_dag,
-                fresh_t: f_t,
-                pooled_dag: p_dag,
-                pooled_t: p_t,
-            });
+        let (fresh, f_t) = timed(|| w.explore_dag_fresh(&source));
+        let (pooled, p_t) = timed(|| w.explore_dag(&source));
+        // Every pair explores the mode-table run's schedules and DAG.
+        assert_eq!(
+            fresh.outcome, pooled.outcome,
+            "fresh and pooled runs must agree"
+        );
+        assert_eq!(
+            pooled.outcome, dp,
+            "pooled replay must explore the identical schedule set"
+        );
+        assert_eq!(fresh.dag.structural_hash(), dag.structural_hash());
+        assert_eq!(
+            pooled.dag.structural_hash(),
+            dag.structural_hash(),
+            "pooled replay must produce the identical transcript DAG"
+        );
+        if f_t / p_t > fresh_t / pooled_t {
+            (fresh_t, pooled_t) = (f_t, p_t);
         }
     }
-    let ReusePair {
-        out: pooled_out,
-        fresh_dag,
-        fresh_t,
-        pooled_dag,
-        pooled_t,
-    } = best.expect("three measurement pairs");
-    // The in-loop assert already pinned fresh == pooled per pair; this
-    // ties both to the mode-table run.
-    assert_eq!(
-        pooled_out, dp,
-        "pooled replay must explore the identical schedule set"
-    );
-    assert_eq!(fresh_dag.structural_hash(), dag.structural_hash());
-    assert_eq!(
-        pooled_dag.structural_hash(),
-        dag.structural_hash(),
-        "pooled replay must produce the identical transcript DAG"
-    );
     let reuse_speedup = fresh_t / pooled_t;
     println!();
     println!(
@@ -534,7 +478,7 @@ fn run_pinned_workload(
 
     // Parallel scaling of the pooled explorer.
     let mut scaling = Vec::new();
-    let base_rate = pooled_out.schedules_replayed() as f64 / pooled_t;
+    let base_rate = dp.schedules_replayed() as f64 / pooled_t;
     scaling.push(ScalingPoint {
         threads: 1,
         replays_per_sec: base_rate,
@@ -548,17 +492,17 @@ fn run_pinned_workload(
         .unwrap_or(1);
     let mut t = 2;
     while t <= max_threads.min(cores) {
-        let (out, merged, secs) = explore_sl_aba_pooled(writes, reads, t, budget);
-        assert_eq!(out, pooled_out, "{t}-worker exploration diverged");
+        let (par, secs) = timed(|| w.explore_dag(&dist_config(PruneMode::SourceDpor, t)));
+        assert_eq!(par.outcome, dp, "{t}-worker exploration diverged");
         assert_eq!(
-            merged.structural_hash(),
+            par.dag.structural_hash(),
             dag.structural_hash(),
             "{t}-worker DAG diverged"
         );
         let speedup = pooled_t / secs;
         scaling.push(ScalingPoint {
             threads: t,
-            replays_per_sec: out.schedules_replayed() as f64 / secs,
+            replays_per_sec: par.outcome.schedules_replayed() as f64 / secs,
             speedup,
             efficiency: speedup / t as f64,
         });
@@ -917,20 +861,18 @@ fn main() {
     let aba_cert3 = sl_analyze::aba_certificate(3);
 
     let workloads = vec![
-        run_pinned_workload("aba_1w1r", 1, 1, max_threads, &aba_cert2),
-        run_pinned_workload("aba_2w2r", 2, 2, max_threads, &aba_cert2),
+        run_pinned_workload("aba_1w1r", max_threads, &aba_cert2),
+        run_pinned_workload("aba_2w2r", max_threads, &aba_cert2),
     ];
     let mixed = vec![
         run_mixed_workload(
             "aba_mixed3",
             "writers p0,p1 + reader p2, 1 op each",
-            &[1, 1],
             &aba_cert3,
         ),
         run_mixed_workload(
             "aba_mixed3_deep",
             "writers p0 (2 ops), p1 (1 op) + reader p2 — the sim-deep model-check workload",
-            &[2, 1],
             &aba_cert3,
         ),
     ];
@@ -1186,20 +1128,8 @@ fn main() {
     }
 }
 
-/// Writer-op shapes of the named resumable workloads.
-fn resume_writer_ops(name: &str) -> &'static [u64] {
-    match name {
-        "aba_mixed3" => &[1, 1],
-        "aba_mixed3_deep" => &[2, 1],
-        other => {
-            eprintln!("unknown --resume-workload {other} (aba_mixed3 | aba_mixed3_deep)");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// One checkpointed (or resumed) counts-only optimal-DPOR exploration
-/// of a mixed-role workload, for the out-of-process crash-resilience
+/// of a pinned workload, for the out-of-process crash-resilience
 /// harness. Prints the outcome as a one-line `RESUME_SUMMARY {json}` —
 /// the artifact `resume_kill.rs` compares across kill-and-resume runs.
 fn run_resumable(
@@ -1210,20 +1140,18 @@ fn run_resumable(
     max_schedules: Option<u64>,
     stall_us: u64,
 ) {
-    let writer_ops = resume_writer_ops(workload);
+    if !matches!(workload, "aba_mixed3" | "aba_mixed3_deep") {
+        eprintln!("unknown --resume-workload {workload} (aba_mixed3 | aba_mixed3_deep)");
+        std::process::exit(2);
+    }
+    let w = Pinned::new(workload);
     std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("creating {dir}: {e}"));
     let store = CheckpointStore::new(dir, workload);
     if !resume {
         // A fresh run must not silently continue someone else's state.
         store.clear();
     }
-    let explorer = Explorer {
-        max_runs: 4_000_000,
-        mode: PruneMode::OptimalDpor,
-        workers: sl_sim::env_workers(),
-        stem: vec![],
-        statics: None,
-    };
+    let cfg = dist_config(PruneMode::OptimalDpor, sl_sim::env_workers());
     let session = ResumeSession {
         policy: CheckpointPolicy {
             every_replays: every,
@@ -1233,22 +1161,13 @@ fn run_resumable(
         fault: FaultPlan::from_env().map(Arc::new),
         ..ResumeSession::new(&store)
     };
-    let out = explorer.explore_resumable(
-        || {
-            let world = SimWorld::new(3);
-            let reg = SlAbaRegister::<u64, _>::new(&world.mem(), 3);
-            PooledAba {
-                pool: ReplayPool::new(world),
-                reg,
-            }
-        },
-        |ctx: &mut PooledAba, driver| {
+    let out = cfg.explorer().explore_resumable(
+        || w.world(),
+        |world, driver| {
             if stall_us > 0 {
                 std::thread::sleep(std::time::Duration::from_micros(stall_us));
             }
-            let reg = &ctx.reg;
-            ctx.pool
-                .replay(|log| mixed3_programs(reg, log, writer_ops), driver, 2_000);
+            w.replay(world, driver, cfg.step_budget);
         },
         &session,
     );
@@ -1257,7 +1176,7 @@ fn run_resumable(
          \"cut_runs\": {}, \"pruned\": {}, \"retried\": {}, \"quarantined\": {}, \
          \"drained\": {}, \"partial\": {}, \"exhausted\": {}}}",
         workload,
-        explorer.workers,
+        cfg.workers,
         out.runs,
         out.cut_runs,
         out.pruned,
@@ -1275,30 +1194,17 @@ fn run_resumable(
 /// alike. Returns `best_plain / best_checkpointed` — 1.0 means free,
 /// 0.95 means checkpointing costs ~5%.
 fn measure_ckpt_overhead(reps: u32) -> f64 {
-    let writer_ops: &'static [u64] = &[2, 1];
-    let new_ctx = || {
-        let world = SimWorld::new(3);
-        let reg = SlAbaRegister::<u64, _>::new(&world.mem(), 3);
-        PooledAba {
-            pool: ReplayPool::new(world),
-            reg,
-        }
-    };
-    let runner = |ctx: &mut PooledAba, driver: &mut ScheduleDriver| {
-        let reg = &ctx.reg;
-        ctx.pool
-            .replay(|log| mixed3_programs(reg, log, writer_ops), driver, 2_000);
-    };
-    let explorer = Explorer {
-        max_runs: 4_000_000,
-        mode: PruneMode::OptimalDpor,
-        workers: 1,
-        stem: vec![],
-        statics: None,
+    let workload = "aba_mixed3_deep";
+    let w = Pinned::new(workload);
+    let cfg = dist_config(PruneMode::OptimalDpor, 1);
+    let explorer = cfg.explorer();
+    let new_ctx = || w.world();
+    let runner = |world: &mut PooledWorld<ASpec, Aba>, driver: &mut ScheduleDriver| {
+        w.replay(world, driver, cfg.step_budget)
     };
     let dir = std::env::temp_dir().join(format!("sl-ckpt-overhead-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let store = CheckpointStore::new(&dir, "aba_mixed3_deep");
+    let store = CheckpointStore::new(&dir, workload);
     let (mut best_plain, mut best_ckpt) = (f64::MAX, f64::MAX);
     for _ in 0..reps {
         let start = Instant::now();
@@ -1345,18 +1251,9 @@ fn certificates_catalog_json() -> String {
 /// Returns `(seq_s, dist_s, seq_s / dist_s)`.
 fn measure_distributed(procs: usize, bin: &str) -> (f64, f64, f64) {
     let workload = "aba_mixed3_deep";
+    let w = Pinned::new(workload);
     let mode = PruneMode::OptimalDpor;
-    let ops = dist_ops(workload).expect("registered distributed workload");
-    let n = ops.len();
-    let cfg = dist_config(mode, 1);
-    let start = Instant::now();
-    let seq = explore_object_dag_with::<ASpec, _, _, _>(
-        |mem| ObjectBuilder::on(mem).processes(n).aba_register::<u64>(),
-        &ops,
-        |h, op| h.drive(op),
-        &cfg,
-    );
-    let seq_s = start.elapsed().as_secs_f64();
+    let (seq, seq_s) = timed(|| w.explore_dag(&dist_config(mode, 1)));
     let fleet = FleetConfig {
         worker_cmd: vec![
             bin.to_string(),
@@ -1368,17 +1265,16 @@ fn measure_distributed(procs: usize, bin: &str) -> (f64, f64, f64) {
         workers: procs,
         ..FleetConfig::default()
     };
-    let dcfg = dist_config(mode, procs.max(2));
-    let start = Instant::now();
-    let dist = explore_object_dag_distributed::<ASpec, _, _, _>(
-        |mem| ObjectBuilder::on(mem).processes(n).aba_register::<u64>(),
-        &ops,
-        |h, op| h.drive(op),
-        &dcfg,
-        fleet,
-        workload,
-    );
-    let dist_s = start.elapsed().as_secs_f64();
+    let (dist, dist_s) = timed(|| {
+        explore_object_dag_distributed::<ASpec, _, _, _>(
+            w.factory(),
+            &w.ops,
+            drive,
+            &dist_config(mode, procs.max(2)),
+            fleet,
+            workload,
+        )
+    });
     assert!(
         !dist.fleet.degraded,
         "fleet degraded: worker binary {bin} unusable"

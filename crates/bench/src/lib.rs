@@ -1,7 +1,7 @@
 //! Shared infrastructure for the experiment binaries.
 //!
-//! Each binary under `src/bin/` regenerates one experiment of
-//! `EXPERIMENTS.md` (run them with
+//! Each `exp_*` binary under `src/bin/` runs one experiment and prints
+//! its tables (run them with
 //! `cargo run --release -p sl-bench --bin <name>`):
 //!
 //! | Binary | Claim |
@@ -15,7 +15,13 @@
 //! | `exp_universal` | Theorems 54/3: universal construction checks |
 //! | `exp_adversary_bias` | §1 motivation: a strong adversary makes Algorithm 1's ABA flag lie; it cannot with Algorithm 2 |
 //! | `exp_space` | §4.1 vs §4.3: unbounded versioned construction vs bounded Algorithm 3 space |
-//! | `exp_sim_throughput` | Step-VM steps/sec vs the legacy thread-handoff engine, per recording configuration |
+//! | `exp_max_register` | E13: the naive max-register reads admit Observation-4-style violations; §4.5's snapshot-derived max-register passes |
+//! | `exp_sim_throughput` | The explorer's gate: schedule counts per prune mode on the pinned workloads, world reuse, parallel scaling, checkpoint overhead and (with `--worker-procs`) distribution overhead; also step-VM steps/sec and checker time |
+//!
+//! `dist_worker` is not an experiment: it is the worker process that
+//! serves `exp_sim_throughput --worker-procs` and the bit-identity
+//! suite. The pinned workloads live once, as op lists, in
+//! [`workloads`].
 
 #![deny(unsafe_code)]
 

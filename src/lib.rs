@@ -84,11 +84,12 @@
 //! exploration engine under the `sim::PruneMode` you choose — the
 //! unpruned oracle, syntactic source DPOR, or the default optimal DPOR
 //! (see *One relation, three settings* below) — and streams every
-//! transcript into the prefix tree that strong linearizability
-//! quantifies over:
+//! transcript into a hash-consed DAG of the prefix tree that strong
+//! linearizability quantifies over (the tree itself is never
+//! materialised):
 //!
 //! ```
-//! use strongly_linearizable::api::sim::{explore_object, SimExplore};
+//! use strongly_linearizable::api::sim::{explore_object_dag, SimExplore};
 //! use strongly_linearizable::prelude::*;
 //! use strongly_linearizable::spec::types::SnapshotSpec;
 //! use strongly_linearizable::spec::SnapshotOp;
@@ -102,7 +103,7 @@
 //! let workload = [vec![SnapshotOp::Update(5)], vec![SnapshotOp::Scan]];
 //! // 3. Explore every schedule (bounded) and decide — on the
 //! //    unpruned oracle, as a verdict should be.
-//! let explored = explore_object::<SnapshotSpec<u64>, _, _>(
+//! let explored = explore_object_dag::<SnapshotSpec<u64>, _, _>(
 //!     factory,
 //!     &workload,
 //!     &SimExplore {
@@ -121,7 +122,7 @@
 //!    — for `Strong`-typed objects — schedule trees through the strong
 //!    checker. Failures are shrunk to a locally-minimal operation +
 //!    schedule sequence and printed with allocation-site labels.
-//! 2. **Explore** (`api::sim::explore_object`, above): bounded
+//! 2. **Explore** (`api::sim::explore_object_dag`, above): bounded
 //!    *exhaustive* enumeration with pruning; `SimExplore::stem` focuses
 //!    the search on extensions of a known-adversarial prefix, and
 //!    `workers` parallelises replays across threads.
@@ -132,7 +133,7 @@
 //!
 //! For operations outside the builder families, implement
 //! `api::sim::DriveOps` for your handle (or pass an explicit apply
-//! closure to `explore_object_with` / the fuzz entry points).
+//! closure to `explore_object_dag_with` / the fuzz entry points).
 //!
 //! ## Parallel exploration
 //!
@@ -364,7 +365,7 @@
 //!
 //! See `examples/` for runnable scenarios (ABA detection, adversary
 //! bias, universal construction, model checking) and the `sl-bench`
-//! crate for the experiment binaries that regenerate `EXPERIMENTS.md`.
+//! crate for the experiment binaries.
 
 #![deny(unsafe_code)]
 
