@@ -99,7 +99,7 @@
 //! bit-identical. Fleet shape, lease deadline, heartbeat cadence,
 //! backoff, and retry budget are [`sl_dist::FleetConfig`] knobs;
 //! dispatch/completion/revocation/quarantine counts come back as
-//! [`sim::DistTelemetry`].
+//! [`sl_dist::FleetStats`].
 
 #![deny(unsafe_code)]
 

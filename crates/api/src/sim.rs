@@ -40,11 +40,10 @@
 //! ([`explore_object_dag_distributed`]), or as one such worker
 //! ([`serve_object_worker`]).
 
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use sl_check::{check_strongly_linearizable_dag, DagShards, StrongLinReport, TreeDag, TreeStep};
-use sl_dist::{DistCoordinator, FleetConfig, WireSpec};
+use sl_dist::{DistCoordinator, FleetConfig, FleetStats, WireSpec};
 use sl_mem::Value;
 use sl_sim::{
     EventLog, ExploreOutcome, Explorer, ProcCtx, Program, PruneMode, ReplayCtx, ReplayPool,
@@ -450,14 +449,6 @@ where
 /// verdict, conflict depth) to the uninterrupted exploration at any
 /// worker count — see `crates/api/tests/resume_dag.rs` for the gate.
 ///
-/// The live shard hashes are recorded into every checkpoint as sorted
-/// audit metadata, but resume validation deliberately passes
-/// `expected_shards = None` on top of whatever the caller set: the
-/// drain checkpoint is written inside the root's subtree bracket while
-/// shards flush at `subtree_end`, so the drain-time recorded hashes
-/// lag the post-drain on-disk DAG by design. The end-to-end identity
-/// gate is the merged-union structural hash, not per-shard equality.
-///
 /// Fail-closed: panics (like [`Explorer::explore_resumable`]) on any
 /// torn, stale, or doctored checkpoint.
 pub fn explore_object_dag_resumable<S, O, F>(
@@ -482,50 +473,15 @@ where
         cfg,
     );
     let sink = Mutex::new(Vec::new());
-    // Checkpoints record the hashes of the shards flushed so far —
-    // sorted, so the snapshot is stable under worker scheduling.
-    let shard_snapshot = || TreeDag::shard_hashes(&sink.lock().unwrap());
-    let session = ResumeSession {
-        store: session.store,
-        policy: session.policy.clone(),
-        fault: session.fault.clone(),
-        // See the doc comment: drain-time recorded hashes lag the
-        // post-drain flush, so per-shard expectations cannot hold here.
-        expected_shards: None,
-        shard_hashes: Some(&shard_snapshot),
-    };
     let outcome = cfg.explorer().explore_resumable(
         || harness.ctx(&sink),
         |ctx, d| harness.replay(ctx, d),
-        &session,
+        session,
     );
     ExploredDag {
         dag: TreeDag::merge(flushed(sink)),
         outcome,
     }
-}
-
-/// Fleet telemetry of one distributed exploration — the coordinator's
-/// counters, snapshotted after the run.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DistTelemetry {
-    /// Task frames written to workers (including re-leases).
-    pub dispatched: u64,
-    /// Results accepted from workers.
-    pub completed: u64,
-    /// Leases revoked (missed deadline, torn frame, checksum failure,
-    /// dead pipe, nonzero exit).
-    pub revoked: u64,
-    /// Subtrees quarantined after the retry budget — the outcome is
-    /// `partial` whenever this is nonzero.
-    pub quarantined: u64,
-    /// Dispatches declined (fleet busy or degraded): ran in-process.
-    pub declined: u64,
-    /// Workers killed by the fault-matrix hook.
-    pub chaos_kills: u64,
-    /// Whether the run fell back to pure in-process exploration
-    /// because no worker could be spawned.
-    pub degraded: bool,
 }
 
 /// The result of a distributed exploration: the merged DAG (local +
@@ -539,8 +495,8 @@ pub struct ExploredDistDag<S: SeqSpec> {
     /// Runs, exhaustion, pruning statistics — bit-identical to the
     /// sequential outcome at any worker-process count.
     pub outcome: ExploreOutcome,
-    /// Coordinator counters.
-    pub fleet: DistTelemetry,
+    /// Coordinator counters, snapshotted after the run.
+    pub fleet: FleetStats,
 }
 
 impl<S: SeqSpec> ExploredDistDag<S> {
@@ -597,15 +553,7 @@ where
         &coordinator,
     );
     coordinator.finish();
-    let fleet = DistTelemetry {
-        dispatched: coordinator.stats.dispatched.load(Ordering::SeqCst),
-        completed: coordinator.stats.completed.load(Ordering::SeqCst),
-        revoked: coordinator.stats.revoked.load(Ordering::SeqCst),
-        quarantined: coordinator.stats.quarantined.load(Ordering::SeqCst),
-        declined: coordinator.stats.declined.load(Ordering::SeqCst),
-        chaos_kills: coordinator.stats.chaos_kills.load(Ordering::SeqCst),
-        degraded: coordinator.is_degraded(),
-    };
+    let fleet = coordinator.stats();
     // Releases the borrow of `remote_sink`.
     drop(coordinator);
     // Local shards are packed (process-local step codes); remote shards

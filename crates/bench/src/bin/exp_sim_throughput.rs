@@ -1,103 +1,81 @@
 //! Step-VM throughput, explorer schedule counts, world-reuse and
-//! parallel-scaling curves, and checker time.
+//! parallel-scaling curves, checkpoint overhead, and checker time.
 //!
 //! The experiment captures the quantities that bound exhaustive
 //! model-checking depth:
 //!
 //! * **schedules replayed** per explorer mode (the unpruned oracle,
 //!   source-set DPOR over the syntactic relation, and optimal DPOR over
-//!   the refined relation — with the `sl-analyze` certificate on the
-//!   pinned workloads) on pinned Algorithm-2 workloads — the win of
-//!   partial-order reduction;
+//!   the refined relation with the `sl-analyze` certificate) on pinned
+//!   Algorithm-2 workloads — the win of partial-order reduction;
 //! * **replay throughput**: fresh-world-per-schedule vs the pooled
 //!   `SimWorld::reset` path (world reuse), and the parallel scaling
-//!   curve of partitioned source-DPOR at 1/2/4/8 workers (see
-//!   `--threads`) — the win of this revision;
-//! * **checker time** of the strong-linearizability decision over the
-//!   explored transcript set, memoised vs unmemoised — the win of
-//!   hash-consed subtree memoisation.
+//!   curve of partitioned source-DPOR at 1/2/4/8 workers, capped at the
+//!   machine's CPUs (more workers than cores measures the machine);
+//! * **checker time**, memoised vs unmemoised;
+//! * **checkpoint overhead**: nine pairs of plain and checkpointed
+//!   optimal-DPOR explorations of `aba_mixed3_deep` under the default
+//!   checkpoint policy, alternating which side runs first; the reading
+//!   is the median per-pair ratio `plain / checkpointed` (1.0 = free).
 //!
-//! `--json PATH` writes the summary as JSON (the artifact the sim-deep
-//! CI job uploads; it includes the scaling curve). `--baseline PATH`
-//! compares against a recorded baseline and exits non-zero if
-//!
-//! * the unpruned oracle replays a different number of schedules than
-//!   recorded for a pinned workload (it must explore every schedule —
-//!   no more, no fewer),
-//! * the pruned explorer replays *more* schedules than recorded for a
-//!   pinned workload, under syntactic source DPOR or optimal DPOR
-//!   (partial-order reduction regressed),
-//! * optimal DPOR cuts any replay (the wakeup-sequence guarantee is
-//!   *zero* sleep-set-blocked runs),
-//! * optimal DPOR on a mixed-role workload no longer stays strictly
-//!   below the frozen per-register-era floors (660 on `aba_mixed3`,
-//!   26 638 on `aba_mixed3_deep`) — the op-pair commutation matrix
-//!   stopped pruning,
-//! * any dynamic race on a mixed-role workload escapes op-pair
-//!   attribution (`static_unattributed` must be 0),
-//! * the certificate catalog checked in next to the baseline is stale
-//!   (regenerating it from the current probe produces different bytes)
-//!   or fails the fail-closed parser,
-//! * the single-worker world-reuse speedup on `aba_2w2r` falls below
-//!   the recorded `min_reuse_speedup`, or
-//! * the 4-/8-worker speedups on `aba_2w2r` fall below the recorded
-//!   `min_speedup_4w`/`min_speedup_8w` — each checked only on machines
-//!   with at least that many CPUs (parallel wall-clock on fewer cores
-//!   measures the machine, not the explorer).
-//!
-//! `--refresh-baseline` rewrites the baseline file from this run's
-//! measurements (gate thresholds preserved) instead of hand-editing
-//! the JSON, and regenerates the `certificates.json` checked in next
-//! to it; `--summary-md PATH` writes a markdown before/after delta
-//! table (what the sim-deep CI job posts as its step summary).
-//! `--certificates PATH` writes the `sl-analyze` certificate catalog
-//! (the JSON artifact sim-deep CI uploads next to the summary).
-//! `--threads N` caps the scaling curve (default 8; powers of two).
+//! Every measured quantity is one `Row` of a metric table: a pinned
+//! workload (or none), a key, a value with its print precision, and a
+//! `Check`. The run prints the table as markdown; `--json PATH` writes
+//! it as the JSON summary (the artifact the sim-deep CI job uploads),
+//! `--summary-md PATH` as a markdown before/after table (its step
+//! summary), and `--baseline PATH` judges every row against the
+//! recorded baseline and exits non-zero on any failure: an unpruned
+//! count off the recorded one (`Exact`), a source- or optimal-DPOR
+//! count above it (`NotAbove`) or, on the mixed-role workloads, at the
+//! frozen floors 660 / 26 638 (`BelowFloor`), a cut replay or an
+//! unattributed race (`Zero`), a wall-clock ratio below
+//! `min_reuse_speedup`, `min_ckpt_ratio`, `min_dist_ratio` or
+//! `min_speedup_4w`/`8w` (`AtLeast`; a scaling point only on machines
+//! with that many CPUs), a gated count the baseline lacks, or a
+//! checked-in certificate catalog that is stale or does not parse.
+//! `--refresh-baseline` rewrites the baseline from this run (gate
+//! thresholds preserved) and regenerates the `certificates.json` next
+//! to it; `--certificates PATH` writes the catalog elsewhere.
 //!
 //! **Crash-resilient mode** (`--checkpoint-dir DIR`): instead of the
 //! measurement suite, run one checkpointed optimal-DPOR exploration of
-//! `--resume-workload` (default `aba_mixed3`; counts-only, workers from
-//! `SL_EXPLORE_THREADS`) and print its outcome as a one-line
-//! `RESUME_SUMMARY {json}`. `--resume` continues from an existing
-//! checkpoint in DIR (without it any stale checkpoint is cleared);
-//! `--ckpt-every N` sets the snapshot cadence in root replays,
-//! `--ckpt-max-schedules N` drains after a schedule budget, and
-//! `--ckpt-stall-us U` slows each replay (so the out-of-process
-//! SIGKILL-and-resume test can land its kill mid-exploration).
-//! `SL_FAULT_POINT`/`SL_FAULT_NTH`/`SL_FAULT_MODE` seed deterministic
-//! fault injection (see `sl_sim::FaultPlan::from_env`). The resumed
-//! run's summary is bit-identical to an uninterrupted one — gated by
-//! `crates/bench/tests/resume_kill.rs` and the sim-resume CI lane.
-//!
-//! The measurement suite additionally measures **checkpoint overhead**:
-//! best-of-5 interleaved pairs of plain vs checkpointed optimal-DPOR
-//! explorations of `aba_mixed3_deep`; `--baseline` gates the ratio
-//! against `min_ckpt_ratio` (0.95 — checkpointing may cost at most
-//! ~5%).
+//! `aba_mixed3` (counts-only, workers from `SL_EXPLORE_THREADS`) and
+//! print its outcome as a one-line `RESUME_SUMMARY {json}`. `--resume`
+//! continues from an existing checkpoint in DIR (without it any stale
+//! checkpoint is cleared); `--ckpt-every N` sets the snapshot cadence
+//! in root replays, `--ckpt-max-schedules N` drains after a schedule
+//! budget, and `--ckpt-stall-us U` slows each replay (so the
+//! out-of-process SIGKILL-and-resume test can land its kill
+//! mid-exploration). `SL_FAULT_POINT`/`SL_FAULT_NTH`/`SL_FAULT_MODE`
+//! seed deterministic fault injection (see `sl_sim::FaultPlan::from_env`).
+//! The resumed run's summary is bit-identical to an uninterrupted one —
+//! gated by `crates/bench/tests/resume_kill.rs` and the sim-resume CI
+//! lane.
 //!
 //! **Distributed mode** (`--worker-procs N`): additionally runs one
 //! sequential and one distributed optimal-DPOR exploration of
 //! `aba_mixed3_deep`, the latter through `sl-dist`'s lease-based
-//! coordinator over N real worker *processes* (`--worker-bin PATH`
-//! overrides the worker binary, default the sibling `dist_worker`).
-//! Bit-identity of counters, verdict, and the merged-DAG structural
-//! hash is asserted inside the measurement; `--baseline` gates the
-//! sequential/distributed wall-clock ratio against `min_dist_ratio`
-//! (0.2 — frame/lease/symbolization overhead may cost at most 5x;
-//! real speedup needs more cores/hosts than CI offers). The sim-dist
-//! CI lane runs this plus the fault-matrix identity suite
-//! (`crates/bench/tests/dist_identity.rs`).
+//! coordinator over N real worker *processes* (the `dist_worker` binary
+//! next to this one). Bit-identity of counters, verdict, and the
+//! merged-DAG structural hash is asserted inside the measurement;
+//! `--baseline` gates the sequential/distributed wall-clock ratio
+//! against `min_dist_ratio` (0.2 — frame/lease/symbolization overhead
+//! may cost at most 5x; real speedup needs more cores/hosts than CI
+//! offers). The sim-dist CI lane runs this plus the fault-matrix
+//! identity suite (`crates/bench/tests/dist_identity.rs`).
 
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use sl_analyze::Certificate;
 use sl_api::sim::{
     explore_object_dag_distributed, explore_object_dag_with, programs_for, DriveOps as _,
     ExploredDag, PooledWorld, SimExplore,
 };
 use sl_api::{ObjectBuilder, SharedObject};
 use sl_bench::workloads::{dist_config, dist_ops, ASpec};
-use sl_bench::{baseline, print_table, Baseline, Gate};
+use sl_bench::{baseline, Baseline, Gate};
 use sl_check::{
     check_strongly_linearizable_dag, check_strongly_linearizable_unmemoised, DagShards,
     HistoryTree, TreeBuilder, TreeDag, TreeStep,
@@ -105,11 +83,308 @@ use sl_check::{
 use sl_core::aba::SlAbaRegister;
 use sl_dist::FleetConfig;
 use sl_mem::{Mem, Register};
+use sl_sim::wire::{push_str, Json};
 use sl_sim::{
     CheckpointPolicy, CheckpointStore, EventLog, ExploreOutcome, FaultPlan, Program, PruneMode,
     ResumeSession, RoundRobin, RunConfig, ScheduleDriver, Sharded, SimMem, SimWorld,
 };
 use sl_spec::{AbaOp, AbaResp};
+use Check::{AtLeast, BelowFloor, Exact, Info, NotAbove, Zero};
+
+/// The largest worker count of the parallel-scaling curve (powers of
+/// two from 1, capped at the machine's CPUs).
+const MAX_THREADS: usize = 8;
+/// The pinned workload the crash-resilient mode explores.
+const RESUME_WORKLOAD: &str = "aba_mixed3";
+/// The pinned workload the world-reuse and scaling gates run on (the
+/// tiny one is all setup noise).
+const WALL_CLOCK_WORKLOAD: &str = "aba_2w2r";
+/// Plain/checkpointed pairs behind the checkpoint-overhead reading.
+const CKPT_PAIRS: usize = 9;
+/// The baseline's gate thresholds, in file order, with the defaults
+/// `--refresh-baseline` writes for one the baseline lacks.
+const THRESHOLDS: [(&str, f64); 5] = [
+    ("min_reuse_speedup", 1.0),
+    ("min_speedup_4w", 2.0),
+    ("min_speedup_8w", 3.0),
+    ("min_ckpt_ratio", 0.95),
+    ("min_dist_ratio", 0.2),
+];
+
+/// How the `--baseline` gate judges a row.
+#[derive(Clone, Copy)]
+enum Check {
+    /// Equal to the recorded count.
+    Exact,
+    /// Not above the recorded count.
+    NotAbove,
+    /// Exactly zero.
+    Zero,
+    /// Not above the recorded count, and strictly below a frozen floor
+    /// (not read from the refreshable baseline).
+    BelowFloor(u64),
+    /// At least the baseline's threshold of this name; judged only on
+    /// machines with at least this many CPUs.
+    AtLeast(&'static str, usize),
+    /// Reported, not gated.
+    Info,
+}
+
+/// A measured value.
+#[derive(Debug)]
+enum Value {
+    Count(u64),
+    Flag(bool),
+    /// A real, printed with this many decimals.
+    Real(f64, usize),
+    /// Not measured in this run, and why: left out of the JSON summary,
+    /// its gate skipped.
+    Absent(String),
+}
+
+fn count(n: usize) -> Value {
+    Value::Count(n as u64)
+}
+
+impl Value {
+    fn number(&self) -> Option<f64> {
+        match *self {
+            Value::Count(n) => Some(n as f64),
+            Value::Real(x, _) => Some(x),
+            Value::Flag(_) | Value::Absent(_) => None,
+        }
+    }
+}
+
+impl std::fmt::Display for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Value::Count(n) => write!(f, "{n}"),
+            Value::Flag(b) => write!(f, "{b}"),
+            Value::Real(x, prec) => write!(f, "{x:.prec$}", prec = *prec),
+            Value::Absent(_) => f.write_str("—"),
+        }
+    }
+}
+
+/// One measured quantity of the metric table.
+struct Row {
+    /// The pinned workload it belongs to; `None` at the top level.
+    workload: Option<&'static str>,
+    /// Key path inside the workload's summary entry (or the top level):
+    /// `.` nests, and numeric segments number the items of an array.
+    key: String,
+    value: Value,
+    check: Check,
+    /// Words for the markdown table and gate messages (else the key).
+    label: Option<&'static str>,
+}
+
+impl Row {
+    fn new(workload: Option<&'static str>, key: &str, value: Value, check: Check) -> Row {
+        let key = key.to_string();
+        Row {
+            workload,
+            key,
+            value,
+            check,
+            label: None,
+        }
+    }
+
+    fn labelled(mut self, label: &'static str) -> Row {
+        self.label = Some(label);
+        self
+    }
+
+    fn name(&self) -> String {
+        let label = self.label.unwrap_or(&self.key);
+        match self.workload {
+            Some(w) => format!("{w} {label}"),
+            None => label.to_string(),
+        }
+    }
+
+    fn measured(&self) -> u64 {
+        match self.value {
+            Value::Count(n) => n,
+            ref v => panic!("{}: a count check on {v:?}", self.name()),
+        }
+    }
+
+    /// The value `b` records for this row, where a baseline can hold
+    /// one: a workload's count, or a top-level number (one object deep).
+    fn recorded(&self, b: &Baseline) -> Option<f64> {
+        match (self.workload, &self.value) {
+            (Some(w), Value::Count(_)) => b.workload_count(w, &self.key).map(|n| n as f64),
+            (Some(_), _) => None,
+            (None, _) => match self.key.split_once('.') {
+                Some((object, key)) => b.number_in(object, key),
+                None => b.number(&self.key),
+            },
+        }
+    }
+}
+
+/// Judges every row's check against the baseline `b` on a machine
+/// with `cpus` CPUs.
+fn judge(rows: &[Row], b: &Baseline, cpus: usize, gate: &mut Gate) {
+    for row in rows {
+        let name = row.name();
+        let recorded = row.recorded(b).map(|r| r as usize);
+        let n = || row.measured() as usize;
+        match row.check {
+            Exact if recorded == Some(n()) => println!("baseline ok: {name} == recorded {}", n()),
+            Exact => gate.fail(&format!("{name}: measured {}, recorded {recorded:?}", n())),
+            NotAbove => gate.count_not_above(&name, n(), recorded),
+            BelowFloor(floor) => {
+                gate.count_not_above(&name, n(), recorded);
+                if n() as u64 >= floor {
+                    gate.fail(&format!("{name}: {} is not below the frozen {floor}", n()));
+                }
+            }
+            Zero if n() != 0 => gate.fail(&format!("{name}: measured {}, must be 0", n())),
+            AtLeast(min, need) => match &row.value {
+                _ if cpus < need => gate.skip(&format!(
+                    "{name} gate skipped: {cpus} CPUs available, {need} needed"
+                )),
+                Value::Absent(why) => gate.skip(&format!("{name} gate skipped: {why}")),
+                v => {
+                    let x = v.number().expect("a threshold check on a number");
+                    gate.speedup_at_least(&format!("{name} ({min})"), x, b.number(min))
+                }
+            },
+            Zero | Info => {}
+        }
+    }
+}
+
+/// The `--json` summary: top-level rows as fields, then each
+/// workload's rows as one `workloads` item (its `name` first).
+fn to_json(rows: &[Row]) -> String {
+    let (mut top, mut current, mut item) = (Vec::new(), None, 0);
+    for row in rows {
+        let leaf = match row.value {
+            Value::Count(n) => Json::Num(n),
+            Value::Flag(b) => Json::Bool(b),
+            Value::Real(..) => Json::Dec(row.value.to_string()),
+            Value::Absent(_) => continue,
+        };
+        let mut path = Vec::new();
+        if let Some(w) = row.workload {
+            item += usize::from(current.is_some_and(|c| c != w));
+            path = vec![
+                "workloads".to_string(),
+                item.to_string(),
+                "name".to_string(),
+            ];
+            if current.replace(w) != Some(w) {
+                insert(&mut top, &path, Json::Str(w.into()));
+            }
+            path.pop();
+        }
+        path.extend(row.key.split('.').map(str::to_string));
+        insert(&mut top, &path, leaf);
+    }
+    let mut out = String::new();
+    pretty(&mut out, &Json::Obj(top), 0);
+    out.push('\n');
+    out
+}
+
+/// Inserts `leaf` at `path` under `fields`, extending the object the
+/// previous row opened there or opening a new one.
+fn insert(fields: &mut Vec<(String, Json)>, path: &[String], leaf: Json) {
+    let (key, rest) = path.split_first().expect("a non-empty key");
+    if rest.is_empty() {
+        return fields.push((key.clone(), leaf));
+    }
+    if fields.last().is_none_or(|(k, _)| k != key) {
+        fields.push((key.clone(), Json::Obj(Vec::new())));
+    }
+    match fields.last_mut() {
+        Some((_, Json::Obj(inner))) => insert(inner, rest, leaf),
+        _ => panic!("key {key:?} is both a value and an object"),
+    }
+}
+
+/// Renders `v` in the summary's layout: an object whose keys are item
+/// numbers as an array, and containers down to depth 2 one member per
+/// line, deeper ones inline.
+fn pretty(out: &mut String, v: &Json, depth: usize) {
+    let Json::Obj(fields) = v else {
+        return v.render(out);
+    };
+    let array = fields.first().is_some_and(|f| f.0.parse::<u32>().is_ok());
+    let (lines, indent) = (depth <= 2, "  ".repeat(depth));
+    out.push(if array { '[' } else { '{' });
+    for (i, (key, member)) in fields.iter().enumerate() {
+        out.push_str(match (i, lines) {
+            (0, _) => "",
+            (_, true) => ",",
+            (_, false) => ", ",
+        });
+        if lines {
+            let _ = write!(out, "\n{indent}  ");
+        }
+        if !array {
+            push_str(out, key);
+            out.push_str(": ");
+        }
+        pretty(out, member, depth + 1);
+    }
+    if lines {
+        let _ = write!(out, "\n{indent}");
+    }
+    out.push(if array { ']' } else { '}' });
+}
+
+/// The markdown before/after table (the sim-deep CI job's step
+/// summary): one line per row, recorded baseline vs this run.
+/// Consecutive rows with one label share a line, differing cells
+/// joined by ` / `.
+fn summary_markdown(rows: &[Row], b: Option<&Baseline>) -> String {
+    let mut lines: Vec<[String; 4]> = Vec::new();
+    for row in rows {
+        let recorded = b.and_then(|b| row.recorded(b));
+        let note = match (&row.value, recorded, row.value.number()) {
+            (Value::Absent(why), ..) => format!("skipped: {why}"),
+            (_, Some(r), Some(m)) if r > 0.0 => format!("{:+.1}%", (m - r) / r * 100.0),
+            _ => match row.check {
+                Exact => "gate == recorded".to_string(),
+                NotAbove => "gate <= recorded".to_string(),
+                Zero => "gate == 0".to_string(),
+                BelowFloor(floor) => format!("gate < {floor}"),
+                AtLeast(min, _) => b
+                    .and_then(|b| b.number(min))
+                    .map_or("—".into(), |m| format!("gate >= {m}x")),
+                Info => "informational".to_string(),
+            },
+        };
+        let before = match (recorded, &row.value) {
+            (Some(r), Value::Real(_, prec)) => Value::Real(r, *prec).to_string(),
+            (Some(r), _) => r.to_string(),
+            (None, _) => "—".to_string(),
+        };
+        let line = [row.name(), before, row.value.to_string(), note];
+        match lines.last_mut().filter(|last| last[0] == line[0]) {
+            Some(last) => {
+                for (cell, new) in last.iter_mut().zip(line).skip(1) {
+                    if *cell != new {
+                        *cell = format!("{cell} / {new}");
+                    }
+                }
+            }
+            None => lines.push(line),
+        }
+    }
+    let mut md = String::from("## Explorer throughput & schedule-count deltas\n\n");
+    md.push_str("| metric | baseline | this run | delta |\n|---|---|---|---|\n");
+    for line in lines {
+        let _ = writeln!(md, "| {} |", line.join(" | "));
+    }
+    md
+}
 
 fn workload(world: &SimWorld, steps_per_proc: u64) -> Vec<Program> {
     let mem = world.mem();
@@ -142,12 +417,11 @@ fn measure(cfg: RunConfig, steps_per_proc: u64, reps: u32) -> f64 {
     total as f64 / start.elapsed().as_secs_f64()
 }
 
-fn human(rate: f64) -> String {
-    if rate >= 1e6 {
-        format!("{:.2}M", rate / 1e6)
-    } else {
-        format!("{:.0}k", rate / 1e3)
-    }
+/// The machine's CPU count.
+fn cpus() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// The object every pinned workload checks: Algorithm 2.
@@ -243,6 +517,11 @@ impl Pinned {
     }
 }
 
+/// What an exploration explored: runs, cut runs, pruned steps.
+fn counters(out: &ExploreOutcome) -> (usize, usize, u64) {
+    (out.runs, out.cut_runs, out.pruned)
+}
+
 /// `f`'s result and its wall clock in seconds.
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
@@ -252,115 +531,65 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 
 /// The single-worker optimal-DPOR configuration with `cert`'s runtime
 /// form installed.
-fn certified(cert: &sl_analyze::Certificate) -> SimExplore {
+fn certified(cert: &Certificate) -> SimExplore {
     SimExplore {
         statics: Some(Arc::new(cert.static_conflicts())),
         ..dist_config(PruneMode::OptimalDpor, 1)
     }
 }
 
-/// Schedule counts of one mixed-role pinned workload per DPOR mode,
-/// and the certificate telemetry of the optimal-DPOR run.
-struct MixedSummary {
-    name: &'static str,
-    dpor_replayed: usize,
-    dpor_runs: usize,
-    optimal_dpor_replayed: usize,
-    optimal_dpor_runs: usize,
-    optimal_cut: usize,
-    static_relaxed: u64,
-    static_validated: u64,
-    static_unattributed: u64,
+/// Step-VM throughput per recording level.
+fn run_vm() -> Vec<Row> {
+    println!("\n## VM throughput (20k steps/proc; per-run setup amortised)");
+    [
+        ("full", RunConfig::full(), "VM steps/s (full)"),
+        ("traced", RunConfig::traced(), "VM steps/s (traced)"),
+        ("counted", RunConfig::counted(), "VM steps/s (counted)"),
+    ]
+    .into_iter()
+    .map(|(name, cfg, label)| {
+        // Warm-up pass stabilises allocator and stack-pool state.
+        let _ = measure(cfg, 20_000, 2);
+        let vm = Value::Real(measure(cfg, 20_000, 40), 0);
+        Row::new(None, &format!("vm_steps_per_sec.{name}"), vm, Info).labelled(label)
+    })
+    .collect()
 }
 
-fn run_mixed_workload(
-    name: &'static str,
-    label: &str,
-    cert: &sl_analyze::Certificate,
-) -> MixedSummary {
-    println!();
-    println!("## Pinned workload `{name}` (Algorithm 2: {label})");
+/// Schedule counts of one mixed-role pinned workload per DPOR mode,
+/// and the certificate telemetry of the optimal-DPOR run, which must
+/// stay strictly below the frozen `floor`.
+fn run_mixed_workload(name: &'static str, floor: u64, cert: &Certificate) -> Vec<Row> {
+    println!("\n## Pinned workload `{name}` (Algorithm 2: two writers, one reader)");
     let w = Pinned::new(name);
     // A fresh runtime form per workload: telemetry counters accumulate
     // per `StaticConflicts` instance, and the summary reports them
     // per workload.
     let optimal = certified(cert);
-    let counts: Vec<ExploreOutcome> = [&dist_config(PruneMode::SourceDpor, 1), &optimal]
-        .into_iter()
-        .map(|cfg| {
-            let out = w.explore(cfg, |_| {});
-            assert!(out.exhausted, "mixed-role pinned workload must exhaust");
-            out
-        })
-        .collect();
-    let rows: Vec<Vec<String>> = [("source DPOR", &counts[0]), ("optimal DPOR", &counts[1])]
-        .iter()
-        .map(|(mode, out)| {
-            vec![
-                mode.to_string(),
-                out.schedules_replayed().to_string(),
-                out.runs.to_string(),
-                out.cut_runs.to_string(),
-            ]
-        })
-        .collect();
-    print_table(&["mode", "replayed", "runs", "cut"], &rows);
+    let [dp, od] = [&dist_config(PruneMode::SourceDpor, 1), &optimal].map(|cfg| {
+        let out = w.explore(cfg, |_| {});
+        assert!(out.exhausted, "mixed-role pinned workload must exhaust");
+        out
+    });
     assert_eq!(
-        counts[1].cut_runs, 0,
+        od.cut_runs, 0,
         "optimal DPOR initiated a sleep-set-blocked replay on {name}"
     );
     let t = optimal.statics.as_ref().expect("certified").telemetry();
-    println!(
-        "(the refined relation with the op-pair certificate removes {:.0}% of the source-DPOR \
-         schedules — {} relaxations, {} validated races, {} unattributed, 0 unpredicted; \
-         wakeup sequences keep the exploration cut-free at {} replays)",
-        (1.0 - counts[1].schedules_replayed() as f64 / counts[0].schedules_replayed() as f64)
-            * 100.0,
-        t.relaxed,
-        t.validated,
-        t.unattributed,
-        counts[1].schedules_replayed(),
-    );
-    MixedSummary {
-        name,
-        dpor_replayed: counts[0].schedules_replayed(),
-        dpor_runs: counts[0].runs,
-        optimal_dpor_replayed: counts[1].schedules_replayed(),
-        optimal_dpor_runs: counts[1].runs,
-        optimal_cut: counts[1].cut_runs,
-        static_relaxed: t.relaxed,
-        static_validated: t.validated,
-        static_unattributed: t.unattributed,
-    }
-}
-
-struct ScalingPoint {
-    threads: usize,
-    replays_per_sec: f64,
-    speedup: f64,
-    efficiency: f64,
-}
-
-struct WorkloadSummary {
-    name: &'static str,
-    unpruned_replayed: usize,
-    unpruned_exhausted: bool,
-    dpor_replayed: usize,
-    dpor_runs: usize,
-    optimal_dpor_replayed: usize,
-    optimal_dpor_runs: usize,
-    optimal_cut: usize,
-    reduction_vs_unpruned: f64,
-    fresh_s: f64,
-    pooled_s: f64,
-    reuse_speedup: f64,
-    scaling: Vec<ScalingPoint>,
-    checker_memo_ms: f64,
-    checker_unmemo_ms: f64,
-    checker_speedup: f64,
-    memo_hits: u64,
-    states_memo: u64,
-    states_unmemo: u64,
+    let row = |key: &str, value, check| Row::new(Some(name), key, value, check);
+    let relaxations = "placement relaxations / validated races";
+    let (dp_n, od_n) = (dp.schedules_replayed(), od.schedules_replayed());
+    vec![
+        row("dpor_replayed", count(dp_n), NotAbove),
+        row("dpor_runs", count(dp.runs), Info),
+        row("optimal_dpor_replayed", count(od_n), BelowFloor(floor)),
+        row("optimal_dpor_runs", count(od.runs), Info),
+        row("optimal_cut", count(od.cut_runs), Zero).labelled("optimal-DPOR cut replays"),
+        row("static_relaxed", Value::Count(t.relaxed), Info).labelled(relaxations),
+        row("static_validated", Value::Count(t.validated), Info).labelled(relaxations),
+        row("static_unattributed", Value::Count(t.unattributed), Zero)
+            .labelled("unattributed races"),
+    ]
 }
 
 /// Pinned workload: 2-process Algorithm 2 (writer p0, reader p1) — the
@@ -369,17 +598,11 @@ struct WorkloadSummary {
 /// consume); the other modes only count schedules. The materialised
 /// prefix tree feeding the unmemoised checker oracle comes from one
 /// more source-DPOR exploration.
-fn run_pinned_workload(
-    name: &'static str,
-    max_threads: usize,
-    cert: &sl_analyze::Certificate,
-) -> WorkloadSummary {
+fn run_pinned_workload(name: &'static str, cert: &Certificate) -> Vec<Row> {
     let w = Pinned::new(name);
     let (writes, reads) = (w.ops[0].len(), w.ops[1].len());
-    println!();
-    println!("## Pinned workload `{name}` (Algorithm 2: {writes} DWrites vs {reads} DReads)");
+    println!("\n## Pinned workload `{name}` (Algorithm 2: {writes} DWrites vs {reads} DReads)");
     let source = dist_config(PruneMode::SourceDpor, 1);
-    let mut rows = Vec::new();
     let (un, un_t) = timed(|| w.explore(&dist_config(PruneMode::Unpruned, 1), |_| {}));
     let (ExploredDag { dag, outcome: dp }, dp_t) = timed(|| w.explore_dag(&source));
     let (od, od_t) = timed(|| w.explore(&certified(cert), |_| {}));
@@ -408,34 +631,13 @@ fn run_pinned_workload(
         dag.structural_hash(),
         "the prefix tree and the sharded DAG must hold the same transcripts"
     );
-    for (mode, out, secs) in [
-        ("unpruned", &un, un_t),
-        ("source DPOR", &dp, dp_t),
-        ("optimal DPOR", &od, od_t),
-    ] {
-        rows.push(vec![
-            mode.to_string(),
-            out.schedules_replayed().to_string(),
-            out.runs.to_string(),
-            out.cut_runs.to_string(),
-            if out.exhausted { "yes" } else { "capped" }.to_string(),
-            format!("{:.2}s", secs),
-        ]);
-    }
-    print_table(
-        &["mode", "replayed", "runs", "cut", "exhausted", "time"],
-        &rows,
+    println!(
+        "(unpruned {un_t:.2}s, source DPOR {dp_t:.2}s, optimal DPOR {od_t:.2}s; transcript DAG: \
+         {} unique shapes for a {}-node prefix tree)",
+        dag.unique_nodes(),
+        tree.node_count()
     );
     let reduction = un.schedules_replayed() as f64 / dp.schedules_replayed() as f64;
-    println!(
-        "(source DPOR replays {:.1}x fewer schedules than unpruned{})",
-        reduction,
-        if un.exhausted {
-            String::new()
-        } else {
-            " — a floor: the unpruned run hit its budget".to_string()
-        }
-    );
 
     // World reuse: the same DPOR exploration and ingestion pipeline on
     // one warm world per worker (reset between replays) vs a fresh
@@ -450,7 +652,7 @@ fn run_pinned_workload(
     for _ in 0..3 {
         let (fresh, f_t) = timed(|| w.explore_dag_fresh(&source));
         let (pooled, p_t) = timed(|| w.explore_dag(&source));
-        // Every pair explores the mode-table run's schedules and DAG.
+        // Every pair explores the source-DPOR run's schedules and DAG.
         assert_eq!(
             fresh.outcome, pooled.outcome,
             "fresh and pooled runs must agree"
@@ -469,75 +671,82 @@ fn run_pinned_workload(
             (fresh_t, pooled_t) = (f_t, p_t);
         }
     }
-    let reuse_speedup = fresh_t / pooled_t;
-    println!();
-    println!(
-        "world reuse (1 worker): fresh {fresh_t:.2}s -> pooled {pooled_t:.2}s  \
-         ({reuse_speedup:.2}x)"
-    );
+    let gated = name == WALL_CLOCK_WORKLOAD;
+    let reuse_check = if gated {
+        AtLeast("min_reuse_speedup", 1)
+    } else {
+        Info
+    };
+    let row = |key: &str, value, check| Row::new(Some(name), key, value, check);
+    let mut rows = vec![
+        row("unpruned_replayed", count(un.schedules_replayed()), Exact),
+        row("unpruned_exhausted", Value::Flag(un.exhausted), Info),
+        row("dpor_replayed", count(dp.schedules_replayed()), NotAbove),
+        row("dpor_runs", count(dp.runs), Info),
+        row(
+            "optimal_dpor_replayed",
+            count(od.schedules_replayed()),
+            NotAbove,
+        ),
+        row("optimal_dpor_runs", count(od.runs), Info),
+        row("optimal_cut", count(od.cut_runs), Zero).labelled("optimal-DPOR cut replays"),
+        row("reduction_vs_unpruned", Value::Real(reduction, 2), Info),
+        row("fresh_s", Value::Real(fresh_t, 3), Info),
+        row("pooled_s", Value::Real(pooled_t, 3), Info),
+        row(
+            "reuse_speedup",
+            Value::Real(fresh_t / pooled_t, 2),
+            reuse_check,
+        )
+        .labelled("world-reuse speedup"),
+    ];
 
-    // Parallel scaling of the pooled explorer.
-    let mut scaling = Vec::new();
-    let base_rate = dp.schedules_replayed() as f64 / pooled_t;
-    scaling.push(ScalingPoint {
-        threads: 1,
-        replays_per_sec: base_rate,
-        speedup: 1.0,
-        efficiency: 1.0,
-    });
-    // Measuring more workers than cores measures the machine, not the
-    // explorer: cap the curve at the available parallelism.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut t = 2;
-    while t <= max_threads.min(cores) {
-        let (par, secs) = timed(|| w.explore_dag(&dist_config(PruneMode::SourceDpor, t)));
-        assert_eq!(par.outcome, dp, "{t}-worker exploration diverged");
-        assert_eq!(
-            par.dag.structural_hash(),
-            dag.structural_hash(),
-            "{t}-worker DAG diverged"
-        );
-        let speedup = pooled_t / secs;
-        scaling.push(ScalingPoint {
-            threads: t,
-            replays_per_sec: par.outcome.schedules_replayed() as f64 / secs,
-            speedup,
-            efficiency: speedup / t as f64,
-        });
-        t *= 2;
+    // Parallel scaling of the pooled explorer at 1, 2, 4, ... workers
+    // up to the machine's CPUs; a gated point beyond them is absent.
+    let cores = cpus();
+    for i in 0..=MAX_THREADS.trailing_zeros() {
+        let threads = 1usize << i;
+        let key = |field: &str| format!("scaling.{i}.{field}");
+        let check = match (gated, threads) {
+            (true, 4) => AtLeast("min_speedup_4w", 4),
+            (true, 8) => AtLeast("min_speedup_8w", 8),
+            _ => Info,
+        };
+        if threads > cores {
+            if !matches!(check, Info) {
+                let why = Value::Absent(format!("the curve stops at {cores} CPUs"));
+                rows.push(row(&key("speedup"), why, check));
+            }
+            continue;
+        }
+        let secs = if threads == 1 {
+            pooled_t
+        } else {
+            let (par, secs) = timed(|| w.explore_dag(&dist_config(PruneMode::SourceDpor, threads)));
+            assert_eq!(par.outcome, dp, "{threads}-worker exploration diverged");
+            assert_eq!(
+                par.dag.structural_hash(),
+                dag.structural_hash(),
+                "{threads}-worker DAG diverged"
+            );
+            secs
+        };
+        let (rate, speedup) = (dp.schedules_replayed() as f64 / secs, pooled_t / secs);
+        rows.extend([
+            row(&key("threads"), count(threads), Info),
+            row(&key("replays_per_sec"), Value::Real(rate, 0), Info),
+            row(&key("speedup"), Value::Real(speedup, 2), check),
+            row(
+                &key("efficiency"),
+                Value::Real(speedup / threads as f64, 2),
+                Info,
+            ),
+        ]);
     }
-    println!();
-    let rows: Vec<Vec<String>> = scaling
-        .iter()
-        .map(|p| {
-            vec![
-                p.threads.to_string(),
-                format!("{}/s", human(p.replays_per_sec)),
-                format!("{:.2}x", p.speedup),
-                format!("{:.0}%", p.efficiency * 100.0),
-            ]
-        })
-        .collect();
-    print_table(&["threads", "replays", "speedup", "efficiency"], &rows);
-    println!(
-        "(identical schedule counts, verdicts, and DAG structure at every worker count — asserted)"
-    );
 
-    println!();
-    println!(
-        "(transcript DAG: {} unique shapes for a {}-node prefix tree)",
-        dag.unique_nodes(),
-        tree.node_count()
-    );
     let spec = ASpec::new(2);
-    let start = Instant::now();
-    let memo = check_strongly_linearizable_dag(&spec, &dag);
-    let memo_ms = start.elapsed().as_secs_f64() * 1e3;
-    let start = Instant::now();
-    let plain = check_strongly_linearizable_unmemoised(&spec, &tree);
-    let unmemo_ms = start.elapsed().as_secs_f64() * 1e3;
+    let (memo, memo_s) = timed(|| check_strongly_linearizable_dag(&spec, &dag));
+    let (plain, unmemo_s) = timed(|| check_strongly_linearizable_unmemoised(&spec, &tree));
     assert_eq!(
         memo.holds, plain.holds,
         "memoisation must not change the verdict"
@@ -546,226 +755,15 @@ fn run_pinned_workload(
         memo.holds,
         "Algorithm 2 is strongly linearizable (Theorem 12)"
     );
-    println!();
-    print_table(
-        &["checker", "states", "memo hits", "time"],
-        &[
-            vec![
-                "memoised".into(),
-                memo.states_explored.to_string(),
-                memo.memo_hits.to_string(),
-                format!("{memo_ms:.1}ms"),
-            ],
-            vec![
-                "unmemoised".into(),
-                plain.states_explored.to_string(),
-                "-".into(),
-                format!("{unmemo_ms:.1}ms"),
-            ],
-        ],
-    );
-    println!("(memoisation: {:.1}x faster)", unmemo_ms / memo_ms);
-
-    WorkloadSummary {
-        name,
-        unpruned_replayed: un.schedules_replayed(),
-        unpruned_exhausted: un.exhausted,
-        dpor_replayed: dp.schedules_replayed(),
-        dpor_runs: dp.runs,
-        optimal_dpor_replayed: od.schedules_replayed(),
-        optimal_dpor_runs: od.runs,
-        optimal_cut: od.cut_runs,
-        reduction_vs_unpruned: reduction,
-        fresh_s: fresh_t,
-        pooled_s: pooled_t,
-        reuse_speedup,
-        scaling,
-        checker_memo_ms: memo_ms,
-        checker_unmemo_ms: unmemo_ms,
-        checker_speedup: unmemo_ms / memo_ms,
-        memo_hits: memo.memo_hits,
-        states_memo: memo.states_explored,
-        states_unmemo: plain.states_explored,
-    }
-}
-
-fn to_json(
-    throughput: &[(String, f64)],
-    workloads: &[WorkloadSummary],
-    mixed: &[MixedSummary],
-    ckpt_ratio: f64,
-    dist_row: Option<(usize, f64)>,
-) -> String {
-    let mut out = format!("{{\n  \"ckpt_overhead_ratio\": {ckpt_ratio:.3},");
-    if let Some((procs, ratio)) = dist_row {
-        out.push_str(&format!(
-            "\n  \"dist_worker_procs\": {procs},\n  \"dist_ratio\": {ratio:.3},"
-        ));
-    }
-    out.push_str("\n  \"vm_steps_per_sec\": {");
-    for (i, (name, rate)) in throughput.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n    \"{name}\": {rate:.0}"));
-    }
-    out.push_str("\n  },\n  \"workloads\": [");
-    for (i, w) in workloads.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let mut scaling = String::new();
-        for (j, p) in w.scaling.iter().enumerate() {
-            if j > 0 {
-                scaling.push_str(", ");
-            }
-            scaling.push_str(&format!(
-                "{{\"threads\": {}, \"replays_per_sec\": {:.0}, \"speedup\": {:.2}, \
-                 \"efficiency\": {:.2}}}",
-                p.threads, p.replays_per_sec, p.speedup, p.efficiency
-            ));
-        }
-        out.push_str(&format!(
-            "\n    {{\n      \"name\": \"{}\",\n      \"unpruned_replayed\": {},\n      \
-             \"unpruned_exhausted\": {},\n      \
-             \"dpor_replayed\": {},\n      \"dpor_runs\": {},\n      \
-             \"optimal_dpor_replayed\": {},\n      \"optimal_dpor_runs\": {},\n      \
-             \"optimal_cut\": {},\n      \
-             \"reduction_vs_unpruned\": {:.2},\n      \"fresh_s\": {:.3},\n      \
-             \"pooled_s\": {:.3},\n      \"reuse_speedup\": {:.2},\n      \
-             \"scaling\": [{}],\n      \"checker_memo_ms\": {:.2},\n      \
-             \"checker_unmemo_ms\": {:.2},\n      \"checker_speedup\": {:.2},\n      \
-             \"memo_hits\": {},\n      \"states_memo\": {},\n      \"states_unmemo\": {}\n    }}",
-            w.name,
-            w.unpruned_replayed,
-            w.unpruned_exhausted,
-            w.dpor_replayed,
-            w.dpor_runs,
-            w.optimal_dpor_replayed,
-            w.optimal_dpor_runs,
-            w.optimal_cut,
-            w.reduction_vs_unpruned,
-            w.fresh_s,
-            w.pooled_s,
-            w.reuse_speedup,
-            scaling,
-            w.checker_memo_ms,
-            w.checker_unmemo_ms,
-            w.checker_speedup,
-            w.memo_hits,
-            w.states_memo,
-            w.states_unmemo
-        ));
-    }
-    for m in mixed {
-        out.push_str(&format!(
-            ",\n    {{\n      \"name\": \"{}\",\n      \"dpor_replayed\": {},\n      \
-             \"dpor_runs\": {},\n      \"optimal_dpor_replayed\": {},\n      \
-             \"optimal_dpor_runs\": {},\n      \"optimal_cut\": {},\n      \
-             \"static_relaxed\": {},\n      \
-             \"static_validated\": {},\n      \
-             \"static_unattributed\": {}\n    }}",
-            m.name,
-            m.dpor_replayed,
-            m.dpor_runs,
-            m.optimal_dpor_replayed,
-            m.optimal_dpor_runs,
-            m.optimal_cut,
-            m.static_relaxed,
-            m.static_validated,
-            m.static_unattributed
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-/// The markdown before/after delta table the sim-deep CI job posts as
-/// its step summary: recorded baseline vs this run, per gate.
-fn summary_markdown(
-    baseline: Option<&Baseline>,
-    throughput: &[(String, f64)],
-    workloads: &[WorkloadSummary],
-    mixed: &[MixedSummary],
-) -> String {
-    use std::fmt::Write;
-    let mut md = String::from("## Explorer throughput & schedule-count deltas\n\n");
-    md.push_str("| metric | baseline | this run | delta |\n|---|---|---|---|\n");
-    let num = |k: &str| baseline.and_then(|b| b.number(k));
-    let fmt_delta = |before: Option<f64>, after: f64| match before {
-        Some(b) if b > 0.0 => format!("{:+.1}%", (after - b) / b * 100.0),
-        _ => "—".to_string(),
-    };
-    for (name, rate) in throughput {
-        let before = baseline.and_then(|b| b.number_in("vm_steps_per_sec", name));
-        let _ = writeln!(
-            md,
-            "| VM steps/s ({name}) | {} | {rate:.0} | {} |",
-            before.map_or("—".into(), |b| format!("{b:.0}")),
-            fmt_delta(before, *rate)
-        );
-    }
-    for w in workloads {
-        for (key, measured) in [
-            ("unpruned_replayed", w.unpruned_replayed),
-            ("dpor_replayed", w.dpor_replayed),
-            ("optimal_dpor_replayed", w.optimal_dpor_replayed),
-        ] {
-            let before = baseline.and_then(|b| b.workload_count(w.name, key));
-            let _ = writeln!(
-                md,
-                "| {} {key} | {} | {measured} | {} |",
-                w.name,
-                before.map_or("—".into(), |b| b.to_string()),
-                fmt_delta(before.map(|b| b as f64), measured as f64)
-            );
-        }
-        // Speedup gates are enforced on aba_2w2r only (the tiny
-        // workload is all setup noise); annotate only the gated row
-        // so the summary never shows an un-enforced "gate" threshold.
-        let gate = if w.name == "aba_2w2r" {
-            num("min_reuse_speedup").map_or("—".into(), |m| format!("gate >= {m}x"))
-        } else {
-            "informational".to_string()
-        };
-        let _ = writeln!(
-            md,
-            "| {} world-reuse speedup | — | {:.2}x | {gate} |",
-            w.name, w.reuse_speedup
-        );
-    }
-    for m in mixed {
-        for (key, measured) in [
-            ("dpor_replayed", m.dpor_replayed),
-            ("optimal_dpor_replayed", m.optimal_dpor_replayed),
-        ] {
-            let before = baseline.and_then(|b| b.workload_count(m.name, key));
-            let _ = writeln!(
-                md,
-                "| {} {key} | {} | {measured} | {} |",
-                m.name,
-                before.map_or("—".into(), |b| b.to_string()),
-                fmt_delta(before.map(|b| b as f64), measured as f64)
-            );
-        }
-        let _ = writeln!(
-            md,
-            "| {} placement relaxations / validated races | — | {} / {} | fail-closed: 0 \
-             unpredicted |",
-            m.name, m.static_relaxed, m.static_validated
-        );
-        let _ = writeln!(
-            md,
-            "| {} unattributed races | — | {} | gate == 0 |",
-            m.name, m.static_unattributed
-        );
-        let _ = writeln!(
-            md,
-            "| {} optimal-DPOR cut replays | — | {} | gate == 0 |",
-            m.name, m.optimal_cut
-        );
-    }
-    md
+    rows.extend([
+        row("checker_memo_ms", Value::Real(memo_s * 1e3, 2), Info),
+        row("checker_unmemo_ms", Value::Real(unmemo_s * 1e3, 2), Info),
+        row("checker_speedup", Value::Real(unmemo_s / memo_s, 2), Info),
+        row("memo_hits", Value::Count(memo.memo_hits), Info),
+        row("states_memo", Value::Count(memo.states_explored), Info),
+        row("states_unmemo", Value::Count(plain.states_explored), Info),
+    ]);
+    rows
 }
 
 fn main() {
@@ -775,15 +773,12 @@ fn main() {
     let mut summary_md_path: Option<String> = None;
     let mut certificates_path: Option<String> = None;
     let mut refresh_baseline = false;
-    let mut max_threads: usize = 8;
     let mut checkpoint_dir: Option<String> = None;
     let mut resume = false;
-    let mut resume_workload = String::from("aba_mixed3");
     let mut ckpt_every: u64 = 50;
     let mut ckpt_max_schedules: Option<u64> = None;
     let mut ckpt_stall_us: u64 = 0;
     let mut worker_procs: usize = 0;
-    let mut worker_bin: Option<String> = None;
     let numeric = |args: &mut dyn Iterator<Item = String>, flag: &str| -> u64 {
         args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
             eprintln!("{flag} requires a number");
@@ -797,22 +792,14 @@ fn main() {
             "--summary-md" => summary_md_path = args.next(),
             "--certificates" => certificates_path = args.next(),
             "--refresh-baseline" => refresh_baseline = true,
-            "--threads" => max_threads = numeric(&mut args, "--threads") as usize,
             "--checkpoint-dir" => checkpoint_dir = args.next(),
             "--resume" => resume = true,
-            "--resume-workload" => {
-                resume_workload = args.next().unwrap_or_else(|| {
-                    eprintln!("--resume-workload requires a name");
-                    std::process::exit(2);
-                })
-            }
             "--ckpt-every" => ckpt_every = numeric(&mut args, "--ckpt-every"),
             "--ckpt-max-schedules" => {
                 ckpt_max_schedules = Some(numeric(&mut args, "--ckpt-max-schedules"))
             }
             "--ckpt-stall-us" => ckpt_stall_us = numeric(&mut args, "--ckpt-stall-us"),
             "--worker-procs" => worker_procs = numeric(&mut args, "--worker-procs") as usize,
-            "--worker-bin" => worker_bin = args.next(),
             other => {
                 eprintln!("unknown argument: {other}");
                 std::process::exit(2);
@@ -824,340 +811,133 @@ fn main() {
         std::process::exit(2);
     }
     if let Some(dir) = checkpoint_dir {
-        run_resumable(
-            &dir,
-            resume,
-            &resume_workload,
-            ckpt_every,
-            ckpt_max_schedules,
-            ckpt_stall_us,
-        );
-        return;
+        let policy = CheckpointPolicy {
+            every_replays: ckpt_every,
+            max_schedules: ckpt_max_schedules,
+            deadline: None,
+        };
+        return run_resumable(&dir, resume, policy, ckpt_stall_us);
     }
 
     println!("# exp_sim_throughput — step VM, explorer modes, world reuse, parallel scaling");
-    println!();
-    println!("## VM throughput (20k steps/proc; per-run setup amortised)");
-    let mut rows = Vec::new();
-    let mut throughput = Vec::new();
-    for (name, cfg) in [
-        ("full", RunConfig::full()),
-        ("traced", RunConfig::traced()),
-        ("counted", RunConfig::counted()),
-    ] {
-        // Warm-up pass stabilises allocator and stack-pool state.
-        let _ = measure(cfg, 20_000, 2);
-        let vm = measure(cfg, 20_000, 40);
-        rows.push(vec![name.to_string(), format!("{} steps/s", human(vm))]);
-        throughput.push((name.to_string(), vm));
-    }
-    print_table(&["recording", "step VM"], &rows);
-
+    let vm = run_vm();
     // The sl-analyze op-pair certificates the optimal-DPOR rows
     // consume: probed once per process count, reused across workloads
     // (each run builds its own runtime form for per-workload
     // telemetry).
     let aba_cert2 = sl_analyze::aba_certificate(2);
     let aba_cert3 = sl_analyze::aba_certificate(3);
+    let mut workloads = run_pinned_workload("aba_1w1r", &aba_cert2);
+    workloads.extend(run_pinned_workload("aba_2w2r", &aba_cert2));
+    // The optimal-DPOR counts must strictly beat the frozen floors of
+    // the per-register-certificate era (before the op-pair matrix).
+    for (name, floor) in [("aba_mixed3", 660), ("aba_mixed3_deep", 26_638)] {
+        workloads.extend(run_mixed_workload(name, floor, &aba_cert3));
+    }
 
-    let workloads = vec![
-        run_pinned_workload("aba_1w1r", max_threads, &aba_cert2),
-        run_pinned_workload("aba_2w2r", max_threads, &aba_cert2),
-    ];
-    let mixed = vec![
-        run_mixed_workload(
-            "aba_mixed3",
-            "writers p0,p1 + reader p2, 1 op each",
-            &aba_cert3,
-        ),
-        run_mixed_workload(
-            "aba_mixed3_deep",
-            "writers p0 (2 ops), p1 (1 op) + reader p2 — the sim-deep model-check workload",
-            &aba_cert3,
-        ),
-    ];
-
-    println!();
-    println!("## Checkpoint overhead (aba_mixed3_deep, optimal DPOR, default policy cadence)");
-    let ckpt_ratio = measure_ckpt_overhead(5);
-    println!(
-        "(checkpointed/plain throughput ratio {ckpt_ratio:.3} — best-of-5 interleaved pairs; \
-         1.0 = free, the gate floor is min_ckpt_ratio)"
-    );
-
+    println!("\n## Checkpoint overhead (aba_mixed3_deep, optimal DPOR, default policy cadence)");
+    let ckpt = Value::Real(measure_ckpt_overhead(), 3);
+    let ckpt_check = AtLeast("min_ckpt_ratio", 1);
+    let mut rows = vec![Row::new(None, "ckpt_overhead_ratio", ckpt, ckpt_check)];
     // Distributed-overhead row: the same deep workload farmed to a
     // fleet of worker processes, gated against min_dist_ratio.
-    let mut dist_row: Option<(usize, f64)> = None;
+    let dist_check = AtLeast("min_dist_ratio", 1);
     if worker_procs > 0 {
-        let bin = worker_bin.unwrap_or_else(|| {
-            let mut p = std::env::current_exe().expect("current_exe");
-            p.set_file_name("dist_worker");
-            p.to_string_lossy().into_owned()
-        });
-        println!();
         println!(
-            "## Distributed exploration (aba_mixed3_deep, optimal DPOR, {worker_procs} worker \
+            "\n## Distributed exploration (aba_mixed3_deep, optimal DPOR, {worker_procs} worker \
              processes)"
         );
-        let (seq_s, dist_s, ratio) = measure_distributed(worker_procs, &bin);
-        println!(
-            "(sequential {seq_s:.2}s -> distributed {dist_s:.2}s; wall-clock ratio {ratio:.2} — \
-             bit-identical counters, verdict, and merged-DAG hash asserted; gate floor \
-             min_dist_ratio)"
-        );
-        dist_row = Some((worker_procs, ratio));
+        let (procs, ratio) = (count(worker_procs), measure_distributed(worker_procs));
+        rows.push(Row::new(None, "dist_worker_procs", procs, Info));
+        rows.push(Row::new(
+            None,
+            "dist_ratio",
+            Value::Real(ratio, 3),
+            dist_check,
+        ));
+    } else {
+        let why = Value::Absent("run with --worker-procs N to measure".into());
+        rows.push(Row::new(None, "dist_ratio", why, dist_check));
     }
+    rows.extend(vm);
+    rows.extend(workloads);
 
     if let Some(path) = &certificates_path {
         write_certificates(path);
     }
-
-    let json = to_json(&throughput, &workloads, &mixed, ckpt_ratio, dist_row);
+    let json = to_json(&rows);
     if let Some(path) = &json_path {
         baseline::atomic_write(path, &json);
-        println!();
         println!("(summary written to {path})");
     }
-
     let loaded = baseline_path.as_deref().map(Baseline::load);
+    let md = summary_markdown(&rows, loaded.as_ref());
+    println!("\n{md}");
     if let Some(path) = &summary_md_path {
-        let md = summary_markdown(loaded.as_ref(), &throughput, &workloads, &mixed);
         std::fs::write(path, md).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("(markdown summary written to {path})");
     }
-
+    let (Some(path), Some(b)) = (baseline_path.as_deref(), &loaded) else {
+        return;
+    };
+    let catalog = std::path::Path::new(path).with_file_name("certificates.json");
+    let catalog = catalog.to_string_lossy();
     if refresh_baseline {
         // Rewrite the baseline from this run's measurements, keeping
         // the gate thresholds (recorded ones when present, defaults
         // otherwise) — no hand-editing of recorded counts.
-        let b = loaded
-            .as_ref()
-            .expect("--refresh-baseline implies --baseline");
-        let threshold =
-            |key: &str, default: f64| (b.number(key).unwrap_or(default) * 100.0).round() / 100.0;
-        let gates = [
-            ("min_reuse_speedup", threshold("min_reuse_speedup", 1.0)),
-            ("min_speedup_4w", threshold("min_speedup_4w", 2.0)),
-            ("min_speedup_8w", threshold("min_speedup_8w", 3.0)),
-            ("min_ckpt_ratio", threshold("min_ckpt_ratio", 0.95)),
-            ("min_dist_ratio", threshold("min_dist_ratio", 0.2)),
-        ];
-        baseline::refresh(
-            baseline_path.as_deref().unwrap(),
-            BASELINE_COMMENT,
-            &gates,
-            &json,
-        );
+        let round = |x: f64| (x * 100.0).round() / 100.0;
+        let gates = THRESHOLDS.map(|(key, default)| (key, round(b.number(key).unwrap_or(default))));
+        baseline::refresh(path, BASELINE_COMMENT, &gates, &json);
         // The certificate catalog checked in next to the baseline is
         // regenerated with it, so the two artifacts never drift.
-        let sibling = std::path::Path::new(baseline_path.as_deref().unwrap())
-            .with_file_name("certificates.json");
-        write_certificates(&sibling.to_string_lossy());
-        return;
+        return write_certificates(&catalog);
     }
+    let mut gate = Gate::new();
+    judge(&rows, b, cpus(), &mut gate);
+    judge_certificates(&catalog, &mut gate);
+    if gate.regressed() {
+        std::process::exit(1);
+    }
+}
 
-    if let Some(b) = &loaded {
-        let mut gate = Gate::new();
-        for w in &workloads {
-            // The oracle explores every schedule: its count is the size
-            // of the schedule tree, so a change either way is a bug.
-            match b.workload_count(w.name, "unpruned_replayed") {
-                Some(recorded) if recorded == w.unpruned_replayed => println!(
-                    "baseline ok: {} unpruned schedules measured {recorded} == recorded",
-                    w.name
-                ),
-                recorded => gate.fail(&format!(
-                    "{} unpruned schedules: measured {}, recorded {recorded:?} (the oracle \
-                     must replay exactly the recorded schedule tree)",
-                    w.name, w.unpruned_replayed
-                )),
-            }
-            // Schedule counts are deterministic: any increase is a
-            // partial-order-reduction regression, for the syntactic
-            // and the refined relation alike.
-            gate.count_not_above(
-                &format!("{} source-DPOR schedules", w.name),
-                w.dpor_replayed,
-                b.workload_count(w.name, "dpor_replayed"),
-            );
-            gate.count_not_above(
-                &format!("{} optimal-DPOR schedules", w.name),
-                w.optimal_dpor_replayed,
-                b.workload_count(w.name, "optimal_dpor_replayed"),
-            );
-            if w.optimal_cut != 0 {
-                gate.fail(&format!(
-                    "optimal DPOR cut {} replays on {} (wakeup sequences must keep \
-                     exploration cut-free)",
-                    w.optimal_cut, w.name
-                ));
-            }
-        }
-        for m in &mixed {
-            gate.count_not_above(
-                &format!("{} source-DPOR schedules", m.name),
-                m.dpor_replayed,
-                b.workload_count(m.name, "dpor_replayed"),
-            );
-            gate.count_not_above(
-                &format!("{} optimal-DPOR schedules", m.name),
-                m.optimal_dpor_replayed,
-                b.workload_count(m.name, "optimal_dpor_replayed"),
-            );
-            if m.optimal_cut != 0 {
-                gate.fail(&format!(
-                    "optimal DPOR cut {} replays on {} (wakeup sequences must keep \
-                     exploration cut-free)",
-                    m.optimal_cut, m.name
-                ));
-            }
-            if m.static_unattributed != 0 {
-                gate.fail(&format!(
-                    "{} dynamic races escaped op-pair attribution on {} (traced mixed-role \
-                     replays must attribute every race to a register and op pair)",
-                    m.static_unattributed, m.name
-                ));
-            }
-            // The op-pair relaxations must strictly beat the optimal-DPOR
-            // counts recorded before the pair matrix existed (the
-            // per-register-certificate era); these floors are frozen, not
-            // read from the refreshable baseline.
-            for (name, floor) in [("aba_mixed3", 660usize), ("aba_mixed3_deep", 26_638)] {
-                if m.name == name && m.optimal_dpor_replayed >= floor {
-                    gate.fail(&format!(
-                        "op-pair commutation no longer improves {name}: optimal DPOR replayed \
-                         {} schedules, but the per-register certificate alone already reached \
-                         {floor}",
-                        m.optimal_dpor_replayed
-                    ));
-                }
-            }
-        }
-        // Certificate freshness: the catalog checked in next to the
-        // baseline must be regenerable bit-for-bit by the current probe
-        // and serializer, and must parse fail-closed. A drift means
-        // someone changed the probe, the format, or an algorithm's
-        // footprint without running --refresh-baseline.
-        let sibling = std::path::Path::new(baseline_path.as_deref().unwrap())
-            .with_file_name("certificates.json");
-        match std::fs::read_to_string(&sibling) {
-            Ok(checked_in) => {
-                if let Err(e) = sl_analyze::catalog_from_json(&checked_in) {
-                    gate.fail(&format!(
-                        "checked-in certificate catalog {} does not parse: {e}",
-                        sibling.display()
-                    ));
-                } else if checked_in != certificates_catalog_json() {
-                    gate.fail(&format!(
-                        "checked-in certificate catalog {} is stale: regenerating from the \
-                         current probe produced a different artifact; run \
-                         exp_sim_throughput --refresh-baseline and commit the result",
-                        sibling.display()
-                    ));
-                } else {
-                    println!(
-                        "baseline ok: certificate catalog {} is fresh and parses fail-closed",
-                        sibling.display()
-                    );
-                }
-            }
+/// Certificate freshness: the catalog at `path` must be regenerable
+/// bit-for-bit by the current probe and serializer, and must parse
+/// fail-closed. A drift means someone changed the probe, the format,
+/// or an algorithm's footprint without running --refresh-baseline.
+fn judge_certificates(path: &str, gate: &mut Gate) {
+    match std::fs::read_to_string(path) {
+        Err(e) => gate.fail(&format!("certificate catalog {path} is unreadable: {e}")),
+        Ok(text) => match sl_analyze::catalog_from_json(&text) {
             Err(e) => gate.fail(&format!(
-                "certificate catalog {} is unreadable: {e}",
-                sibling.display()
+                "checked-in certificate catalog {path} does not parse: {e}"
             )),
-        }
-        // Checkpointing must stay within its overhead budget on the
-        // deep mixed-role workload — the tier the checkpoint exists
-        // for. Below min_ckpt_ratio the snapshot cadence is eating the
-        // exploration, not insuring it.
-        gate.speedup_at_least(
-            "checkpointed exploration throughput on aba_mixed3_deep",
-            ckpt_ratio,
-            b.number("min_ckpt_ratio"),
-        );
-        // Multi-process distribution must stay within its overhead
-        // budget on the same deep workload (frame serialization, DAG
-        // shard symbolization, and lease round trips are the cost;
-        // min_dist_ratio is the floor the wall-clock ratio may not
-        // sink below).
-        match dist_row {
-            Some((procs, ratio)) => gate.speedup_at_least(
-                &format!(
-                    "distributed exploration throughput on aba_mixed3_deep ({procs} worker procs)"
-                ),
-                ratio,
-                b.number("min_dist_ratio"),
-            ),
-            None => {
-                gate.skip("distributed overhead gate skipped: run with --worker-procs N to measure")
-            }
-        }
-        // Wall-clock gates run on the bigger pinned workload
-        // (aba_2w2r); the tiny one is all setup noise.
-        if let Some(w) = workloads.iter().find(|w| w.name == "aba_2w2r") {
-            gate.speedup_at_least(
-                &format!("world-reuse speedup on {}", w.name),
-                w.reuse_speedup,
-                b.number("min_reuse_speedup"),
-            );
-            // Parallel-scaling gates: each threshold is enforced only
-            // on machines with at least that many real CPUs (so a
-            // 4-vCPU CI runner still enforces the 4-worker point; the
-            // 8-worker point needs a larger runner).
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            for (key, threads) in [("min_speedup_4w", 4usize), ("min_speedup_8w", 8usize)] {
-                match w.scaling.iter().find(|p| p.threads == threads) {
-                    Some(p) if cores >= threads => gate.speedup_at_least(
-                        &format!("{threads}-worker speedup on {}", w.name),
-                        p.speedup,
-                        b.number(key),
-                    ),
-                    _ => gate.skip(&format!(
-                        "{threads}-worker speedup gate skipped: {cores} CPUs available, \
-                         curve capped at {} threads",
-                        w.scaling.last().map(|p| p.threads).unwrap_or(1)
-                    )),
-                }
-            }
-        }
-        if gate.regressed() {
-            std::process::exit(1);
-        }
+            Ok(_) if text != certificates_catalog_json() => gate.fail(&format!(
+                "checked-in certificate catalog {path} is stale: regenerating from the current \
+                 probe produced a different artifact; run exp_sim_throughput --refresh-baseline \
+                 and commit the result"
+            )),
+            Ok(_) => println!("baseline ok: certificate catalog {path} is fresh and parses"),
+        },
     }
 }
 
 /// One checkpointed (or resumed) counts-only optimal-DPOR exploration
-/// of a pinned workload, for the out-of-process crash-resilience
-/// harness. Prints the outcome as a one-line `RESUME_SUMMARY {json}` —
-/// the artifact `resume_kill.rs` compares across kill-and-resume runs.
-fn run_resumable(
-    dir: &str,
-    resume: bool,
-    workload: &str,
-    every: u64,
-    max_schedules: Option<u64>,
-    stall_us: u64,
-) {
-    if !matches!(workload, "aba_mixed3" | "aba_mixed3_deep") {
-        eprintln!("unknown --resume-workload {workload} (aba_mixed3 | aba_mixed3_deep)");
-        std::process::exit(2);
-    }
-    let w = Pinned::new(workload);
+/// of `aba_mixed3`, for the out-of-process crash-resilience harness,
+/// each replay slowed by `stall_us`. Prints the outcome as a one-line
+/// `RESUME_SUMMARY {json}` — the artifact `resume_kill.rs` compares
+/// across kill-and-resume runs.
+fn run_resumable(dir: &str, resume: bool, policy: CheckpointPolicy, stall_us: u64) {
+    let w = Pinned::new(RESUME_WORKLOAD);
     std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("creating {dir}: {e}"));
-    let store = CheckpointStore::new(dir, workload);
+    let store = CheckpointStore::new(dir, RESUME_WORKLOAD);
     if !resume {
         // A fresh run must not silently continue someone else's state.
         store.clear();
     }
     let cfg = dist_config(PruneMode::OptimalDpor, sl_sim::env_workers());
     let session = ResumeSession {
-        policy: CheckpointPolicy {
-            every_replays: every,
-            max_schedules,
-            deadline: None,
-        },
+        policy,
         fault: FaultPlan::from_env().map(Arc::new),
         ..ResumeSession::new(&store)
     };
@@ -1175,7 +955,7 @@ fn run_resumable(
         "RESUME_SUMMARY {{\"workload\": \"{}\", \"workers\": {}, \"runs\": {}, \
          \"cut_runs\": {}, \"pruned\": {}, \"retried\": {}, \"quarantined\": {}, \
          \"drained\": {}, \"partial\": {}, \"exhausted\": {}}}",
-        workload,
+        RESUME_WORKLOAD,
         cfg.workers,
         out.runs,
         out.cut_runs,
@@ -1188,12 +968,15 @@ fn run_resumable(
     );
 }
 
-/// Wall-clock ratio of checkpointed vs plain optimal-DPOR exploration
-/// of `aba_mixed3_deep` (counts-only, one worker): best-of-`reps`
-/// interleaved pairs, so allocator and frequency drift hit both sides
-/// alike. Returns `best_plain / best_checkpointed` — 1.0 means free,
-/// 0.95 means checkpointing costs ~5%.
-fn measure_ckpt_overhead(reps: u32) -> f64 {
+/// Wall-clock ratio of plain vs checkpointed optimal-DPOR exploration
+/// of `aba_mixed3_deep` (counts-only, one worker, the default policy —
+/// the cadence every resumable caller gets unless they opt into a
+/// denser one): the median of `CKPT_PAIRS` per-pair ratios
+/// `plain / checkpointed`, the pairs alternating which side runs
+/// first, so warm-up and drift favour neither side and one noisy run
+/// moves the median at most one rank. 1.0 means free, 0.95 means
+/// checkpointing costs ~5%.
+fn measure_ckpt_overhead() -> f64 {
     let workload = "aba_mixed3_deep";
     let w = Pinned::new(workload);
     let cfg = dist_config(PruneMode::OptimalDpor, 1);
@@ -1205,31 +988,35 @@ fn measure_ckpt_overhead(reps: u32) -> f64 {
     let dir = std::env::temp_dir().join(format!("sl-ckpt-overhead-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let store = CheckpointStore::new(&dir, workload);
-    let (mut best_plain, mut best_ckpt) = (f64::MAX, f64::MAX);
-    for _ in 0..reps {
-        let start = Instant::now();
-        let plain = explorer.explore_with(new_ctx, runner);
-        best_plain = best_plain.min(start.elapsed().as_secs_f64());
-        assert!(plain.exhausted, "overhead reference must exhaust");
+    let run = |checkpointed: bool| {
         store.clear();
-        // The gate measures the default policy — the cadence every
-        // resumable caller gets unless they opt into a denser one.
-        let session = ResumeSession {
-            policy: CheckpointPolicy::default(),
-            ..ResumeSession::new(&store)
-        };
-        let start = Instant::now();
-        let ckpt = explorer.explore_resumable(new_ctx, runner, &session);
-        best_ckpt = best_ckpt.min(start.elapsed().as_secs_f64());
-        assert!(ckpt.exhausted, "checkpointed overhead run must exhaust");
-        assert_eq!(
-            (ckpt.runs, ckpt.cut_runs, ckpt.pruned),
-            (plain.runs, plain.cut_runs, plain.pruned),
-            "checkpointing must not change what gets explored"
-        );
-    }
+        let (out, secs) = timed(|| {
+            if checkpointed {
+                explorer.explore_resumable(new_ctx, runner, &ResumeSession::new(&store))
+            } else {
+                explorer.explore_with(new_ctx, runner)
+            }
+        });
+        assert!(out.exhausted, "checkpoint overhead runs must exhaust");
+        (counters(&out), secs)
+    };
+    let mut ratios: Vec<f64> = (0..CKPT_PAIRS)
+        .map(|pair| {
+            let (first, second) = (run(pair % 2 == 1), run(pair % 2 == 0));
+            let ((plain, plain_s), (ckpt, ckpt_s)) = match pair % 2 {
+                0 => (first, second),
+                _ => (second, first),
+            };
+            assert_eq!(
+                ckpt, plain,
+                "checkpointing must not change what gets explored"
+            );
+            plain_s / ckpt_s
+        })
+        .collect();
     let _ = std::fs::remove_dir_all(&dir);
-    best_plain / best_ckpt
+    ratios.sort_by(f64::total_cmp);
+    ratios[CKPT_PAIRS / 2]
 }
 
 /// The `sl-analyze` certificate catalog: every family × substrate the
@@ -1245,23 +1032,23 @@ fn certificates_catalog_json() -> String {
 /// Sequential vs distributed wall clock on the deep mixed-role
 /// workload under optimal DPOR: the same exploration once in-process
 /// single-threaded and once with subtree tasks leased to `procs`
-/// worker processes (the `dist_worker` binary at `bin`). Bit-identity
-/// — counters and merged-DAG structural hash — is asserted, so the
-/// ratio measures pure distribution overhead, never divergence.
-/// Returns `(seq_s, dist_s, seq_s / dist_s)`.
-fn measure_distributed(procs: usize, bin: &str) -> (f64, f64, f64) {
+/// worker processes (the `dist_worker` binary next to this one).
+/// Bit-identity — counters and merged-DAG structural hash — is
+/// asserted, so the ratio `seq_s / dist_s` it returns measures pure
+/// distribution overhead, never divergence.
+fn measure_distributed(procs: usize) -> f64 {
     let workload = "aba_mixed3_deep";
     let w = Pinned::new(workload);
     let mode = PruneMode::OptimalDpor;
+    let bin = std::env::current_exe().expect("current_exe");
+    let bin = bin
+        .with_file_name("dist_worker")
+        .to_string_lossy()
+        .into_owned();
     let (seq, seq_s) = timed(|| w.explore_dag(&dist_config(mode, 1)));
+    let args = [&bin, "--workload", workload, "--mode", mode.name()];
     let fleet = FleetConfig {
-        worker_cmd: vec![
-            bin.to_string(),
-            "--workload".to_string(),
-            workload.to_string(),
-            "--mode".to_string(),
-            mode.name().to_string(),
-        ],
+        worker_cmd: args.map(String::from).to_vec(),
         workers: procs,
         ..FleetConfig::default()
     };
@@ -1284,12 +1071,8 @@ fn measure_distributed(procs: usize, bin: &str) -> (f64, f64, f64) {
         "the distributed path never engaged"
     );
     assert_eq!(
-        (seq.outcome.runs, seq.outcome.cut_runs, seq.outcome.pruned),
-        (
-            dist.outcome.runs,
-            dist.outcome.cut_runs,
-            dist.outcome.pruned
-        ),
+        counters(&seq.outcome),
+        counters(&dist.outcome),
         "distributed counters diverged from sequential"
     );
     assert_eq!(
@@ -1297,7 +1080,8 @@ fn measure_distributed(procs: usize, bin: &str) -> (f64, f64, f64) {
         dist.dag.structural_hash(),
         "distributed merged DAG diverged from sequential"
     );
-    (seq_s, dist_s, seq_s / dist_s)
+    println!("(sequential {seq_s:.2}s -> distributed {dist_s:.2}s; bit-identity asserted)");
+    seq_s / dist_s
 }
 
 fn write_certificates(path: &str) {
@@ -1318,10 +1102,178 @@ must go through --refresh-baseline), min_reuse_speedup (single-worker pooled-vs-
 clock on aba_2w2r, best-of-3, identical ingestion pipelines both sides; a 1.0 floor so the gate \
 only catches pooling becoming an outright pessimization), min_speedup_4w / min_speedup_8w \
 (4-/8-worker wall-clock speedups on aba_2w2r, each checked only on machines with at least that \
-many CPUs), min_ckpt_ratio (best-of-5 interleaved plain-vs-checkpointed optimal-DPOR wall clock \
-on aba_mixed3_deep; a 0.95 floor caps checkpointing overhead at ~5%), and min_dist_ratio \
-(sequential-vs-distributed wall clock on aba_mixed3_deep with --worker-procs N worker processes \
-behind the sl-dist lease coordinator, bit-identity asserted; a 0.2 floor caps the \
-frame/lease/symbolization overhead at 5x — measured only when --worker-procs is given). The \
-static_relaxed / static_validated counts are the optimal-DPOR run's certificate telemetry. \
-Timing fields other than the gates are informational snapshots of the reference container.";
+many CPUs), min_ckpt_ratio (median of 9 plain-vs-checkpointed optimal-DPOR wall-clock pairs on \
+aba_mixed3_deep, alternating which side runs first; a 0.95 floor caps checkpointing overhead at \
+~5%), and min_dist_ratio (sequential-vs-distributed wall clock on aba_mixed3_deep with \
+--worker-procs N worker processes behind the sl-dist lease coordinator, bit-identity asserted; \
+a 0.2 floor caps the frame/lease/symbolization overhead at 5x — measured only when \
+--worker-procs is given). The static_relaxed / static_validated counts are the optimal-DPOR \
+run's certificate telemetry. Timing fields other than the gates are informational snapshots of \
+the reference container.";
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BASELINE: &str = r#"{
+  "min_reuse_speedup": 1.0,
+  "min_speedup_4w": 2.0,
+  "min_ckpt_ratio": 0.95,
+  "vm_steps_per_sec": {"full": 100},
+  "workloads": [
+    {"name": "w", "unpruned_replayed": 56, "dpor_replayed": 17, "optimal_dpor_replayed": 10}
+  ]
+}"#;
+
+    fn row(key: &str, value: Value, check: Check) -> Row {
+        Row::new(Some("w"), key, value, check)
+    }
+
+    /// Whether the gate fails `row` against [`BASELINE`] on `cpus` CPUs.
+    fn fails(row: Row, cpus: usize) -> bool {
+        let mut gate = Gate::new();
+        judge(&[row], &Baseline::parse(BASELINE).unwrap(), cpus, &mut gate);
+        gate.regressed()
+    }
+
+    #[test]
+    fn every_check_passes_a_good_row_and_fails_a_bad_one() {
+        let reuse = AtLeast("min_reuse_speedup", 1);
+        let four = AtLeast("min_speedup_4w", 4);
+        let cases = [
+            // (row, cpus, fails)
+            (row("unpruned_replayed", Value::Count(56), Exact), 2, false),
+            (row("unpruned_replayed", Value::Count(57), Exact), 2, true),
+            (row("unpruned_replayed", Value::Count(55), Exact), 2, true),
+            (row("dpor_replayed", Value::Count(17), NotAbove), 2, false),
+            (row("dpor_replayed", Value::Count(16), NotAbove), 2, false),
+            (row("dpor_replayed", Value::Count(18), NotAbove), 2, true),
+            (row("dpor_runs", Value::Count(1), NotAbove), 2, true),
+            (
+                row("optimal_dpor_replayed", Value::Count(10), BelowFloor(11)),
+                2,
+                false,
+            ),
+            (
+                row("optimal_dpor_replayed", Value::Count(10), BelowFloor(10)),
+                2,
+                true,
+            ),
+            (
+                row("optimal_dpor_replayed", Value::Count(11), BelowFloor(99)),
+                2,
+                true,
+            ),
+            (
+                row("absent_count", Value::Count(1), BelowFloor(99)),
+                2,
+                true,
+            ),
+            (row("optimal_cut", Value::Count(0), Zero), 2, false),
+            (row("optimal_cut", Value::Count(1), Zero), 2, true),
+            (row("static_unattributed", Value::Count(1), Zero), 2, true),
+            (row("reuse_speedup", Value::Real(1.3, 2), reuse), 2, false),
+            (row("reuse_speedup", Value::Real(0.9, 2), reuse), 2, true),
+            (
+                row("scaling.2.speedup", Value::Real(2.5, 2), four),
+                4,
+                false,
+            ),
+            (row("scaling.2.speedup", Value::Real(1.5, 2), four), 4, true),
+            // Fewer CPUs than the point needs: skipped, whatever it reads.
+            (
+                row("scaling.2.speedup", Value::Real(1.5, 2), four),
+                2,
+                false,
+            ),
+            (
+                row("scaling.2.speedup", Value::Absent("x".into()), four),
+                4,
+                false,
+            ),
+            (
+                row("reduction_vs_unpruned", Value::Real(0.0, 2), Info),
+                2,
+                false,
+            ),
+        ];
+        for (i, (row, cpus, expected)) in cases.into_iter().enumerate() {
+            let name = row.name();
+            assert_eq!(fails(row, cpus), expected, "case {i}: {name}");
+        }
+        // Top-level rows read the baseline's top level.
+        let ckpt = AtLeast("min_ckpt_ratio", 1);
+        let top = |x| Row::new(None, "ckpt_overhead_ratio", Value::Real(x, 3), ckpt);
+        assert!(!fails(top(0.96), 1) && fails(top(0.94), 1));
+        // A threshold the baseline lacks is an opt-in gate: skipped.
+        let dist = AtLeast("min_dist_ratio", 1);
+        assert!(!fails(
+            Row::new(None, "dist_ratio", Value::Real(0.0, 3), dist),
+            1
+        ));
+    }
+
+    #[test]
+    fn json_nests_rows_in_the_summary_layout() {
+        let rows = [
+            Row::new(None, "ckpt_overhead_ratio", Value::Real(1.0, 3), Info),
+            Row::new(None, "dist_ratio", Value::Absent("x".into()), Info),
+            Row::new(None, "vm_steps_per_sec.full", Value::Real(7.4, 0), Info),
+            Row::new(None, "vm_steps_per_sec.traced", Value::Real(9.0, 0), Info),
+            row("exhausted", Value::Flag(true), Info),
+            row("scaling.0.threads", Value::Count(1), Info),
+            row("scaling.0.speedup", Value::Real(1.0, 2), Info),
+            row("scaling.1.threads", Value::Count(2), Info),
+            row("states", Value::Count(5), Info),
+            Row::new(Some("v"), "dpor_replayed", Value::Count(3), Info),
+        ];
+        let expected = r#"{
+  "ckpt_overhead_ratio": 1.000,
+  "vm_steps_per_sec": {
+    "full": 7,
+    "traced": 9
+  },
+  "workloads": [
+    {
+      "name": "w",
+      "exhausted": true,
+      "scaling": [{"threads": 1, "speedup": 1.00}, {"threads": 2}],
+      "states": 5
+    },
+    {
+      "name": "v",
+      "dpor_replayed": 3
+    }
+  ]
+}
+"#;
+        let json = to_json(&rows);
+        assert_eq!(json, expected);
+        let b = Baseline::parse(&json).unwrap();
+        assert_eq!(b.number_in("vm_steps_per_sec", "traced"), Some(9.0));
+        assert_eq!(b.workload_count("v", "dpor_replayed"), Some(3));
+    }
+
+    #[test]
+    fn markdown_shares_a_line_between_rows_with_one_label() {
+        let b = Baseline::parse(BASELINE).unwrap();
+        let label = "placement relaxations / validated races";
+        let rows = [
+            row("dpor_replayed", Value::Count(17), NotAbove),
+            row("static_relaxed", Value::Count(4), Info).labelled(label),
+            row("static_validated", Value::Count(2), Info).labelled(label),
+            Row::new(None, "vm_steps_per_sec.full", Value::Real(110.0, 0), Info)
+                .labelled("VM steps/s (full)"),
+        ];
+        let md = summary_markdown(&rows, Some(&b));
+        assert!(md.contains("| w dpor_replayed | 17 | 17 | +0.0% |"), "{md}");
+        assert!(
+            md.contains(&format!("| w {label} | — | 4 / 2 | informational |")),
+            "{md}"
+        );
+        assert!(
+            md.contains("| VM steps/s (full) | 100 | 110 | +10.0% |"),
+            "{md}"
+        );
+    }
+}

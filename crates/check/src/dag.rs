@@ -242,16 +242,6 @@ impl<S: SeqSpec> TreeDag<S> {
         }
     }
 
-    /// Sorted structural hashes of a set of DAG shards — the audit
-    /// metadata recorded into exploration checkpoints (sorted because
-    /// shard completion order is worker-count-dependent, while the
-    /// *set* of completed subtree shards is not).
-    pub fn shard_hashes(shards: &[TreeDag<S>]) -> Vec<u64> {
-        let mut hashes: Vec<u64> = shards.iter().map(|d| d.structural_hash()).collect();
-        hashes.sort_unstable();
-        hashes
-    }
-
     /// Unions a set of prefix-closed transcript shards into one DAG —
     /// the join step of parallel exploration, where each delegated
     /// subtree streamed its (prefix-including) transcripts into its own

@@ -105,21 +105,38 @@ impl Default for FleetConfig {
     }
 }
 
-/// Coordinator-side telemetry counters (monotone; snapshot any time).
-#[derive(Debug, Default)]
+/// Fleet telemetry: a snapshot of the coordinator's counters, taken by
+/// [`DistCoordinator::stats`] (after the run, for its totals).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FleetStats {
-    /// Task frames written (including re-leases).
-    pub dispatched: AtomicU64,
+    /// Task frames written to workers (including re-leases).
+    pub dispatched: u64,
     /// Results accepted from workers.
-    pub completed: AtomicU64,
-    /// Leases revoked (timeout, torn frame, checksum, EOF, kill).
-    pub revoked: AtomicU64,
-    /// Tasks quarantined after the retry budget.
-    pub quarantined: AtomicU64,
+    pub completed: u64,
+    /// Leases revoked (missed deadline, torn frame, checksum failure,
+    /// dead pipe, nonzero exit, kill).
+    pub revoked: u64,
+    /// Subtrees quarantined after the retry budget — the outcome is
+    /// `partial` whenever this is nonzero.
+    pub quarantined: u64,
     /// Dispatches declined (fleet busy or degraded): ran in-process.
-    pub declined: AtomicU64,
+    pub declined: u64,
     /// Workers killed by the fault-matrix hook.
-    pub chaos_kills: AtomicU64,
+    pub chaos_kills: u64,
+    /// Whether the run fell back to pure in-process exploration
+    /// because no worker could be spawned.
+    pub degraded: bool,
+}
+
+/// The live, monotone counters behind [`FleetStats`].
+#[derive(Default)]
+struct FleetCounters {
+    dispatched: AtomicU64,
+    completed: AtomicU64,
+    revoked: AtomicU64,
+    quarantined: AtomicU64,
+    declined: AtomicU64,
+    chaos_kills: AtomicU64,
 }
 
 struct WorkerConn {
@@ -156,8 +173,7 @@ pub struct DistCoordinator<'s, S: WireSpec> {
     next_lease: AtomicU64,
     /// Coordinator-side fault plan (fires [`FaultPoint::Dispatch`]).
     fault: Option<FaultPlan>,
-    /// Telemetry.
-    pub stats: FleetStats,
+    counters: FleetCounters,
 }
 
 impl<'s, S: WireSpec> DistCoordinator<'s, S> {
@@ -188,13 +204,28 @@ impl<'s, S: WireSpec> DistCoordinator<'s, S> {
             degraded: AtomicBool::new(false),
             next_lease: AtomicU64::new(1),
             fault,
-            stats: FleetStats::default(),
+            counters: FleetCounters::default(),
+        }
+    }
+
+    /// The fleet telemetry so far.
+    pub fn stats(&self) -> FleetStats {
+        let c = &self.counters;
+        let load = |n: &AtomicU64| n.load(Ordering::SeqCst);
+        FleetStats {
+            dispatched: load(&c.dispatched),
+            completed: load(&c.completed),
+            revoked: load(&c.revoked),
+            quarantined: load(&c.quarantined),
+            declined: load(&c.declined),
+            chaos_kills: load(&c.chaos_kills),
+            degraded: self.is_degraded(),
         }
     }
 
     /// Whether the fleet fell back to in-process exploration because no
     /// worker could be spawned.
-    pub fn is_degraded(&self) -> bool {
+    fn is_degraded(&self) -> bool {
         self.degraded.load(Ordering::SeqCst)
     }
 
@@ -274,7 +305,7 @@ impl<'s, S: WireSpec> DistCoordinator<'s, S> {
     }
 
     fn revoke(&self, conn: WorkerConn) {
-        self.stats.revoked.fetch_add(1, Ordering::SeqCst);
+        self.counters.revoked.fetch_add(1, Ordering::SeqCst);
         self.alive.fetch_sub(1, Ordering::SeqCst);
         conn.kill();
     }
@@ -297,12 +328,12 @@ impl<'s, S: WireSpec> DistCoordinator<'s, S> {
         }
         .render();
         write_frame(&mut conn.stdin, &text).map_err(|e| format!("task frame write failed: {e}"))?;
-        let n = self.stats.dispatched.fetch_add(1, Ordering::SeqCst) + 1;
+        let n = self.counters.dispatched.fetch_add(1, Ordering::SeqCst) + 1;
         if self.cfg.kill_nth_dispatch == Some(n) {
             // External-kill fault: the worker dies mid-lease with no
             // cooperation — exactly a SIGKILL from outside.
             let _ = conn.child.kill();
-            self.stats.chaos_kills.fetch_add(1, Ordering::SeqCst);
+            self.counters.chaos_kills.fetch_add(1, Ordering::SeqCst);
         }
         loop {
             match conn.rx.recv_timeout(self.cfg.lease_timeout) {
@@ -347,7 +378,7 @@ impl<'s, S: WireSpec> DistCoordinator<'s, S> {
     }
 
     fn quarantine(&self, spec: &FrozenTask, attempts: u32, last_error: String) -> TaskResult {
-        self.stats.quarantined.fetch_add(1, Ordering::SeqCst);
+        self.counters.quarantined.fetch_add(1, Ordering::SeqCst);
         let report = PoisonReport {
             prefix: spec.prefix.clone(),
             attempts,
@@ -424,13 +455,13 @@ impl<S: WireSpec> TaskDispatcher for DistCoordinator<'_, S> {
                     // Degraded or whole fleet busy: the engine runs the
                     // task in-process (bit-identical either way; latency
                     // is not). The task itself is unharmed.
-                    self.stats.declined.fetch_add(1, Ordering::SeqCst);
+                    self.counters.declined.fetch_add(1, Ordering::SeqCst);
                     return None;
                 }
             };
             match self.lease(&mut conn, lease_id, task) {
                 Ok((result, dag)) => {
-                    self.stats.completed.fetch_add(1, Ordering::SeqCst);
+                    self.counters.completed.fetch_add(1, Ordering::SeqCst);
                     self.sink.lock().unwrap().push(dag);
                     self.check_in(conn);
                     return Some(result);
@@ -559,10 +590,8 @@ mod tests {
         let coord = DistCoordinator::<Spec>::new(fleet, "scripted", "OptimalDpor", &sink);
         let res = coord.dispatch(&task()).expect("a verdict, not a decline");
         coord.finish();
-        let s = &coord.stats;
-        let counts = [&s.dispatched, &s.completed, &s.revoked, &s.quarantined]
-            .map(|c| c.load(Ordering::SeqCst));
-        (res, counts)
+        let s = coord.stats();
+        (res, [s.dispatched, s.completed, s.revoked, s.quarantined])
     }
 
     #[test]

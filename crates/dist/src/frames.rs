@@ -667,7 +667,6 @@ mod tests {
             seq: 1,
             stem_len: 0,
             counters: result.counters,
-            shard_hashes: Vec::new(),
             next: CkptNext {
                 prefix: vec![0],
                 sleep: 0,

@@ -13,17 +13,16 @@
 //! run (schedule counts, cut/pruned telemetry, merged `TreeDag`
 //! structural hash, verdict).
 //!
-//! # Checkpoint format (version 1)
+//! # Checkpoint format (version 2)
 //!
 //! A checkpoint is one JSON object with a fixed field order, emitted by
 //! a canonical compact serializer (no whitespace) so that
 //! serialize → parse → serialize is byte-identical:
 //!
 //! ```text
-//! {"checksum":C,"version":1,"workload":W,"mode":M,"workers":N,
+//! {"checksum":C,"version":2,"workload":W,"mode":M,"workers":N,
 //!  "seq":S,"stem_len":L,
 //!  "counters":{"runs":..,"cut_runs":..,"pruned":..,"retried":..,"quarantined":..},
-//!  "shard_hashes":[..],
 //!  "next":{"prefix":[..],"sleep":..,"new_from":..},
 //!  "spine":[{"chosen":..,"done":..,"sleep":..,"backtrack":[..],
 //!            "runnable":[..],"pending":[{"reg":..,"kind":".."},..],
@@ -53,9 +52,11 @@
 //!
 //! The loader is fail-closed end to end: unknown fields, duplicate
 //! keys, version or checksum mismatches, duplicate task ids, empty
-//! frontiers, unsorted or stale shard hashes, and metadata that does
-//! not match the resuming explorer (workload, mode, worker count, stem
-//! length) each abort with their own diagnostic.
+//! frontiers, and metadata that does not match the resuming explorer
+//! (workload, mode, worker count, stem length) each abort with their
+//! own diagnostic. A checkpoint records no DAG shard metadata: the
+//! DAG of an interrupted and resumed run is checked end to end, by
+//! the merged DAG's structural hash (`crates/api/tests/resume_dag.rs`).
 //!
 //! # Budget semantics
 //!
@@ -118,7 +119,7 @@ use crate::world::{AccessKind, PendingAccess, RegId};
 // ---------------------------------------------------------------------
 
 /// The supported checkpoint format version.
-pub const CHECKPOINT_VERSION: u64 = 1;
+pub const CHECKPOINT_VERSION: u64 = 2;
 
 /// Exploration counters: summed at every join, banked across a
 /// checkpoint and its resumption, carried by `sl-dist` result frames.
@@ -300,9 +301,6 @@ pub struct Checkpoint {
     pub stem_len: usize,
     /// Union counters at snapshot time.
     pub counters: Counters,
-    /// Sorted structural hashes of the DAG shards sunk so far
-    /// (integrity metadata; see [`CheckpointStore::load`]).
-    pub shard_hashes: Vec<u64>,
     /// The pending descent.
     pub next: CkptNext,
     /// Root-spine bookkeeping, depth 0 upward.
@@ -445,10 +443,6 @@ impl Checkpoint {
             self.workers, self.seq, self.stem_len
         );
         self.counters.push_json(&mut s);
-        s.push_str(",\"shard_hashes\":");
-        push_list(&mut s, &self.shard_hashes, |s, h| {
-            let _ = write!(s, "{h}");
-        });
         s.push_str(",\"next\":{\"prefix\":");
         push_usizes(&mut s, &self.next.prefix);
         let _ = write!(
@@ -498,17 +492,8 @@ impl Checkpoint {
             value,
             "checkpoint",
             &[
-                "checksum",
-                "version",
-                "workload",
-                "mode",
-                "workers",
-                "seq",
-                "stem_len",
-                "counters",
-                "shard_hashes",
-                "next",
-                "spine",
+                "checksum", "version", "workload", "mode", "workers", "seq", "stem_len",
+                "counters", "next", "spine",
             ],
         )?;
         let version = top.num("version")?;
@@ -537,11 +522,6 @@ impl Checkpoint {
             seq: top.num("seq")?,
             stem_len: top.num("stem_len")? as usize,
             counters: Counters::from_json(top.take("counters")?)?,
-            shard_hashes: top
-                .array("shard_hashes")?
-                .iter()
-                .map(|v| v.as_num("shard_hashes entry"))
-                .collect::<Result<_, _>>()?,
             next: CkptNext {
                 prefix: next.usizes("prefix")?,
                 sleep: next.num("sleep")?,
@@ -670,11 +650,6 @@ impl Checkpoint {
                 dup[0]
             ));
         }
-        if self.shard_hashes.windows(2).any(|w| w[0] > w[1]) {
-            return Err(
-                "checkpoint shard hashes are not sorted (doctored or corrupt snapshot)".into(),
-            );
-        }
         Ok(())
     }
 }
@@ -744,10 +719,6 @@ pub struct ResumeExpectation<'a> {
     pub mode: &'a str,
     /// Stem length of the resuming explorer.
     pub stem_len: usize,
-    /// When present, the sorted structural hashes of the live DAG
-    /// shards the resuming harness holds; a mismatch means the
-    /// checkpoint is stale against the DAG store.
-    pub expected_shards: Option<&'a [u64]>,
 }
 
 /// Atomic checkpoint persistence for one workload: writes go to a
@@ -824,7 +795,7 @@ impl CheckpointStore {
 
     /// Loads and validates the checkpoint. Beyond [`Checkpoint::parse`]
     /// this rejects metadata that does not match the resuming explorer
-    /// (`expect`) and stale shard hashes.
+    /// (`expect`).
     pub fn load(
         &self,
         expect: Option<&ResumeExpectation<'_>>,
@@ -862,15 +833,6 @@ impl CheckpointStore {
                     "checkpoint stem mismatch: checkpoint stem length {}, resuming with {}",
                     ckpt.stem_len, expect.stem_len
                 ));
-            }
-            if let Some(live) = expect.expected_shards {
-                if live != ckpt.shard_hashes.as_slice() {
-                    return Err(
-                        "checkpoint shard hashes are stale: the live DAG store does not match \
-                         the snapshot (fail-closed: refusing to resume against a diverged store)"
-                            .into(),
-                    );
-                }
             }
         }
         Ok(ckpt)
@@ -1019,9 +981,8 @@ impl Default for CheckpointPolicy {
 }
 
 /// Everything [`Explorer::explore_resumable`](crate::Explorer::explore_resumable)
-/// needs beyond the explorer itself: the store, the policy, optional
-/// fault injection, and the optional live-shard-hash plumbing for
-/// checkpoint/DAG cross-validation.
+/// needs beyond the explorer itself: the store, the policy, and
+/// optional fault injection.
 pub struct ResumeSession<'a> {
     /// The checkpoint store (also carries the workload identity).
     pub store: &'a CheckpointStore,
@@ -1029,12 +990,6 @@ pub struct ResumeSession<'a> {
     pub policy: CheckpointPolicy,
     /// Deterministic fault injection, if any.
     pub fault: Option<std::sync::Arc<FaultPlan>>,
-    /// Expected shard hashes validated on load (see
-    /// [`ResumeExpectation`]).
-    pub expected_shards: Option<Vec<u64>>,
-    /// Snapshot provider for the live DAG shard hashes, recorded into
-    /// each checkpoint (sorted). `None` for counts-only runs.
-    pub shard_hashes: Option<&'a (dyn Fn() -> Vec<u64> + Sync)>,
 }
 
 impl<'a> ResumeSession<'a> {
@@ -1045,8 +1000,6 @@ impl<'a> ResumeSession<'a> {
             store,
             policy: CheckpointPolicy::default(),
             fault: None,
-            expected_shards: None,
-            shard_hashes: None,
         }
     }
 }
@@ -1296,7 +1249,6 @@ mod tests {
                 retried: 1,
                 quarantined: 0,
             },
-            shard_hashes: vec![11, 22, 22, 33],
             next: CkptNext {
                 prefix: vec![0, 1, 2, 1],
                 sleep: 0b10,
@@ -1423,7 +1375,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_version() {
-        let text = sample().render().replace("\"version\":1", "\"version\":2");
+        let text = sample().render().replace("\"version\":2", "\"version\":1");
         expect_reject(&text, "version mismatch");
     }
 
@@ -1478,27 +1430,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_stale_shard_hashes() {
-        let c = sample();
-        let dir = test_dir("stale-shards");
-        let store = CheckpointStore::new(&dir, "aba_mixed3");
-        store.save(&c, None).unwrap();
-        let err = store
-            .load(
-                Some(&ResumeExpectation {
-                    workers: 4,
-                    mode: "OptimalDpor",
-                    stem_len: 0,
-                    expected_shards: Some(&[99]),
-                }),
-                None,
-            )
-            .expect_err("stale shard hashes must be rejected");
-        assert!(err.contains("stale"), "diagnostic: {err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn rejects_worker_count_mismatch() {
         let c = sample();
         let dir = test_dir("worker-mismatch");
@@ -1510,20 +1441,12 @@ mod tests {
                     workers: 8,
                     mode: "OptimalDpor",
                     stem_len: 0,
-                    expected_shards: None,
                 }),
                 None,
             )
             .expect_err("worker-count mismatch must be rejected");
         assert!(err.contains("worker-count mismatch"), "diagnostic: {err}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn rejects_unsorted_shard_hashes() {
-        let mut c = sample();
-        c.shard_hashes = vec![22, 11];
-        expect_reject(&c.render(), "not sorted");
     }
 
     #[test]

@@ -1579,7 +1579,6 @@ impl Explorer {
                 workers,
                 mode: self.mode.name(),
                 stem_len: self.stem.len(),
-                expected_shards: session.expected_shards.as_deref(),
             };
             let ckpt = session
                 .store
@@ -1597,7 +1596,6 @@ impl Explorer {
                 store: session.store,
                 policy: &session.policy,
                 fault: session.fault.as_deref(),
-                shard_hashes: session.shard_hashes,
                 restore,
                 base,
             }),
@@ -1649,7 +1647,6 @@ impl Explorer {
             policy: s.policy,
             fault: s.fault,
             writer: writer.as_ref(),
-            shard_hashes: s.shard_hashes,
             mode: self.mode.name(),
             workers,
             stem_len: self.stem.len(),
@@ -1729,7 +1726,6 @@ struct SessionState<'a> {
     store: &'a CheckpointStore,
     policy: &'a CheckpointPolicy,
     fault: Option<&'a FaultPlan>,
-    shard_hashes: Option<&'a (dyn Fn() -> Vec<u64> + Sync)>,
     /// The loaded checkpoint to restore from (`None` = fresh start).
     restore: Option<Checkpoint>,
     /// Counters banked by the interrupted run (zero on a fresh start).
@@ -1748,7 +1744,6 @@ struct RootCkpt<'a> {
     /// where writes stay synchronous so `ckpt-write` crashes land
     /// deterministically on the exploring thread).
     writer: Option<&'a CkptWriter>,
-    shard_hashes: Option<&'a (dyn Fn() -> Vec<u64> + Sync)>,
     mode: &'static str,
     workers: usize,
     stem_len: usize,
@@ -1781,8 +1776,6 @@ fn write_root_checkpoint(
     }
     let mut counters = rc.base;
     counters.add(out.counters);
-    let mut shard_hashes = rc.shard_hashes.map(|f| f()).unwrap_or_default();
-    shard_hashes.sort_unstable();
     let mut task_id = 0u64;
     let ckpt_spine = spine
         .iter()
@@ -1815,7 +1808,6 @@ fn write_root_checkpoint(
         seq: rc.seq,
         stem_len: rc.stem_len,
         counters,
-        shard_hashes,
         next: CkptNext {
             prefix: next.0.to_vec(),
             sleep: next.1,

@@ -33,13 +33,15 @@
 //! per-register partition. Unknown ops ([`sl_check::OpSym::NONE`]) and
 //! pairs without a cell always classify as unprobed — fail closed.
 //!
-//! Register identities are matched two ways: exact interned
-//! [`RegSym`]s first, then the register's `(file, line)` allocation
-//! site. The site fallback covers registers allocated in loops or
-//! sized by the process count — the probe configuration may allocate
-//! fewer `slot{i}` registers than a wider simulated run, but every one
-//! of them comes from the same `Mem::alloc` call site, which is
-//! exactly what the footprint analysis reasons about.
+//! Registers are matched by their `(file, line)` allocation site
+//! alone: every [`RegSym`] a certificate names enrols its site, and a
+//! query classifies the site of the symbol it asks about. This covers
+//! registers allocated in loops or sized by the process count — the
+//! probe configuration may allocate fewer `slot{i}` registers than a
+//! wider simulated run, but every one of them comes from the same
+//! `Mem::alloc` call site, which is exactly what the footprint
+//! analysis reasons about. [`RegSym::LOCAL`] (no register) is never
+//! licensed, racy, observed or conflicting, whatever its site.
 //!
 //! [`PruneMode::OptimalDpor`]: crate::PruneMode::OptimalDpor
 
@@ -67,34 +69,35 @@ pub struct StaticTelemetry {
     pub unattributed: u64,
 }
 
-/// One cell of the op-pair may-conflict matrix: the registers the two
-/// ops were *observed* touching (sequential footprints plus concurrent
-/// probe windows) and the subset the analysis predicts they may
-/// *conflict* on. Keys are normalised unordered pairs (`a <= b`).
+/// A register's `(file, line)` allocation site.
+type Site = (&'static str, u32);
+
+/// One cell of the op-pair may-conflict matrix: the allocation sites
+/// of the registers the two ops were *observed* touching (sequential
+/// footprints plus concurrent probe windows) and the subset the
+/// analysis predicts they may *conflict* on. Keys are normalised
+/// unordered pairs (`a <= b`).
+#[derive(Default)]
 struct PairCell {
-    observed: HashSet<RegSym>,
-    observed_sites: HashSet<(&'static str, u32)>,
-    conflict: HashSet<RegSym>,
-    conflict_sites: HashSet<(&'static str, u32)>,
+    observed_sites: HashSet<Site>,
+    conflict_sites: HashSet<Site>,
 }
 
 /// A static may-conflict summary: which registers license placement
 /// relaxation and which are predicted racy. See the module docs.
 pub struct StaticConflicts {
-    /// Registers observed by the static probe (relaxation license).
-    licensed: HashSet<RegSym>,
-    /// Allocation sites of licensed registers (loop-allocation fallback).
-    licensed_sites: HashSet<(&'static str, u32)>,
-    /// Registers the matrix predicts a data race on.
-    racy: HashSet<RegSym>,
-    /// Allocation sites of racy registers.
-    racy_sites: HashSet<(&'static str, u32)>,
+    /// Allocation sites of the registers observed by the static probe
+    /// (relaxation license).
+    licensed_sites: HashSet<Site>,
+    /// Allocation sites of the registers the matrix predicts a data
+    /// race on.
+    racy_sites: HashSet<Site>,
     /// Human-readable footprint notes per allocation site, surfaced in
     /// fail-closed diagnostics ("ops touching this register: ...").
-    notes: HashMap<(&'static str, u32), String>,
-    /// Memoised per-symbol classification `(licensed, racy)` — the
-    /// site fallback takes two interner reads, and the explorer asks
-    /// about the same handful of symbols millions of times.
+    notes: HashMap<Site, String>,
+    /// Memoised per-symbol classification `(licensed, racy)` — a site
+    /// lookup takes two interner reads, and the explorer asks about
+    /// the same handful of symbols millions of times.
     memo: RwLock<HashMap<RegSym, (bool, bool)>>,
     /// The op-pair may-conflict matrix (certificate version 2), keyed
     /// by normalised unordered op pairs. Empty for version-1-shaped
@@ -128,8 +131,8 @@ fn pair_key(a: OpSym, b: OpSym) -> (OpSym, OpSym) {
 impl std::fmt::Debug for StaticConflicts {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StaticConflicts")
-            .field("licensed", &self.licensed.len())
-            .field("racy", &self.racy.len())
+            .field("licensed_sites", &self.licensed_sites.len())
+            .field("racy_sites", &self.racy_sites.len())
             .field("telemetry", &self.telemetry())
             .finish()
     }
@@ -137,22 +140,16 @@ impl std::fmt::Debug for StaticConflicts {
 
 impl StaticConflicts {
     /// Builds a certificate from the licensed and racy register sets.
-    /// Each symbol also licenses (or marks racy) its whole allocation
-    /// site, so same-site registers of a differently sized
-    /// configuration classify identically.
+    /// Each symbol licenses (or marks racy) its whole allocation site,
+    /// so same-site registers of a differently sized configuration
+    /// classify identically.
     pub fn new(
         licensed: impl IntoIterator<Item = RegSym>,
         racy: impl IntoIterator<Item = RegSym>,
     ) -> StaticConflicts {
-        let licensed: HashSet<RegSym> = licensed.into_iter().collect();
-        let racy: HashSet<RegSym> = racy.into_iter().collect();
-        let licensed_sites = licensed.iter().map(|s| s.site()).collect();
-        let racy_sites = racy.iter().map(|s| s.site()).collect();
         StaticConflicts {
-            licensed,
-            licensed_sites,
-            racy,
-            racy_sites,
+            licensed_sites: licensed.into_iter().map(|s| s.site()).collect(),
+            racy_sites: racy.into_iter().map(|s| s.site()).collect(),
             notes: HashMap::new(),
             memo: RwLock::new(HashMap::new()),
             pairs: HashMap::new(),
@@ -169,8 +166,8 @@ impl StaticConflicts {
     /// version 2): the ops named by their canonical labels, `observed`
     /// the registers either op was seen touching when probed against
     /// the other, `conflict` the subset the analysis predicts the pair
-    /// may race on. Each register also enrols its allocation site, with
-    /// the same loop-allocation rationale as the per-register sets.
+    /// may race on. Each register enrols its allocation site, with the
+    /// same loop-allocation rationale as the per-register sets.
     pub fn add_pair(
         &mut self,
         a: &str,
@@ -179,23 +176,14 @@ impl StaticConflicts {
         conflict: impl IntoIterator<Item = RegSym>,
     ) {
         let key = pair_key(OpSym::intern(a), OpSym::intern(b));
-        let cell = self.pairs.entry(key).or_insert_with(|| PairCell {
-            observed: HashSet::new(),
-            observed_sites: HashSet::new(),
-            conflict: HashSet::new(),
-            conflict_sites: HashSet::new(),
-        });
-        for sym in observed {
-            cell.observed_sites.insert(sym.site());
-            cell.observed.insert(sym);
-        }
+        let cell = self.pairs.entry(key).or_default();
+        cell.observed_sites
+            .extend(observed.into_iter().map(|s| s.site()));
         for sym in conflict {
             // Conflict evidence implies both ops reached the register:
             // a conflict site is always also an observed site.
             cell.observed_sites.insert(sym.site());
-            cell.observed.insert(sym);
             cell.conflict_sites.insert(sym.site());
-            cell.conflict.insert(sym);
         }
     }
 
@@ -211,7 +199,7 @@ impl StaticConflicts {
         self.notes.insert(sym.site(), note.into());
     }
 
-    /// `(licensed, racy)` for `sym`, by symbol or by allocation site.
+    /// `(licensed, racy)` for `sym`, by its allocation site.
     fn classify(&self, sym: RegSym) -> (bool, bool) {
         if sym == RegSym::LOCAL {
             return (false, false);
@@ -220,14 +208,14 @@ impl StaticConflicts {
             return hit;
         }
         let site = sym.site();
-        let licensed = self.licensed.contains(&sym) || self.licensed_sites.contains(&site);
-        let racy = self.racy.contains(&sym) || self.racy_sites.contains(&site);
+        let licensed = self.licensed_sites.contains(&site);
+        let racy = self.racy_sites.contains(&site);
         self.memo.write().unwrap().insert(sym, (licensed, racy));
         (licensed, racy)
     }
 
     /// Whether the placement relaxation is licensed on `sym` (the
-    /// static probe observed this register, by symbol or site).
+    /// static probe observed a register allocated at `sym`'s site).
     pub fn licensed(&self, sym: RegSym) -> bool {
         self.classify(sym).0
     }
@@ -254,10 +242,9 @@ impl StaticConflicts {
             None => (false, false, false),
             Some(cell) => {
                 let site = sym.site();
-                let observed = sym != RegSym::LOCAL
-                    && (cell.observed.contains(&sym) || cell.observed_sites.contains(&site));
-                let conflict = sym != RegSym::LOCAL
-                    && (cell.conflict.contains(&sym) || cell.conflict_sites.contains(&site));
+                let local = sym == RegSym::LOCAL;
+                let observed = !local && cell.observed_sites.contains(&site);
+                let conflict = !local && cell.conflict_sites.contains(&site);
                 (true, observed, conflict)
             }
         };
