@@ -18,7 +18,8 @@
 
 use sl_api::sim::{serve_object_worker, DriveOps as _};
 use sl_api::ObjectBuilder;
-use sl_bench::workloads::{dist_config, dist_mode, dist_ops, ASpec};
+use sl_bench::workloads::{dist_config, dist_ops, ASpec};
+use sl_sim::PruneMode;
 
 fn main() {
     let mut workload: Option<String> = None;
@@ -42,7 +43,7 @@ fn main() {
         eprintln!("dist_worker: unknown workload {workload:?}");
         std::process::exit(2);
     };
-    let Some(mode) = dist_mode(&mode_name) else {
+    let Some(mode) = PruneMode::from_name(&mode_name) else {
         eprintln!("dist_worker: unknown prune mode {mode_name:?}");
         std::process::exit(2);
     };

@@ -5,10 +5,11 @@
 //! `sl_api::sim::PooledWorld`; the distributed worker binary, the
 //! bit-identity suites and the time-to-verdict benchmark resolve the
 //! same names. The name also travels in the fleet's `hello`/`task`
-//! frames, and the coordinator and every worker process resolve it,
-//! with [`dist_mode`] and [`dist_config`], through this one table, so
-//! both sides replay byte-identical schedules: any drift in ops, prune
-//! mode, or step budget between processes would silently break the
+//! frames, and the coordinator and every worker process resolve it
+//! through this one table, with [`dist_config`] for the budget (and
+//! `sl_sim::PruneMode::from_name` for the mode), so both sides replay
+//! byte-identical schedules: any drift in ops, prune mode, or step
+//! budget between processes would silently break the
 //! bit-identical-failover contract, which is why the knobs are
 //! centralised here rather than duplicated in each binary.
 
@@ -45,25 +46,12 @@ pub fn dist_ops(name: &str) -> Option<Vec<Vec<AbaOp<u64>>>> {
     }
 }
 
-/// Parses the prune-mode name that travels in `hello` frames
-/// ([`PruneMode::name`] round trip). Every mode runs on the dispatched
-/// task engine; a certificate cannot travel by name, so the fleet's
-/// workloads explore without one.
-pub fn dist_mode(name: &str) -> Option<PruneMode> {
-    [
-        PruneMode::Unpruned,
-        PruneMode::SourceDpor,
-        PruneMode::OptimalDpor,
-    ]
-    .into_iter()
-    .find(|mode| mode.name() == name)
-}
-
 /// The exploration budget both sides of the pipe must share. A worker
 /// with a different `step_budget` (or `max_runs` cap) than the
 /// coordinator would explore a *different* subtree for the same frozen
 /// task — bit-identity requires this function to be the single source
-/// of truth.
+/// of truth. A certificate cannot travel by name, so the fleet's
+/// workloads explore without one.
 pub fn dist_config(mode: PruneMode, workers: usize) -> SimExplore {
     SimExplore {
         max_runs: 4_000_000,

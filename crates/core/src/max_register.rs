@@ -231,6 +231,12 @@ impl<M: Mem> BoundedMaxRegister<M> {
     /// and wait-free (`O(log capacity)` reads), but not strongly
     /// linearizable — see the module docs and
     /// [`BoundedMaxRegister::max_read_double_collect`].
+    ///
+    /// It is also the explorer's response-gap counterexample: with
+    /// capacity 4 and MaxWrite(1) ∥ MaxWrite(3) ∥ MaxRead, the unpruned
+    /// oracle refutes it at conflict depth 15 while both reductions
+    /// pass, because the read's response rides on a data step (see the
+    /// `sl_sim` explore module docs and `crates/api/tests/unpruned_oracle.rs`).
     pub fn max_read(&self) -> u64 {
         self.root.read_top_down()
     }
@@ -258,12 +264,6 @@ impl<M: Mem> BoundedMaxRegister<M> {
             }
             previous = Some(pattern);
         }
-    }
-
-    /// Alias of [`BoundedMaxRegister::max_read`] kept for the
-    /// experiment binaries that compare read variants explicitly.
-    pub fn max_read_top_down(&self) -> u64 {
-        self.root.read_top_down()
     }
 
     /// Creates process `p`'s handle — the unified `sl-api` access path.

@@ -572,12 +572,11 @@ mod tests {
         }
     }
 
-    fn escape(depth: usize, first_proc: usize) -> Escape {
+    fn escape(depth: usize, proc: usize) -> Escape {
         Escape {
             depth,
-            first_proc,
-            initials: vec![first_proc],
-            seq: None,
+            initials: vec![proc],
+            seq: vec![(proc, PendingAccess::LOCAL)],
         }
     }
 

@@ -23,18 +23,23 @@
 //! over the rest of the document and a `version`/`frame` pair:
 //!
 //! ```text
-//! {"checksum":N,"version":2,"frame":"hello","workload":...,"mode":...,"pid":N}
-//! {"checksum":N,"version":2,"frame":"task","task":N,"prefix":[...],
+//! {"checksum":N,"version":3,"frame":"hello","workload":...,"mode":...,"pid":N}
+//! {"checksum":N,"version":3,"frame":"task","task":N,"prefix":[...],
 //!  "accesses":[{"reg":N,"kind":"k"},...],"sleep":N,"floor":N}
-//! {"checksum":N,"version":2,"frame":"heartbeat","task":N}
-//! {"checksum":N,"version":2,"frame":"result","task":N,
+//! {"checksum":N,"version":3,"frame":"heartbeat","task":N}
+//! {"checksum":N,"version":3,"frame":"result","task":N,
 //!  "counters":{"runs":N,"cut_runs":N,"pruned":N,"retried":N,"quarantined":N},
 //!  "capped":B,"poisoned":[{"prefix":[...],"attempts":N,"message":"..."},...],
-//!  "escapes":[{"depth":N,"first_proc":P,"initials":[...],
+//!  "escapes":[{"depth":N,"initials":[...],
 //!              "seq":[{"proc":P,"reg":N,"kind":"k"},...]},...],
 //!  "shard":{...}}
-//! {"checksum":N,"version":2,"frame":"shutdown"}
+//! {"checksum":N,"version":3,"frame":"shutdown"}
 //! ```
+//!
+//! An escape is a backtrack demand the subtree raised below its floor:
+//! its `seq` is nonempty — the whole reversing continuation under
+//! `OptimalDpor`, its first step otherwise — and its first process is
+//! among the weak `initials`.
 //!
 //! A task frame carries a [`sl_sim::FrozenTask`] and a result frame a
 //! [`sl_sim::TaskResult`], the records the engine itself delegates and
@@ -47,8 +52,8 @@
 //! interpreted, then every field: lease ids are nonzero, a task
 //! satisfies the same invariants a checkpointed task does
 //! ([`sl_sim::FrozenTask::check`]), and an escape names processes
-//! inside the sleep-mask universe, with `first_proc` among its initials
-//! and leading its sequence ([`sl_sim::Escape::from_json`]). Last, the
+//! inside the sleep-mask universe, with a nonempty sequence whose first
+//! process is among its initials ([`sl_sim::Escape::from_json`]). Last, the
 //! received bytes must be exactly [`Frame::render`] of the parsed
 //! frame, shard included, so a torn, doctored, reflowed or
 //! version-skewed frame is a named rejection, never a silently
@@ -64,7 +69,7 @@ use sl_sim::wire::{
 use sl_sim::{Counters, Escape, FrozenTask, PoisonReport, TaskResult};
 
 /// The supported frame format version.
-pub const FRAME_VERSION: u64 = 2;
+pub const FRAME_VERSION: u64 = 3;
 
 /// Upper bound on one frame's document length: a length prefix beyond
 /// this is rejected before any allocation (a corrupted prefix must not
@@ -352,7 +357,7 @@ mod tests {
     use std::io::Cursor;
 
     use sl_mem::SmallRng;
-    use sl_sim::{AccessKind, Checkpoint, CkptNext, CkptNode, CkptTask, PendingAccess, RegId};
+    use sl_sim::{AccessKind, Checkpoint, CkptNext, CkptNode, PendingAccess, RegId};
 
     use super::*;
 
@@ -396,18 +401,16 @@ mod tests {
                 escapes: vec![
                     Escape {
                         depth: 4,
-                        first_proc: 0,
                         initials: vec![0, 2],
-                        seq: Some(vec![
+                        seq: vec![
                             (0, acc(5, AccessKind::Read)),
                             (2, acc(5, AccessKind::Write)),
-                        ]),
+                        ],
                     },
                     Escape {
                         depth: 9,
-                        first_proc: 0,
                         initials: vec![0],
-                        seq: None,
+                        seq: vec![(0, acc(1, AccessKind::Write))],
                     },
                 ],
             },
@@ -447,19 +450,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn empty_seq_means_no_escape_continuation() {
-        // `"seq":[]` <-> None must be stable in both directions: wakeup
-        // sequences are nonempty by construction, so the empty array is
-        // reserved as the "no continuation" marker.
-        let Frame::Result { result, .. } = sample_result() else {
-            unreachable!()
-        };
-        assert!(result.escapes[1].seq.is_none());
-        let text = sample_result().render();
-        assert!(text.contains("\"seq\":[]"), "reserved marker on the wire");
-    }
-
     // -- doctored frames: every corruption is a named rejection
 
     #[test]
@@ -476,16 +466,16 @@ mod tests {
 
     #[test]
     fn version_skew_is_rejected_by_name() {
-        let body = "{\"version\":1,\"frame\":\"shutdown\"}";
+        let body = "{\"version\":2,\"frame\":\"shutdown\"}";
         let sealed = sl_sim::wire::seal_checksum(body);
         let err = Frame::parse(&sealed).expect_err("version skew");
-        assert!(err.contains("unsupported frame version 1"), "{err}");
-        assert!(err.contains("this build speaks 2"), "{err}");
+        assert!(err.contains("unsupported frame version 2"), "{err}");
+        assert!(err.contains("this build speaks 3"), "{err}");
     }
 
     #[test]
     fn duplicate_fields_are_rejected() {
-        let body = "{\"version\":2,\"frame\":\"heartbeat\",\"task\":1,\"task\":1}";
+        let body = "{\"version\":3,\"frame\":\"heartbeat\",\"task\":1,\"task\":1}";
         let sealed = sl_sim::wire::seal_checksum(body);
         let err = Frame::parse(&sealed).expect_err("duplicate field");
         assert!(err.contains("duplicate key"), "{err}");
@@ -493,25 +483,25 @@ mod tests {
 
     #[test]
     fn unknown_fields_and_kinds_are_rejected() {
-        let body = "{\"version\":2,\"frame\":\"heartbeat\",\"task\":1,\"zeal\":3}";
+        let body = "{\"version\":3,\"frame\":\"heartbeat\",\"task\":1,\"zeal\":3}";
         let err = Frame::parse(&sl_sim::wire::seal_checksum(body)).expect_err("unknown field");
         assert!(err.contains("unknown field \"zeal\""), "{err}");
 
-        let body = "{\"version\":2,\"frame\":\"gossip\"}";
+        let body = "{\"version\":3,\"frame\":\"gossip\"}";
         let err = Frame::parse(&sl_sim::wire::seal_checksum(body)).expect_err("unknown kind");
         assert!(err.contains("unknown frame kind \"gossip\""), "{err}");
     }
 
     #[test]
     fn missing_or_misplaced_checksum_is_rejected() {
-        let err = Frame::parse("{\"version\":2,\"frame\":\"shutdown\"}").expect_err("no checksum");
+        let err = Frame::parse("{\"version\":3,\"frame\":\"shutdown\"}").expect_err("no checksum");
         assert!(err.contains("missing leading \"checksum\""), "{err}");
     }
 
     #[test]
     fn hello_identities_are_fail_closed() {
         let body =
-            "{\"version\":2,\"frame\":\"hello\",\"workload\":\"a b\",\"mode\":\"m\",\"pid\":1}";
+            "{\"version\":3,\"frame\":\"hello\",\"workload\":\"a b\",\"mode\":\"m\",\"pid\":1}";
         let err = Frame::parse(&sl_sim::wire::seal_checksum(body)).expect_err("bad identity");
         assert!(err.contains("identities must be identifiers"), "{err}");
     }
@@ -615,21 +605,17 @@ mod tests {
         }
     }
 
-    /// An escape with or without a sequence, shaped as the engine
-    /// raises them: `first_proc` among the initials and leading `seq`.
+    /// An escape shaped as the engine raises them: a nonempty sequence
+    /// whose first process is among the initials.
     fn random_escape(rng: &mut SmallRng) -> Escape {
-        let first_proc = rng.gen_range(64);
+        let first = rng.gen_range(64);
         let mut initials = random_procs(rng, 2);
-        initials.insert(rng.gen_range(initials.len() + 1), first_proc);
-        let seq = rng.gen_bool(0.5).then(|| {
-            let procs = [vec![first_proc], random_procs(rng, 3)].concat();
-            procs.into_iter().map(|p| (p, random_access(rng))).collect()
-        });
+        initials.insert(rng.gen_range(initials.len() + 1), first);
+        let procs = [vec![first], random_procs(rng, 3)].concat();
         Escape {
             depth: rng.gen_range(1 << 20),
-            first_proc,
             initials,
-            seq,
+            seq: procs.into_iter().map(|p| (p, random_access(rng))).collect(),
         }
     }
 
@@ -658,34 +644,24 @@ mod tests {
     }
 
     /// A one-node checkpoint carrying `task`, `counters` and the
-    /// escapes' sequences as wakeups.
+    /// escapes' sequences as demands.
     fn checkpoint_of(task: &FrozenTask, result: &TaskResult) -> Checkpoint {
         Checkpoint {
             workload: "random".to_string(),
             mode: "OptimalDpor".to_string(),
             workers: 1,
-            seq: 1,
             stem_len: 0,
             counters: result.counters,
             next: CkptNext {
-                prefix: vec![0],
+                tail: vec![],
                 sleep: 0,
-                new_from: 0,
             },
             spine: vec![CkptNode {
-                backtrack: vec![0],
+                backtrack: 1,
                 runnable: vec![0],
                 pending: vec![task.accesses[0]],
-                wakeups: result
-                    .escapes
-                    .iter()
-                    .filter_map(|e| e.seq.clone())
-                    .collect(),
-                tasks: vec![CkptTask {
-                    id: 1,
-                    proc: task.prefix[task.floor - 1],
-                    task: task.clone(),
-                }],
+                demands: result.escapes.iter().map(|e| e.seq.clone()).collect(),
+                tasks: vec![task.clone()],
                 ..CkptNode::default()
             }],
         }
@@ -726,10 +702,7 @@ mod tests {
             let mut fields = String::new();
             spec.push_fields(&mut fields);
             assert!(task_frame.render().ends_with(&format!(",{fields}}}")));
-            assert!(text.contains(&format!(
-                "\"proc\":{},{fields}}}",
-                spec.prefix[spec.floor - 1]
-            )));
+            assert!(text.contains(&format!("\"tasks\":[{{{fields}}}]")));
         }
     }
 
@@ -743,7 +716,7 @@ mod tests {
         let frames: Vec<String> = all_kinds().iter().map(Frame::render).collect();
         #[rustfmt::skip]
         let rows = [
-            (4, r#""version":2,"frame":"shutdown""#, r#""frame":"shutdown","version":2"#, "non-canonical frame"),
+            (4, r#""version":3,"frame":"shutdown""#, r#""frame":"shutdown","version":3"#, "non-canonical frame"),
             (2, r#""task":9"#, r#""task":0"#, "heartbeat frame: lease id 0"),
             (1, r#""task":7"#, r#""task":0"#, "task frame: lease id 0"),
             (3, r#""task":7"#, r#""task":0"#, "result frame: lease id 0"),
@@ -753,11 +726,10 @@ mod tests {
             (1, "[0,2,1,1]", "[0,64,1,1]", "task frame: process index out of range"),
             (1, r#""rmw""#, r#""fetch_add""#, r#"unknown access kind "fetch_add""#),
             (3, r#"{"proc":0,"reg":5,"kind":"read"}"#, r#"{"proc":0,"reg":5}"#, r#"escape step: missing required field "kind""#),
-            (3, r#""first_proc":0,"initials":[0,2]"#, r#""first_proc":70,"initials":[70,2]"#, "escape: process index out of range"),
             (3, r#""initials":[0,2]"#, r#""initials":[0,64]"#, "escape: process index out of range"),
             (3, r#"{"proc":2,"reg":5"#, r#"{"proc":66,"reg":5"#, "escape: process index out of range"),
-            (3, r#""initials":[0,2]"#, r#""initials":[2]"#, "escape: initials [2] lack first_proc 0"),
-            (3, r#""initials":[0,2],"seq":[{"proc":0"#, r#""initials":[0,2],"seq":[{"proc":2"#, "escape: seq starts with process 2, not first_proc 0"),
+            (3, r#""initials":[0,2]"#, r#""initials":[2]"#, "escape: initials [2] lack the sequence's first process 0"),
+            (3, r#""seq":[{"proc":0,"reg":1,"kind":"write"}]"#, r#""seq":[]"#, "escape: empty seq"),
             (3, r#""counters":{"runs":41,"#, r#""counters":{"#, r#"counters: missing required field "runs""#),
         ];
         for (i, from, to, needle) in rows {

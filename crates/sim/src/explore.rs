@@ -33,10 +33,16 @@
 //!   write/write pairs), the observer rule (writes unobserved before
 //!   being overwritten) and, when a [`StaticConflicts`] certificate is
 //!   installed in [`Explorer::statics`], the certificate's placement
-//!   and op-pair relaxations. It is also the only setting that
-//!   backtracks by **wakeup sequences**: a race enqueues the whole
-//!   reversing continuation at the racing node, so no replay it starts
-//!   is ever cut by a sleep set.
+//!   and op-pair relaxations.
+//!
+//! All three settings backtrack by one demand rule (see "One demand
+//! rule" below): a race enqueues a demand on its node's FIFO, and
+//! backtracking pops it. The setting decides only the demand's length
+//! — the whole reversing continuation under `OptimalDpor` (a **wakeup
+//! sequence**, so no replay it starts is ever cut by a sleep set), its
+//! first step otherwise (a source-set insertion) — and two
+//! `OptimalDpor`-only skips: a demand with a sleeping weak initial, and
+//! one some sleeper would sleep through ([`seq_wakes_all`]).
 //!
 //! The layers read execution metadata ([`ExecMeta`]: value, event
 //! markers, register and op identity) observed post-hoc from the
@@ -47,23 +53,23 @@
 //!
 //! # Parallel source-set DPOR
 //!
-//! Source DPOR's backtrack sets mutate while descendants run. The
-//! explorer parallelises it with **per-subtree ownership**: when a
-//! decision node holds several unexplored backtrack candidates, the
-//! owning worker keeps the first as its own continuation and publishes
-//! the rest as frozen [`SubtreeTask`]s — decision prefix, the declared
-//! access of every prefix step, the prefix's vector clocks, and the
-//! sleep set at the subtree root — onto a work-stealing deque. A task
-//! explores its subtree with the ordinary sequential algorithm (its
-//! backtrack sets are worker-local); race reversals that point *above*
-//! the subtree root cannot be applied locally, so they are recorded as
-//! **escapes** (decision depth, demanded process, weak initials) in
-//! detection order and merged by the owner when it joins the task —
-//! exactly where the sequential algorithm would have applied them,
-//! because the owner joins delegated siblings right after retiring its
-//! own child and before scanning the node for new candidates. The
-//! sleep set handed to each delegated sibling is accumulated in the
-//! same publish order the sequential candidate scan would have used.
+//! A node's demand queue grows while descendants run. The explorer
+//! parallelises the walk with **per-subtree ownership**: when a
+//! decision node holds several pending demands, the owning worker
+//! keeps the first as its own continuation and publishes the rest as
+//! frozen [`SubtreeTask`]s — decision prefix, the declared access of
+//! every prefix step, the prefix's vector clocks, and the sleep set at
+//! the subtree root — onto a work-stealing deque. A task explores its
+//! subtree with the ordinary sequential algorithm (its demand queues
+//! are worker-local); race reversals that point *above* the subtree
+//! root cannot be applied locally, so they are recorded as **escapes**
+//! (decision depth, weak initials, the demand) in detection order and
+//! merged by the owner when it joins the task — exactly where the
+//! sequential algorithm would have applied them, because the owner
+//! joins delegated siblings right after retiring its own child and
+//! before popping the node's next demand. The sleep set handed to each
+//! delegated sibling is accumulated in the same order the sequential
+//! pop would have used.
 //!
 //! The result is *bit-identical* to the sequential explorer at any
 //! worker count (schedule set, replay and cut counts, pruned totals),
@@ -303,27 +309,34 @@
 //! and race tests always agree with the current word's relation, which
 //! is what conditional-independence SDPOR requires.
 //!
-//! # Why wakeup sequences preserve completeness
+//! # One demand rule, and why wakeup sequences preserve completeness
 //!
-//! The wakeup-free engine backtracks by inserting a single process
-//! into a node's source set; the resulting run may wander into a
-//! subtree that sleep sets then abandon (a *cut* replay — sound, but
-//! wasted work). [`PruneMode::OptimalDpor`] instead inserts the whole
-//! reversing continuation `v` (the race's not-happens-after fragment,
-//! a genuine suffix of an already-executed word) as a **wakeup
-//! sequence** at the racing node, skipping the insertion when a weak
-//! initial of `v` is already in the node's backtrack set (that child
-//! covers the reversal — the ordinary source-set argument) or in its
-//! sleep set (the reversal's trace was explored in the subtree that
-//! put the process to sleep — the ordinary sleep-set argument).
-//! Backtracking pops the first pending sequence and replays it in
-//! full: every forced step is a step some explored word actually
-//! performed, with an up-to-date sleep set threaded through the forced
-//! prefix (the driver filters the sleep set across replayed decisions
-//! exactly as it does across fresh ones).
+//! Source-set and optimal DPOR differ only in what a detected race
+//! inserts (Abdulla et al.): one initial of the reversal, or the whole
+//! reversing sequence. So each spine node keeps one FIFO of pending
+//! demands, and one rule fills it. A race between steps `j` and `k`
+//! demands its reversing continuation `v` — the steps after `j` not
+//! happens-after it, then `k` — at node `j`, unless a weak initial of
+//! `v` is already in the node's source set (that child covers the
+//! reversal — the ordinary source-set argument). Under
+//! [`PruneMode::OptimalDpor`] the demand is all of `v` (a **wakeup
+//! sequence**, a genuine suffix of an already-executed word), and it is
+//! also skipped when a weak initial of `v` sleeps at the node (the
+//! reversal's trace was explored in the subtree that put the process to
+//! sleep — the ordinary sleep-set argument). Under the other settings
+//! the demand is `v`'s first step alone, a source-set insertion: a FIFO
+//! of one-step demands pops the source set's candidates in insertion
+//! order, exactly as a scan of the set would find them. Backtracking
+//! pops demands in order, drops those already covered, and replays the
+//! first live one in full: every forced step is a step some explored
+//! word actually performed, with an up-to-date sleep set threaded
+//! through the forced prefix (the driver filters the sleep set across
+//! replayed decisions exactly as it does across fresh ones).
 //!
-//! One side condition makes the cut-freedom claim structural rather
-//! than probabilistic: a sequence is only *initiated* if it conflicts
+//! A one-step demand may wander into a subtree that sleep sets then
+//! abandon (a *cut* replay — sound, but wasted work). One side
+//! condition makes `OptimalDpor`'s cut-freedom structural rather than
+//! probabilistic: a sequence is only *initiated* if it conflicts
 //! with every process sleeping at its node ([`seq_wakes_all`] — the
 //! defining property of a wakeup sequence for ⟨node, Sleep⟩). A
 //! sleeping process independent of every step of the sequence would
@@ -341,7 +354,7 @@
 //! every reversal demand is either enqueued or provably covered —
 //! while the enqueued runs start deep inside the reversed trace
 //! instead of gambling on its first step.
-//! Delegated [`SubtreeTask`]s carry their sequence in the frozen
+//! Delegated [`SubtreeTask`]s carry their demand in the frozen
 //! decision prefix (beyond the ghost-spine accesses) the same way they
 //! carry sleep sets; escapes merge at the owner's join point, so the
 //! schedule set stays bit-identical at any worker count.
@@ -359,8 +372,8 @@ use sl_check::{OpSym, RegSym, ValueId};
 
 use crate::checkpoint::{
     panic_message, write_poison_report, Checkpoint, CheckpointPolicy, CheckpointStore, CkptNext,
-    CkptNode, CkptTask, CkptWriter, Counters, FaultCrash, FaultPlan, FaultPoint, FrozenTask,
-    PoisonReport, ResumeExpectation, ResumeSession,
+    CkptNode, CkptWriter, Counters, FaultCrash, FaultPlan, FaultPoint, FrozenTask, PoisonReport,
+    ResumeExpectation, ResumeSession,
 };
 use crate::sched::{Scheduler, STOP_RUN};
 use crate::statics::StaticConflicts;
@@ -491,6 +504,18 @@ impl PruneMode {
             PruneMode::SourceDpor => "SourceDpor",
             PruneMode::OptimalDpor => "OptimalDpor",
         }
+    }
+
+    /// The mode [`PruneMode::name`] calls `name`; `None` for a name no
+    /// mode has (the caller must refuse, not guess).
+    pub fn from_name(name: &str) -> Option<PruneMode> {
+        [
+            PruneMode::Unpruned,
+            PruneMode::SourceDpor,
+            PruneMode::OptimalDpor,
+        ]
+        .into_iter()
+        .find(|mode| mode.name() == name)
     }
 
     fn relation(self, statics: Option<&StaticConflicts>) -> Relation<'_> {
@@ -793,7 +818,7 @@ impl ScheduleDriver {
     /// recorded, which keeps the replay hot path allocation-free.
     /// `sleep_at_record` is the sleep set holding at decision
     /// `record_from`; prefix decisions from there on (the forced steps
-    /// of a wakeup sequence) are recorded and evolve it.
+    /// of a multi-step demand) are recorded and evolve it.
     fn new(
         prefix: Vec<usize>,
         sleep_at_record: u64,
@@ -884,11 +909,6 @@ impl ScheduleDriver {
         &self.chosen
     }
 
-    /// How many decisions were replayed from the task's prefix.
-    pub fn replayed(&self) -> usize {
-        self.prefix.len()
-    }
-
     /// Whether this replay was abandoned because every enabled process
     /// was sleeping (the run's continuations are covered elsewhere).
     /// Cut runs still produce genuine transcript *prefixes*; ingesting
@@ -914,7 +934,7 @@ impl Scheduler for ScheduleDriver {
             );
             if i >= self.record_from {
                 // Recorded replay decisions are the forced steps of a
-                // wakeup sequence (or a stem): the sleep set must
+                // multi-step demand (or a stem): the sleep set must
                 // evolve across them exactly as across fresh decisions,
                 // so the first free decision — and every recorded node
                 // on the way — sees the sleep set the sequential
@@ -995,14 +1015,6 @@ impl Default for Explorer {
 }
 
 impl Explorer {
-    /// An explorer with the given run budget and defaults otherwise.
-    pub fn with_max_runs(max_runs: usize) -> Explorer {
-        Explorer {
-            max_runs,
-            ..Explorer::default()
-        }
-    }
-
     /// Explores the schedule space of the deterministic system embodied
     /// by `runner`, with no per-worker state. See [`Explorer::explore_with`].
     pub fn explore<F>(&self, runner: F) -> ExploreOutcome
@@ -1046,7 +1058,7 @@ impl Explorer {
 
 /// One decision point on a DPOR spine: the configuration, the child
 /// currently being explored, the children already retired, and the
-/// backtrack (source) set grown by race detection in descendant runs.
+/// demands race detection raised here in descendant runs.
 ///
 /// *Ghost* nodes (empty `runnable`) stand in for the frozen prefix of a
 /// delegated subtree: race detection needs their `chosen`/`access`, but
@@ -1060,9 +1072,11 @@ struct SpineNode {
     sleep_now: u64,
     /// Children whose subtrees are fully explored or delegated.
     done: u64,
-    /// Source set: children demanded by detected races (grows while
-    /// descendants run). Always contains the first explored child.
-    backtrack: Vec<usize>,
+    /// Source set, as a mask: the first explored child plus the first
+    /// process of every demand ever enqueued here. Only the redundancy
+    /// test of [`apply_escape`] reads it; `demands` holds what is still
+    /// pending.
+    backtrack: u64,
     /// Child currently being explored.
     chosen: usize,
     /// The step `chosen` executes from here — declared access plus
@@ -1074,24 +1088,22 @@ struct SpineNode {
     /// Siblings published as frozen subtree tasks, in publish order —
     /// joined (results and escapes merged) when the owner next retires
     /// a child of this node.
-    delegated: Vec<(usize, Arc<TaskSlot>)>,
-    /// Pending **wakeup sequences** ([`PruneMode::OptimalDpor`] only):
-    /// full reversing continuations enqueued by race detection, FIFO.
-    /// Each sequence's first process is also in `backtrack` (the
-    /// redundancy check keys on it); backtracking pops the first
-    /// sequence whose initial is neither done nor sleeping *and* which
-    /// conflicts with every sleeping process ([`seq_wakes_all`]), and
-    /// replays it wholesale.
-    wakeups: VecDeque<WakeupSeq>,
+    delegated: Vec<Arc<TaskSlot>>,
+    /// Pending demands, FIFO: backtracking and sibling publication pop
+    /// from the front, skipping demands already covered
+    /// ([`DporShared::next_demand`]), and replay a chosen one wholesale.
+    demands: VecDeque<Demand>,
 }
 
-/// One wakeup sequence: the steps of a reversing continuation, in
-/// execution order (`seq[0]` is the weak initial the sequence starts
-/// with), each as `(process, declared access)`. The accesses are the
-/// race-time declarations of the continuation's steps — replay is
-/// deterministic, so they are exactly what the forced steps re-declare
-/// — and exist to decide [`seq_wakes_all`] without replaying anything.
-type WakeupSeq = Vec<(usize, PendingAccess)>;
+/// One backtrack demand: steps of a race's reversing continuation, in
+/// execution order, each as `(process, declared access)`. Under
+/// [`PruneMode::OptimalDpor`] it is the whole continuation (a wakeup
+/// sequence); otherwise its first step alone (a source-set insertion).
+/// The accesses are the race-time declarations of the continuation's
+/// steps — replay is deterministic, so they are exactly what the forced
+/// steps re-declare — and exist to decide [`seq_wakes_all`] without
+/// replaying anything.
+type Demand = Vec<(usize, PendingAccess)>;
 
 /// Whether `seq` conflicts with every process sleeping at `node`
 /// (`sleep` is the caller's view of the sleep set — the live
@@ -1141,11 +1153,11 @@ impl SpineNode {
             pending: Vec::new(),
             sleep_now: 0,
             done: 0,
-            backtrack: Vec::new(),
+            backtrack: 0,
             chosen,
             meta,
             delegated: Vec::new(),
-            wakeups: VecDeque::new(),
+            demands: VecDeque::new(),
         }
     }
 
@@ -1154,7 +1166,7 @@ impl SpineNode {
             .runnable
             .iter()
             .position(|&q| q == p)
-            .expect("backtrack candidate must be enabled");
+            .expect("a demanded process must be enabled");
         self.pending[i]
     }
 }
@@ -1228,8 +1240,8 @@ fn clock_leq(a: &[u32], b: &[u32]) -> bool {
 /// checkpointer and for quarantine retries while a claimed copy runs.
 #[derive(Clone)]
 struct SubtreeTask {
-    /// Full decision prefix from the schedule-tree root; the last entry
-    /// is the backtrack candidate this task reverses into.
+    /// Full decision prefix from the schedule-tree root; its entry at
+    /// `floor - 1` is the reversal this task explores.
     prefix: Vec<usize>,
     /// Step metadata of each prefix step (the task's ghost spine for
     /// race detection). Empty for the root task, whose stem accesses
@@ -1247,6 +1259,12 @@ struct SubtreeTask {
 }
 
 impl SubtreeTask {
+    /// The process whose step at the floor this task reverses into:
+    /// the sibling its owner retires when joining it.
+    fn reversal(&self) -> usize {
+        self.prefix[self.floor - 1]
+    }
+
     /// The portable form: the caches stay behind.
     fn freeze(&self) -> FrozenTask {
         FrozenTask {
@@ -1283,16 +1301,14 @@ impl SubtreeTask {
 pub struct Escape {
     /// Global decision index of the demanding race's earlier step.
     pub depth: usize,
-    /// Process of the first reversing step (added if no initial is
-    /// present).
-    pub first_proc: usize,
-    /// Weak initials of the reversing continuation; they include
-    /// `first_proc`.
+    /// Weak initials of the reversing continuation; they include the
+    /// process of `seq`'s first step.
     pub initials: Vec<usize>,
-    /// The full reversing continuation ([`PruneMode::OptimalDpor`]
-    /// only), starting with `first_proc`: enqueued as a wakeup
-    /// sequence when the demand is applied.
-    pub seq: Option<Vec<(usize, PendingAccess)>>,
+    /// The demand, nonempty: the reversing continuation's steps in
+    /// execution order — all of them under [`PruneMode::OptimalDpor`],
+    /// the first alone otherwise — each as `(process, declared
+    /// access)`. Enqueued at `depth` unless an initial is already there.
+    pub seq: Vec<(usize, PendingAccess)>,
 }
 
 /// The exploration of one finished subtree: what a join merges, what a
@@ -1395,8 +1411,11 @@ struct DporShared<'a, NF, F> {
     /// sleep sets and the wakeup side condition all consult it, and its
     /// certificate (if any) validates every detected race.
     relation: Relation<'a>,
-    /// [`PruneMode::OptimalDpor`]: backtrack by wakeup sequences, and
-    /// keep the observer flags of the executed word current.
+    /// [`PruneMode::OptimalDpor`]: a demand is the whole reversing
+    /// continuation, is skipped when a weak initial sleeps at its node,
+    /// and is only started when it wakes every sleeper
+    /// ([`seq_wakes_all`]); the observer flags of the executed word
+    /// stay current.
     optimal: bool,
     /// Length of the user-supplied stem: demands below it are dropped
     /// (the stem is never backtracked into).
@@ -1468,6 +1487,25 @@ impl<'a, NF, F> DporShared<'a, NF, F> {
         }
         self.poisoned.store(true, Ordering::SeqCst);
         self.shutdown.store(true, Ordering::SeqCst);
+    }
+
+    /// Pops `node`'s demands until one is not covered, given `done` and
+    /// `sleep` (the live masks, or the accumulators a parallel publish
+    /// threads through): a demand is covered when its first process was
+    /// explored, delegated or put to sleep, or — under
+    /// [`PruneMode::OptimalDpor`] — when some sleeper would sleep
+    /// through all of it. Masks only grow and [`seq_wakes_all`] only
+    /// gets harder as the sleep set grows, so a dropped demand would
+    /// stay covered.
+    fn next_demand(&self, node: &mut SpineNode, done: u64, sleep: u64) -> Option<Demand> {
+        while let Some(seq) = node.demands.pop_front() {
+            let covered = (done | sleep) & (1 << seq[0].0) != 0
+                || (self.optimal && !seq_wakes_all(self.relation, node, sleep, &seq));
+            if !covered {
+                return Some(seq);
+            }
+        }
+        None
     }
 
     /// Pops a claimable task: own deque LIFO first (depth-first
@@ -1633,11 +1671,11 @@ impl Explorer {
             session.as_ref().and_then(|s| s.fault),
             dispatcher,
         );
-        // Checkpoint IO runs on a dedicated writer thread: filesystem
-        // commit latency (temp write + rename, ~1ms on a journaling
-        // filesystem) would otherwise stall every cadence tick of the
-        // root walk. Under fault injection the writer is disabled so
-        // `ckpt-write` crashes stay synchronous and deterministic.
+        // Checkpoint IO runs on a dedicated writer thread, so a cadence
+        // tick of the root walk only builds and renders the snapshot
+        // (see `CkptWriter` for the measured costs). Under fault
+        // injection the writer is disabled so `ckpt-write` crashes stay
+        // synchronous and deterministic.
         let writer = session
             .as_ref()
             .filter(|s| s.fault.is_none())
@@ -1651,7 +1689,6 @@ impl Explorer {
             workers,
             stem_len: self.stem.len(),
             base: s.base,
-            seq: s.restore.as_ref().map(|c| c.seq + 1).unwrap_or(1),
             replays_since: 0,
             restore: s.restore,
         });
@@ -1750,7 +1787,6 @@ struct RootCkpt<'a> {
     /// Counters banked by the interrupted run; snapshots write
     /// `base + out` so each checkpoint carries run-total counters.
     base: Counters,
-    seq: u64,
     replays_since: u64,
     restore: Option<Checkpoint>,
 }
@@ -1767,55 +1803,41 @@ struct RootCkpt<'a> {
 fn write_root_checkpoint(
     rc: &mut RootCkpt<'_>,
     spine: &[SpineNode],
-    next: (&[usize], u64, usize),
+    (prefix, sleep): (&[usize], u64),
     out: &TaskResult,
     durable: bool,
 ) {
     if spine.is_empty() {
         return;
     }
+    // The pending descent extends the spine's chosen path.
+    debug_assert!(spine.iter().zip(prefix).all(|(n, &p)| n.chosen == p));
     let mut counters = rc.base;
     counters.add(out.counters);
-    let mut task_id = 0u64;
-    let ckpt_spine = spine
-        .iter()
-        .map(|node| CkptNode {
-            chosen: node.chosen,
-            done: node.done,
-            sleep: node.sleep_now,
-            backtrack: node.backtrack.clone(),
-            runnable: node.runnable.clone(),
-            pending: node.pending.clone(),
-            wakeups: node.wakeups.iter().cloned().collect(),
-            tasks: node
-                .delegated
-                .iter()
-                .map(|(proc, slot)| {
-                    task_id += 1;
-                    CkptTask {
-                        id: task_id,
-                        proc: *proc,
-                        task: slot.spec.freeze(),
-                    }
-                })
-                .collect(),
-        })
-        .collect();
     let ckpt = Checkpoint {
         workload: rc.store.workload().to_string(),
         mode: rc.mode.to_string(),
         workers: rc.workers,
-        seq: rc.seq,
         stem_len: rc.stem_len,
         counters,
         next: CkptNext {
-            prefix: next.0.to_vec(),
-            sleep: next.1,
-            new_from: next.2,
+            tail: prefix[spine.len()..].to_vec(),
+            sleep,
         },
-        spine: ckpt_spine,
+        spine: spine
+            .iter()
+            .map(|node| CkptNode {
+                chosen: node.chosen,
+                done: node.done,
+                sleep: node.sleep_now,
+                backtrack: node.backtrack,
+                runnable: node.runnable.clone(),
+                pending: node.pending.clone(),
+                demands: node.demands.iter().cloned().collect(),
+                tasks: node.delegated.iter().map(|s| s.spec.freeze()).collect(),
+            })
+            .collect(),
     };
-    rc.seq += 1;
     rc.replays_since = 0;
     match rc.writer {
         Some(writer) => {
@@ -1837,7 +1859,7 @@ fn write_root_checkpoint(
 /// Rebuilds the root spine (and republishes its delegated tasks onto
 /// `deques[me]`) from a loaded checkpoint. No replay runs here: the
 /// checkpoint carries every configuration field race detection needs
-/// structurally (`runnable`/`pending`/sleep/backtrack/wakeups), and the
+/// structurally (`runnable`/`pending`/sleep/backtrack/demands), and the
 /// execution metadata + vector clocks are recomputed by the first
 /// counted replay exactly as the interrupted run would have refreshed
 /// them — so the resumed DAG shards see no extra transcript.
@@ -1862,14 +1884,14 @@ fn restore_spine<NF, F>(
             let delegated = node
                 .tasks
                 .iter()
-                .map(|t| {
-                    let slot = Arc::new(TaskSlot::new(SubtreeTask::thaw(&t.task)));
+                .map(|task| {
+                    let slot = Arc::new(TaskSlot::new(SubtreeTask::thaw(task)));
                     shared.deques[me]
                         .lock()
                         .unwrap()
                         .push_back(Arc::clone(&slot));
                     shared.queued.fetch_add(1, Ordering::Relaxed);
-                    (t.proc, slot)
+                    slot
                 })
                 .collect();
             SpineNode {
@@ -1877,11 +1899,11 @@ fn restore_spine<NF, F>(
                 pending,
                 sleep_now: node.sleep,
                 done: node.done,
-                backtrack: node.backtrack.clone(),
+                backtrack: node.backtrack,
                 chosen: node.chosen,
                 meta: StepMeta::unknown(access),
                 delegated,
-                wakeups: node.wakeups.iter().cloned().collect(),
+                demands: node.demands.iter().cloned().collect(),
             }
         })
         .collect()
@@ -2113,9 +2135,8 @@ fn backoff(idle: &mut u32) {
 }
 
 /// Explores one subtree to exhaustion (or budget cap): the sequential
-/// source-set DPOR loop (with wakeup sequences under
-/// [`PruneMode::OptimalDpor`]), generalised with a ghost prefix,
-/// escaping race demands, and sibling delegation.
+/// DPOR loop over one demand queue per node, generalised with a ghost
+/// prefix, escaping race demands, and sibling delegation.
 fn run_task<C, NF, F>(
     shared: &DporShared<'_, NF, F>,
     me: usize,
@@ -2138,15 +2159,10 @@ where
         .map(|(&chosen, &meta)| SpineNode::ghost(chosen, meta))
         .collect();
     let mut clocks = task.clocks;
-    // Each queued replay carries the decision index from which this
-    // run's steps are *new* (its race-detection window): for a
-    // delegated subtree the last ghost — the reversal itself — is new
-    // (and a wakeup sequence's forced steps all lie beyond it); for the
-    // root task it is 0, as in the sequential explorer. The zip above
-    // truncates at `accesses` — a wakeup-sequence task's prefix is
-    // longer, and the forced tail is observed on the first replay.
-    let first_window = spine.len().saturating_sub(1);
-    let mut next: Option<(Vec<usize>, u64, usize)> = Some((task.prefix, task.sleep, first_window));
+    // The zip above truncates at `accesses`: a multi-step demand's
+    // prefix is longer, and its forced tail is observed on the first
+    // replay.
+    let mut next: Option<(Vec<usize>, u64)> = Some((task.prefix, task.sleep));
     // Resuming: swap in the checkpointed frontier. Clocks restart empty
     // — they are a pure cache over the spine and the first counted
     // replay recomputes them (and every node's exec metadata)
@@ -2155,10 +2171,18 @@ where
         if let Some(ckpt) = rc.restore.take() {
             spine = restore_spine(shared, me, &ckpt);
             clocks = Vec::new();
-            next = Some((ckpt.next.prefix, ckpt.next.sleep, ckpt.next.new_from));
+            let mut prefix: Vec<usize> = spine.iter().map(|n| n.chosen).collect();
+            prefix.extend(&ckpt.next.tail);
+            next = Some((prefix, ckpt.next.sleep));
         }
     }
-    while let Some((prefix, sleep_at_record, new_from)) = next.take() {
+    while let Some((prefix, sleep_at_record)) = next.take() {
+        // This run's steps are *new* from the spine tip on (its
+        // race-detection window): the tip is the child just descended
+        // into — for a delegated subtree the last ghost, the reversal
+        // itself — and a demand's forced steps lie beyond it; the root
+        // task starts at 0, as in the sequential explorer.
+        let new_from = spine.len().saturating_sub(1);
         // Abort promptly when any worker's runner panicked: tasks are
         // deliberately coarse, so waiting for the subtree to finish
         // could mean millions of further replays before the panic
@@ -2193,25 +2217,13 @@ where
                         .deadline
                         .is_some_and(|d| std::time::Instant::now() >= d);
                 if expired {
-                    write_root_checkpoint(
-                        rc,
-                        &spine,
-                        (&prefix, sleep_at_record, new_from),
-                        &out,
-                        true,
-                    );
+                    write_root_checkpoint(rc, &spine, (&prefix, sleep_at_record), &out, true);
                     shared.draining.store(true, Ordering::SeqCst);
                     out.drained = true;
                     return out;
                 }
                 if rc.policy.every_replays > 0 && rc.replays_since >= rc.policy.every_replays {
-                    write_root_checkpoint(
-                        rc,
-                        &spine,
-                        (&prefix, sleep_at_record, new_from),
-                        &out,
-                        false,
-                    );
+                    write_root_checkpoint(rc, &spine, (&prefix, sleep_at_record), &out, false);
                 }
                 rc.replays_since += 1;
             }
@@ -2255,11 +2267,11 @@ where
                 pending: obs.pending,
                 sleep_now: obs.sleep,
                 done: 0,
-                backtrack: vec![chosen],
+                backtrack: 1 << chosen,
                 chosen,
                 meta: StepMeta::unknown(access),
                 delegated: Vec::new(),
-                wakeups: VecDeque::new(),
+                demands: VecDeque::new(),
             });
         }
         // Refresh execution metadata from this run's record before
@@ -2296,8 +2308,8 @@ where
             &mut out.escapes,
         );
         // Backtrack: retire finished children bottom-up until a
-        // decision point with an unexplored backtrack candidate is
-        // found, then descend into it.
+        // decision point with an uncovered demand is found, then
+        // descend into it.
         loop {
             if spine.len() <= floor {
                 return out;
@@ -2308,80 +2320,32 @@ where
                 node.done |= 1 << node.chosen;
                 node.sleep_now |= 1 << node.chosen;
             }
-            // Join delegated siblings before scanning for further
-            // candidates: their escapes merge exactly where the
-            // sequential explorer would have applied them.
+            // Join delegated siblings before popping the next demand:
+            // their escapes merge exactly where the sequential explorer
+            // would have applied them.
             join_delegated(shared, me, help_depth, ctx, &mut spine, d, floor, &mut out);
-            // Optimal mode explores pending wakeup sequences first
-            // (FIFO — insertion order is what the bit-identity argument
-            // keys on); a sequence whose initial has been explored or
-            // put to sleep since insertion is covered and dropped. The
-            // wakeup-free scan below remains the fallback (and the only
-            // source of candidates outside optimal mode).
-            let mut descend: Option<(usize, WakeupSeq)> = None;
-            if shared.optimal {
-                while let Some(seq) = spine[d].wakeups.pop_front() {
-                    let q = seq[0].0;
-                    if spine[d].done & (1 << q) != 0
-                        || spine[d].sleep_now & (1 << q) != 0
-                        || !seq_wakes_all(shared.relation, &spine[d], spine[d].sleep_now, &seq)
-                    {
-                        continue;
-                    }
-                    descend = Some((q, seq));
-                    break;
-                }
-            }
-            if descend.is_none() {
-                let node = &spine[d];
-                descend = node
-                    .backtrack
-                    .iter()
-                    .copied()
-                    .find(|&q| {
-                        node.done & (1 << q) == 0
-                            && node.sleep_now & (1 << q) == 0
-                            // Optimal mode: a backtrack entry whose wakeup
-                            // sequence was dropped is only reachable here;
-                            // its single step wakes no more sleepers than
-                            // the dropped sequence did, so the same side
-                            // condition applies.
-                            && (!shared.optimal
-                                || seq_wakes_all(
-                                    shared.relation,
-                                    node,
-                                    node.sleep_now,
-                                    &[(q, node.pending_of(q))],
-                                ))
-                    })
-                    .map(|q| (q, vec![(q, node.pending_of(q))]));
-            }
-            if let Some((q, seq)) = descend {
-                let (access, sleep_child) = {
-                    let node = &spine[d];
-                    let access = node.pending_of(q);
-                    (
-                        access,
-                        filter_independent(
-                            shared.relation,
-                            node.sleep_now,
-                            access,
-                            &node.runnable,
-                            &node.pending,
-                        ),
-                    )
-                };
+            let node = &mut spine[d];
+            if let Some(seq) = shared.next_demand(node, node.done, node.sleep_now) {
+                let q = seq[0].0;
+                let access = node.pending_of(q);
+                let sleep_child = filter_independent(
+                    shared.relation,
+                    node.sleep_now,
+                    access,
+                    &node.runnable,
+                    &node.pending,
+                );
                 publish_extras(shared, me, &mut spine, d, q, &clocks);
                 let node = &mut spine[d];
                 node.chosen = q;
                 node.meta = StepMeta::unknown(access);
                 let mut prefix: Vec<usize> = spine.iter().map(|n| n.chosen).collect();
-                // The sequence's remaining steps ride as forced replay
+                // The demand's remaining steps ride as forced replay
                 // decisions past the spine tip; the driver records them
                 // (and threads the sleep set through them) because
                 // `record_from` stays at the tip.
                 prefix.extend(seq[1..].iter().map(|&(p, _)| p));
-                next = Some((prefix, sleep_child, d));
+                next = Some((prefix, sleep_child));
                 break;
             }
             let node = &spine[d];
@@ -2393,15 +2357,13 @@ where
     unreachable!("the DPOR task loop exits via its returns")
 }
 
-/// Publishes every further eligible backtrack candidate of `spine[d]`
-/// (beyond the owner's own continuation `q`) as a frozen subtree task,
-/// accumulating the sleep set in the same order the sequential
-/// candidate scan would have — delegated or not, each candidate is
-/// explored with identical inputs. In optimal mode the candidates are
-/// the node's pending wakeup sequences (in queue order — the same order
-/// the sequential selection pops them); each frozen task carries its
-/// sequence in the decision prefix beyond the ghost accesses, the same
-/// way it carries its sleep set.
+/// Publishes further uncovered demands of `spine[d]` (beyond the
+/// owner's own continuation `q`) as frozen subtree tasks, in queue
+/// order — the order the sequential selection pops them — accumulating
+/// the done and sleep masks the sequential pop would see at each turn,
+/// so delegated or not, each demand is explored with identical inputs.
+/// A frozen task carries its demand in the decision prefix beyond the
+/// ghost accesses, the same way it carries its sleep set.
 fn publish_extras<NF, F>(
     shared: &DporShared<'_, NF, F>,
     me: usize,
@@ -2411,7 +2373,7 @@ fn publish_extras<NF, F>(
     clocks: &[Vec<u32>],
 ) {
     if shared.deques.len() <= 1 {
-        return; // sequential exploration: candidates stay on the spine
+        return; // sequential exploration: demands stay on the spine
     }
     // Starvation-driven splitting: publish only while the backlog is
     // short of one task per worker. Most backtrack visits are
@@ -2421,12 +2383,10 @@ fn publish_extras<NF, F>(
     let backlog_cap = shared.deques.len();
     let mut sleep_acc = spine[d].sleep_now | (1 << q);
     let mut done_acc = spine[d].done | (1 << q);
-    let mut published: Vec<(usize, Arc<TaskSlot>)> = Vec::new();
-    let publish_one = |spine: &mut [SpineNode],
-                       published: &mut Vec<(usize, Arc<TaskSlot>)>,
-                       sleep_acc: &mut u64,
-                       done_acc: &mut u64,
-                       seq: WakeupSeq| {
+    while shared.queued.load(Ordering::Relaxed) < backlog_cap {
+        let Some(seq) = shared.next_demand(&mut spine[d], done_acc, sleep_acc) else {
+            break;
+        };
         if let Some(plan) = shared.fault {
             plan.fire(FaultPoint::TaskFreeze);
         }
@@ -2434,7 +2394,7 @@ fn publish_extras<NF, F>(
         let access_e = spine[d].pending_of(e);
         let sleep_e = filter_independent(
             shared.relation,
-            *sleep_acc,
+            sleep_acc,
             access_e,
             &spine[d].runnable,
             &spine[d].pending,
@@ -2442,69 +2402,29 @@ fn publish_extras<NF, F>(
         let mut prefix: Vec<usize> = spine[..d].iter().map(|n| n.chosen).collect();
         prefix.extend(seq.iter().map(|&(p, _)| p));
         let mut accesses: Vec<StepMeta> = spine[..d].iter().map(|n| n.meta).collect();
-        // The candidate's own step has not executed in this ordering
+        // The demand's first step has not executed in this ordering
         // yet; the task's first replay fills its execution metadata in.
-        // A sequence's further forced steps stay prefix-only (beyond
-        // the ghost spine) and are observed on the first replay.
+        // Further forced steps stay prefix-only (beyond the ghost
+        // spine) and are observed on the first replay.
         accesses.push(StepMeta::unknown(access_e));
         debug_assert!(clocks.len() >= d, "prefix clocks cached up to the tip");
-        let task = SubtreeTask {
+        let slot = Arc::new(TaskSlot::new(SubtreeTask {
             floor: accesses.len(),
             prefix,
             accesses,
             clocks: clocks[..d].to_vec(),
             sleep: sleep_e,
-        };
-        let slot = Arc::new(TaskSlot::new(task));
+        }));
         shared.deques[me]
             .lock()
             .unwrap()
             .push_back(Arc::clone(&slot));
         shared.queued.fetch_add(1, Ordering::Relaxed);
-        published.push((e, slot));
+        spine[d].delegated.push(slot);
         spine[d].done |= 1 << e;
-        *done_acc |= 1 << e;
-        *sleep_acc |= 1 << e;
-    };
-    if shared.optimal {
-        while shared.queued.load(Ordering::Relaxed) < backlog_cap {
-            let Some(seq) = spine[d].wakeups.pop_front() else {
-                break;
-            };
-            let e = seq[0].0;
-            if done_acc & (1 << e) != 0
-                || sleep_acc & (1 << e) != 0
-                || !seq_wakes_all(shared.relation, &spine[d], sleep_acc, &seq)
-            {
-                // Covered — dropped exactly as the sequential selection
-                // would drop it (the accumulators mirror the sleep set
-                // the sequential pop would see at its turn).
-                continue;
-            }
-            publish_one(spine, &mut published, &mut sleep_acc, &mut done_acc, seq);
-        }
-    } else {
-        for i in 0..spine[d].backtrack.len() {
-            if shared.queued.load(Ordering::Relaxed) >= backlog_cap {
-                break;
-            }
-            let e = spine[d].backtrack[i];
-            if done_acc & (1 << e) != 0 || sleep_acc & (1 << e) != 0 {
-                // Explored, delegated, or permanently sleep-blocked (sleep
-                // sets only grow, so a blocked candidate stays blocked).
-                continue;
-            }
-            let access = spine[d].pending_of(e);
-            publish_one(
-                spine,
-                &mut published,
-                &mut sleep_acc,
-                &mut done_acc,
-                vec![(e, access)],
-            );
-        }
+        done_acc |= 1 << e;
+        sleep_acc |= 1 << e;
     }
-    spine[d].delegated.extend(published);
 }
 
 /// Joins every delegated sibling of `spine[d]` in publish order,
@@ -2529,7 +2449,7 @@ fn join_delegated<C, NF, F>(
         return;
     }
     let delegated = std::mem::take(&mut spine[d].delegated);
-    for (proc, slot) in delegated {
+    for slot in delegated {
         if let Some(plan) = shared.fault {
             plan.fire(FaultPoint::JoinMerge);
         }
@@ -2540,14 +2460,15 @@ fn join_delegated<C, NF, F>(
         out.poisoned.extend(res.poisoned);
         for esc in res.escapes {
             if esc.depth >= floor {
-                apply_escape(&mut spine[esc.depth], esc);
+                apply_escape(&mut spine[esc.depth], esc, shared.optimal);
             } else {
                 out.escapes.push(esc);
             }
         }
         let node = &mut spine[d];
-        node.done |= 1 << proc;
-        node.sleep_now |= 1 << proc;
+        let joined = 1 << slot.spec.reversal();
+        node.done |= joined;
+        node.sleep_now |= joined;
     }
 }
 
@@ -2575,30 +2496,22 @@ fn drain_delegated<C, NF, F>(
     }
 }
 
-/// Applies one escaped backtrack demand to its decision node, identical
-/// to the in-task application in [`add_race_reversals`]. Wakeup-free
-/// modes use the source-set rule (add the first process unless a weak
-/// initial is already planned). [`PruneMode::OptimalDpor`] demands
-/// carry the full reversing continuation and additionally skip the
-/// insertion when a weak initial is *sleeping* at the node — the
+/// Applies one backtrack demand to its decision node — a race detected
+/// in this task or an escape merged at a join, alike. The source-set
+/// rule skips it when a weak initial is already in the node's source
+/// set (that child covers the reversal); [`PruneMode::OptimalDpor`]
+/// also skips it when a weak initial is *sleeping* there — the
 /// reversal's trace was explored in the subtree that put that process
-/// to sleep — so no enqueued sequence ever initiates a sleep-set-blocked
-/// run.
-fn apply_escape(node: &mut SpineNode, esc: Escape) {
-    if esc.initials.iter().any(|p| node.backtrack.contains(p)) {
+/// to sleep — so no enqueued demand ever initiates a sleep-set-blocked
+/// run. Otherwise the demand joins the node's queue.
+fn apply_escape(node: &mut SpineNode, esc: Escape, optimal: bool) {
+    let initials = esc.initials.iter().fold(0u64, |m, &p| m | 1 << p);
+    debug_assert!(initials & (1 << esc.seq[0].0) != 0);
+    if node.backtrack & initials != 0 || (optimal && node.sleep_now & initials != 0) {
         return;
     }
-    debug_assert!(esc.initials.contains(&esc.first_proc));
-    if let Some(seq) = esc.seq {
-        if esc.initials.iter().any(|&p| node.sleep_now & (1 << p) != 0) {
-            return;
-        }
-        debug_assert_eq!(seq[0].0, esc.first_proc);
-        node.backtrack.push(esc.first_proc);
-        node.wakeups.push_back(seq);
-    } else {
-        node.backtrack.push(esc.first_proc);
-    }
+    node.backtrack |= 1 << esc.seq[0].0;
+    node.demands.push_back(esc.seq);
 }
 
 /// Detects races in the executed word `spine` and extends the
@@ -2608,10 +2521,9 @@ fn apply_escape(node: &mut SpineNode, esc: Escape) {
 /// relation `!relation.independent` (program order + conflicting
 /// steps). A pair `(j, k)` races when the steps are dependent, by
 /// different processes, and `j` does not happen-before `k` through any
-/// intermediate step — i.e. the two could have been adjacent. For each
-/// race, the wakeup-free source-set rule applies: if no *weak initial*
-/// of the reversing continuation is already in `backtrack(j)`, the
-/// process of the first reversing step is added.
+/// intermediate step — i.e. the two could have been adjacent. Each race
+/// raises one demand at `j` ([`apply_escape`]): the reversing
+/// continuation with `optimal` set, its first step otherwise.
 ///
 /// Demands at depths below `apply_floor` cannot be applied here (those
 /// nodes are ghosts owned by a parent task): they are recorded in
@@ -2619,8 +2531,7 @@ fn apply_escape(node: &mut SpineNode, esc: Escape) {
 /// user-supplied stem, which is never backtracked into at all).
 ///
 /// The one relation serves both the vector clocks and the race test
-/// (they must agree). With `optimal` set, each race also carries its
-/// reversing continuation as a wakeup sequence.
+/// (they must agree).
 ///
 /// When the relation carries a certificate, every dependent concurrent
 /// data/data pair is additionally **validated** against the certificate's
@@ -2677,10 +2588,7 @@ fn add_race_reversals(
             }
         }
     }
-    // (decision index j, process to add if no initial is present yet,
-    //  weak initials of the reversing continuation, the continuation
-    //  itself as a wakeup sequence in optimal mode)
-    let mut additions: Vec<(usize, usize, Vec<usize>, Option<WakeupSeq>)> = Vec::new();
+    let mut additions: Vec<Escape> = Vec::new();
     for k in start..len {
         let (p, a) = (spine[k].chosen, spine[k].meta);
         let mut base = proc_clock[p].clone();
@@ -2730,36 +2638,25 @@ fn add_race_reversals(
                     initials.push(pm);
                 }
             }
-            // In optimal mode the whole continuation is the demand: its
-            // steps' processes, in word order, form the wakeup
-            // sequence (every step of `v` is a step some explored word
-            // actually executed from this node on).
-            let seq = optimal.then(|| {
-                v.iter()
+            // In optimal mode the whole continuation is the demand (every
+            // step of `v` is a step some explored word actually executed
+            // from this node on); otherwise its first step is.
+            let steps = if optimal { &v[..] } else { &v[..1] };
+            additions.push(Escape {
+                depth: j,
+                initials,
+                seq: steps
+                    .iter()
                     .map(|&m| (spine[m].chosen, spine[m].meta.access))
-                    .collect::<WakeupSeq>()
+                    .collect(),
             });
-            additions.push((j, spine[v[0]].chosen, initials, seq));
         }
     }
-    for (j, first_proc, initials, seq) in additions {
-        if j >= apply_floor {
-            apply_escape(
-                &mut spine[j],
-                Escape {
-                    depth: j,
-                    first_proc,
-                    initials,
-                    seq,
-                },
-            );
+    for esc in additions {
+        if esc.depth >= apply_floor {
+            apply_escape(&mut spine[esc.depth], esc, optimal);
         } else {
-            escapes.push(Escape {
-                depth: j,
-                first_proc,
-                initials,
-                seq,
-            });
+            escapes.push(esc);
         }
     }
 }

@@ -47,15 +47,17 @@
 //!   commute when no event marker rode on either step), the observer
 //!   rule (same-register writes commute when neither value is read
 //!   before being overwritten) and, with an `sl-analyze` certificate,
-//!   the placement and op-pair relaxations — and backtracks by
-//!   **wakeup sequences** (whole reversing continuations, initiated
-//!   only when they conflict with every sleeping process, so no
-//!   sleep-set-blocked replay is ever started). The reductions can
-//!   hide a violation when a response marker rides on a data step;
-//!   the `explore` module docs state the gap and its counterexample.
-//!   The engine **parallelises by per-subtree ownership**
-//!   (`Explorer::workers`, or [`env_workers`]): sibling backtrack
-//!   candidates are delegated as frozen subtree tasks onto a
+//!   the placement and op-pair relaxations. Every setting backtracks
+//!   through one FIFO of demands per decision node: a detected race
+//!   enqueues its reversing continuation, whole under `OptimalDpor` (a
+//!   **wakeup sequence**, initiated only when it conflicts with every
+//!   sleeping process, so no sleep-set-blocked replay is ever started)
+//!   and its first step alone otherwise (a source-set insertion). The
+//!   reductions can hide a violation when a response marker rides on
+//!   a data step; the `explore` module docs state the gap and its
+//!   counterexample. The engine **parallelises by per-subtree
+//!   ownership** (`Explorer::workers`, or [`env_workers`]): sibling
+//!   demands are delegated as frozen subtree tasks onto a
 //!   work-stealing deque, escaping race demands merge at the joins,
 //!   and the result — schedule set, counts, merged transcript DAG — is
 //!   bit-identical to sequential exploration at any worker count. A
@@ -146,7 +148,7 @@ mod world;
 
 pub use checkpoint::{
     write_poison_report, Checkpoint, CheckpointPolicy, CheckpointStore, CkptNext, CkptNode,
-    CkptTask, CkptWriter, Counters, FaultCrash, FaultPlan, FaultPoint, FrozenTask, PoisonReport,
+    CkptWriter, Counters, FaultCrash, FaultPlan, FaultPoint, FrozenTask, PoisonReport,
     ResumeExpectation, ResumeSession,
 };
 pub use explore::{

@@ -273,11 +273,6 @@ impl StaticConflicts {
         probed.then_some(conflict)
     }
 
-    /// Number of op-pair cells installed (0 for version-1 shapes).
-    pub fn pair_count(&self) -> usize {
-        self.pairs.len()
-    }
-
     /// Turns on dynamic race recording (see `record_races`).
     pub fn enable_race_recording(&self) {
         self.record_races.store(true, Ordering::Relaxed);

@@ -266,14 +266,6 @@ pub struct SchedView<'a> {
 }
 
 impl<'a> SchedView<'a> {
-    /// The most recent register step, if any.
-    pub fn last_step(&self) -> Option<&StepRecord> {
-        self.trace.iter().rev().find_map(|t| match t {
-            TraceItem::Step(s) => Some(s),
-            TraceItem::Hi(_) | TraceItem::HiInvoke(..) => None,
-        })
-    }
-
     /// Total number of register steps taken so far.
     pub fn total_steps(&self) -> u64 {
         self.steps_per_proc.iter().sum()
@@ -450,8 +442,6 @@ pub(crate) struct WorldState {
 
 /// Metadata recorded for every allocated register.
 pub(crate) struct RegMeta {
-    /// Globally interned identity (name + allocation site).
-    pub(crate) sym: RegSym,
     /// Restores the register's cell to its `alloc`-time initial value.
     pub(crate) reset: Box<dyn Fn() + Send + Sync>,
 }
@@ -605,16 +595,6 @@ impl SimWorld {
         self.inner.registry.lock().unwrap().len()
     }
 
-    /// The name a register was allocated under.
-    pub fn register_name(&self, id: RegId) -> Option<&'static str> {
-        self.inner
-            .registry
-            .lock()
-            .unwrap()
-            .get(id.0 as usize)
-            .map(|m| m.sym.name())
-    }
-
     /// Records a register allocation; called by [`SimMem`]. `reset`
     /// restores the register's cell to its initial value on
     /// [`SimWorld::reset`]. The returned [`RegSym`] is the register's
@@ -630,7 +610,7 @@ impl SimWorld {
         let sym = RegSym::intern(name, site.file(), site.line(), site.column());
         let mut registry = self.inner.registry.lock().unwrap();
         let id = RegId(u32::try_from(registry.len()).expect("too many registers"));
-        registry.push(RegMeta { sym, reset });
+        registry.push(RegMeta { reset });
         (id, sym)
     }
 

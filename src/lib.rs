@@ -138,7 +138,7 @@
 //! ## Parallel exploration
 //!
 //! The explorer runs **partitioned across worker threads**: when
-//! a decision node holds several unexplored backtrack candidates, the
+//! a decision node holds several pending backtrack demands, the
 //! owning worker keeps one and publishes the rest as frozen subtree
 //! tasks onto a work-stealing deque; race reversals that point above a
 //! delegated subtree's root are carried back and merged at the join, in
@@ -179,8 +179,10 @@
 //!
 //! The explorer has one engine — source-set DPOR with sleep sets,
 //! partitioned into subtree tasks that are checkpointed, quarantined
-//! and dispatched alike — and one independence relation.
-//! `sim::PruneMode` selects its setting:
+//! and dispatched alike — one independence relation, and one demand
+//! queue per decision node: a detected race enqueues its reversing
+//! continuation there, and backtracking pops it. `sim::PruneMode`
+//! selects the relation's setting and the demand's length:
 //!
 //! - `Unpruned` treats every pair of steps as dependent, so every
 //!   schedule is its own class: the **oracle**, exploring the whole
@@ -194,11 +196,12 @@
 //!   on either step), the **observer** layer (two same-register writes
 //!   commute when neither value is read before being overwritten) and,
 //!   with an `sl-analyze` certificate installed, the **certificate**
-//!   layer described below. It backtracks by **wakeup sequences**:
-//!   race reversals enqueue the entire reversing continuation,
-//!   replayed in full before free extension and only when it conflicts
-//!   with every sleeping process — so no sleep-set-blocked run is ever
-//!   initiated (`cut_runs == 0`, gated).
+//!   layer described below. Its demands are **wakeup sequences**: a
+//!   race enqueues the entire reversing continuation, replayed in full
+//!   before free extension and only when it conflicts with every
+//!   sleeping process — so no sleep-set-blocked run is ever initiated
+//!   (`cut_runs == 0`, gated). Under the other two settings a demand is
+//!   the continuation's first step alone, a source-set insertion.
 //!
 //! On the pinned 3-process mixed-role workloads, source DPOR replays
 //! 2,746 and 204,257 schedules and optimal DPOR with the certificate
