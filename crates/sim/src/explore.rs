@@ -363,6 +363,34 @@
 //! differentials) and the parallel-vs-sequential suites cross-check all
 //! of this on small configurations — on correct objects, which is why
 //! they could not see the gap above.
+//!
+//! # What race detection costs
+//!
+//! Each replay places its new steps one at a time, and placing step
+//! `k` of process `p` walks back over the earlier steps while it builds
+//! `k`'s vector clock (Mattern's clocks over the dependence relation).
+//! A clock's own component is its process's step count — debug-asserted
+//! as the walk passes each step — so an earlier step `j` of process `q`
+//! is already ordered before `k` exactly when the clock being built
+//! counts it: `clock(j)[q] <= base[q]`, one compare, with no evaluation
+//! of the relation. Only steps the clock leaves unordered consult the
+//! relation and its value, observer and certificate layers, so a
+//! certificate's `relaxed` counter counts evaluations in this walk, not
+//! pairs of the word. The walk also stops as soon as the clock covers
+//! every step still ahead of it: per process, the steps at or below the
+//! walk's position are read off the process clocks and counted down as
+//! the walk passes them, and once the clock covers them all, no
+//! remaining step can race with `k` or grow its clock. A race whose node
+//! already covers its demand (a weak initial in the node's source set,
+//! or sleeping there under `OptimalDpor`; both masks only grow during
+//! the pass) is dropped before its demand is built, and the continuation
+//! and weak-initial filters use the same one-component test. The clocks
+//! live in one row-major table per task, truncated at the first changed
+//! step and refilled, and the pass's buffers are reused across replays.
+//! The pass enqueues the same demands and escapes, in the same order,
+//! and validates the same races as a walk over every earlier step; a
+//! seeded randomized test checks it against happens-before, races,
+//! continuations and weak initials computed from their definitions.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
@@ -544,8 +572,10 @@ impl<'a> Relation<'a> {
     /// steps, [`StepMeta::unknown`]). Given unknown metadata every
     /// refined layer declines, so declared steps are judged by the
     /// syntactic base. The syntactic test runs first in every refining
-    /// setting: race detection calls this for every pair of steps, and
-    /// most pairs are settled by it.
+    /// setting, and most pairs are settled by it: race detection calls
+    /// this only for the earlier steps its vector clocks leave unordered
+    /// before the step being placed (see "What race detection costs" in
+    /// the module docs).
     fn independent(self, a: &StepMeta, b: &StepMeta) -> bool {
         match self {
             Relation::AllDependent => false,
@@ -1169,6 +1199,20 @@ impl SpineNode {
             .expect("a demanded process must be enabled");
         self.pending[i]
     }
+
+    /// Whether a demand whose weak initials are the mask `initials` is
+    /// covered here (see [`apply_escape`]). `backtrack` and `sleep_now`
+    /// only grow while a task runs, so a covered demand stays covered.
+    fn covers(&self, initials: u64, optimal: bool) -> bool {
+        self.backtrack & initials != 0 || (optimal && self.sleep_now & initials != 0)
+    }
+
+    /// Queues an uncovered demand and adds its first process to the
+    /// source set.
+    fn enqueue(&mut self, seq: Demand) {
+        self.backtrack |= 1 << seq[0].0;
+        self.demands.push_back(seq);
+    }
 }
 
 /// One step of the executed word as race detection sees it: the
@@ -1226,10 +1270,64 @@ fn refresh_observer_flags(spine: &mut [SpineNode]) -> usize {
     changed
 }
 
-/// `a ≤ b` pointwise: the step with clock `a` happens-before the step
-/// with clock `b`.
-fn clock_leq(a: &[u32], b: &[u32]) -> bool {
-    a.iter().zip(b).all(|(x, y)| x <= y)
+/// Vector clocks of the executed word's steps, one row of `width`
+/// components per step, row-major in one buffer that race detection
+/// truncates and refills across replays. Component `q` of step `i`'s
+/// row counts the steps of process `q` that happen-before step `i` or
+/// are step `i`; so the row's own component is its process's step
+/// count, and step `j` of process `q` happens-before step `i` exactly
+/// when `row(j)[q] <= row(i)[q]`.
+#[derive(Clone, Default)]
+struct ClockTable {
+    /// Components per row: the process universe the rows were built
+    /// for.
+    width: usize,
+    rows: Vec<u32>,
+}
+
+impl ClockTable {
+    /// Number of steps with a clock.
+    fn len(&self) -> usize {
+        self.rows.len().checked_div(self.width).unwrap_or(0)
+    }
+
+    fn row(&self, i: usize) -> &[u32] {
+        &self.rows[i * self.width..(i + 1) * self.width]
+    }
+
+    /// Keeps the clocks of the first `n` steps.
+    fn truncate(&mut self, n: usize) {
+        self.rows.truncate(n * self.width);
+    }
+
+    /// The clocks of the first `n` steps.
+    fn prefix(&self, n: usize) -> ClockTable {
+        ClockTable {
+            width: self.width,
+            rows: self.rows[..n * self.width].to_vec(),
+        }
+    }
+}
+
+/// Buffers one task's race-detection passes reuse from replay to
+/// replay; their contents never outlive a pass.
+#[derive(Default)]
+struct RaceBuffers {
+    /// Row `p`: the clock of process `p`'s last step so far.
+    proc_clocks: Vec<u32>,
+    /// Per process, its steps not yet passed by the backward scan.
+    ahead: Vec<u32>,
+    /// The clock being built for the step being placed.
+    base: Vec<u32>,
+    /// Earlier steps racing with the step being placed, nearest first.
+    races: Vec<usize>,
+    /// One race's reversing continuation, as word indices.
+    cont: Vec<usize>,
+    /// Per process, the own component of its first step in `cont`
+    /// (`u32::MAX` while it has none).
+    first: Vec<u32>,
+    /// One race's weak initials, in order of first appearance.
+    initials: Vec<usize>,
 }
 
 /// A frozen unexplored subtree of the source-DPOR schedule tree, in
@@ -1247,10 +1345,10 @@ struct SubtreeTask {
     /// race detection). Empty for the root task, whose stem accesses
     /// are observed on the first replay instead.
     accesses: Vec<StepMeta>,
-    /// Vector clocks of prefix steps `0..prefix.len()-1`, cloned from
-    /// the owner's cache (the last prefix step's clock is computed by
-    /// the task's own first race-detection pass).
-    clocks: Vec<Vec<u32>>,
+    /// Vector clocks of the ghost steps below the reversal, sliced from
+    /// the owner's table (the reversal's clock is computed by the
+    /// task's own first race-detection pass).
+    clocks: ClockTable,
     /// Sleep set at the subtree root.
     sleep: u64,
     /// Backtrack floor: decision indices below this belong to the
@@ -1288,7 +1386,7 @@ impl SubtreeTask {
                 .copied()
                 .map(StepMeta::unknown)
                 .collect(),
-            clocks: Vec::new(),
+            clocks: ClockTable::default(),
             sleep: task.sleep,
             floor: task.floor,
         }
@@ -2159,6 +2257,7 @@ where
         .map(|(&chosen, &meta)| SpineNode::ghost(chosen, meta))
         .collect();
     let mut clocks = task.clocks;
+    let mut buffers = RaceBuffers::default();
     // The zip above truncates at `accesses`: a multi-step demand's
     // prefix is longer, and its forced tail is observed on the first
     // replay.
@@ -2170,7 +2269,7 @@ where
     if let Some(rc) = root.as_deref_mut() {
         if let Some(ckpt) = rc.restore.take() {
             spine = restore_spine(shared, me, &ckpt);
-            clocks = Vec::new();
+            clocks = ClockTable::default();
             let mut prefix: Vec<usize> = spine.iter().map(|n| n.chosen).collect();
             prefix.extend(&ckpt.next.tail);
             next = Some((prefix, ckpt.next.sleep));
@@ -2300,6 +2399,7 @@ where
         add_race_reversals(
             &mut spine,
             &mut clocks,
+            &mut buffers,
             first_new,
             floor,
             shared.hard_stem,
@@ -2370,7 +2470,7 @@ fn publish_extras<NF, F>(
     spine: &mut [SpineNode],
     d: usize,
     q: usize,
-    clocks: &[Vec<u32>],
+    clocks: &ClockTable,
 ) {
     if shared.deques.len() <= 1 {
         return; // sequential exploration: demands stay on the spine
@@ -2412,7 +2512,7 @@ fn publish_extras<NF, F>(
             floor: accesses.len(),
             prefix,
             accesses,
-            clocks: clocks[..d].to_vec(),
+            clocks: clocks.prefix(d),
             sleep: sleep_e,
         }));
         shared.deques[me]
@@ -2507,11 +2607,9 @@ fn drain_delegated<C, NF, F>(
 fn apply_escape(node: &mut SpineNode, esc: Escape, optimal: bool) {
     let initials = esc.initials.iter().fold(0u64, |m, &p| m | 1 << p);
     debug_assert!(initials & (1 << esc.seq[0].0) != 0);
-    if node.backtrack & initials != 0 || (optimal && node.sleep_now & initials != 0) {
-        return;
+    if !node.covers(initials, optimal) {
+        node.enqueue(esc.seq);
     }
-    node.backtrack |= 1 << esc.seq[0].0;
-    node.demands.push_back(esc.seq);
 }
 
 /// Detects races in the executed word `spine` and extends the
@@ -2531,7 +2629,11 @@ fn apply_escape(node: &mut SpineNode, esc: Escape, optimal: bool) {
 /// user-supplied stem, which is never backtracked into at all).
 ///
 /// The one relation serves both the vector clocks and the race test
-/// (they must agree).
+/// (they must agree). Placing step `k`, the scan walks back from `k`
+/// and consults the relation only for steps its clock does not already
+/// order before `k` (one component compare each), and stops once the
+/// clock covers every step still ahead of the scan; see "What race
+/// detection costs" in the module docs.
 ///
 /// When the relation carries a certificate, every dependent concurrent
 /// data/data pair is additionally **validated** against the certificate's
@@ -2541,7 +2643,8 @@ fn apply_escape(node: &mut SpineNode, esc: Escape, optimal: bool) {
 #[allow(clippy::too_many_arguments)]
 fn add_race_reversals(
     spine: &mut [SpineNode],
-    clocks: &mut Vec<Vec<u32>>,
+    clocks: &mut ClockTable,
+    buffers: &mut RaceBuffers,
     first_new: usize,
     apply_floor: usize,
     hard_stem: usize,
@@ -2551,112 +2654,158 @@ fn add_race_reversals(
 ) {
     let len = spine.len();
     if len == 0 {
-        clocks.clear();
+        clocks.truncate(0);
         return;
     }
     // Ghost nodes have empty `runnable`; their `chosen` still bounds
     // the process universe.
-    let nprocs = spine
-        .iter()
-        .flat_map(|n| n.runnable.iter().copied())
-        .chain(spine.iter().map(|n| n.chosen))
-        .max()
-        .unwrap_or(0)
-        + 1;
+    let mut w = 0;
+    for node in spine.iter() {
+        w = node
+            .runnable
+            .iter()
+            .fold(w.max(node.chosen), |m, &p| m.max(p));
+    }
+    let w = w + 1;
     // Clocks of the replayed prefix are cached across runs (the prefix
     // steps are identical replay to replay); recompute only from the
-    // first decision that changed. The width check guards the first
-    // runs, before the process universe is fully observed.
-    let mut start = first_new.min(clocks.len());
-    if clocks[..start].iter().any(|c| c.len() != nprocs) {
-        start = 0;
-    }
+    // first decision that changed. A change of width (the first runs,
+    // before the process universe is fully observed) recomputes all.
+    let start = if clocks.width == w {
+        first_new.min(clocks.len())
+    } else {
+        clocks.width = w;
+        0
+    };
     clocks.truncate(start);
-    let mut proc_clock: Vec<Vec<u32>> = vec![vec![0u32; nprocs]; nprocs];
-    {
-        // Rebuild each process's last-step clock from the cached
-        // prefix: backward scan, one clone per process.
-        let mut filled = vec![false; nprocs];
-        for i in (0..start).rev() {
-            let p = spine[i].chosen;
-            if !filled[p] {
-                filled[p] = true;
-                proc_clock[p] = clocks[i].clone();
-                if filled.iter().all(|&f| f) {
-                    break;
-                }
+    let RaceBuffers {
+        proc_clocks,
+        ahead,
+        base,
+        races,
+        cont,
+        first,
+        initials,
+    } = buffers;
+    // Rebuild each process's last-step clock from the cached prefix:
+    // backward scan, one row copy per process. A filled row's own
+    // component is at least 1.
+    proc_clocks.clear();
+    proc_clocks.resize(w * w, 0);
+    let mut unfilled = w;
+    for i in (0..start).rev() {
+        let p = spine[i].chosen;
+        if proc_clocks[p * w + p] == 0 {
+            proc_clocks[p * w..(p + 1) * w].copy_from_slice(clocks.row(i));
+            unfilled -= 1;
+            if unfilled == 0 {
+                break;
             }
         }
     }
-    let mut additions: Vec<Escape> = Vec::new();
     for k in start..len {
         let (p, a) = (spine[k].chosen, spine[k].meta);
-        let mut base = proc_clock[p].clone();
-        let mut races: Vec<usize> = Vec::new();
-        for j in (0..k).rev() {
-            let (q, b) = (spine[j].chosen, spine[j].meta);
-            if relation.independent(&a, &b) {
-                continue;
-            }
-            if !clock_leq(&clocks[j], &base) {
-                // Not yet happens-before `k` through closer steps: this
-                // is an immediate race (when by another process).
-                if q != p {
+        base.clear();
+        base.extend_from_slice(&proc_clocks[p * w..(p + 1) * w]);
+        // `ahead[q]`: process `q`'s steps at or below the scan position.
+        // `open` counts the processes whose steps there `base` does not
+        // all cover yet; at zero every remaining step is ordered before
+        // `k`, so none can race and none can grow `base`.
+        ahead.clear();
+        ahead.extend((0..w).map(|q| proc_clocks[q * w + q]));
+        let mut open = (0..w).filter(|&q| base[q] < ahead[q]).count();
+        races.clear();
+        let mut j = k;
+        while open > 0 {
+            j -= 1;
+            let q = spine[j].chosen;
+            let cj = &clocks.rows[j * w..(j + 1) * w];
+            debug_assert_eq!(
+                cj[q], ahead[q],
+                "a clock's own component is its process's step count"
+            );
+            // `j` is ordered before `k` through closer steps exactly
+            // when `base` already counts it.
+            if cj[q] > base[q] {
+                let b = spine[j].meta;
+                if !relation.independent(&a, &b) {
+                    // An immediate race (`q != p`: `base` starts with
+                    // all of `p`'s earlier steps).
+                    debug_assert_ne!(q, p);
                     if let Some(st) = relation.statics() {
                         validate_race(st, &a, &b);
                     }
                     if k >= first_new && j >= hard_stem {
                         races.push(j);
                     }
+                    for r in 0..w {
+                        if cj[r] > base[r] {
+                            // `cj[r] <= ahead[r]`: `j` knows only steps
+                            // at or below it.
+                            if base[r] < ahead[r] && cj[r] == ahead[r] {
+                                open -= 1;
+                            }
+                            base[r] = cj[r];
+                        }
+                    }
                 }
-                for (x, y) in base.iter_mut().zip(&clocks[j]) {
-                    *x = (*x).max(*y);
-                }
+            }
+            ahead[q] -= 1;
+            if base[q] == ahead[q] {
+                open -= 1;
             }
         }
         base[p] += 1;
-        clocks.push(base);
-        proc_clock[p] = clocks[k].clone();
-        for &j in &races {
+        clocks.rows.extend_from_slice(base);
+        proc_clocks[p * w..(p + 1) * w].copy_from_slice(base);
+        for &j in races.iter() {
+            let qj = spine[j].chosen;
+            let own = clocks.rows[j * w + qj];
             // The reversing continuation: every step between `j` and
-            // `k` not happens-after `j`, then `k`'s process.
-            let v: Vec<usize> = (j + 1..k)
-                .filter(|&m| !clock_leq(&clocks[j], &clocks[m]))
-                .chain([k])
-                .collect();
-            // Weak initials: processes whose first step in `v` is not
-            // happens-after any earlier step of `v`.
-            let mut seen: Vec<usize> = Vec::new();
-            let mut initials: Vec<usize> = Vec::new();
-            for (mi, &m) in v.iter().enumerate() {
+            // `k` not happens-after `j`, then `k`.
+            cont.clear();
+            cont.extend((j + 1..k).filter(|&m| clocks.rows[m * w + qj] < own));
+            cont.push(k);
+            // Weak initials: processes whose first step in `cont` is
+            // not happens-after any earlier step of `cont` — it is
+            // after one of process `r`'s exactly when it is after
+            // `r`'s first one there.
+            first.clear();
+            first.resize(w, u32::MAX);
+            initials.clear();
+            let mut mask = 0u64;
+            for &m in cont.iter() {
                 let pm = spine[m].chosen;
-                if seen.contains(&pm) {
+                if first[pm] != u32::MAX {
                     continue;
                 }
-                seen.push(pm);
-                if v[..mi].iter().all(|&l| !clock_leq(&clocks[l], &clocks[m])) {
+                let cm = clocks.row(m);
+                if cm.iter().zip(first.iter()).all(|(x, f)| x < f) {
                     initials.push(pm);
+                    mask |= 1 << pm;
                 }
+                first[pm] = cm[pm];
+            }
+            if j >= apply_floor && spine[j].covers(mask, optimal) {
+                continue;
             }
             // In optimal mode the whole continuation is the demand (every
-            // step of `v` is a step some explored word actually executed
-            // from this node on); otherwise its first step is.
-            let steps = if optimal { &v[..] } else { &v[..1] };
-            additions.push(Escape {
-                depth: j,
-                initials,
-                seq: steps
-                    .iter()
-                    .map(|&m| (spine[m].chosen, spine[m].meta.access))
-                    .collect(),
-            });
-        }
-    }
-    for esc in additions {
-        if esc.depth >= apply_floor {
-            apply_escape(&mut spine[esc.depth], esc, optimal);
-        } else {
-            escapes.push(esc);
+            // step of `cont` is a step some explored word actually
+            // executed from this node on); otherwise its first step is.
+            let steps = if optimal { &cont[..] } else { &cont[..1] };
+            let seq: Demand = steps
+                .iter()
+                .map(|&m| (spine[m].chosen, spine[m].meta.access))
+                .collect();
+            if j >= apply_floor {
+                spine[j].enqueue(seq);
+            } else {
+                escapes.push(Escape {
+                    depth: j,
+                    initials: initials.clone(),
+                    seq,
+                });
+            }
         }
     }
 }
@@ -4079,5 +4228,454 @@ mod tests {
         );
         assert!(store.exists(), "rejection leaves the checkpoint untouched");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The registers, ops and values a random executed word draws from,
+    /// and two identically built certificates: one for the pass, one
+    /// for the reference, so each side's telemetry counts its own
+    /// evaluations.
+    struct WordAlphabet {
+        regs: Vec<RegSym>,
+        ops: Vec<OpSym>,
+        values: Vec<ValueId>,
+        certs: [StaticConflicts; 2],
+    }
+
+    impl WordAlphabet {
+        fn new() -> WordAlphabet {
+            let regs: Vec<RegSym> = (1..=3)
+                .map(|line| RegSym::intern("race_ref", "race_reference.rs", line, 1))
+                .collect();
+            let ops: Vec<OpSym> = ["race_ref.a", "race_ref.b", "race_ref.c"]
+                .into_iter()
+                .map(OpSym::intern)
+                .collect();
+            let values = (0u64..2).map(|v| ValueId::of(&v)).collect();
+            let cert = || {
+                // Every register racy (validation never aborts), the
+                // placement license on two of three, and two probed op
+                // pairs licensing the first register.
+                let mut st = StaticConflicts::new(regs[..2].to_vec(), regs.clone());
+                st.add_pair("race_ref.a", "race_ref.b", [regs[0]], [regs[0]]);
+                st.add_pair("race_ref.a", "race_ref.a", [regs[0], regs[1]], []);
+                st
+            };
+            WordAlphabet {
+                certs: [cert(), cert()],
+                regs,
+                ops,
+                values,
+            }
+        }
+
+        /// One random step of process `p` on the first `nregs`
+        /// registers: reads, writes, RMWs and pauses, with values,
+        /// event markers, op identities and observer flags, and now
+        /// and then the unknown metadata of an untraced run.
+        fn step(&self, rng: &mut sl_mem::SmallRng, nregs: usize) -> StepMeta {
+            let op = |rng: &mut sl_mem::SmallRng| match rng.gen_range(self.ops.len() + 1) {
+                0 => OpSym::NONE,
+                i => self.ops[i - 1],
+            };
+            let kind = [
+                AccessKind::Read,
+                AccessKind::Write,
+                AccessKind::Rmw,
+                AccessKind::Local,
+            ][rng.gen_range(4)];
+            if kind == AccessKind::Local {
+                let hi = rng.gen_bool(0.4);
+                return StepMeta {
+                    access: PendingAccess::LOCAL,
+                    exec: ExecMeta {
+                        value: ValueId::NONE,
+                        reg: RegSym::LOCAL,
+                        hi,
+                        resp: hi && rng.gen_bool(0.5),
+                        unobs_w: false,
+                        op: op(rng),
+                    },
+                };
+            }
+            let r = rng.gen_range(nregs);
+            let access = PendingAccess {
+                reg: crate::world::RegId(r as u32),
+                kind,
+            };
+            if rng.gen_bool(0.05) {
+                return StepMeta::unknown(access);
+            }
+            let hi = rng.gen_bool(0.25);
+            StepMeta {
+                access,
+                exec: ExecMeta {
+                    value: *rng.choose(&self.values),
+                    reg: self.regs[r],
+                    hi,
+                    resp: hi && rng.gen_bool(0.5),
+                    unobs_w: kind == AccessKind::Write && rng.gen_bool(0.5),
+                    op: op(rng),
+                },
+            }
+        }
+
+        /// The relation setting `setting` (0..4), with certificate
+        /// `side` for the refined setting that carries one.
+        fn relation(&self, setting: usize, side: usize) -> Relation<'_> {
+            match setting {
+                0 => Relation::AllDependent,
+                1 => Relation::Syntactic,
+                2 => Relation::Refined(None),
+                _ => Relation::Refined(Some(&self.certs[side])),
+            }
+        }
+
+        fn telemetry(&self, side: usize) -> (u64, u64) {
+            let t = self.certs[side].telemetry();
+            (t.validated, t.unattributed)
+        }
+    }
+
+    /// Spine nodes for `steps` from word index `from` on: ghosts below
+    /// `ghosts`, live nodes with a random runnable set (holding the
+    /// chosen process), a random source set and a random sleep set.
+    fn random_nodes(
+        rng: &mut sl_mem::SmallRng,
+        steps: &[(usize, StepMeta)],
+        from: usize,
+        ghosts: usize,
+        nprocs: usize,
+    ) -> Vec<SpineNode> {
+        let mut nodes = Vec::new();
+        for (i, &(p, meta)) in steps.iter().enumerate() {
+            if from + i < ghosts {
+                nodes.push(SpineNode::ghost(p, meta));
+                continue;
+            }
+            let mut node = SpineNode::ghost(p, meta);
+            node.runnable = (0..nprocs)
+                .filter(|&q| q == p || rng.gen_bool(0.6))
+                .collect();
+            node.pending = node.runnable.iter().map(|_| meta.access).collect();
+            let others = rng.next_u64() & ((1u64 << nprocs) - 1) & !(1 << p);
+            node.backtrack = 1 << p | (others & rng.next_u64());
+            node.sleep_now = others & rng.next_u64();
+            nodes.push(node);
+        }
+        nodes
+    }
+
+    /// A copy of the state race detection reads and writes.
+    fn copy_node(node: &SpineNode) -> SpineNode {
+        let mut copy = SpineNode::ghost(node.chosen, node.meta);
+        copy.runnable = node.runnable.clone();
+        copy.pending = node.pending.clone();
+        copy.sleep_now = node.sleep_now;
+        copy.done = node.done;
+        copy.backtrack = node.backtrack;
+        copy.demands = node.demands.clone();
+        copy
+    }
+
+    /// Race detection by its definition, over the whole word and
+    /// without clocks: happens-before is the transitive closure of
+    /// program order and `!relation.independent`; `(j, k)` races when
+    /// the steps are dependent, of different processes, and no step
+    /// between them is ordered after `j` and is a predecessor edge of
+    /// `k`. Races are validated for `k >= start` and raise demands for
+    /// `k >= first_new`, in the pass's order (`k` ascending, `j`
+    /// descending). Returns each step's clock: per process, the steps
+    /// ordered before it or equal to it.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_races(
+        spine: &mut [SpineNode],
+        start: usize,
+        first_new: usize,
+        apply_floor: usize,
+        hard_stem: usize,
+        relation: Relation<'_>,
+        optimal: bool,
+        escapes: &mut Vec<Escape>,
+        seen: &mut RaceCoverage,
+    ) -> Vec<Vec<u32>> {
+        let n = spine.len();
+        let procs: Vec<usize> = spine.iter().map(|node| node.chosen).collect();
+        let metas: Vec<StepMeta> = spine.iter().map(|node| node.meta).collect();
+        let proc_of = |i: usize| procs[i];
+        let dep = |i: usize, m: usize| {
+            proc_of(i) != proc_of(m) && !relation.independent(&metas[m], &metas[i])
+        };
+        // edge[i][m] (i < m): program order or dependence.
+        let edge: Vec<Vec<bool>> = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|m| i < m && (proc_of(i) == proc_of(m) || dep(i, m)))
+                    .collect()
+            })
+            .collect();
+        let mut hb = vec![vec![false; n]; n];
+        for m in 0..n {
+            for i in 0..m {
+                hb[i][m] = edge[i][m] || (i + 1..m).any(|l| hb[i][l] && edge[l][m]);
+            }
+        }
+        let width = spine
+            .iter()
+            .flat_map(|node| node.runnable.iter().copied().chain([node.chosen]))
+            .max()
+            .unwrap_or(0)
+            + 1;
+        let clocks = (0..n)
+            .map(|m| {
+                (0..width)
+                    .map(|q| {
+                        (0..=m)
+                            .filter(|&i| proc_of(i) == q && (i == m || hb[i][m]))
+                            .count() as u32
+                    })
+                    .collect()
+            })
+            .collect();
+        for k in 0..n {
+            for j in (0..k).rev() {
+                let immediate = !(j + 1..k).any(|m| hb[j][m] && edge[m][k]);
+                if !dep(j, k) || !immediate {
+                    continue;
+                }
+                if k >= start {
+                    if let Some(st) = relation.statics() {
+                        validate_race(st, &metas[k], &metas[j]);
+                    }
+                }
+                if k < first_new || j < hard_stem {
+                    continue;
+                }
+                let cont: Vec<usize> = (j + 1..k).filter(|&m| !hb[j][m]).chain([k]).collect();
+                let mut initials = Vec::new();
+                for (mi, &m) in cont.iter().enumerate() {
+                    let pm = proc_of(m);
+                    let first = cont[..mi].iter().all(|&l| proc_of(l) != pm);
+                    if first && cont[..mi].iter().all(|&l| !hb[l][m]) {
+                        initials.push(pm);
+                    }
+                }
+                let steps = if optimal { &cont[..] } else { &cont[..1] };
+                let seq: Demand = steps
+                    .iter()
+                    .map(|&m| (proc_of(m), metas[m].access))
+                    .collect();
+                if j < apply_floor {
+                    escapes.push(Escape {
+                        depth: j,
+                        initials,
+                        seq,
+                    });
+                    seen.escapes += 1;
+                    continue;
+                }
+                let mask = initials.iter().fold(0u64, |acc, &p| acc | 1 << p);
+                let node = &mut spine[j];
+                let covered = node.backtrack & mask != 0 || (optimal && node.sleep_now & mask != 0);
+                if covered {
+                    seen.dropped += 1;
+                } else {
+                    node.backtrack |= 1 << seq[0].0;
+                    node.demands.push_back(seq);
+                    seen.demands += 1;
+                }
+            }
+        }
+        clocks
+    }
+
+    /// What the random words exercised, so the test can show that each
+    /// path of the pass was taken.
+    #[derive(Debug, Default)]
+    struct RaceCoverage {
+        demands: u64,
+        dropped: u64,
+        escapes: u64,
+        /// Second passes whose cached clocks a width change discarded.
+        restarts: u64,
+    }
+
+    /// Runs the pass and the reference on copies of one spine and
+    /// asserts identical clocks, escapes, per-node demands and source
+    /// sets, and validation telemetry.
+    #[allow(clippy::too_many_arguments)]
+    fn check_pass(
+        seen: &mut RaceCoverage,
+        alphabet: &WordAlphabet,
+        setting: usize,
+        optimal: bool,
+        spine: &mut [SpineNode],
+        clocks: &mut ClockTable,
+        first_new: usize,
+        apply_floor: usize,
+        hard_stem: usize,
+        what: &str,
+    ) {
+        let mut reference: Vec<SpineNode> = spine.iter().map(copy_node).collect();
+        let width = reference
+            .iter()
+            .flat_map(|node| node.runnable.iter().copied().chain([node.chosen]))
+            .max()
+            .unwrap()
+            + 1;
+        let start = if clocks.width == width {
+            first_new.min(clocks.len())
+        } else {
+            seen.restarts += u64::from(clocks.len() > 0);
+            0
+        };
+        let mut want_escapes = Vec::new();
+        let want_clocks = reference_races(
+            &mut reference,
+            start,
+            first_new,
+            apply_floor,
+            hard_stem,
+            alphabet.relation(setting, 1),
+            optimal,
+            &mut want_escapes,
+            seen,
+        );
+        let mut escapes = Vec::new();
+        add_race_reversals(
+            spine,
+            clocks,
+            &mut RaceBuffers::default(),
+            first_new,
+            apply_floor,
+            hard_stem,
+            alphabet.relation(setting, 0),
+            optimal,
+            &mut escapes,
+        );
+        let got_clocks: Vec<Vec<u32>> = (0..clocks.len()).map(|i| clocks.row(i).to_vec()).collect();
+        assert_eq!(got_clocks, want_clocks, "{what}: clocks");
+        assert_eq!(escapes, want_escapes, "{what}: escapes");
+        for (i, (got, want)) in spine.iter().zip(&reference).enumerate() {
+            assert_eq!(got.demands, want.demands, "{what}: demands at {i}");
+            assert_eq!(got.backtrack, want.backtrack, "{what}: source set at {i}");
+        }
+        assert_eq!(
+            alphabet.telemetry(0),
+            alphabet.telemetry(1),
+            "{what}: validated / unattributed"
+        );
+    }
+
+    /// Seeded random executed words through the pass and the reference,
+    /// every relation setting with `optimal` on and off: a first pass
+    /// over a word with empty clocks, then a second over a word sharing
+    /// a prefix with it, reusing the first pass's clock table (possibly
+    /// cut short) from `first_new` on, then a delegated task's first
+    /// pass: a prefix of the second word as ghosts, the owner's clocks
+    /// for them, and a fresh tail whose first step is the reversal.
+    fn race_detection_matches_its_definition(seeds: std::ops::Range<u64>, max_len: usize) {
+        let alphabet = WordAlphabet::new();
+        let mut seen = RaceCoverage::default();
+        for seed in seeds {
+            let mut rng = sl_mem::SmallRng::new(seed);
+            let nprocs = 2 + rng.gen_range(3);
+            let nregs = 1 + rng.gen_range(3);
+            let word = |rng: &mut sl_mem::SmallRng, len: usize| -> Vec<(usize, StepMeta)> {
+                (0..len)
+                    .map(|_| {
+                        let p = rng.gen_range(nprocs);
+                        (p, alphabet.step(rng, nregs))
+                    })
+                    .collect()
+            };
+            let len1 = 1 + rng.gen_range(max_len);
+            let first_word = word(&mut rng, len1);
+            let ghosts = rng.gen_range(len1.min(6) + 1);
+            let hard_stem = rng.gen_range(len1.min(4) + 1);
+            let common = ghosts + rng.gen_range(len1 - ghosts + 1);
+            let tail_len = 1 + rng.gen_range(max_len / 2 + 1);
+            let tail = word(&mut rng, tail_len);
+            let first_new1 = rng.gen_range(len1 + 1);
+            let cached = rng.gen_range(len1 + 1);
+            let first_new2 = rng.gen_range(common + 1);
+            let nodes1 = random_nodes(&mut rng, &first_word, 0, ghosts, nprocs);
+            let nodes_tail = random_nodes(&mut rng, &tail, common, ghosts, nprocs);
+            let delegated = rng.gen_range(common + tail_len + 1);
+            let task_len = 1 + rng.gen_range(max_len / 2 + 1);
+            let task_tail = word(&mut rng, task_len);
+            let task_nodes = random_nodes(&mut rng, &task_tail, delegated, delegated + 1, nprocs);
+            for setting in 0..4 {
+                for optimal in [false, true] {
+                    let what = format!("seed {seed}, setting {setting}, optimal {optimal}");
+                    let mut spine: Vec<SpineNode> = nodes1.iter().map(copy_node).collect();
+                    let mut clocks = ClockTable::default();
+                    check_pass(
+                        &mut seen,
+                        &alphabet,
+                        setting,
+                        optimal,
+                        &mut spine,
+                        &mut clocks,
+                        first_new1,
+                        ghosts,
+                        hard_stem,
+                        &format!("{what}, first pass"),
+                    );
+                    spine.truncate(common);
+                    spine.extend(nodes_tail.iter().map(copy_node));
+                    clocks.truncate(cached.min(common));
+                    check_pass(
+                        &mut seen,
+                        &alphabet,
+                        setting,
+                        optimal,
+                        &mut spine,
+                        &mut clocks,
+                        first_new2,
+                        ghosts,
+                        hard_stem,
+                        &format!("{what}, second pass"),
+                    );
+                    let mut task_clocks = clocks.prefix(delegated);
+                    let mut task: Vec<SpineNode> = spine[..delegated]
+                        .iter()
+                        .map(|node| SpineNode::ghost(node.chosen, node.meta))
+                        .chain(task_nodes.iter().map(copy_node))
+                        .collect();
+                    check_pass(
+                        &mut seen,
+                        &alphabet,
+                        setting,
+                        optimal,
+                        &mut task,
+                        &mut task_clocks,
+                        delegated,
+                        delegated + 1,
+                        hard_stem,
+                        &format!("{what}, delegated pass"),
+                    );
+                }
+            }
+        }
+        let t = alphabet.certs[0].telemetry();
+        assert!(
+            seen.demands > 0 && seen.dropped > 0 && seen.escapes > 0 && seen.restarts > 0,
+            "{seen:?}"
+        );
+        assert!(
+            t.relaxed > 0 && t.validated > 0 && t.unattributed > 0,
+            "{t:?}"
+        );
+    }
+
+    #[test]
+    fn race_detection_matches_its_definition_on_random_words() {
+        race_detection_matches_its_definition(0..300, 16);
+    }
+
+    #[test]
+    #[ignore = "deep: thousands of longer random words"]
+    fn race_detection_matches_its_definition_on_long_random_words() {
+        race_detection_matches_its_definition(300..5_300, 48);
     }
 }

@@ -60,7 +60,13 @@ use sl_check::{OpSym, RegSym};
 /// across worker counts — the exploration results are.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StaticTelemetry {
-    /// Step pairs commuted by the placement relaxation.
+    /// Relation evaluations a certificate relaxation answered
+    /// "independent" (the placement relaxation, pause/pause pairs of
+    /// probed ops, and one-marked value pairs). Race detection evaluates
+    /// the relation only for step pairs its vector clocks leave
+    /// unordered, so this counts evaluations, not distinct pairs of the
+    /// word: a pass that evaluates fewer pairs reads lower without
+    /// relaxing less.
     pub relaxed: u64,
     /// Dynamic races checked against the matrix and found predicted.
     pub validated: u64,
