@@ -66,40 +66,20 @@
 //! (`sl-bench`'s `workloads` module is the exemplar), or schedules
 //! would silently diverge.
 //!
-//! Failure handling is lease-based:
-//!
-//! ```text
-//!           checkout/spawn        task frame
-//!   [idle worker] ───────▶ [leased] ──────▶ waiting
-//!        ▲                                   │ heartbeat: renew lease
-//!        │ result frame (shard + telemetry)  │ result: settle lease
-//!        └───────────────────────────────────┤
-//!                                            │ missed deadline / EOF /
-//!                                            │ torn or checksum-failed
-//!                                            │ frame / nonzero exit
-//!                                            ▼
-//!                             revoke: SIGKILL + respawn
-//!                                            │
-//!                              capped exponential backoff
-//!                                            │
-//!                    retries left? ──yes──▶ re-lease to a fresh worker
-//!                          │no
-//!                          ▼
-//!            quarantine: PoisonReport, partial outcome
-//!                       (never a false PASS)
-//! ```
-//!
-//! A revoked lease requeues the *same frozen task* under capped
-//! exponential backoff; a task that exhausts its retry budget is
-//! quarantined through the engine's `PoisonReport` path, so the
-//! outcome is reported **partial** — a fleet failure can cost
-//! coverage, never a verdict. When no worker can be spawned at all
-//! (missing binary, exec failure), every dispatch is declined and the
-//! run degrades gracefully to plain in-process exploration, still
-//! bit-identical. Fleet shape, lease deadline, heartbeat cadence,
-//! backoff, and retry budget are [`sl_dist::FleetConfig`] knobs;
-//! dispatch/completion/revocation/quarantine counts come back as
-//! [`sl_dist::FleetStats`].
+//! Failure handling is lease-based; the lease lifecycle is drawn once,
+//! in [`sl_dist::coordinator`]'s module docs. A revoked lease hands its
+//! reason back to the engine, which retries and quarantines it on the
+//! one failure path it uses for a panicking subtree: a task that fails
+//! every retry is quarantined into a `PoisonReport`, so the outcome is
+//! reported **partial** — a fleet failure can cost coverage, never a
+//! verdict. When no worker can be spawned at all (missing binary, exec
+//! failure), every dispatch is declined and the run degrades gracefully
+//! to plain in-process exploration, still bit-identical. The worker
+//! command and environment, fleet size, heartbeat cadence, lease
+//! deadline and a fault-matrix kill hook are the
+//! [`sl_dist::FleetConfig`] knobs. Dispatch, completion and revocation
+//! counts come back as [`sl_dist::FleetStats`]; retries and quarantines
+//! are counted once, in the outcome's `retried` and `quarantined`.
 
 #![deny(unsafe_code)]
 

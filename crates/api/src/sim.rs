@@ -509,13 +509,15 @@ impl<S: SeqSpec> ExploredDistDag<S> {
 
 /// [`explore_object_dag_with`], with subtree tasks farmed to a fleet of
 /// worker *processes* (see [`sl_dist`]): the explorer's worker threads
-/// offer every frozen subtree to the lease-based coordinator, which
-/// either returns the subtree's result from a worker process or
-/// declines (fleet busy, or degraded after a spawn failure), in which
-/// case the subtree runs in-process. Either way the merged run is
-/// bit-identical to the sequential one — same verdict, conflict depth,
-/// counters, and merged-DAG structural hash — or honestly `partial`
-/// through the quarantine path. Never a false PASS.
+/// offer every attempt at a frozen subtree to the lease-based
+/// coordinator, which returns the subtree's result from a worker
+/// process, revokes the lease (the engine then retries or quarantines
+/// the subtree, as it does a panicking one), or declines (fleet busy,
+/// or degraded after a spawn failure), in which case the subtree runs
+/// in-process. Either way the merged run is bit-identical to the
+/// sequential one — same verdict, conflict depth, counters, and
+/// merged-DAG structural hash — or honestly `partial` through the
+/// quarantine path. Never a false PASS.
 ///
 /// `workload_name` pins the fleet's identity: the worker binary (see
 /// [`serve_object_worker`]) must `hello` with the same name and prune

@@ -38,19 +38,19 @@ fn worker_cmd(workload: &str, mode: PruneMode) -> Vec<String> {
 
 /// A fleet that only ever revokes on *hard* failure evidence (EOF,
 /// torn frame, nonzero exit, SIGKILL): the lease deadline is far
-/// beyond any CI scheduler stall and the retry budget absorbs
-/// overlapping faults. Every test that is not specifically about
-/// deadline timing uses this, so a starved runner can never turn a
-/// healthy lease into a spurious revocation (or, worse, a quarantine
+/// beyond any CI scheduler stall. Every test that is not specifically
+/// about deadline timing uses this, so a starved runner can never turn
+/// a healthy lease into a spurious revocation (or, worse, a quarantine
 /// that changes the counters this suite pins bit-for-bit). Dead-pipe
 /// detection is immediate, so the generous deadline never slows a
-/// failover down.
+/// failover down. A revoked lease is retried by the engine, as a
+/// panicking subtree is; the failover tests below fail each task at
+/// most once, well within its two retries.
 fn patient_fleet(workload: &str, mode: PruneMode, workers: usize) -> FleetConfig {
     FleetConfig {
         worker_cmd: worker_cmd(workload, mode),
         workers,
         lease_timeout: Duration::from_secs(120),
-        retry_budget: 10,
         ..FleetConfig::default()
     }
 }
@@ -144,7 +144,7 @@ fn distributed_runs_are_bit_identical_at_any_fleet_size() {
             "{procs} procs: no task ever completed out of process — the distributed path never engaged"
         );
         assert_eq!(
-            dist.fleet.quarantined, 0,
+            dist.outcome.quarantined, 0,
             "{procs} procs: unexpected quarantine"
         );
     }
@@ -180,7 +180,7 @@ fn sigkill_mid_lease_fails_over_bit_identically() {
         "the SIGKILLed lease must be revoked"
     );
     assert_eq!(
-        dist.fleet.quarantined, 0,
+        dist.outcome.quarantined, 0,
         "failover must succeed within the retry budget"
     );
 }
@@ -209,7 +209,7 @@ fn torn_result_frames_are_rejected_and_requeued() {
         "a torn frame must revoke its lease"
     );
     assert_eq!(
-        dist.fleet.quarantined, 0,
+        dist.outcome.quarantined, 0,
         "retries on fresh workers must recover"
     );
 }
@@ -234,7 +234,7 @@ fn worker_death_before_reply_requeues_bit_identically() {
         "a mid-lease death must revoke its lease"
     );
     assert_eq!(
-        dist.fleet.quarantined, 0,
+        dist.outcome.quarantined, 0,
         "retries on fresh workers must recover"
     );
 }
@@ -243,13 +243,11 @@ fn worker_death_before_reply_requeues_bit_identically() {
 fn exhausted_retries_quarantine_and_never_report_a_false_pass() {
     let workload = "aba_mixed3";
     let mode = PruneMode::SourceDpor;
-    // Every worker dies on its *first* task, so every lease fails its
-    // initial attempt and its one retry: the subtree is quarantined
-    // and the outcome must be flagged partial — never a PASS over an
+    // Every worker dies on its *first* task, so every lease is
+    // revoked: a task leased on every retry is quarantined, and the
+    // outcome must be flagged partial — never a PASS over an
     // unexplored subspace.
     let fleet = FleetConfig {
-        retry_budget: 1,
-        backoff_base: Duration::from_millis(1),
         env: vec![
             ("SL_FAULT_POINT".to_string(), "worker-exit".to_string()),
             ("SL_FAULT_NTH".to_string(), "1".to_string()),
@@ -259,7 +257,7 @@ fn exhausted_retries_quarantine_and_never_report_a_false_pass() {
     };
     let dist = distributed(workload, mode, fleet);
     assert!(
-        dist.fleet.quarantined >= 1,
+        dist.outcome.quarantined >= 1,
         "exhausted retries must quarantine"
     );
     assert!(dist.outcome.partial, "a quarantined run must be partial");
@@ -268,8 +266,17 @@ fn exhausted_retries_quarantine_and_never_report_a_false_pass() {
         "a quarantined run must not claim exhaustion"
     );
     assert!(
-        dist.outcome.quarantined >= 1,
-        "quarantine must surface in the outcome"
+        dist.outcome.retried >= 2 * dist.outcome.quarantined,
+        "each quarantined task was retried twice first: {:?}",
+        dist.outcome
+    );
+    assert!(
+        dist.outcome
+            .poisoned
+            .iter()
+            .all(|r| r.message.contains("revoked")),
+        "the report must say the lease was revoked: {:?}",
+        dist.outcome.poisoned
     );
 }
 
@@ -290,7 +297,7 @@ fn spawn_failure_degrades_to_in_process_bit_identically() {
         dist.fleet.completed, 0,
         "no task can complete out of process"
     );
-    assert_eq!(dist.fleet.quarantined, 0, "degradation is not a fault");
+    assert_eq!(dist.outcome.quarantined, 0, "degradation is not a fault");
 }
 
 #[test]
@@ -319,7 +326,7 @@ fn heartbeats_renew_leases_past_the_timeout() {
         "renewed leases must never be revoked"
     );
     assert_eq!(
-        dist.fleet.quarantined, 0,
+        dist.outcome.quarantined, 0,
         "renewed leases must never quarantine"
     );
 }
@@ -336,7 +343,6 @@ fn silenced_heartbeats_miss_the_deadline_and_quarantine() {
         workers: 1,
         heartbeat: Duration::from_millis(10),
         lease_timeout: Duration::from_millis(60),
-        retry_budget: 0,
         env: vec![
             ("SL_DIST_TASK_STALL_MS".to_string(), "200".to_string()),
             ("SL_FAULT_POINT".to_string(), "heartbeat".to_string()),
@@ -347,8 +353,8 @@ fn silenced_heartbeats_miss_the_deadline_and_quarantine() {
     let dist = distributed(workload, mode, fleet);
     assert!(dist.fleet.revoked >= 1, "a silent lease must be revoked");
     assert!(
-        dist.fleet.quarantined >= 1,
-        "a zero-retry budget must quarantine"
+        dist.outcome.quarantined >= 1,
+        "a lease silenced on every retry must quarantine"
     );
     assert!(
         dist.outcome.partial,

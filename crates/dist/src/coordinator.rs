@@ -2,46 +2,44 @@
 //! processes.
 //!
 //! [`DistCoordinator`] implements [`sl_sim::TaskDispatcher`]: the
-//! exploration engine offers it every delegated subtree task, and the
-//! coordinator either returns the subtree's completed result (farmed to
-//! a worker process over the frame protocol of [`crate::frames`]) or
-//! declines, in which case the engine runs the task in-process — the
-//! graceful-degradation path.
+//! engine offers it each attempt at a delegated subtree task, and the
+//! coordinator leases the task once to a worker process (over the frame
+//! protocol of [`crate::frames`]) and returns the subtree's result or
+//! the reason the lease was revoked — or declines, and the engine runs
+//! the attempt in-process (the graceful-degradation path).
 //!
 //! # Lease lifecycle
 //!
 //! ```text
 //!           checkout/spawn        task frame
 //!   [idle worker] ───────▶ [leased] ──────▶ waiting
-//!        ▲                                   │ heartbeat: renew
-//!        │ result frame (verdict)            │ result: settle
+//!        ▲                                   │ heartbeat: renew lease
+//!        │ result frame (shard + telemetry)  │ result: settle lease
 //!        └───────────────────────────────────┤
 //!                                            │ missed deadline / EOF /
 //!                                            │ torn or checksum-failed
 //!                                            │ frame / nonzero exit
 //!                                            ▼
 //!                             revoke: SIGKILL + respawn
-//!                                            │
-//!                              capped exponential backoff
-//!                                            │
-//!                    retries left? ──yes──▶ re-lease to a fresh worker
-//!                          │no
-//!                          ▼
-//!            quarantine: PoisonReport, partial outcome
-//!                       (never a false PASS)
+//!                                            │ reason
+//!                                            ▼
+//!                 engine: back off, retry (a fresh lease, or
+//!                 in-process if the fleet declines); retries
+//!                 spent → quarantine: PoisonReport, partial
+//!                 outcome (never a false PASS)
 //! ```
 //!
-//! Every revocation path requeues the *same frozen task* — the subtree
-//! is bit-identically re-explorable because the task frame carries the
-//! engine's own portable record ([`sl_sim::FrozenTask`]). A result is
-//! checked against its task before the engine merges it: an escape
-//! whose depth is not below the task's floor revokes the lease like a
-//! torn frame does (the frame parser already refused malformed
-//! escapes). When the retry budget is spent, the subtree is quarantined
-//! through the same [`PoisonReport`] path the in-process panic
-//! quarantine uses, so the outcome is marked partial. When no worker
-//! can be spawned at all, the coordinator declines every dispatch and
-//! the run degrades to plain in-process exploration.
+//! The coordinator keeps only the lease table. A revoked lease is a
+//! failed subtree attempt, which the engine backs off, retries and
+//! quarantines exactly as it does a panicking subtree, counting it once,
+//! in the [`sl_sim::ExploreOutcome`]. A retry re-leases the *same frozen
+//! task* ([`sl_sim::FrozenTask`], the engine's own portable record), so
+//! the subtree is bit-identically re-explorable. A result is checked
+//! against its task before the engine merges it: an escape whose depth
+//! is not below the task's floor revokes the lease like a torn frame
+//! does (the frame parser already refused malformed escapes). When no
+//! worker can be spawned at all, the coordinator declines every
+//! dispatch and the run degrades to plain in-process exploration.
 
 use std::collections::VecDeque;
 use std::io::BufReader;
@@ -52,16 +50,14 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use sl_check::TreeDag;
-use sl_sim::{
-    write_poison_report, Counters, FaultPlan, FaultPoint, FrozenTask, PoisonReport, TaskDispatcher,
-    TaskResult,
-};
+use sl_sim::{FaultPlan, FaultPoint, FrozenTask, TaskDispatcher, TaskResult};
 
 use crate::codec::{decode_dag, WireSpec};
 use crate::frames::{read_frame, write_frame, Frame};
 use crate::worker::HEARTBEAT_ENV;
 
-/// Fleet shape and failure policy.
+/// Fleet shape and lease policy. Retries, backoff and quarantine of a
+/// revoked lease are the engine's (see the module docs).
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Worker argv: `worker_cmd[0]` is the executable, the rest its
@@ -75,12 +71,6 @@ pub struct FleetConfig {
     /// Lease deadline: a leased task whose worker sends neither a
     /// heartbeat nor a result within this window is revoked.
     pub lease_timeout: Duration,
-    /// Re-lease attempts per task after the first, before quarantine.
-    pub retry_budget: u32,
-    /// First revocation backoff; doubles per attempt.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
     /// Extra environment for spawned workers.
     pub env: Vec<(String, String)>,
     /// Fault-matrix hook: SIGKILL the serving worker immediately after
@@ -96,9 +86,6 @@ impl Default for FleetConfig {
             workers: 2,
             heartbeat: Duration::from_millis(25),
             lease_timeout: Duration::from_millis(2_000),
-            retry_budget: 2,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(500),
             env: Vec::new(),
             kill_nth_dispatch: None,
         }
@@ -106,7 +93,9 @@ impl Default for FleetConfig {
 }
 
 /// Fleet telemetry: a snapshot of the coordinator's counters, taken by
-/// [`DistCoordinator::stats`] (after the run, for its totals).
+/// [`DistCoordinator::stats`] (after the run, for its totals). Retries
+/// and quarantines are counted once, in the
+/// [`sl_sim::ExploreOutcome`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FleetStats {
     /// Task frames written to workers (including re-leases).
@@ -116,9 +105,6 @@ pub struct FleetStats {
     /// Leases revoked (missed deadline, torn frame, checksum failure,
     /// dead pipe, nonzero exit, kill).
     pub revoked: u64,
-    /// Subtrees quarantined after the retry budget — the outcome is
-    /// `partial` whenever this is nonzero.
-    pub quarantined: u64,
     /// Dispatches declined (fleet busy or degraded): ran in-process.
     pub declined: u64,
     /// Workers killed by the fault-matrix hook.
@@ -134,7 +120,6 @@ struct FleetCounters {
     dispatched: AtomicU64,
     completed: AtomicU64,
     revoked: AtomicU64,
-    quarantined: AtomicU64,
     declined: AtomicU64,
     chaos_kills: AtomicU64,
 }
@@ -216,7 +201,6 @@ impl<'s, S: WireSpec> DistCoordinator<'s, S> {
             dispatched: load(&c.dispatched),
             completed: load(&c.completed),
             revoked: load(&c.revoked),
-            quarantined: load(&c.quarantined),
             declined: load(&c.declined),
             chaos_kills: load(&c.chaos_kills),
             degraded: self.is_degraded(),
@@ -377,28 +361,6 @@ impl<'s, S: WireSpec> DistCoordinator<'s, S> {
         }
     }
 
-    fn quarantine(&self, spec: &FrozenTask, attempts: u32, last_error: String) -> TaskResult {
-        self.counters.quarantined.fetch_add(1, Ordering::SeqCst);
-        let report = PoisonReport {
-            prefix: spec.prefix.clone(),
-            attempts,
-            message: format!("distributed lease quarantined: {last_error}"),
-        };
-        if let Some(dir) = std::env::var_os("SL_POISON_DIR") {
-            // Best-effort, like the in-process quarantine: the report
-            // also travels in the result.
-            let _ = write_poison_report(std::path::Path::new(&dir), &report);
-        }
-        TaskResult {
-            counters: Counters {
-                quarantined: 1,
-                ..Counters::default()
-            },
-            poisoned: vec![report],
-            ..TaskResult::default()
-        }
-    }
-
     /// Sends `shutdown` to every idle worker and reaps the fleet. Call
     /// after exploration; leased workers (there should be none) are
     /// killed by `Drop`.
@@ -424,57 +386,43 @@ impl<S: WireSpec> Drop for DistCoordinator<'_, S> {
 }
 
 impl<S: WireSpec> TaskDispatcher for DistCoordinator<'_, S> {
-    fn dispatch(&self, task: &FrozenTask) -> Option<TaskResult> {
+    fn dispatch(&self, task: &FrozenTask) -> Option<Result<TaskResult, String>> {
         if let Some(plan) = &self.fault {
             plan.fire(FaultPoint::Dispatch);
         }
+        let conn = if self.is_degraded() {
+            None
+        } else {
+            self.checkout()
+        };
+        let mut conn = match conn {
+            Some(Ok(conn)) => conn,
+            other => {
+                if let Some(Err(e)) = other {
+                    // No spawnable worker at all: degrade for the rest
+                    // of the run.
+                    eprintln!("sl-dist: degrading to in-process exploration: {e}");
+                    self.degraded.store(true, Ordering::SeqCst);
+                }
+                // Degraded or whole fleet busy: the engine runs the task
+                // in-process (bit-identical either way; latency is not).
+                self.counters.declined.fetch_add(1, Ordering::SeqCst);
+                return None;
+            }
+        };
         let lease_id = self.next_lease.fetch_add(1, Ordering::SeqCst);
-        for attempt in 1u32.. {
-            if attempt > 1 {
-                // Capped exponential backoff before the re-lease.
-                let backoff = self
-                    .cfg
-                    .backoff_base
-                    .saturating_mul(1 << (attempt - 2).min(16));
-                std::thread::sleep(backoff.min(self.cfg.backoff_cap));
+        Some(match self.lease(&mut conn, lease_id, task) {
+            Ok((result, dag)) => {
+                self.counters.completed.fetch_add(1, Ordering::SeqCst);
+                self.sink.lock().unwrap().push(dag);
+                self.check_in(conn);
+                Ok(result)
             }
-            let conn = if self.is_degraded() {
-                None
-            } else {
-                self.checkout()
-            };
-            let mut conn = match conn {
-                Some(Ok(conn)) => conn,
-                other => {
-                    if let Some(Err(e)) = other {
-                        // No spawnable worker at all: degrade for the
-                        // rest of the run.
-                        eprintln!("sl-dist: degrading to in-process exploration: {e}");
-                        self.degraded.store(true, Ordering::SeqCst);
-                    }
-                    // Degraded or whole fleet busy: the engine runs the
-                    // task in-process (bit-identical either way; latency
-                    // is not). The task itself is unharmed.
-                    self.counters.declined.fetch_add(1, Ordering::SeqCst);
-                    return None;
-                }
-            };
-            match self.lease(&mut conn, lease_id, task) {
-                Ok((result, dag)) => {
-                    self.counters.completed.fetch_add(1, Ordering::SeqCst);
-                    self.sink.lock().unwrap().push(dag);
-                    self.check_in(conn);
-                    return Some(result);
-                }
-                Err(reason) => {
-                    self.revoke(conn);
-                    if attempt > self.cfg.retry_budget {
-                        return Some(self.quarantine(task, attempt, reason));
-                    }
-                }
+            Err(reason) => {
+                self.revoke(conn);
+                Err(format!("lease {lease_id} revoked: {reason}"))
             }
-        }
-        unreachable!("every lease attempt returns or retries")
+        })
     }
 }
 
@@ -503,7 +451,7 @@ mod tests {
     use std::time::Duration;
 
     use sl_check::DagBuilder;
-    use sl_sim::{Escape, PendingAccess};
+    use sl_sim::{Counters, Escape, PendingAccess};
     use sl_spec::types::AbaSpec;
 
     use super::*;
@@ -540,8 +488,6 @@ mod tests {
             worker_cmd: vec!["sh".to_string(), "-c".to_string(), script],
             workers,
             lease_timeout: Duration::from_secs(10),
-            retry_budget: 1,
-            backoff_base: Duration::from_millis(1),
             ..FleetConfig::default()
         }
     }
@@ -580,37 +526,34 @@ mod tests {
         }
     }
 
-    /// Dispatches `task()` to a one-worker scripted fleet replying
-    /// `reply`; returns the merged-or-quarantined result and the fleet
-    /// counters (dispatched, completed, revoked, quarantined).
-    fn dispatch_scripted(reply: Frame) -> (TaskResult, [u64; 4]) {
+    /// Leases `task()` once to a one-worker scripted fleet replying
+    /// `reply`; returns the lease's outcome and the fleet counters
+    /// (dispatched, completed, revoked).
+    fn dispatch_scripted(reply: Frame) -> (Result<TaskResult, String>, [u64; 3]) {
         let sink = Mutex::new(Vec::new());
         let fleet = scripted_fleet("", &[reply], 1);
         let coord = DistCoordinator::<Spec>::new(fleet, "scripted", "OptimalDpor", &sink);
-        let res = coord.dispatch(&task()).expect("a verdict, not a decline");
+        let res = coord.dispatch(&task()).expect("a lease, not a decline");
         coord.finish();
         let s = coord.stats();
-        (res, [s.dispatched, s.completed, s.revoked, s.quarantined])
+        (res, [s.dispatched, s.completed, s.revoked])
     }
 
     #[test]
     fn an_honest_scripted_result_is_merged() {
         let (res, counts) = dispatch_scripted(result_with(escape(1, 1)));
-        assert_eq!(
-            counts,
-            [1, 1, 0, 0],
-            "dispatched, completed, revoked, quarantined"
-        );
+        assert_eq!(counts, [1, 1, 0], "dispatched, completed, revoked");
+        let res = res.expect("a settled lease");
         assert_eq!(res.counters.runs, 5);
         assert_eq!(res.escapes, vec![escape(1, 1)]);
     }
 
     #[test]
-    fn results_failing_their_task_are_revoked_then_quarantined() {
+    fn results_failing_their_task_are_revoked_with_the_reason() {
         // An escape at the floor (the coordinator's check) and one
-        // naming process 70 (the frame parser's): each revokes the
-        // lease, is re-leased once to a fresh worker, then quarantines
-        // that task alone.
+        // naming process 70 (the frame parser's): each revokes its one
+        // lease and hands the reason back to the engine, whose failure
+        // path retries or quarantines the task.
         for (reply, needle) in [
             (
                 escape(2, 1),
@@ -619,11 +562,10 @@ mod tests {
             (escape(1, 70), "escape: process index out of range"),
         ] {
             let (res, counts) = dispatch_scripted(result_with(reply));
-            assert_eq!(counts, [2, 0, 2, 1], "{needle}");
-            assert_eq!(res.counters.quarantined, 1, "{needle}");
-            assert_eq!((res.counters.runs, res.escapes.len()), (0, 0), "{needle}");
-            let message = &res.poisoned[0].message;
-            assert!(message.contains(needle), "{message:?} lacks {needle:?}");
+            assert_eq!(counts, [1, 0, 1], "{needle}");
+            let reason = res.expect_err(needle);
+            assert!(reason.contains("lease 1 revoked"), "{reason:?}");
+            assert!(reason.contains(needle), "{reason:?} lacks {needle:?}");
         }
     }
 

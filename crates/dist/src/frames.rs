@@ -23,17 +23,17 @@
 //! over the rest of the document and a `version`/`frame` pair:
 //!
 //! ```text
-//! {"checksum":N,"version":3,"frame":"hello","workload":...,"mode":...,"pid":N}
-//! {"checksum":N,"version":3,"frame":"task","task":N,"prefix":[...],
+//! {"checksum":N,"version":4,"frame":"hello","workload":...,"mode":...,"pid":N}
+//! {"checksum":N,"version":4,"frame":"task","task":N,"prefix":[...],
 //!  "accesses":[{"reg":N,"kind":"k"},...],"sleep":N,"floor":N}
-//! {"checksum":N,"version":3,"frame":"heartbeat","task":N}
-//! {"checksum":N,"version":3,"frame":"result","task":N,
+//! {"checksum":N,"version":4,"frame":"heartbeat","task":N}
+//! {"checksum":N,"version":4,"frame":"result","task":N,
 //!  "counters":{"runs":N,"cut_runs":N,"pruned":N,"retried":N,"quarantined":N},
-//!  "capped":B,"poisoned":[{"prefix":[...],"attempts":N,"message":"..."},...],
+//!  "poisoned":[{"prefix":[...],"attempts":N,"message":"..."},...],
 //!  "escapes":[{"depth":N,"initials":[...],
 //!              "seq":[{"proc":P,"reg":N,"kind":"k"},...]},...],
 //!  "shard":{...}}
-//! {"checksum":N,"version":3,"frame":"shutdown"}
+//! {"checksum":N,"version":4,"frame":"shutdown"}
 //! ```
 //!
 //! An escape is a backtrack demand the subtree raised below its floor:
@@ -46,7 +46,8 @@
 //! joins. Their pieces — accesses, steps, task fields, counters, poison
 //! reports, escapes — render and parse through sl-sim's functions, the
 //! ones checkpoints use, so both formats spell them alike. A result's
-//! `drained` flag never crosses: a worker holds no budget.
+//! `capped` and `drained` flags never cross: a worker runs uncapped
+//! and holds no budget.
 //!
 //! [`Frame::parse`] verifies the checksum before anything is
 //! interpreted, then every field: lease ids are nonzero, a task
@@ -69,7 +70,7 @@ use sl_sim::wire::{
 use sl_sim::{Counters, Escape, FrozenTask, PoisonReport, TaskResult};
 
 /// The supported frame format version.
-pub const FRAME_VERSION: u64 = 3;
+pub const FRAME_VERSION: u64 = 4;
 
 /// Upper bound on one frame's document length: a length prefix beyond
 /// this is rejected before any allocation (a corrupted prefix must not
@@ -106,7 +107,7 @@ pub enum Frame {
         /// The lease this result settles.
         task: u64,
         /// Counters, quarantine reports and escapes of the explored
-        /// subtree (`drained` is always `false`).
+        /// subtree (`capped` and `drained` are always `false`).
         result: TaskResult,
         /// The subtree's symbolized DAG shard, as a canonical JSON
         /// document (see [`crate::codec::encode_dag`]).
@@ -159,7 +160,7 @@ impl Frame {
             } => {
                 let _ = write!(b, ",\"task\":{task},\"counters\":");
                 r.counters.push_json(&mut b);
-                let _ = write!(b, ",\"capped\":{},\"poisoned\":", r.capped);
+                b.push_str(",\"poisoned\":");
                 push_list(&mut b, &r.poisoned, |b, p| p.push_json(b));
                 b.push_str(",\"escapes\":");
                 push_list(&mut b, &r.escapes, |b, e| e.push_json(b));
@@ -244,11 +245,11 @@ impl Frame {
                 }
             }
             "result" => {
-                f.allow(&["task", "counters", "capped", "poisoned", "escapes", "shard"])?;
+                f.allow(&["task", "counters", "poisoned", "escapes", "shard"])?;
                 let task = lease_of(&mut f, "result")?;
                 let result = TaskResult {
                     counters: Counters::from_json(f.take("counters")?)?,
-                    capped: f.boolean("capped")?,
+                    capped: false,
                     drained: false,
                     poisoned: f
                         .array("poisoned")?
@@ -466,16 +467,16 @@ mod tests {
 
     #[test]
     fn version_skew_is_rejected_by_name() {
-        let body = "{\"version\":2,\"frame\":\"shutdown\"}";
+        let body = "{\"version\":3,\"frame\":\"shutdown\"}";
         let sealed = sl_sim::wire::seal_checksum(body);
         let err = Frame::parse(&sealed).expect_err("version skew");
-        assert!(err.contains("unsupported frame version 2"), "{err}");
-        assert!(err.contains("this build speaks 3"), "{err}");
+        assert!(err.contains("unsupported frame version 3"), "{err}");
+        assert!(err.contains("this build speaks 4"), "{err}");
     }
 
     #[test]
     fn duplicate_fields_are_rejected() {
-        let body = "{\"version\":3,\"frame\":\"heartbeat\",\"task\":1,\"task\":1}";
+        let body = "{\"version\":4,\"frame\":\"heartbeat\",\"task\":1,\"task\":1}";
         let sealed = sl_sim::wire::seal_checksum(body);
         let err = Frame::parse(&sealed).expect_err("duplicate field");
         assert!(err.contains("duplicate key"), "{err}");
@@ -483,25 +484,25 @@ mod tests {
 
     #[test]
     fn unknown_fields_and_kinds_are_rejected() {
-        let body = "{\"version\":3,\"frame\":\"heartbeat\",\"task\":1,\"zeal\":3}";
+        let body = "{\"version\":4,\"frame\":\"heartbeat\",\"task\":1,\"zeal\":3}";
         let err = Frame::parse(&sl_sim::wire::seal_checksum(body)).expect_err("unknown field");
         assert!(err.contains("unknown field \"zeal\""), "{err}");
 
-        let body = "{\"version\":3,\"frame\":\"gossip\"}";
+        let body = "{\"version\":4,\"frame\":\"gossip\"}";
         let err = Frame::parse(&sl_sim::wire::seal_checksum(body)).expect_err("unknown kind");
         assert!(err.contains("unknown frame kind \"gossip\""), "{err}");
     }
 
     #[test]
     fn missing_or_misplaced_checksum_is_rejected() {
-        let err = Frame::parse("{\"version\":3,\"frame\":\"shutdown\"}").expect_err("no checksum");
+        let err = Frame::parse("{\"version\":4,\"frame\":\"shutdown\"}").expect_err("no checksum");
         assert!(err.contains("missing leading \"checksum\""), "{err}");
     }
 
     #[test]
     fn hello_identities_are_fail_closed() {
         let body =
-            "{\"version\":3,\"frame\":\"hello\",\"workload\":\"a b\",\"mode\":\"m\",\"pid\":1}";
+            "{\"version\":4,\"frame\":\"hello\",\"workload\":\"a b\",\"mode\":\"m\",\"pid\":1}";
         let err = Frame::parse(&sl_sim::wire::seal_checksum(body)).expect_err("bad identity");
         assert!(err.contains("identities must be identifiers"), "{err}");
     }
@@ -630,7 +631,7 @@ mod tests {
         };
         TaskResult {
             counters,
-            capped: rng.gen_bool(0.5),
+            capped: false,
             drained: false,
             poisoned: (0..rng.gen_range(3))
                 .map(|_| PoisonReport {
@@ -716,7 +717,7 @@ mod tests {
         let frames: Vec<String> = all_kinds().iter().map(Frame::render).collect();
         #[rustfmt::skip]
         let rows = [
-            (4, r#""version":3,"frame":"shutdown""#, r#""frame":"shutdown","version":3"#, "non-canonical frame"),
+            (4, r#""version":4,"frame":"shutdown""#, r#""frame":"shutdown","version":4"#, "non-canonical frame"),
             (2, r#""task":9"#, r#""task":0"#, "heartbeat frame: lease id 0"),
             (1, r#""task":7"#, r#""task":0"#, "task frame: lease id 0"),
             (3, r#""task":7"#, r#""task":0"#, "result frame: lease id 0"),

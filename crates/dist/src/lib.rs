@@ -1,5 +1,5 @@
 //! Multi-process distributed exploration: a lease-based worker fleet
-//! with heartbeats, capped-backoff retries, and bit-identical failover.
+//! with heartbeats, revocation, and bit-identical failover.
 //!
 //! The exploration engine in `sl-sim` publishes frozen subtree tasks;
 //! this crate farms them to worker *processes* over length-prefixed,
@@ -25,9 +25,11 @@
 //! - [`worker`] — the serve loop a worker binary runs: hello,
 //!   explore-per-task, heartbeat ticker, fault-injection hooks.
 //! - [`coordinator`] — the lease table: checkout/spawn, deadline
-//!   renewal by heartbeat, revocation on any breach, capped exponential
-//!   backoff, retry budget, quarantine, and graceful degradation to
-//!   in-process exploration when no worker can be spawned.
+//!   renewal by heartbeat, revocation on any breach (its reason goes
+//!   back to the engine, which backs off, retries and quarantines a
+//!   revoked lease as it does a panicking subtree), and graceful
+//!   degradation to in-process exploration when no worker can be
+//!   spawned.
 
 pub mod codec;
 pub mod coordinator;

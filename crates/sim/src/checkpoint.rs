@@ -82,7 +82,9 @@
 //!
 //! A worker panic inside a subtree replay (an object bug, the
 //! fail-closed `validate_race` diagnostic, a fiber sentinel escape) no
-//! longer takes the process down: the task is retried with a fresh
+//! longer takes the process down, and a lease revoked by a
+//! [`TaskDispatcher`](crate::TaskDispatcher) fails the same way: the
+//! task is retried with a fresh
 //! bracket up to the retry limit (deterministic backoff), then
 //! **quarantined** — its slot completes with zeroed totals, a
 //! [`PoisonReport`] carrying the replayable decision prefix, and
@@ -139,8 +141,8 @@ pub struct Counters {
     pub cut_runs: u64,
     /// Pruned branch candidates.
     pub pruned: u64,
-    /// Retry attempts on panicking subtree tasks, whether or not the
-    /// task later succeeded.
+    /// Retry attempts on subtree tasks whose attempt failed — a panic
+    /// or a revoked lease — whether or not the task later succeeded.
     pub retried: u64,
     /// Subtrees quarantined after exhausting retries.
     pub quarantined: u64,
@@ -1114,7 +1116,8 @@ pub struct PoisonReport {
     pub prefix: Vec<usize>,
     /// Attempts made (1 + retries).
     pub attempts: u32,
-    /// The panic payload, stringified.
+    /// The last attempt's failure: the panic payload, stringified, or
+    /// the dispatcher's revocation reason.
     pub message: String,
 }
 

@@ -423,10 +423,10 @@ pub struct ExploreOutcome {
     /// process was sleeping — continuations that sleep-set theory
     /// proves are covered by some explored schedule.
     pub cut_runs: usize,
-    /// Retry attempts performed on panicking subtree tasks (whether or
-    /// not the task eventually succeeded).
+    /// Retries of failed subtree attempts — a panic or a revoked
+    /// [`TaskDispatcher`] lease — whether or not the task then succeeded.
     pub retried: u64,
-    /// Subtree tasks that panicked through every retry and were
+    /// Subtree tasks that failed every attempt and were
     /// quarantined — their schedule subspaces are **unexplored**, so
     /// any verdict over this outcome is partial (see [`Self::partial`]
     /// and the `checkpoint` module's soundness argument).
@@ -440,7 +440,8 @@ pub struct ExploreOutcome {
     /// be read as a PASS.
     pub partial: bool,
     /// One report per quarantined subtree: the replayable decision
-    /// prefix, the attempt count, and the panic message.
+    /// prefix, the attempt count, and the last failure (panic message
+    /// or revocation reason).
     pub poisoned: Vec<PoisonReport>,
 }
 
@@ -1434,17 +1435,17 @@ pub struct TaskResult {
 /// Farms frozen subtree tasks to somewhere else — typically worker
 /// processes, via `sl-dist`'s lease-table coordinator.
 ///
-/// `dispatch` either returns the subtree's completed [`TaskResult`]
-/// (possibly a quarantine verdict, after the remote retry budget is
-/// spent) or `None`, which makes the calling worker run the task
-/// in-process — the graceful-degradation path when no worker process
-/// can be spawned or every lease was revoked without a verdict. A
-/// returned result is merged as is, so the dispatcher answers for its
-/// escapes pointing below the task's floor. Called concurrently from
-/// every exploration thread.
+/// `dispatch` makes one attempt at the task. `None` declines, and the
+/// calling worker runs the attempt in-process (no worker process free
+/// or spawnable). `Some(Ok(_))` is the subtree's [`TaskResult`], merged
+/// as is, so the dispatcher answers for its escapes pointing below the
+/// task's floor. `Some(Err(reason))` is a revoked lease: a failed
+/// attempt that the engine retries (offering the task again) and then
+/// quarantines with `reason`, as it does a panic. Called concurrently
+/// from every exploration thread.
 pub trait TaskDispatcher: Sync {
-    /// Executes one frozen task remotely, or declines with `None`.
-    fn dispatch(&self, task: &FrozenTask) -> Option<TaskResult>;
+    /// Makes one remote attempt at a frozen task, or declines.
+    fn dispatch(&self, task: &FrozenTask) -> Option<Result<TaskResult, String>>;
 }
 
 const TASK_QUEUED: u8 = 0;
@@ -1638,9 +1639,10 @@ impl<'a, NF, F> DporShared<'a, NF, F> {
 
 impl Explorer {
     /// [`Explorer::explore_with`] with a remote dispatch hook: every
-    /// delegated (non-root) subtree task is first offered to
-    /// `dispatcher`, and only runs in-process when the dispatcher
-    /// declines — see [`TaskDispatcher`]. With a dispatcher that always
+    /// attempt at a delegated (non-root) subtree task is first offered
+    /// to `dispatcher`, and only runs in-process when the dispatcher
+    /// declines; a revoked lease is retried and quarantined like a
+    /// panic — see [`TaskDispatcher`]. With a dispatcher that always
     /// declines this is exactly [`Explorer::explore_with`]; with one
     /// that farms tasks to `sl-dist` worker processes the merged result
     /// is still bit-identical (a task leaves as its [`FrozenTask`] and
@@ -2051,29 +2053,30 @@ fn execute_task<C, NF, F>(
     slot.complete(out);
 }
 
-/// Retries on a panicking subtree before giving up on it.
+/// Retries on a failed subtree attempt before giving up on it.
 const QUARANTINE_RETRIES: u32 = 2;
 /// Deterministic backoff before retry attempt 2 and 3 (milliseconds).
 const QUARANTINE_BACKOFF_MS: [u64; QUARANTINE_RETRIES as usize] = [1, 5];
 
-/// Runs a subtree task inside its `subtree_begin`/`subtree_end` bracket
-/// with **panic quarantine**: a panic out of the runner (an object bug,
-/// a fail-closed `validate_race`, a scheduler assertion) is caught, the
-/// task retried up to [`QUARANTINE_RETRIES`] times with deterministic
-/// backoff, and on exhaustion quarantined into a [`PoisonReport`]
-/// (written to `SL_POISON_DIR` when set) while the rest of the frontier
-/// completes. The quarantined subtree's schedules stay unexplored, so
-/// the outcome is marked partial — never a false PASS (see the
-/// [`crate::checkpoint`] module docs).
+/// Runs a subtree task with **quarantine**, the engine's one failure
+/// path: an attempt fails when the runner panics (an object bug, a
+/// fail-closed `validate_race`, a scheduler assertion) or the
+/// [`TaskDispatcher`] revokes its lease. The task is retried up to
+/// [`QUARANTINE_RETRIES`] times with deterministic backoff, and on
+/// exhaustion quarantined into a [`PoisonReport`] (written to
+/// `SL_POISON_DIR` when set) while the rest of the frontier completes.
+/// The quarantined subtree's schedules stay unexplored, so the outcome
+/// is marked partial — never a false PASS (see the [`crate::checkpoint`]
+/// module docs).
 ///
 /// Two panic classes are **re-raised**, not quarantined: injected
 /// [`FaultCrash`]es (a fault-injection run must crash so the harness
 /// can exercise recovery-by-resume) and panics observed after the pool
 /// is poisoned (the abort is already propagating).
 ///
-/// Every attempt gets its own subtree bracket, so a failed attempt's
-/// partially-flushed DAG shard holds a strict subset of the retry's
-/// transcripts — hash-consing dedupes them in the merged DAG.
+/// Every in-process attempt gets its own subtree bracket, so a failed
+/// attempt's partially-flushed DAG shard holds a strict subset of the
+/// retry's transcripts — hash-consing dedupes them in the merged DAG.
 fn run_task_guarded<C, NF, F>(
     shared: &DporShared<'_, NF, F>,
     me: usize,
@@ -2087,80 +2090,81 @@ where
     NF: Fn() -> C + Sync,
     F: Fn(&mut C, &mut ScheduleDriver) + Sync,
 {
-    // Distributed dispatch: a delegated task may be farmed to a worker
-    // process instead of running here. Delegated means published by
+    // Distributed dispatch: each attempt at a delegated task is first
+    // offered to the dispatcher. Delegated means published by
     // `publish_extras` — such tasks always carry at least their
     // candidate's ghost access, while the session root's `accesses` is
     // empty (checking `root` alone would not do: the checkpoint root
     // context is `None` in plain sessions, and farming the root would
     // ship the *entire* exploration to one single-threaded worker).
-    // `None` from the dispatcher — no spawnable worker, every lease
-    // revoked without a verdict — degrades gracefully to in-process
-    // execution below. A returned result banks its replays against the
-    // shared budget, exactly as the local replay loop would have
-    // reserved them.
-    if root.is_none() && !spec.accesses.is_empty() {
-        if let Some(dispatcher) = shared.dispatcher {
-            if let Some(plan) = shared.fault {
-                plan.fire(FaultPoint::Dispatch);
-            }
-            if let Some(res) = dispatcher.dispatch(&spec.freeze()) {
-                let c = res.counters;
-                shared
-                    .replays
-                    .fetch_add((c.runs + c.cut_runs) as usize, Ordering::SeqCst);
-                return res;
-            }
-        }
-    }
+    let dispatcher = shared
+        .dispatcher
+        .filter(|_| root.is_none() && !spec.accesses.is_empty());
     // A root retry must restart from the same restore plan; `run_task`
     // consumes it, so keep a copy to reinstate between attempts.
     let restore_backup = root.as_ref().and_then(|rc| rc.restore.clone());
     let mut attempts = 0u32;
     loop {
         attempts += 1;
-        ctx.subtree_begin();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_task(
-                shared,
-                me,
-                help_depth,
-                ctx,
-                spec.clone(),
-                root.as_deref_mut(),
-            )
-        }));
-        ctx.subtree_end();
-        match result {
+        let attempt = match dispatcher.and_then(|d| d.dispatch(&spec.freeze())) {
+            // A remote result banks its replays against the shared
+            // budget, exactly as the local replay loop would have
+            // reserved them.
+            Some(lease) => lease.inspect(|out| {
+                let c = out.counters;
+                let replays = (c.runs + c.cut_runs) as usize;
+                shared.replays.fetch_add(replays, Ordering::SeqCst);
+            }),
+            // Declined (no free or spawnable worker) or never offered:
+            // run the attempt here.
+            None => {
+                ctx.subtree_begin();
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_task(
+                        shared,
+                        me,
+                        help_depth,
+                        ctx,
+                        spec.clone(),
+                        root.as_deref_mut(),
+                    )
+                }));
+                ctx.subtree_end();
+                result.map_err(|payload| {
+                    if payload.is::<FaultCrash>() || shared.poisoned.load(Ordering::SeqCst) {
+                        std::panic::resume_unwind(payload);
+                    }
+                    panic_message(&*payload)
+                })
+            }
+        };
+        match attempt {
             Ok(mut out) => {
                 out.counters.retried += u64::from(attempts - 1);
                 return out;
             }
-            Err(payload) => {
-                if payload.is::<FaultCrash>() || shared.poisoned.load(Ordering::SeqCst) {
-                    std::panic::resume_unwind(payload);
+            Err(message) if attempts > QUARANTINE_RETRIES => {
+                let report = PoisonReport {
+                    prefix: spec.prefix.clone(),
+                    attempts,
+                    message,
+                };
+                if let Some(dir) = &shared.poison_dir {
+                    // Best-effort: the report also travels in the
+                    // outcome, so a failed write loses nothing vital.
+                    let _ = write_poison_report(dir, &report);
                 }
-                if attempts > QUARANTINE_RETRIES {
-                    let report = PoisonReport {
-                        prefix: spec.prefix.clone(),
-                        attempts,
-                        message: panic_message(&*payload),
-                    };
-                    if let Some(dir) = &shared.poison_dir {
-                        // Best-effort: the report also travels in the
-                        // outcome, so a failed write loses nothing vital.
-                        let _ = write_poison_report(dir, &report);
-                    }
-                    return TaskResult {
-                        counters: Counters {
-                            retried: u64::from(attempts - 1),
-                            quarantined: 1,
-                            ..Counters::default()
-                        },
-                        poisoned: vec![report],
-                        ..TaskResult::default()
-                    };
-                }
+                return TaskResult {
+                    counters: Counters {
+                        retried: u64::from(attempts - 1),
+                        quarantined: 1,
+                        ..Counters::default()
+                    },
+                    poisoned: vec![report],
+                    ..TaskResult::default()
+                };
+            }
+            Err(_) => {
                 std::thread::sleep(std::time::Duration::from_millis(
                     QUARANTINE_BACKOFF_MS[(attempts - 1) as usize],
                 ));
@@ -2998,45 +3002,55 @@ mod tests {
         assert_eq!(outcome.pruned, 0);
     }
 
+    /// Explores a delegated task of `mixed_runner(3)` with
+    /// `explore_frozen_task`, exactly as a worker process behind
+    /// `sl-dist` would.
+    fn serve_mixed(task: &FrozenTask) -> TaskResult {
+        let run = mixed_runner(3);
+        Explorer::default().explore_frozen_task(
+            || (),
+            move |_: &mut (), d: &mut ScheduleDriver| {
+                let _ = run(d);
+            },
+            task,
+        )
+    }
+
+    /// `mixed_runner(3)` at 4 workers, every delegated task offered to
+    /// `dispatcher`.
+    fn explore_mixed_dispatched(dispatcher: &dyn TaskDispatcher) -> ExploreOutcome {
+        let run = mixed_runner(3);
+        Explorer {
+            workers: 4,
+            ..Explorer::default()
+        }
+        .explore_dispatched(
+            || (),
+            |_: &mut (), d: &mut ScheduleDriver| {
+                let _ = run(d);
+            },
+            dispatcher,
+        )
+    }
+
     #[test]
     fn dispatched_exploration_matches_local_counters_and_degrades_on_decline() {
         let base = Explorer::default().explore(mixed_runner(3));
         assert!(base.exhausted);
 
-        // Hands every delegated task over as its `FrozenTask` and
-        // explores it with `explore_frozen_task`, exactly as a
-        // worker process behind `sl-dist` would.
         struct Loopback {
             hits: AtomicUsize,
         }
         impl TaskDispatcher for Loopback {
-            fn dispatch(&self, task: &FrozenTask) -> Option<TaskResult> {
+            fn dispatch(&self, task: &FrozenTask) -> Option<Result<TaskResult, String>> {
                 self.hits.fetch_add(1, Ordering::SeqCst);
-                let run = mixed_runner(3);
-                Some(Explorer::default().explore_frozen_task(
-                    || (),
-                    move |_: &mut (), d: &mut ScheduleDriver| {
-                        let _ = run(d);
-                    },
-                    task,
-                ))
+                Some(Ok(serve_mixed(task)))
             }
         }
         let loopback = Loopback {
             hits: AtomicUsize::new(0),
         };
-        let explorer = Explorer {
-            workers: 4,
-            ..Explorer::default()
-        };
-        let run = mixed_runner(3);
-        let out = explorer.explore_dispatched(
-            || (),
-            |_: &mut (), d: &mut ScheduleDriver| {
-                let _ = run(d);
-            },
-            &loopback,
-        );
+        let out = explore_mixed_dispatched(&loopback);
         assert!(out.exhausted);
         assert_eq!(
             (out.runs, out.cut_runs, out.pruned),
@@ -3052,24 +3066,89 @@ mod tests {
         // degradation, still bit-identical.
         struct Decline;
         impl TaskDispatcher for Decline {
-            fn dispatch(&self, _: &FrozenTask) -> Option<TaskResult> {
+            fn dispatch(&self, _: &FrozenTask) -> Option<Result<TaskResult, String>> {
                 None
             }
         }
-        let run = mixed_runner(3);
-        let out = explorer.explore_dispatched(
-            || (),
-            |_: &mut (), d: &mut ScheduleDriver| {
-                let _ = run(d);
-            },
-            &Decline,
-        );
+        let out = explore_mixed_dispatched(&Decline);
         assert!(out.exhausted);
         assert_eq!(
             (out.runs, out.cut_runs, out.pruned),
             (base.runs, base.cut_runs, base.pruned),
             "a declining dispatcher degrades to plain in-process exploration"
         );
+    }
+
+    /// Revokes the first `revocations` leases of every task, then serves
+    /// it; records how many leases each task took.
+    struct Revoking {
+        revocations: usize,
+        leases: Mutex<Vec<(FrozenTask, usize)>>,
+    }
+
+    impl TaskDispatcher for Revoking {
+        fn dispatch(&self, task: &FrozenTask) -> Option<Result<TaskResult, String>> {
+            let lease = {
+                let mut leases = self.leases.lock().unwrap();
+                match leases.iter_mut().find(|(t, _)| t == task) {
+                    Some((_, n)) => {
+                        *n += 1;
+                        *n
+                    }
+                    None => {
+                        leases.push((task.clone(), 1));
+                        1
+                    }
+                }
+            };
+            Some(if lease <= self.revocations {
+                Err(format!("lease {lease} revoked (test)"))
+            } else {
+                Ok(serve_mixed(task))
+            })
+        }
+    }
+
+    #[test]
+    fn revoked_leases_are_retried_then_quarantined_like_panics() {
+        let base = Explorer::default().explore(mixed_runner(3));
+        let revoking = |revocations| Revoking {
+            revocations,
+            leases: Mutex::new(Vec::new()),
+        };
+
+        // Each task's first lease is revoked and its retry served: the
+        // counters are the sequential run's, plus one retry per task.
+        let once = revoking(1);
+        let out = explore_mixed_dispatched(&once);
+        let leased = once.leases.lock().unwrap().len();
+        assert!(leased > 0, "the dispatcher saw delegated work");
+        assert!(out.exhausted && !out.partial);
+        assert_eq!(
+            (out.runs, out.cut_runs, out.pruned),
+            (base.runs, base.cut_runs, base.pruned),
+            "a retried lease must be bit-identical to sequential"
+        );
+        assert_eq!((out.retried, out.quarantined), (leased as u64, 0));
+
+        // Every lease revoked: each dispatched task is quarantined after
+        // its retries, exactly as a panicking subtree would be.
+        let always = revoking(usize::MAX);
+        let out = explore_mixed_dispatched(&always);
+        let leases = always.leases.lock().unwrap();
+        assert!(!leases.is_empty(), "the dispatcher saw delegated work");
+        assert!(leases
+            .iter()
+            .all(|(_, n)| *n == 1 + QUARANTINE_RETRIES as usize));
+        assert_eq!(out.quarantined, leases.len() as u64);
+        assert_eq!(out.retried, QUARANTINE_RETRIES as u64 * out.quarantined);
+        assert!(out.partial && !out.exhausted, "never a silent pass");
+        assert_eq!(out.poisoned.len(), leases.len());
+        let reason = format!("lease {} revoked (test)", 1 + QUARANTINE_RETRIES);
+        for report in &out.poisoned {
+            assert_eq!(report.attempts, 1 + QUARANTINE_RETRIES);
+            assert!(report.message.contains(&reason), "{:?}", report.message);
+        }
     }
 
     #[test]

@@ -89,7 +89,8 @@
 //! any worker count. [`CheckpointPolicy`] adds a wall-clock deadline
 //! and a schedule budget; on expiry the explorer *drains* — writes one
 //! clean checkpoint and returns a resumable partial
-//! [`ExploreOutcome`]. Worker panics are retried with deterministic
+//! [`ExploreOutcome`]. A failed subtree attempt — a worker panic, or
+//! a lease a [`TaskDispatcher`] revoked — is retried with deterministic
 //! backoff and then **quarantined**: the poisoned subtree is dumped as
 //! a replayable [`PoisonReport`] and exploration continues around it.
 //! Quarantine is sound by construction — a quarantined subtree banks

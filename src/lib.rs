@@ -300,13 +300,14 @@
 //!
 //! Three degradation paths keep a run useful when something breaks:
 //!
-//! * **Panic quarantine** — a worker panic inside a subtree replay (an
-//!   object bug, a fail-closed `validate_race` diagnostic, a fiber
-//!   sentinel escape) retries with deterministic backoff, then
-//!   quarantines the subtree into a replayable poisoned-task report
-//!   while the rest of the frontier completes; the outcome is marked
-//!   `partial` with `quarantined`/`retried` telemetry, so a
-//!   quarantined run can never read as a false PASS.
+//! * **Quarantine** — a failed subtree attempt (a worker panic inside
+//!   a subtree replay — an object bug, a fail-closed `validate_race`
+//!   diagnostic, a fiber sentinel escape — or a revoked `sl-dist`
+//!   lease) retries with deterministic backoff, then quarantines the
+//!   subtree into a replayable poisoned-task report while the rest of
+//!   the frontier completes; the outcome is marked `partial` with
+//!   `quarantined`/`retried` telemetry, so a quarantined run can never
+//!   read as a false PASS.
 //! * **Budgets + drain** — `sim::CheckpointPolicy` carries a
 //!   wall-clock deadline and a schedule-count budget; on expiry the
 //!   run drains to a clean checkpoint and returns a resumable partial
