@@ -33,8 +33,11 @@
 //!
 //! Every entry point runs one harness. Each explorer worker replays
 //! the workload's [`programs_for`] on a warm [`PooledWorld`] and streams
-//! the transcripts into per-subtree [`DagShards`], which are merged
-//! after the exploration. The entry points differ only in how the
+//! the transcripts into per-subtree [`DagShards`]; a stolen subtree's
+//! shard is grafted into its owner's at the join, so an exploration
+//! ends with the root's shard (plus any a failed attempt or a remote
+//! worker left, unioned by [`TreeDag::merge`]). The entry points differ
+//! only in how the
 //! explorer runs: plain ([`explore_object_dag_with`]), checkpointed
 //! ([`explore_object_dag_resumable`]), over a fleet of worker processes
 //! ([`explore_object_dag_distributed`]), or as one such worker
@@ -337,8 +340,9 @@ impl<S: SeqSpec, O> ReplayCtx for PooledWorld<S, O> {}
 /// schedule, [`Harness::replay`] runs the workload and ingests the
 /// transcript into the current subtree's shard. Subtrees replay in
 /// depth-first order, so every shard is a valid
-/// [`sl_check::DagBuilder`] stream; [`TreeDag::merge`] unions the
-/// finished shards after the exploration.
+/// [`sl_check::DagBuilder`] stream, and a stolen subtree's shard is
+/// grafted into its owner's at the join; [`TreeDag::merge`] unions the
+/// shards left in the sink after the exploration.
 struct Harness<'w, S: SeqSpec, F, A> {
     factory: F,
     workload: &'w [Vec<S::Op>],

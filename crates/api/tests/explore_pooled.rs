@@ -103,3 +103,43 @@ fn pooled_snapshot_exploration_is_clean_between_replays() {
         );
     }
 }
+
+/// Observation 4's object on its narrow two-process tree (Algorithm 1,
+/// five `DWrite`s against two `DRead`s, under the proof's stem `S`):
+/// every worker count publishes subtrees and grafts the stolen ones'
+/// shards at the joins, and the DAG, the outcome and the refutation
+/// are the sequential exploration's.
+#[test]
+fn grafted_observation4_dags_match_the_sequential_one() {
+    let workload = [vec![AbaOp::DWrite(7); 5], vec![AbaOp::DRead; 2]];
+    let spec = ASpec::new(2);
+    let mut reference = None;
+    for workers in [1usize, 2, 4, 8] {
+        let cfg = SimExplore {
+            workers,
+            stem: vec![0, 0, 0, 1, 1, 1, 0, 0, 0],
+            ..SimExplore::default()
+        };
+        let explored = explore_object_dag::<ASpec, _, _>(
+            |mem| {
+                ObjectBuilder::on(mem)
+                    .processes(2)
+                    .lin_aba_register::<u64>()
+            },
+            &workload,
+            &cfg,
+        );
+        let report = explored.check_strong(&spec);
+        assert!(explored.outcome.exhausted && !report.holds, "{workers}");
+        let seen = (
+            explored.outcome,
+            explored.dag.unique_nodes(),
+            explored.dag.structural_hash(),
+            report.conflict_depth,
+        );
+        match &reference {
+            None => reference = Some(seen),
+            Some(sequential) => assert_eq!(sequential, &seen, "{workers} workers"),
+        }
+    }
+}

@@ -153,7 +153,8 @@ impl Gate {
     pub fn speedup_at_least(&mut self, what: &str, measured: f64, min: Option<f64>) {
         let Some(min) = min else { return };
         if measured < min {
-            eprintln!("REGRESSION: {what} {measured:.2}x below recorded minimum {min}x");
+            let measured = below(measured, min);
+            eprintln!("REGRESSION: {what} {measured}x below recorded minimum {min}x");
             self.regressed = true;
         } else {
             println!("baseline ok: {what} {measured:.2}x >= {min}x");
@@ -165,6 +166,16 @@ impl Gate {
     pub fn skip(&mut self, msg: &str) {
         println!("({msg})");
     }
+}
+
+/// `measured` (below `floor`) with the fewest decimals, at least two,
+/// that still read below `floor`, so a failing ratio never prints as
+/// its floor (0.948 against 0.95 reads "0.948", not "0.95").
+fn below(measured: f64, floor: f64) -> String {
+    (2..=17)
+        .map(|decimals| format!("{measured:.decimals$}"))
+        .find(|text| text.parse::<f64>().is_ok_and(|read| read < floor))
+        .unwrap_or_else(|| measured.to_string())
 }
 
 /// Writes `contents` to `path` atomically: a process-unique temp file
@@ -295,6 +306,16 @@ mod tests {
             b.workload_count("a", "dpor_replayed");
         });
         assert!(msg.contains("expected an unsigned integer"), "{msg}");
+    }
+
+    #[test]
+    fn a_failing_ratio_never_prints_as_its_floor() {
+        assert_eq!(below(0.948, 0.95), "0.948");
+        assert_eq!(below(0.5, 0.95), "0.50");
+        assert_eq!(below(0.9499999, 0.95), "0.9499999");
+        assert_eq!(below(0.95 - 1e-12, 0.95), "0.949999999999");
+        let next_below = f64::from_bits(0.95f64.to_bits() - 1);
+        assert!(below(next_below, 0.95).parse::<f64>().unwrap() < 0.95);
     }
 
     #[test]

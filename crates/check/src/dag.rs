@@ -19,7 +19,10 @@
 //! unfinalised, and interns every subtree the moment exploration leaves
 //! it — the classic sorted-input DAFSA construction. Peak memory is the
 //! number of *unique* subtree shapes plus one spine, not the number of
-//! tree nodes.
+//! tree nodes. A parallel exploration keeps one builder per running
+//! subtree and joins a stolen subtree's builder into its owner's with
+//! [`DagBuilder::graft`], structurally, where the sequential stream
+//! would have reached it.
 //!
 //! [`HistoryTree`]: crate::HistoryTree
 
@@ -243,8 +246,10 @@ impl<S: SeqSpec> TreeDag<S> {
     }
 
     /// Unions a set of prefix-closed transcript shards into one DAG —
-    /// the join step of parallel exploration, where each delegated
-    /// subtree streamed its (prefix-including) transcripts into its own
+    /// the shards a parallel exploration could not graft (the root's,
+    /// a failed or retried attempt's, a remote worker's, or every
+    /// subtree's when the context does not graft), each of which
+    /// streamed its (prefix-including) transcripts into its own
     /// [`DagBuilder`]. Structurally interned: shared prefixes and
     /// isomorphic subtrees across shards collapse, and because node
     /// identity is content-based, the result is identical to what one
@@ -418,13 +423,20 @@ impl<S: SeqSpec> DagInner<S> {
 
 /// The per-worker shard stack of a parallel depth-first exploration:
 /// one [`DagBuilder`] per open subtree (they nest when a worker helps
-/// elsewhere while blocked on a join), finished shards collected in a
-/// shared sink for a final [`TreeDag::merge`].
+/// elsewhere while blocked on a join). A stolen subtree's shard is
+/// [detached](DagShards::detach) unfinished and
+/// [grafted](DagShards::graft) into its owner's open shard at the join,
+/// so a worker holds one open shard per subtree it is running, and the
+/// shared sink receives only shards that end with no owner to graft
+/// them: the root's, and those of failed or retried attempts, unioned
+/// by a final [`TreeDag::merge`] (a no-op for the root's shard alone).
 ///
-/// This is the canonical implementation of the explorer's
-/// `subtree_begin`/`subtree_end` contract — harness contexts hold one
-/// `DagShards` and forward the two hooks, keeping the bracketing logic
-/// in one place.
+/// This is the canonical implementation of the explorer's subtree
+/// hooks (`subtree_begin`, `subtree_end`, `subtree_detach`,
+/// `subtree_graft`) — harness contexts hold one `DagShards` and forward
+/// the hooks, keeping the shard logic in one place. A context that
+/// forwards only `begin`/`end` ends every stolen shard into the sink
+/// instead, and the final merge unions them.
 pub struct DagShards<'s, S: SeqSpec> {
     open: Vec<DagBuilder<S>>,
     sink: &'s Mutex<Vec<TreeDag<S>>>,
@@ -449,6 +461,21 @@ impl<'s, S: SeqSpec> DagShards<'s, S> {
     pub fn end(&mut self) {
         let shard = self.open.pop().expect("balanced subtree hooks");
         self.sink.lock().unwrap().push(shard.finish());
+    }
+
+    /// Closes the current shard without finishing it, for its owner to
+    /// [`DagShards::graft`] (call from `ReplayCtx::subtree_detach`).
+    pub fn detach(&mut self) -> DagBuilder<S> {
+        self.open.pop().expect("balanced subtree hooks")
+    }
+
+    /// Grafts a detached shard into the current one (call from
+    /// `ReplayCtx::subtree_graft`); see [`DagBuilder::graft`].
+    pub fn graft(&self, shard: DagBuilder<S>) {
+        self.open
+            .last()
+            .expect("graft inside a subtree")
+            .graft(shard);
     }
 
     /// Streams one transcript into the current subtree's shard.
@@ -500,6 +527,75 @@ impl<S: SeqSpec> BuilderInner<S> {
             parent.push((entry.step_in, id));
         }
     }
+
+    /// The finalised children of the open node at `depth` (0 is the
+    /// root, `d` the node `spine[d - 1]` leads into).
+    fn children_at(&mut self, depth: usize) -> &mut Vec<(TreeStep<S>, NodeId)> {
+        match depth {
+            0 => &mut self.root_children,
+            d => &mut self.spine[d - 1].children,
+        }
+    }
+
+    /// Adds a child under the open node at `depth`: the stream has left
+    /// the open path below it, so that path is finalised first, and a
+    /// child already finished there would be a revisit. `id` is the
+    /// finished child, or `None` to open it as the new spine tip.
+    fn attach(&mut self, depth: usize, step: TreeStep<S>, id: Option<NodeId>) {
+        self.finalize_below(depth);
+        assert!(
+            self.children_at(depth).iter().all(|(s, _)| *s != step),
+            "DagBuilder::graft: the grafted transcripts revisit a subtree the builder \
+             already finished (a graft must continue the builder's depth-first order)"
+        );
+        match id {
+            Some(id) => self.children_at(depth).push((step, id)),
+            None => self.spine.push(SpineEntry {
+                step_in: step,
+                children: Vec::new(),
+            }),
+        }
+    }
+
+    /// Interns node `id` of `from`, with its subtree, into this
+    /// builder's store; `copied` memoises ids already carried over.
+    fn copy(&mut self, from: &DagInner<S>, copied: &mut [Option<NodeId>], id: NodeId) -> NodeId {
+        if let Some(done) = copied[id as usize] {
+            return done;
+        }
+        let children = from.nodes[id as usize]
+            .children
+            .iter()
+            .map(|(step, child)| (step.clone(), self.copy(from, copied, *child)))
+            .collect();
+        let done = self.dag.intern(children);
+        copied[id as usize] = Some(done);
+        done
+    }
+
+    /// Merges `id`, a finished node of `from`, into the open node at
+    /// `depth` that has the same path: the child continuing the open
+    /// path merges first (it is the earliest in depth-first order), then
+    /// every other child is new here.
+    fn absorb(
+        &mut self,
+        from: &DagInner<S>,
+        copied: &mut [Option<NodeId>],
+        depth: usize,
+        id: NodeId,
+    ) {
+        let open = self.spine.get(depth).map(|e| e.step_in.clone());
+        let children = &from.nodes[id as usize].children;
+        if let Some((_, child)) = children.iter().find(|(s, _)| Some(s) == open.as_ref()) {
+            self.absorb(from, copied, depth + 1, *child);
+        }
+        for (step, child) in children {
+            if Some(step) != open.as_ref() {
+                let child = self.copy(from, copied, *child);
+                self.attach(depth, step.clone(), Some(child));
+            }
+        }
+    }
 }
 
 /// Streaming hash-consing builder over depth-first-ordered transcripts.
@@ -509,7 +605,8 @@ impl<S: SeqSpec> BuilderInner<S> {
 /// a prefix, and a left subtree is never revisited once exploration
 /// moves right). Feeding transcripts in any other order panics (in all
 /// build profiles) — use [`crate::TreeBuilder`] for unordered (e.g.
-/// parallel-frame) streams.
+/// parallel-frame) streams. A builder may be left unfinished and
+/// [grafted](DagBuilder::graft) into one whose stream it continues.
 pub struct DagBuilder<S: SeqSpec> {
     inner: Mutex<BuilderInner<S>>,
 }
@@ -563,6 +660,59 @@ impl<S: SeqSpec> DagBuilder<S> {
     /// Number of transcripts ingested so far.
     pub fn ingested(&self) -> usize {
         self.inner.lock().unwrap().ingested
+    }
+
+    /// Ingests every transcript of `tail`, an unfinished builder whose
+    /// stream continues this one in depth-first order, as if they were
+    /// fed here one by one: the join step of parallel exploration, where
+    /// a stolen subtree's shard rejoins its owner's at the point the
+    /// sequential explorer would have explored it.
+    ///
+    /// Structural: `tail`'s finished subtrees are copied node by node
+    /// (each shape interned once), its open path continues as this
+    /// builder's spine, and a subtree open here that `tail` continues
+    /// merges with it — so the cost is `tail`'s unique shapes, not its
+    /// transcripts. The result is the sequential builder's (same unique
+    /// shapes, tree size and structural hash), and a `tail` that
+    /// revisits a subtree finished here panics (in all build profiles),
+    /// as an out-of-order [`DagBuilder::ingest`] does.
+    pub fn graft(&self, tail: DagBuilder<S>) {
+        let tail = tail
+            .inner
+            .into_inner()
+            .expect("a grafted builder is not poisoned by a panicked ingest");
+        let mut inner = self
+            .inner
+            .lock()
+            .expect("a builder is not poisoned by a panicked ingest");
+        inner.ingested += tail.ingested;
+        let mut copied = vec![None; tail.dag.nodes.len()];
+        // Depth by depth along `tail`'s open path: the finished children
+        // of each open node precede its open child in `tail`'s order.
+        for depth in 0..=tail.spine.len() {
+            let finished = match depth {
+                0 => &tail.root_children,
+                d => &tail.spine[d - 1].children,
+            };
+            for (step, id) in finished {
+                if inner.spine.get(depth).is_some_and(|e| e.step_in == *step) {
+                    inner.absorb(&tail.dag, &mut copied, depth + 1, *id);
+                } else {
+                    let id = inner.copy(&tail.dag, &mut copied, *id);
+                    inner.attach(depth, step.clone(), Some(id));
+                }
+            }
+            if let Some(entry) = tail.spine.get(depth) {
+                if !inner
+                    .spine
+                    .get(depth)
+                    .is_some_and(|e| e.step_in == entry.step_in)
+                {
+                    inner.attach(depth, entry.step_in.clone(), None);
+                }
+            }
+        }
+        inner.prev = inner.spine.iter().map(|e| e.step_in.clone()).collect();
     }
 
     /// Consumes the builder, returning the finished DAG.
@@ -732,6 +882,94 @@ mod tests {
         let ba = TreeDag::merge(vec![s2, s1]);
         assert_eq!(ab.structural_hash(), ba.structural_hash());
         assert_eq!(ab.structural_hash(), sequential.structural_hash());
+    }
+
+    /// Grafting the builder of a DFS stream's tail into the builder of
+    /// its head, at every cut, gives the sequential builder's DAG — also
+    /// when the tail repeats the head's last transcript, and when the
+    /// head goes on ingesting after the graft (the owner of a stolen
+    /// subtree continues its own walk after the join).
+    #[test]
+    fn graft_matches_the_sequential_builder() {
+        let transcripts = vec![
+            mk(&["a", "b", "x", "y"]),
+            mk(&["a", "c", "x", "y"]),
+            mk(&["a", "c", "z"]),
+            mk(&["d", "b", "x", "y"]),
+            mk(&["d", "c", "x", "y"]),
+            mk(&["e"]),
+        ];
+        let builder = |range: &[Vec<TreeStep<CounterSpec>>]| {
+            let b: DagBuilder<CounterSpec> = DagBuilder::new();
+            for t in range {
+                b.ingest(t);
+            }
+            b
+        };
+        let sequential = builder(&transcripts).finish();
+        let same = |dag: TreeDag<CounterSpec>, what: &str| {
+            assert_eq!(dag.unique_nodes(), sequential.unique_nodes(), "{what}");
+            assert_eq!(
+                dag.tree_node_count(),
+                sequential.tree_node_count(),
+                "{what}"
+            );
+            assert_eq!(
+                dag.structural_hash(),
+                sequential.structural_hash(),
+                "{what}"
+            );
+        };
+        let n = transcripts.len();
+        for cut in 0..=n {
+            let head = builder(&transcripts[..cut]);
+            head.graft(builder(&transcripts[cut..]));
+            assert_eq!(head.ingested(), n, "cut {cut}");
+            same(head.finish(), &format!("cut {cut}"));
+            if cut > 0 {
+                let head = builder(&transcripts[..cut]);
+                head.graft(builder(&transcripts[cut - 1..]));
+                same(head.finish(), &format!("cut {cut}, boundary repeated"));
+            }
+            for resume in cut..=n {
+                let head = builder(&transcripts[..cut]);
+                head.graft(builder(&transcripts[cut..resume]));
+                for t in &transcripts[resume..] {
+                    head.ingest(t);
+                }
+                same(
+                    head.finish(),
+                    &format!("graft {cut}..{resume}, then ingest"),
+                );
+            }
+        }
+        // A grafted shard may itself hold grafts (nested steals).
+        let inner = builder(&transcripts[2..4]);
+        inner.graft(builder(&transcripts[4..]));
+        let head = builder(&transcripts[..2]);
+        head.graft(inner);
+        same(head.finish(), "nested graft");
+    }
+
+    #[test]
+    fn an_out_of_order_graft_panics_with_a_named_diagnostic() {
+        let head: DagBuilder<CounterSpec> = DagBuilder::new();
+        head.ingest(&mk(&["a", "b"]));
+        head.ingest(&mk(&["d"]));
+        // `a` was finished when the head moved on to `d`.
+        let tail: DagBuilder<CounterSpec> = DagBuilder::new();
+        tail.ingest(&mk(&["a", "c"]));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| head.graft(tail)))
+            .expect_err("a graft revisiting a finished subtree must be refused");
+        let msg = caught
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| caught.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(
+            msg.starts_with("DagBuilder::graft:") && msg.contains("revisit"),
+            "diagnostic: {msg}"
+        );
     }
 
     #[test]

@@ -54,22 +54,35 @@
 //! # Parallel source-set DPOR
 //!
 //! A node's demand queue grows while descendants run. The explorer
-//! parallelises the walk with **per-subtree ownership**: when a
-//! decision node holds several pending demands, the owning worker
-//! keeps the first as its own continuation and publishes the rest as
-//! frozen [`SubtreeTask`]s — decision prefix, the declared access of
+//! parallelises the walk with **per-subtree ownership**, and one rule
+//! decides what to share: at every replay boundary, while some worker
+//! is idle and no task is queued, the worker publishes the shallowest
+//! uncovered demand on its own spine — the biggest subtree it holds —
+//! as a frozen [`SubtreeTask`]: decision prefix, the declared access of
 //! every prefix step, the prefix's vector clocks, and the sleep set at
-//! the subtree root — onto a work-stealing deque. A task explores its
-//! subtree with the ordinary sequential algorithm (its demand queues
-//! are worker-local); race reversals that point *above* the subtree
-//! root cannot be applied locally, so they are recorded as **escapes**
+//! the subtree root, pushed onto its work-stealing deque. A worker is
+//! idle while it waits for a task to steal or for a thief to finish a
+//! task it must join; every worker but the root's is idle from the
+//! start, and a retry of a failed attempt never publishes, so a failing
+//! subtree is split the same way on every attempt. A two-process tree
+//! such as Observation 4's (Algorithm 1), where a node never holds a
+//! demand besides the child its owner pops next, is shared as well as
+//! a bushy one.
+//!
+//! The demand is taken with the masks the sequential pop will see when
+//! it reaches it: the node's own, plus the child in flight there and
+//! the siblings already delegated from it. A task explores its subtree
+//! with the ordinary sequential algorithm (its demand queues are
+//! worker-local); race reversals that point *above* the subtree root
+//! cannot be applied locally, so they are recorded as **escapes**
 //! (decision depth, weak initials, the demand) in detection order and
 //! merged by the owner when it joins the task — exactly where the
 //! sequential algorithm would have applied them, because the owner
-//! joins delegated siblings right after retiring its own child and
-//! before popping the node's next demand. The sleep set handed to each
-//! delegated sibling is accumulated in the same order the sequential
-//! pop would have used.
+//! joins a node's delegated siblings, in publish order, right after
+//! retiring the child in flight and before popping the node's next
+//! demand. Demands only join a queue at its back and masks only grow,
+//! so each delegated demand is explored with the inputs, and at the
+//! place, of the sequential pop.
 //!
 //! The result is *bit-identical* to the sequential explorer at any
 //! worker count (schedule set, replay and cut counts, pruned totals),
@@ -78,11 +91,20 @@
 //! depends on worker timing. The differential suites assert the
 //! equality at 1/2/4/8 workers.
 //!
-//! Transcript consumers that need the depth-first ingestion order
-//! (`sl_check::DagBuilder`) implement [`ReplayCtx`]: the explorer
-//! brackets every task with `subtree_begin`/`subtree_end`, so a context
-//! can keep one DFS-ordered shard per subtree and hash-cons-merge the
-//! shards afterwards.
+//! Transcripts reach a depth-first consumer (`sl_check::DagBuilder`)
+//! through the [`ReplayCtx`] subtree hooks. A task its owner claims
+//! back at the join runs inline, with no hooks: it runs exactly where
+//! the sequential explorer would have, so its transcripts continue the
+//! owner's open shard. A stolen task streams into a shard of its own,
+//! which the thief detaches unfinished; the owner grafts it into its
+//! open shard at the join, structurally and in depth-first order
+//! (`sl_check::DagBuilder::graft`). So the live shards are bounded by
+//! the steals in flight — a worker holds one open shard per subtree it
+//! is running, plus the detached shards of finished steals not yet
+//! joined — and an exploration without failed attempts ends with the
+//! root's shard alone, with no union to compute. A context that keeps
+//! only the `subtree_begin`/`subtree_end` hooks ends every stolen shard
+//! on its own instead and unions the shards afterwards.
 //!
 //! # The all-dependent setting is exhaustive
 //!
@@ -708,19 +730,59 @@ fn value_commutes(a: &StepMeta, b: &StepMeta, statics: Option<&StaticConflicts>)
 /// for a reusable [`crate::SimWorld`], scratch buffers, and transcript
 /// sinks.
 ///
-/// The two hooks bracket **subtrees**: every delegated subtree task
-/// a worker executes (and the root exploration itself) is wrapped in
-/// `subtree_begin`/`subtree_end`, and the replays in between stream
-/// that subtree's transcripts in depth-first order — exactly the
-/// contract `sl_check::DagBuilder` needs, so a context can keep a stack
-/// of DFS-ordered shards (tasks nest when a worker helps with another
-/// task while waiting at a join) and merge them afterwards.
+/// The hooks bracket **subtrees**, and the replays between a
+/// `subtree_begin` and its closing call stream that subtree's
+/// transcripts in depth-first order — exactly the contract
+/// `sl_check::DagBuilder` needs, so a context keeps a stack of
+/// DFS-ordered shards (subtrees nest when a worker helps with another
+/// task while waiting at a join):
+///
+/// - the root exploration, and every retry of a failed subtree
+///   attempt, opens with `subtree_begin` and closes with `subtree_end`;
+/// - a task taken from a deque (a *stolen* task) opens with
+///   `subtree_begin`; a successful attempt closes with
+///   `subtree_detach`, which hands the unfinished shard to the task's
+///   owner, and the owner calls `subtree_graft` with it when it joins
+///   the task — where the sequential explorer would have explored the
+///   subtree. A failed attempt closes with `subtree_end`;
+/// - a task its owner claims back at the join runs *inline*, with no
+///   hooks: it explores exactly where the sequential explorer would
+///   have, so its transcripts continue the owner's open subtree.
+///
+/// A context therefore holds one open shard per subtree it is running
+/// and per stolen shard awaiting its owner's join. The defaults keep no
+/// shards; a context overriding only `subtree_begin`/`subtree_end` gets
+/// every stolen subtree ended as its own shard (`subtree_detach`
+/// defaults to `subtree_end` and hands nothing over), to be unioned
+/// after the exploration.
 pub trait ReplayCtx {
     /// A new subtree's replays start after this call.
     fn subtree_begin(&mut self) {}
     /// The current subtree is fully explored.
     fn subtree_end(&mut self) {}
+    /// The current subtree, a stolen task, is fully explored: close it
+    /// and hand its unfinished shard to the task's owner, which passes
+    /// it to its own [`ReplayCtx::subtree_graft`] at the join. `None`
+    /// hands nothing over (the default, after `subtree_end`).
+    fn subtree_detach(&mut self) -> Option<DetachedShard> {
+        self.subtree_end();
+        None
+    }
+    /// Continues the current subtree with a shard another worker's
+    /// [`ReplayCtx::subtree_detach`] handed over. A context whose
+    /// `subtree_detach` hands shards over must override this: the
+    /// default refuses the shard (fail-closed — dropping it would lose
+    /// the subtree's transcripts).
+    fn subtree_graft(&mut self, _shard: DetachedShard) {
+        panic!("ReplayCtx::subtree_graft: this context hands over shards it cannot graft");
+    }
 }
+
+/// A stolen subtree's unfinished transcript shard, on its way from the
+/// thief's [`ReplayCtx::subtree_detach`] to the owner's
+/// [`ReplayCtx::subtree_graft`] (`sl_check::DagBuilder` for
+/// [`crate::Sharded`] contexts).
+pub type DetachedShard = Box<dyn std::any::Any + Send>;
 
 impl ReplayCtx for () {}
 
@@ -1117,8 +1179,8 @@ struct SpineNode {
     /// replayed prefixes re-derive identical metadata).
     meta: StepMeta,
     /// Siblings published as frozen subtree tasks, in publish order —
-    /// joined (results and escapes merged) when the owner next retires
-    /// a child of this node.
+    /// joined (shards grafted, results and escapes merged) when the
+    /// owner next retires a child of this node.
     delegated: Vec<Arc<TaskSlot>>,
     /// Pending demands, FIFO: backtracking and sibling publication pop
     /// from the front, skipping demands already covered
@@ -1138,7 +1200,7 @@ type Demand = Vec<(usize, PendingAccess)>;
 
 /// Whether `seq` conflicts with every process sleeping at `node`
 /// (`sleep` is the caller's view of the sleep set — the live
-/// `sleep_now`, or the accumulator a parallel publish threads through).
+/// `sleep_now`, or the mask [`publish_shallowest`] builds).
 ///
 /// This is the defining side condition of a *wakeup sequence* for
 /// ⟨node, Sleep⟩: a sleeping process whose pending access is
@@ -1453,16 +1515,21 @@ const TASK_RUNNING: u8 = 1;
 const TASK_DONE: u8 = 2;
 
 /// A published subtree task: claimable exactly once, completed with its
-/// [`TaskResult`]. Deques may hold stale handles to already-claimed
-/// slots; `claim` arbitrates.
+/// [`TaskResult`] and, when stolen, its detached transcript shard.
+/// Deques may hold stale handles to already-claimed slots; `claim`
+/// arbitrates.
 struct TaskSlot {
     state: AtomicU8,
     /// The frozen spec, immutable after construction: the checkpointer
     /// reads it lock-free regardless of claim state, and claiming hands
     /// out a clone.
     spec: SubtreeTask,
-    output: Mutex<Option<TaskResult>>,
+    output: Mutex<Option<Joined>>,
 }
+
+/// What the owner takes from a finished task at the join: its result,
+/// and the shard a stolen attempt detached for the owner to graft.
+type Joined = (TaskResult, Option<DetachedShard>);
 
 impl TaskSlot {
     fn new(spec: SubtreeTask) -> TaskSlot {
@@ -1491,7 +1558,7 @@ impl TaskSlot {
         }
     }
 
-    fn complete(&self, out: TaskResult) {
+    fn complete(&self, out: Joined) {
         *self.output.lock().unwrap() = Some(out);
         self.state.store(TASK_DONE, Ordering::SeqCst);
     }
@@ -1521,9 +1588,14 @@ struct DporShared<'a, NF, F> {
     hard_stem: usize,
     /// Per-worker deques of published subtree tasks.
     deques: Vec<Mutex<VecDeque<Arc<TaskSlot>>>>,
-    /// Published-but-unclaimed task count — the split heuristic keeps
-    /// this shallow instead of shattering the tree near its leaves.
+    /// Published-but-unclaimed task count: a task is published only
+    /// while this is zero ([`publish_shallowest`]).
     queued: AtomicUsize,
+    /// Workers with nothing to run: waiting for a task to steal, or for
+    /// a thief to finish a task they must join. Every worker but the
+    /// root's is idle from the start, so the first publication does not
+    /// wait for a thread to wake up.
+    idle: AtomicUsize,
     /// Global replay reservation counter (runs + cuts).
     replays: AtomicUsize,
     /// Root exploration finished (or aborted): workers exit.
@@ -1568,6 +1640,7 @@ impl<'a, NF, F> DporShared<'a, NF, F> {
             hard_stem: explorer.stem.len(),
             deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             queued: AtomicUsize::new(0),
+            idle: AtomicUsize::new(workers - 1),
             replays: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             poison: Mutex::new(None),
@@ -1589,9 +1662,9 @@ impl<'a, NF, F> DporShared<'a, NF, F> {
     }
 
     /// Pops `node`'s demands until one is not covered, given `done` and
-    /// `sleep` (the live masks, or the accumulators a parallel publish
-    /// threads through): a demand is covered when its first process was
-    /// explored, delegated or put to sleep, or — under
+    /// `sleep` (the live masks, or those [`publish_shallowest`] builds
+    /// for the pop still ahead): a demand is covered when its first
+    /// process was explored, delegated or put to sleep, or — under
     /// [`PruneMode::OptimalDpor`] — when some sleeper would sleep
     /// through all of it. Masks only grow and [`seq_wakes_all`] only
     /// gets harder as the sleep set grows, so a dropped demand would
@@ -1681,7 +1754,8 @@ impl Explorer {
     {
         let shared = DporShared::new(self, &new_ctx, &runner, 1, usize::MAX, None, None);
         let mut ctx = (shared.new_ctx)();
-        run_task_guarded(&shared, 0, 0, &mut ctx, &SubtreeTask::thaw(task), None)
+        let task = SubtreeTask::thaw(task);
+        run_task_guarded(&shared, 0, 0, &mut ctx, &task, Claim::Root, None).0
     }
 
     /// Resumable exploration: periodic frontier checkpoints,
@@ -1800,7 +1874,7 @@ impl Explorer {
         });
         let root_out = if workers <= 1 {
             let mut ctx = new_ctx();
-            run_task_guarded(&shared, 0, 0, &mut ctx, &root, rc.as_mut())
+            run_task_guarded(&shared, 0, 0, &mut ctx, &root, Claim::Root, rc.as_mut()).0
         } else {
             let mut root_out = None;
             std::thread::scope(|scope| {
@@ -1810,7 +1884,7 @@ impl Explorer {
                 }
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let mut ctx = (shared.new_ctx)();
-                    run_task_guarded(&shared, 0, 0, &mut ctx, &root, rc.as_mut())
+                    run_task_guarded(&shared, 0, 0, &mut ctx, &root, Claim::Root, rc.as_mut()).0
                 }));
                 match result {
                     Ok(out) => root_out = Some(out),
@@ -2035,8 +2109,8 @@ where
     }
 }
 
-/// Runs one claimed task under the quarantine guard and publishes the
-/// result on its slot.
+/// Runs one stolen task under the quarantine guard, off the idle count,
+/// and publishes its result and detached shard on its slot.
 fn execute_task<C, NF, F>(
     shared: &DporShared<'_, NF, F>,
     me: usize,
@@ -2049,8 +2123,25 @@ fn execute_task<C, NF, F>(
     NF: Fn() -> C + Sync,
     F: Fn(&mut C, &mut ScheduleDriver) + Sync,
 {
-    let out = run_task_guarded(shared, me, help_depth, ctx, &task, None);
+    shared.idle.fetch_sub(1, Ordering::SeqCst);
+    let out = run_task_guarded(shared, me, help_depth, ctx, &task, Claim::Stolen, None);
     slot.complete(out);
+    shared.idle.fetch_add(1, Ordering::SeqCst);
+}
+
+/// How a worker came to run a subtree task, which decides where the
+/// task's transcripts go (see [`ReplayCtx`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Claim {
+    /// The session root, or a frozen task explored on its own: a
+    /// subtree of its own, never offered to the dispatcher.
+    Root,
+    /// Taken from a deque: a successful in-process attempt detaches
+    /// its shard for the owner to graft at the join.
+    Stolen,
+    /// Claimed back by its owner at the join: the first attempt streams
+    /// into the owner's open subtree.
+    Inline,
 }
 
 /// Retries on a failed subtree attempt before giving up on it.
@@ -2074,38 +2165,40 @@ const QUARANTINE_BACKOFF_MS: [u64; QUARANTINE_RETRIES as usize] = [1, 5];
 /// can exercise recovery-by-resume) and panics observed after the pool
 /// is poisoned (the abort is already propagating).
 ///
-/// Every in-process attempt gets its own subtree bracket, so a failed
-/// attempt's partially-flushed DAG shard holds a strict subset of the
-/// retry's transcripts — hash-consing dedupes them in the merged DAG.
+/// A task claimed back at its join runs its first attempt inline, in
+/// the owner's open subtree; every other in-process attempt opens a
+/// subtree of its own ([`ReplayCtx`]). A failed attempt ends its shard
+/// partial, and a retry cannot continue a stream its failed attempt
+/// already advanced, so a retry ends its own shard too: the final merge
+/// dedupes the overlap. Only a stolen task's successful attempt
+/// detaches its shard for the owner to graft. A retry never publishes
+/// subtasks, so how a failing subtree is split between tasks cannot
+/// change from its first attempt to its retries.
 fn run_task_guarded<C, NF, F>(
     shared: &DporShared<'_, NF, F>,
     me: usize,
     help_depth: usize,
     ctx: &mut C,
     spec: &SubtreeTask,
+    claim: Claim,
     mut root: Option<&mut RootCkpt<'_>>,
-) -> TaskResult
+) -> Joined
 where
     C: ReplayCtx,
     NF: Fn() -> C + Sync,
     F: Fn(&mut C, &mut ScheduleDriver) + Sync,
 {
     // Distributed dispatch: each attempt at a delegated task is first
-    // offered to the dispatcher. Delegated means published by
-    // `publish_extras` — such tasks always carry at least their
-    // candidate's ghost access, while the session root's `accesses` is
-    // empty (checking `root` alone would not do: the checkpoint root
-    // context is `None` in plain sessions, and farming the root would
-    // ship the *entire* exploration to one single-threaded worker).
-    let dispatcher = shared
-        .dispatcher
-        .filter(|_| root.is_none() && !spec.accesses.is_empty());
+    // offered to the dispatcher; farming the root would ship the
+    // *entire* exploration to one single-threaded worker.
+    let dispatcher = shared.dispatcher.filter(|_| claim != Claim::Root);
     // A root retry must restart from the same restore plan; `run_task`
     // consumes it, so keep a copy to reinstate between attempts.
     let restore_backup = root.as_ref().and_then(|rc| rc.restore.clone());
     let mut attempts = 0u32;
     loop {
         attempts += 1;
+        let mut shard = None;
         let attempt = match dispatcher.and_then(|d| d.dispatch(&spec.freeze())) {
             // A remote result banks its replays against the shared
             // budget, exactly as the local replay loop would have
@@ -2118,7 +2211,10 @@ where
             // Declined (no free or spawnable worker) or never offered:
             // run the attempt here.
             None => {
-                ctx.subtree_begin();
+                let own_subtree = claim != Claim::Inline || attempts > 1;
+                if own_subtree {
+                    ctx.subtree_begin();
+                }
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     run_task(
                         shared,
@@ -2126,10 +2222,17 @@ where
                         help_depth,
                         ctx,
                         spec.clone(),
+                        attempts == 1,
                         root.as_deref_mut(),
                     )
                 }));
-                ctx.subtree_end();
+                if own_subtree {
+                    if result.is_ok() && claim == Claim::Stolen {
+                        shard = ctx.subtree_detach();
+                    } else {
+                        ctx.subtree_end();
+                    }
+                }
                 result.map_err(|payload| {
                     if payload.is::<FaultCrash>() || shared.poisoned.load(Ordering::SeqCst) {
                         std::panic::resume_unwind(payload);
@@ -2141,7 +2244,7 @@ where
         match attempt {
             Ok(mut out) => {
                 out.counters.retried += u64::from(attempts - 1);
-                return out;
+                return (out, shard);
             }
             Err(message) if attempts > QUARANTINE_RETRIES => {
                 let report = PoisonReport {
@@ -2154,7 +2257,7 @@ where
                     // outcome, so a failed write loses nothing vital.
                     let _ = write_poison_report(dir, &report);
                 }
-                return TaskResult {
+                let out = TaskResult {
                     counters: Counters {
                         retried: u64::from(attempts - 1),
                         quarantined: 1,
@@ -2163,6 +2266,7 @@ where
                     poisoned: vec![report],
                     ..TaskResult::default()
                 };
+                return (out, None);
             }
             Err(_) => {
                 std::thread::sleep(std::time::Duration::from_millis(
@@ -2177,15 +2281,15 @@ where
 }
 
 /// Blocks until `slot` is done, claiming it back (and running it on
-/// this thread) if no thief took it, or helping with other queued tasks
-/// while a thief finishes.
+/// this thread, inline) if no thief took it, or helping with other
+/// queued tasks while a thief finishes.
 fn join_slot<C, NF, F>(
     shared: &DporShared<'_, NF, F>,
     me: usize,
     help_depth: usize,
     ctx: &mut C,
     slot: &Arc<TaskSlot>,
-) -> TaskResult
+) -> Joined
 where
     C: ReplayCtx,
     NF: Fn() -> C + Sync,
@@ -2195,13 +2299,23 @@ where
         shared.queued.fetch_sub(1, Ordering::Relaxed);
         // Never stolen: run it right here, exactly where the sequential
         // explorer would have.
-        let out = run_task_guarded(shared, me, help_depth, ctx, &task, None);
+        let out = run_task_guarded(shared, me, help_depth, ctx, &task, Claim::Inline, None);
         slot.state.store(TASK_DONE, Ordering::SeqCst);
         return out;
+    }
+    // The thief is still working: make progress on other tasks instead
+    // of spinning (bounded nesting keeps the stack sane), counted idle
+    // meanwhile so that busy workers publish work for this one.
+    let helps = help_depth < MAX_HELP_DEPTH;
+    if helps {
+        shared.idle.fetch_add(1, Ordering::SeqCst);
     }
     let mut idle = 0u32;
     loop {
         if slot.is_done() {
+            if helps {
+                shared.idle.fetch_sub(1, Ordering::SeqCst);
+            }
             return slot
                 .output
                 .lock()
@@ -2212,9 +2326,7 @@ where
         if shared.poisoned.load(Ordering::SeqCst) {
             panic!("source-DPOR exploration aborted: a worker's runner panicked");
         }
-        // The thief is still working: make progress on other tasks
-        // instead of spinning (bounded nesting keeps the stack sane).
-        if help_depth < MAX_HELP_DEPTH {
+        if helps {
             if let Some((other, task)) = shared.steal_task(me) {
                 idle = 0;
                 execute_task(shared, me, help_depth + 1, ctx, task, &other);
@@ -2238,13 +2350,15 @@ fn backoff(idle: &mut u32) {
 
 /// Explores one subtree to exhaustion (or budget cap): the sequential
 /// DPOR loop over one demand queue per node, generalised with a ghost
-/// prefix, escaping race demands, and sibling delegation.
+/// prefix, escaping race demands, and delegation by
+/// [`publish_shallowest`] when `publish` is set.
 fn run_task<C, NF, F>(
     shared: &DporShared<'_, NF, F>,
     me: usize,
     help_depth: usize,
     ctx: &mut C,
     task: SubtreeTask,
+    publish: bool,
     mut root: Option<&mut RootCkpt<'_>>,
 ) -> TaskResult
 where
@@ -2337,6 +2451,12 @@ where
             out.capped = true;
             drain_delegated(shared, me, help_depth, ctx, &mut spine, floor, &mut out);
             return out;
+        }
+        if publish
+            && shared.idle.load(Ordering::Relaxed) > 0
+            && shared.queued.load(Ordering::Relaxed) == 0
+        {
+            publish_shallowest(shared, me, &mut spine, floor, &clocks);
         }
         let mut driver = ScheduleDriver::new(
             prefix,
@@ -2439,8 +2559,6 @@ where
                     &node.runnable,
                     &node.pending,
                 );
-                publish_extras(shared, me, &mut spine, d, q, &clocks);
-                let node = &mut spine[d];
                 node.chosen = q;
                 node.meta = StepMeta::unknown(access);
                 let mut prefix: Vec<usize> = spine.iter().map(|n| n.chosen).collect();
@@ -2461,48 +2579,50 @@ where
     unreachable!("the DPOR task loop exits via its returns")
 }
 
-/// Publishes further uncovered demands of `spine[d]` (beyond the
-/// owner's own continuation `q`) as frozen subtree tasks, in queue
-/// order — the order the sequential selection pops them — accumulating
-/// the done and sleep masks the sequential pop would see at each turn,
-/// so delegated or not, each demand is explored with identical inputs.
-/// A frozen task carries its demand in the decision prefix beyond the
-/// ghost accesses, the same way it carries its sleep set.
-fn publish_extras<NF, F>(
+/// The one publication rule, applied at a replay boundary while some
+/// worker is idle and no task is queued: publishes the shallowest
+/// uncovered demand on the live spine (`spine[floor..]`) — the biggest
+/// subtree on offer — as a frozen subtree task.
+///
+/// The demand is taken with the masks the sequential pop will see when
+/// it reaches it: the node's own, plus its in-flight child (`chosen`)
+/// and the siblings already delegated there (in `done` since their
+/// publication; `sleep_now` gains them only at the join). Demands only
+/// join a queue at its back and masks only grow, so delegated or not,
+/// every demand is explored with identical inputs, and the owner joins
+/// it (merging its escapes and grafting its shard) right after retiring
+/// `chosen`, where the sequential explorer pops it. A frozen task
+/// carries its demand in the decision prefix beyond the ghost accesses,
+/// the same way it carries its sleep set. A node whose prefix clocks
+/// are not cached yet (a spine restored from a checkpoint, before its
+/// first replay) is not offered.
+fn publish_shallowest<NF, F>(
     shared: &DporShared<'_, NF, F>,
     me: usize,
     spine: &mut [SpineNode],
-    d: usize,
-    q: usize,
+    floor: usize,
     clocks: &ClockTable,
 ) {
-    if shared.deques.len() <= 1 {
-        return; // sequential exploration: demands stay on the spine
-    }
-    // Starvation-driven splitting: publish only while the backlog is
-    // short of one task per worker. Most backtrack visits are
-    // leaf-adjacent, and publishing there would shatter the tree into
-    // thousands of tiny tasks — all prefix-replay and shard overhead,
-    // no parallelism gain.
-    let backlog_cap = shared.deques.len();
-    let mut sleep_acc = spine[d].sleep_now | (1 << q);
-    let mut done_acc = spine[d].done | (1 << q);
-    while shared.queued.load(Ordering::Relaxed) < backlog_cap {
-        let Some(seq) = shared.next_demand(&mut spine[d], done_acc, sleep_acc) else {
-            break;
+    for d in floor..spine.len().min(clocks.len() + 1) {
+        let node = &mut spine[d];
+        let done = node.done | 1 << node.chosen;
+        let sleep = node.sleep_now | done;
+        let Some(seq) = shared.next_demand(node, done, sleep) else {
+            continue;
         };
         if let Some(plan) = shared.fault {
             plan.fire(FaultPoint::TaskFreeze);
         }
         let e = seq[0].0;
-        let access_e = spine[d].pending_of(e);
+        let access = node.pending_of(e);
         let sleep_e = filter_independent(
             shared.relation,
-            sleep_acc,
-            access_e,
-            &spine[d].runnable,
-            &spine[d].pending,
+            sleep,
+            access,
+            &node.runnable,
+            &node.pending,
         );
+        node.done |= 1 << e;
         let mut prefix: Vec<usize> = spine[..d].iter().map(|n| n.chosen).collect();
         prefix.extend(seq.iter().map(|&(p, _)| p));
         let mut accesses: Vec<StepMeta> = spine[..d].iter().map(|n| n.meta).collect();
@@ -2510,10 +2630,9 @@ fn publish_extras<NF, F>(
         // yet; the task's first replay fills its execution metadata in.
         // Further forced steps stay prefix-only (beyond the ghost
         // spine) and are observed on the first replay.
-        accesses.push(StepMeta::unknown(access_e));
-        debug_assert!(clocks.len() >= d, "prefix clocks cached up to the tip");
+        accesses.push(StepMeta::unknown(access));
         let slot = Arc::new(TaskSlot::new(SubtreeTask {
-            floor: accesses.len(),
+            floor: d + 1,
             prefix,
             accesses,
             clocks: clocks.prefix(d),
@@ -2521,19 +2640,18 @@ fn publish_extras<NF, F>(
         }));
         shared.deques[me]
             .lock()
-            .unwrap()
+            .expect("deque pushes and pops cannot panic")
             .push_back(Arc::clone(&slot));
         shared.queued.fetch_add(1, Ordering::Relaxed);
         spine[d].delegated.push(slot);
-        spine[d].done |= 1 << e;
-        done_acc |= 1 << e;
-        sleep_acc |= 1 << e;
+        return;
     }
 }
 
 /// Joins every delegated sibling of `spine[d]` in publish order,
-/// merging counters and escapes: demands at or above this task's floor
-/// apply to the live spine, deeper-escaping demands bubble up.
+/// grafting stolen shards and merging counters and escapes: demands at
+/// or above this task's floor apply to the live spine, deeper-escaping
+/// demands bubble up.
 #[allow(clippy::too_many_arguments)]
 fn join_delegated<C, NF, F>(
     shared: &DporShared<'_, NF, F>,
@@ -2557,7 +2675,12 @@ fn join_delegated<C, NF, F>(
         if let Some(plan) = shared.fault {
             plan.fire(FaultPoint::JoinMerge);
         }
-        let res = join_slot(shared, me, help_depth, ctx, &slot);
+        let (res, shard) = join_slot(shared, me, help_depth, ctx, &slot);
+        // A stolen subtree's transcripts continue this subtree's stream
+        // here, where the sequential explorer would have explored them.
+        if let Some(shard) = shard {
+            ctx.subtree_graft(shard);
+        }
         out.counters.add(res.counters);
         out.capped |= res.capped;
         out.drained |= res.drained;
@@ -3064,13 +3187,7 @@ mod tests {
 
         // A dispatcher that always declines: pure in-process
         // degradation, still bit-identical.
-        struct Decline;
-        impl TaskDispatcher for Decline {
-            fn dispatch(&self, _: &FrozenTask) -> Option<Result<TaskResult, String>> {
-                None
-            }
-        }
-        let out = explore_mixed_dispatched(&Decline);
+        let out = explore_mixed_dispatched(&Offered::default());
         assert!(out.exhausted);
         assert_eq!(
             (out.runs, out.cut_runs, out.pruned),
@@ -3247,48 +3364,194 @@ mod tests {
         );
     }
 
+    /// An Observation-4-shaped narrow tree, after Algorithm 1's step
+    /// pattern: a writer whose operations read the reader's announcement
+    /// and write `X` with a sequence number cycling through four values,
+    /// and a reader whose operations read `X`, read and rewrite their
+    /// announcement, and reread `X`, each operation behind a pause. With
+    /// two processes a node never holds a demand besides the child its
+    /// owner pops next, so delegating only a node's further demands at
+    /// that pop never publishes anything here.
+    fn narrow_runner(
+        writes: u64,
+        reads: usize,
+    ) -> impl Fn(&mut ScheduleDriver) -> RunOutcome + Sync {
+        move |d: &mut ScheduleDriver| {
+            let world = SimWorld::new(2);
+            let mem = world.mem();
+            let x = mem.alloc("X", 0u64);
+            let a = mem.alloc("A", 0u64);
+            let (xw, aw) = (x.clone(), a.clone());
+            let writer: crate::Program = Box::new(move |ctx| {
+                for i in 0..writes {
+                    ctx.pause();
+                    let announced = aw.read();
+                    xw.write(1 + (i + announced) % 4);
+                }
+            });
+            let reader: crate::Program = Box::new(move |ctx| {
+                for _ in 0..reads {
+                    ctx.pause();
+                    let seen = x.read();
+                    let _ = a.read();
+                    a.write(seen);
+                    let _ = x.read();
+                }
+            });
+            world.run(vec![writer, reader], d, 1_000)
+        }
+    }
+
+    /// Declines every task, counting the offers: each published task is
+    /// offered at least once, stolen or claimed back.
+    #[derive(Default)]
+    struct Offered(AtomicUsize);
+
+    impl TaskDispatcher for Offered {
+        fn dispatch(&self, _: &FrozenTask) -> Option<Result<TaskResult, String>> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            None
+        }
+    }
+
     /// The headline determinism guarantee of the partitioned DPOR
     /// explorer: at any worker count, runs, cut replays, pruned totals,
     /// and the set of explored schedules are bit-identical to the
-    /// sequential exploration.
+    /// sequential exploration — and above one worker, subtrees are
+    /// published even on the narrow tree.
     #[test]
     fn parallel_dpor_is_bit_identical_to_sequential() {
         use std::collections::BTreeSet;
-        for (n, mode) in [
-            (2, PruneMode::Unpruned),
-            (3, PruneMode::SourceDpor),
-            (4, PruneMode::SourceDpor),
-            (3, PruneMode::OptimalDpor),
-            (4, PruneMode::OptimalDpor),
-        ] {
+        type Runner = Box<dyn Fn(&mut ScheduleDriver) -> RunOutcome + Sync>;
+        let cases: Vec<(&str, PruneMode, Runner)> = vec![
+            ("mixed 2", PruneMode::Unpruned, Box::new(mixed_runner(2))),
+            ("mixed 3", PruneMode::SourceDpor, Box::new(mixed_runner(3))),
+            ("mixed 4", PruneMode::SourceDpor, Box::new(mixed_runner(4))),
+            ("mixed 3", PruneMode::OptimalDpor, Box::new(mixed_runner(3))),
+            ("mixed 4", PruneMode::OptimalDpor, Box::new(mixed_runner(4))),
+            (
+                "narrow",
+                PruneMode::SourceDpor,
+                Box::new(narrow_runner(3, 1)),
+            ),
+            (
+                "narrow",
+                PruneMode::OptimalDpor,
+                Box::new(narrow_runner(2, 2)),
+            ),
+        ];
+        for (name, mode, runner) in &cases {
             let explore_at = |workers: usize| {
-                let runner = mixed_runner(n);
                 let scripts = Mutex::new(BTreeSet::new());
+                let offered = Offered::default();
                 let explorer = Explorer {
-                    mode,
+                    mode: *mode,
                     workers,
                     ..Explorer::default()
                 };
-                let out = explorer.explore(|d| {
-                    let o = runner(d);
-                    if !d.was_cut() {
-                        scripts.lock().unwrap().insert(o.script());
-                    }
-                    o
-                });
-                assert!(out.exhausted, "{n} procs at {workers} workers");
-                (out, scripts.into_inner().unwrap())
-            };
-            let (seq, seq_scripts) = explore_at(1);
-            for workers in [2, 4, 8] {
-                let (par, par_scripts) = explore_at(workers);
-                assert_eq!(seq, par, "{n} procs: outcome diverged at {workers} workers");
-                assert_eq!(
-                    seq_scripts, par_scripts,
-                    "{n} procs: schedule set diverged at {workers} workers"
+                let out = explorer.explore_dispatched(
+                    || (),
+                    |_: &mut (), d: &mut ScheduleDriver| {
+                        let o = runner(d);
+                        if !d.was_cut() {
+                            scripts.lock().unwrap().insert(o.script());
+                        }
+                    },
+                    &offered,
                 );
+                assert!(out.exhausted, "{name} {mode:?} at {workers} workers");
+                let offered = offered.0.load(Ordering::SeqCst);
+                (out, scripts.into_inner().unwrap(), offered)
+            };
+            let (seq, seq_scripts, _) = explore_at(1);
+            for workers in [2, 4, 8] {
+                let (par, par_scripts, offered) = explore_at(workers);
+                let tag = format!("{name} {mode:?} at {workers} workers");
+                assert_eq!(seq, par, "{tag}: outcome diverged");
+                assert_eq!(seq_scripts, par_scripts, "{tag}: schedule set diverged");
+                assert!(offered > 0, "{tag}: no subtree was published");
             }
         }
+    }
+
+    /// The publication rule on a hand-built spine of three processes
+    /// writing three registers (so a sleeper stays asleep across any
+    /// other process's step): the shallowest node with an uncovered
+    /// demand publishes it; the node's in-flight child and its already
+    /// delegated sibling cover their own demands and sleep in the
+    /// published task; and a node whose prefix clocks are not cached is
+    /// not offered.
+    #[test]
+    fn publication_takes_the_shallowest_uncovered_demand() {
+        let explorer = Explorer {
+            mode: PruneMode::SourceDpor,
+            workers: 2,
+            ..Explorer::default()
+        };
+        let (new_ctx, runner) = (|| (), |_: &mut (), _: &mut ScheduleDriver| {});
+        let shared = DporShared::new(&explorer, &new_ctx, &runner, 2, usize::MAX, None, None);
+        let write = |r: usize| PendingAccess {
+            reg: crate::world::RegId(r as u32),
+            kind: AccessKind::Write,
+        };
+        let demand = |p: usize| vec![(p, write(p))];
+        let node = |chosen: usize, demands: Vec<Demand>| SpineNode {
+            runnable: vec![0, 1, 2],
+            pending: vec![write(0), write(1), write(2)],
+            sleep_now: 0,
+            done: 0,
+            backtrack: 1 << chosen,
+            chosen,
+            meta: StepMeta::unknown(write(chosen)),
+            delegated: Vec::new(),
+            demands: demands.into(),
+        };
+        let sibling = Arc::new(TaskSlot::new(SubtreeTask {
+            prefix: vec![0, 1],
+            accesses: Vec::new(),
+            clocks: ClockTable::default(),
+            sleep: 0,
+            floor: 2,
+        }));
+        let mut spine = vec![
+            // Its one demand is its in-flight child's.
+            node(0, vec![demand(0)]),
+            // Process 1 is already delegated here.
+            node(0, vec![demand(1), demand(2)]),
+            node(1, vec![demand(0)]),
+        ];
+        spine[1].done = 1 << 1;
+        spine[1].delegated.push(sibling);
+        let clocks = |rows: usize| ClockTable {
+            width: 3,
+            rows: vec![0; rows * 3],
+        };
+        publish_shallowest(&shared, 0, &mut spine, 0, &clocks(2));
+        assert!(spine[0].demands.is_empty() && spine[0].delegated.is_empty());
+        assert!(spine[1].demands.is_empty());
+        assert_eq!(spine[1].delegated.len(), 2);
+        assert_eq!(spine[1].done, 1 << 1 | 1 << 2);
+        let task = &spine[1].delegated[1].spec;
+        assert_eq!(task.prefix, [0, 2]);
+        assert_eq!(task.floor, 2);
+        assert_eq!(
+            task.sleep,
+            1 << 0 | 1 << 1,
+            "in-flight child and sibling sleep"
+        );
+        assert_eq!(spine[2].demands.len(), 1, "a deeper node waits its turn");
+        assert_eq!(shared.queued.load(Ordering::SeqCst), 1);
+        assert_eq!(shared.deques[0].lock().unwrap().len(), 1);
+        // Node 2 needs the clocks of the two steps above it.
+        publish_shallowest(&shared, 0, &mut spine, 0, &clocks(1));
+        assert!(spine[2].delegated.is_empty());
+        publish_shallowest(&shared, 0, &mut spine, 0, &clocks(2));
+        let task = &spine[2].delegated[0].spec;
+        assert_eq!(
+            (task.prefix.as_slice(), task.floor),
+            ([0, 0, 0].as_slice(), 3)
+        );
+        assert_eq!(task.sleep, 1 << 1);
     }
 
     /// Parallel DPOR with a stem: same restriction, same counts.

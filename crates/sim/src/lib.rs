@@ -56,11 +56,13 @@
 //!   reductions can hide a violation when a response marker rides on
 //!   a data step; the `explore` module docs state the gap and its
 //!   counterexample. The engine **parallelises by per-subtree
-//!   ownership** (`Explorer::workers`, or [`env_workers`]): sibling
-//!   demands are delegated as frozen subtree tasks onto a
-//!   work-stealing deque, escaping race demands merge at the joins,
-//!   and the result — schedule set, counts, merged transcript DAG — is
-//!   bit-identical to sequential exploration at any worker count. A
+//!   ownership** (`Explorer::workers`, or [`env_workers`]): while a
+//!   worker idles, the shallowest pending demand of a busy worker's
+//!   spine is delegated as a frozen subtree task onto a work-stealing
+//!   deque; escaping race demands merge, and a stolen subtree's
+//!   transcript shard is grafted, at the joins, and the result —
+//!   schedule set, counts, transcript DAG — is bit-identical to
+//!   sequential exploration at any worker count. A
 //!   frozen subtree is one record wherever it goes — a thread, a
 //!   checkpoint or an `sl-dist` worker pipe: a [`FrozenTask`] out, a
 //!   [`TaskResult`] ([`Counters`], [`Escape`]s, quarantine reports)
@@ -153,8 +155,8 @@ pub use checkpoint::{
     ResumeExpectation, ResumeSession,
 };
 pub use explore::{
-    env_workers, Escape, ExploreOutcome, Explorer, PruneMode, ReplayCtx, ScheduleDriver,
-    TaskDispatcher, TaskResult,
+    env_workers, DetachedShard, Escape, ExploreOutcome, Explorer, PruneMode, ReplayCtx,
+    ScheduleDriver, TaskDispatcher, TaskResult,
 };
 pub use log::EventLog;
 pub use mem::{SimMem, SimRegister};

@@ -8,10 +8,10 @@
 //! harness contexts (which differ only in the object under test and
 //! the transcript sink) cannot get the ordering wrong.
 
-use sl_check::{DagShards, TreeStep};
+use sl_check::{DagBuilder, DagShards, TreeStep};
 use sl_spec::SeqSpec;
 
-use crate::explore::ReplayCtx;
+use crate::explore::{DetachedShard, ReplayCtx};
 use crate::log::EventLog;
 use crate::sched::Scheduler;
 use crate::world::{Program, RunConfig, SimWorld};
@@ -85,8 +85,14 @@ impl<S: SeqSpec> ReplayPool<S> {
 /// [`DagShards`], wiring the [`ReplayCtx`] subtree hooks to the shard
 /// stack exactly once — harness contexts wrap their pool in this
 /// instead of each hand-writing the forwarding impl (where a missed
-/// forward would silently leave the trait's no-op defaults and
-/// unbalance the shards).
+/// forward would silently leave the trait's defaults and unbalance the
+/// shards).
+///
+/// A stolen subtree's shard is detached unfinished and grafted into its
+/// owner's open shard at the join ([`sl_check::DagBuilder::graft`]), so
+/// a worker holds one open shard per subtree it is running plus the
+/// stolen shards awaiting their owners' joins, and an exploration with
+/// no failed attempt ends with the root's shard alone in the sink.
 pub struct Sharded<'s, S: SeqSpec, C> {
     /// The wrapped per-worker replay state.
     pub inner: C,
@@ -94,12 +100,26 @@ pub struct Sharded<'s, S: SeqSpec, C> {
     pub shards: DagShards<'s, S>,
 }
 
-impl<S: SeqSpec, C> ReplayCtx for Sharded<'_, S, C> {
+impl<S: SeqSpec + 'static, C> ReplayCtx for Sharded<'_, S, C>
+where
+    DagBuilder<S>: Send,
+{
     fn subtree_begin(&mut self) {
         self.shards.begin();
     }
 
     fn subtree_end(&mut self) {
         self.shards.end();
+    }
+
+    fn subtree_detach(&mut self) -> Option<DetachedShard> {
+        Some(Box::new(self.shards.detach()))
+    }
+
+    fn subtree_graft(&mut self, shard: DetachedShard) {
+        let shard = shard
+            .downcast::<DagBuilder<S>>()
+            .expect("a shard detached by a context of the same spec");
+        self.shards.graft(*shard);
     }
 }

@@ -137,18 +137,19 @@
 //!
 //! ## Parallel exploration
 //!
-//! The explorer runs **partitioned across worker threads**: when
-//! a decision node holds several pending backtrack demands, the
-//! owning worker keeps one and publishes the rest as frozen subtree
-//! tasks onto a work-stealing deque; race reversals that point above a
-//! delegated subtree's root are carried back and merged at the join, in
-//! exactly the order the sequential algorithm would have applied them.
+//! The explorer runs **partitioned across worker threads**: while a
+//! worker idles, a busy worker publishes the shallowest pending
+//! backtrack demand of its spine as a frozen subtree task onto a
+//! work-stealing deque; race reversals that point above a delegated
+//! subtree's root are carried back and merged at the join, in exactly
+//! the order the sequential algorithm would have applied them.
 //! The guarantee is **determinism**: at any worker count the explorer
 //! visits the identical schedule set, reports identical replay/cut/
-//! pruned counts, and — via per-subtree `check::DagBuilder` shards
-//! hash-cons-merged with `check::TreeDag::merge` — produces a
-//! structurally identical transcript DAG (asserted by randomized
-//! differential tests at 1/2/4/8 workers, and by a CI baseline gate).
+//! pruned counts, and — via per-subtree `check::DagBuilder` shards, a
+//! stolen one grafted into its owner's at the join
+//! (`check::DagBuilder::graft`) — produces a structurally identical
+//! transcript DAG (asserted by randomized differential tests at
+//! 1/2/4/8 workers, and by a CI baseline gate).
 //!
 //! Set `SimExplore::workers` (or the `SL_EXPLORE_THREADS` environment
 //! variable: `0` = one per CPU) to parallelise; replays also reuse one
