@@ -45,13 +45,12 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use sl_check::RegSym;
 use sl_mem::SymSite;
-use sl_sim::wire::{non_canonical, push_str, Fields, Json, Parser};
+use sl_sim::wire::push_str;
 use sl_sim::StaticConflicts;
 
-/// The certificate format version this crate produces and consumes.
+/// The certificate format version [`Certificate::to_json`] writes.
 /// Version 2 added the op list, the op-pair matrix (`pairs`), and the
-/// `race_free_sites` placement set; loading any other version fails
-/// closed with a named diagnostic ([`Certificate::from_json`]).
+/// `race_free_sites` placement set.
 pub const CERT_VERSION: u64 = 2;
 
 /// Raw concurrent-probe evidence for one unordered op pair, in master
@@ -159,8 +158,6 @@ pub struct Certificate {
     /// Substrate name (`"double-collect"`, ..., or `"-"` for
     /// substrate-independent families).
     pub substrate: String,
-    /// Format version ([`CERT_VERSION`] for freshly built ones).
-    pub version: u64,
     /// Process count the probe ran with.
     pub procs: usize,
     /// Every register the object allocated, in allocation order.
@@ -318,7 +315,6 @@ impl Certificate {
         Certificate {
             family: family.to_string(),
             substrate: substrate.to_string(),
-            version: CERT_VERSION,
             procs,
             sites,
             footprints,
@@ -401,15 +397,15 @@ impl Certificate {
 
     /// Serialises the certificate as a self-describing JSON object.
     /// The format is documented in the crate README and stable enough
-    /// to diff across runs (all sets are sorted). It is the one
-    /// canonical form: [`Certificate::from_json`] accepts exactly these
-    /// bytes.
+    /// to diff across runs (all sets are sorted). Nothing reads it
+    /// back: the checked-in catalog is judged by comparing its bytes
+    /// with a fresh regeneration.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str(&format!("  \"family\": {},\n", quoted(&self.family)));
         out.push_str(&format!("  \"substrate\": {},\n", quoted(&self.substrate)));
-        out.push_str(&format!("  \"version\": {},\n", self.version));
+        out.push_str(&format!("  \"version\": {CERT_VERSION},\n"));
         out.push_str(&format!("  \"procs\": {},\n", self.procs));
         out.push_str("  \"sites\": [\n");
         for (s, site) in self.sites.iter().enumerate() {
@@ -514,325 +510,6 @@ fn comma(i: usize, len: usize) -> &'static str {
     } else {
         ","
     }
-}
-
-// --- Strict fail-closed parsing (on the `sl_sim::wire` grammar) -----
-
-/// Leaks `file` strings once per distinct path so parsed sites carry
-/// the `&'static str` [`SymSite`] requires. A process-wide dedup map
-/// bounds the leak by the number of distinct source files.
-fn static_file(file: &str) -> &'static str {
-    use std::collections::HashMap;
-    use std::sync::Mutex;
-    static FILES: Mutex<Option<HashMap<String, &'static str>>> = Mutex::new(None);
-    let mut map = FILES.lock().unwrap();
-    let map = map.get_or_insert_with(HashMap::new);
-    if let Some(&s) = map.get(file) {
-        return s;
-    }
-    let leaked: &'static str = Box::leak(file.to_string().into_boxed_str());
-    map.insert(file.to_string(), leaked);
-    leaked
-}
-
-/// The named field as a duplicate-free set of in-range site ids.
-fn id_set(
-    f: &mut Fields,
-    ctx: &str,
-    key: &str,
-    site_count: usize,
-) -> Result<BTreeSet<usize>, String> {
-    let mut out = BTreeSet::new();
-    for id in f.usizes(key)? {
-        if id >= site_count {
-            return Err(format!(
-                "{ctx}: \"{key}\" references site {id} but only {site_count} sites exist"
-            ));
-        }
-        if !out.insert(id) {
-            return Err(format!("{ctx}: duplicate site id {id} in \"{key}\""));
-        }
-    }
-    Ok(out)
-}
-
-impl Certificate {
-    /// Parses one certificate from its [`Certificate::to_json`] form.
-    ///
-    /// The parser fails closed: unknown fields, missing fields,
-    /// unsupported versions, out-of-range or duplicate site ids,
-    /// duplicate site identities, labels missing from `ops`, and
-    /// classification inconsistencies (e.g. `race_free_sites`
-    /// disagreeing with `licensed - racy`) are all rejected with a
-    /// named diagnostic rather than repaired. Last, the text must be
-    /// exactly the parsed certificate's [`Certificate::to_json`]
-    /// (`non-canonical certificate` otherwise).
-    pub fn from_json(text: &str) -> Result<Certificate, String> {
-        let value = Parser::new(text, "certificate").parse_document()?;
-        let cert = Self::from_value(value, "certificate")?;
-        if cert.to_json() != text {
-            return Err(non_canonical("certificate"));
-        }
-        Ok(cert)
-    }
-
-    fn from_value(v: Json, ctx: &str) -> Result<Certificate, String> {
-        let mut top = Fields::exact(
-            v,
-            ctx,
-            &[
-                "family",
-                "substrate",
-                "version",
-                "procs",
-                "sites",
-                "footprints",
-                "may_conflict",
-                "ops",
-                "pairs",
-                "placement",
-            ],
-        )?;
-        let family = top.string("family")?;
-        let substrate = top.string("substrate")?;
-        let version = top.num("version")?;
-        if version != CERT_VERSION {
-            return Err(format!(
-                "{ctx} ({family}/{substrate}): version {version} is not the supported \
-                 version {CERT_VERSION} — the checked-in certificate is stale; regenerate it \
-                 with `exp_sim_throughput --refresh-baseline`"
-            ));
-        }
-        let procs = top.num("procs")? as usize;
-
-        let mut sites = Vec::new();
-        let mut licensed_flags = BTreeSet::new();
-        let mut racy_flags = BTreeSet::new();
-        let mut probed_flags = BTreeSet::new();
-        let mut identities = BTreeSet::new();
-        for (i, item) in top.array("sites")?.into_iter().enumerate() {
-            let sctx = format!("{ctx}: sites[{i}]");
-            let mut f = Fields::exact(
-                item,
-                &sctx,
-                &[
-                    "id", "name", "file", "line", "column", "licensed", "racy", "probed",
-                ],
-            )?;
-            let id = f.num("id")? as usize;
-            if id != i {
-                return Err(format!("{sctx}: id {id} is not dense (expected {i})"));
-            }
-            let name = f.string("name")?;
-            let file = f.string("file")?;
-            let line = f.num("line")? as u32;
-            let column = f.num("column")? as u32;
-            if !identities.insert((name.clone(), file.clone(), line, column)) {
-                return Err(format!(
-                    "{sctx}: duplicate site identity {name}@{file}:{line}:{column} — two sites \
-                     would intern to the same register symbol"
-                ));
-            }
-            for (key, flags) in [
-                ("licensed", &mut licensed_flags),
-                ("racy", &mut racy_flags),
-                ("probed", &mut probed_flags),
-            ] {
-                if f.boolean(key)? {
-                    flags.insert(i);
-                }
-            }
-            sites.push(SymSite {
-                name,
-                file: static_file(&file),
-                line,
-                column,
-            });
-        }
-        if licensed_flags != probed_flags {
-            return Err(format!(
-                "{ctx} ({family}/{substrate}): licensed flags disagree with probed flags — \
-                 licensing is defined as probing evidence"
-            ));
-        }
-        let unprobed_sites: BTreeSet<usize> = (0..sites.len())
-            .filter(|s| !probed_flags.contains(s))
-            .collect();
-        if let Some(s) = unprobed_sites.iter().find(|s| !racy_flags.contains(s)) {
-            return Err(format!(
-                "{ctx} ({family}/{substrate}): site {s} is unprobed but not marked racy — \
-                 unknown must classify as top"
-            ));
-        }
-
-        // The op index comes first: every footprint and matrix label
-        // must be drawn from it.
-        let mut ops: Vec<String> = Vec::new();
-        for (i, item) in top.array("ops")?.into_iter().enumerate() {
-            let Json::Str(o) = item else {
-                return Err(format!("{ctx}: ops[{i}] must be a string"));
-            };
-            if let Some(prev) = ops.last() {
-                if *prev >= o {
-                    return Err(format!(
-                        "{ctx}: ops must be strictly sorted (\"{prev}\" before \"{o}\")"
-                    ));
-                }
-            }
-            ops.push(o);
-        }
-        let in_ops = |lctx: &str, label: &str| {
-            if ops.binary_search_by(|o| o.as_str().cmp(label)).is_ok() {
-                Ok(())
-            } else {
-                Err(format!(
-                    "{lctx}: label \"{label}\" is not in ops (every label must be drawn from \
-                     the op index)"
-                ))
-            }
-        };
-
-        let mut footprints = Vec::new();
-        for (i, item) in top.array("footprints")?.into_iter().enumerate() {
-            let fctx = format!("{ctx}: footprints[{i}]");
-            let mut f = Fields::exact(
-                item,
-                &fctx,
-                &["op", "proc", "reads", "writes", "rmws", "value_dependent"],
-            )?;
-            let op = f.string("op")?;
-            in_ops(&fctx, &op)?;
-            footprints.push(OpFootprint {
-                op,
-                proc: f.num("proc")? as usize,
-                reads: id_set(&mut f, &fctx, "reads", sites.len())?,
-                writes: id_set(&mut f, &fctx, "writes", sites.len())?,
-                rmws: id_set(&mut f, &fctx, "rmws", sites.len())?,
-                value_dependent: id_set(&mut f, &fctx, "value_dependent", sites.len())?,
-            });
-        }
-
-        let mut conflicts = Vec::new();
-        for (i, item) in top.array("may_conflict")?.into_iter().enumerate() {
-            let cctx = format!("{ctx}: may_conflict[{i}]");
-            let mut f = Fields::exact(item, &cctx, &["a", "b", "sites", "kinds"])?;
-            let a = f.string("a")?;
-            let b = f.string("b")?;
-            if a > b {
-                return Err(format!("{cctx}: cell ({a}, {b}) is not label-normalised"));
-            }
-            in_ops(&cctx, &a)?;
-            in_ops(&cctx, &b)?;
-            let cell_sites = id_set(&mut f, &cctx, "sites", sites.len())?;
-            let mut kinds = BTreeSet::new();
-            for k in f.array("kinds")? {
-                let Json::Str(k) = k else {
-                    return Err(format!("{cctx}: \"kinds\" must hold strings"));
-                };
-                if !kinds.insert(k) {
-                    return Err(format!("{cctx}: duplicate kind pair"));
-                }
-            }
-            conflicts.push(ConflictEntry {
-                a,
-                b,
-                sites: cell_sites,
-                kinds,
-            });
-        }
-
-        let mut pairs: Vec<PairEntry> = Vec::new();
-        for (i, item) in top.array("pairs")?.into_iter().enumerate() {
-            let pctx = format!("{ctx}: pairs[{i}]");
-            let mut f = Fields::exact(item, &pctx, &["a", "b", "observed", "conflict"])?;
-            let a = f.num("a")? as usize;
-            let b = f.num("b")? as usize;
-            if a > b || b >= ops.len() {
-                return Err(format!(
-                    "{pctx}: op indices ({a}, {b}) must satisfy a <= b < {} ops",
-                    ops.len()
-                ));
-            }
-            if let Some(prev) = pairs.last() {
-                if (prev.a, prev.b) >= (a, b) {
-                    return Err(format!(
-                        "{pctx}: pair cells must be strictly sorted by (a, b) — duplicate or \
-                         out-of-order cell ({a}, {b})"
-                    ));
-                }
-            }
-            let observed = id_set(&mut f, &pctx, "observed", sites.len())?;
-            let conflict = id_set(&mut f, &pctx, "conflict", sites.len())?;
-            if !conflict.is_subset(&observed) {
-                return Err(format!(
-                    "{pctx}: conflict sites must be a subset of observed sites"
-                ));
-            }
-            pairs.push(PairEntry {
-                a,
-                b,
-                observed,
-                conflict,
-            });
-        }
-
-        let lctx = format!("{ctx}: placement");
-        let mut placement = Fields::exact(
-            top.take("placement")?,
-            &lctx,
-            &["licensed_sites", "race_free_sites", "guard"],
-        )?;
-        let licensed_sites = id_set(&mut placement, &lctx, "licensed_sites", sites.len())?;
-        if licensed_sites != licensed_flags {
-            return Err(format!(
-                "{ctx} ({family}/{substrate}): placement.licensed_sites disagrees with the \
-                 per-site licensed flags"
-            ));
-        }
-        let race_free = id_set(&mut placement, &lctx, "race_free_sites", sites.len())?;
-        let expect_race_free: BTreeSet<usize> =
-            licensed_sites.difference(&racy_flags).copied().collect();
-        if race_free != expect_race_free {
-            return Err(format!(
-                "{ctx} ({family}/{substrate}): placement.race_free_sites is not \
-                 licensed_sites minus racy sites — the partition is inconsistent"
-            ));
-        }
-        placement.string("guard")?;
-
-        Ok(Certificate {
-            family,
-            substrate,
-            version,
-            procs,
-            sites,
-            footprints,
-            conflicts,
-            ops,
-            pairs,
-            licensed_sites,
-            racy_sites: racy_flags,
-            unprobed_sites,
-        })
-    }
-}
-
-/// Parses a whole catalog ([`catalog_json`] output). Fails closed on
-/// the first invalid certificate, naming its index, and on any text
-/// that is not exactly the parsed catalog's [`catalog_json`].
-pub fn catalog_from_json(text: &str) -> Result<Vec<Certificate>, String> {
-    let Json::Arr(items) = Parser::new(text, "certificate catalog").parse_document()? else {
-        return Err("certificate catalog: expected a top-level array".to_string());
-    };
-    let certs = items
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| Certificate::from_value(v, &format!("certificate[{i}]")))
-        .collect::<Result<Vec<_>, _>>()?;
-    if catalog_json(&certs) != text {
-        return Err(non_canonical("certificate catalog"));
-    }
-    Ok(certs)
 }
 
 /// Serialises a set of certificates as one JSON array (the catalog

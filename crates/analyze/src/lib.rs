@@ -67,8 +67,7 @@ mod certificate;
 mod probe;
 
 pub use certificate::{
-    catalog_from_json, catalog_json, Certificate, ConflictEntry, OpFootprint, PairEntry, PairObs,
-    CERT_VERSION,
+    catalog_json, Certificate, ConflictEntry, OpFootprint, PairEntry, PairObs, CERT_VERSION,
 };
 pub use probe::{op_label, probe_object, probe_object_with};
 
@@ -424,7 +423,6 @@ mod tests {
     #[test]
     fn pair_matrix_covers_probed_pairs_and_round_trips() {
         let cert = aba_certificate(2);
-        assert_eq!(cert.version, CERT_VERSION);
         assert!(cert.ops.contains(&"DRead".to_string()));
         assert!(cert.ops.contains(&"DWrite".to_string()));
         // Every unordered pair of planned cross-process ops got a cell,
@@ -434,178 +432,105 @@ mod tests {
             .pair_conflict_syms("DRead", "DWrite")
             .expect("DRead/DWrite probed concurrently");
         assert!(!dw.is_empty());
+        // Every cell survives the trip into the runtime form the
+        // explorer consults, in either argument order.
+        let st = cert.static_conflicts();
         for p in &cert.pairs {
-            assert!(p.conflict.is_subset(&p.observed));
+            let (a, b) = (cert.ops[p.a].as_str(), cert.ops[p.b].as_str());
+            let conflict = cert.pair_conflict_syms(b, a).unwrap();
+            for (x, y) in [(a, b), (b, a)] {
+                let (x, y) = (sl_check::OpSym::intern(x), sl_check::OpSym::intern(y));
+                assert!(st.pair_probed(x, y), "{a}/{b}");
+                for &s in &p.observed {
+                    assert!(st.pair_licensed(x, y, cert.site_sym(s)), "{a}/{b} site {s}");
+                }
+                for &sym in &conflict {
+                    assert_eq!(st.pair_predicts(x, y, sym), Some(true), "{a}/{b}");
+                }
+            }
         }
-        // serialize -> parse -> serialize is byte-identical.
-        let json = cert.to_json();
-        let parsed = Certificate::from_json(&json).expect("fresh certificate parses");
-        assert_eq!(parsed.to_json(), json);
-        let arr = catalog_json(&[cert.clone(), cert]);
-        let certs = catalog_from_json(&arr).expect("fresh catalog parses");
-        assert_eq!(catalog_json(&certs), arr);
     }
 
-    /// A hand-rolled minimal certificate whose JSON the fail-closed
-    /// tests can doctor with precise string surgery.
-    fn tiny_cert() -> Certificate {
+    /// The invariants `Certificate::build` promises every certificate:
+    /// distinct site identities, in-range site ids, the licensed /
+    /// racy / unprobed partition, and a sorted op index that every
+    /// label and sorted pair cell is drawn from.
+    fn assert_well_formed(cert: &Certificate) {
         use std::collections::BTreeSet;
-        let site = |name: &str| sl_mem::SymSite {
-            name: name.to_string(),
-            file: "crates/analyze/src/lib.rs",
-            line: 1,
-            column: 1,
+        let name = format!("{}/{}@{}", cert.family, cert.substrate, cert.procs);
+        let n = cert.sites.len();
+        let identities: BTreeSet<_> = cert
+            .sites
+            .iter()
+            .map(|s| (&s.name, s.file, s.line, s.column))
+            .collect();
+        assert_eq!(identities.len(), n, "{name}: duplicate site identity");
+        let in_range = |what: &str, set: &BTreeSet<usize>| {
+            if let Some(s) = set.iter().find(|&&s| s >= n) {
+                panic!("{name}: {what} names site {s} of {n}");
+            }
         };
-        let set = |ids: &[usize]| -> BTreeSet<usize> { ids.iter().copied().collect() };
-        Certificate {
-            family: "tiny".into(),
-            substrate: "-".into(),
-            version: CERT_VERSION,
-            procs: 2,
-            sites: vec![site("A"), site("B")],
-            footprints: vec![OpFootprint {
-                op: "Get".into(),
-                proc: 0,
-                reads: set(&[0]),
-                writes: set(&[1]),
-                rmws: set(&[]),
-                value_dependent: set(&[]),
-            }],
-            conflicts: vec![],
-            ops: vec!["Get".into(), "Put".into()],
-            pairs: vec![PairEntry {
-                a: 0,
-                b: 1,
-                observed: set(&[0, 1]),
-                conflict: set(&[1]),
-            }],
-            licensed_sites: set(&[0, 1]),
-            racy_sites: set(&[1]),
-            unprobed_sites: set(&[]),
+        in_range("racy", &cert.racy_sites);
+        in_range("unprobed", &cert.unprobed_sites);
+        let probed: BTreeSet<usize> = (0..n)
+            .filter(|s| !cert.unprobed_sites.contains(s))
+            .collect();
+        assert_eq!(cert.licensed_sites, probed, "{name}: licensed != probed");
+        assert!(
+            cert.unprobed_sites.is_subset(&cert.racy_sites),
+            "{name}: an unprobed site is not racy"
+        );
+        assert!(
+            cert.ops.windows(2).all(|w| w[0] < w[1]),
+            "{name}: ops not strictly sorted: {:?}",
+            cert.ops
+        );
+        let in_ops = |label: &str| cert.ops.iter().any(|o| o == label);
+        for f in &cert.footprints {
+            assert!(in_ops(&f.op), "{name}: footprint op {} not in ops", f.op);
+            for set in [&f.reads, &f.writes, &f.rmws, &f.value_dependent] {
+                in_range("footprint", set);
+            }
         }
-    }
-
-    #[test]
-    fn stale_and_doctored_certificates_fail_closed() {
-        let json = tiny_cert().to_json();
-        assert_eq!(Certificate::from_json(&json).unwrap().to_json(), json);
-
-        let reject = |doctored: String, needle: &str| {
-            let err = Certificate::from_json(&doctored)
-                .expect_err(&format!("doctored certificate must be rejected: {needle}"));
-            assert!(err.contains(needle), "diagnostic {err:?} lacks {needle:?}");
-        };
-        // Stale format version.
-        reject(
-            json.replace("\"version\": 2", "\"version\": 1"),
-            "version 1 is not the supported version",
-        );
-        // Unknown top-level field.
-        reject(
-            json.replace("\"procs\":", "\"trusted\": true,\n  \"procs\":"),
-            "unknown field \"trusted\"",
-        );
-        // Missing required field.
-        reject(
-            json.replace("  \"version\": 2,\n", ""),
-            "missing required field \"version\"",
-        );
-        // Two sites collapsing to one register symbol.
-        reject(
-            json.replace("\"name\": \"B\"", "\"name\": \"A\""),
-            "duplicate site identity",
-        );
-        // Pair conflict not a subset of observed.
-        reject(
-            json.replace("\"observed\": [0, 1]", "\"observed\": [0]"),
-            "subset of observed",
-        );
-        // Pair cell with unnormalised op indices.
-        reject(
-            json.replace("{\"a\": 0, \"b\": 1,", "{\"a\": 1, \"b\": 0,"),
-            "a <= b",
-        );
-        // race_free_sites disagreeing with licensed - racy.
-        reject(
-            json.replace("\"race_free_sites\": [0]", "\"race_free_sites\": []"),
-            "licensed_sites minus racy",
-        );
-        // Out-of-range site reference.
-        reject(
-            json.replace("\"licensed_sites\": [0, 1]", "\"licensed_sites\": [0, 7]"),
-            "references site 7",
-        );
-    }
-
-    /// The doctored-certificate battery, beyond the cases above: each
-    /// row edits the first `from` in the `tiny_cert()` JSON to `to` and
-    /// names the diagnostic that must reject it.
-    #[test]
-    fn every_doctored_certificate_is_rejected_by_name() {
-        let json = tiny_cert().to_json();
-        let conflict = r#"{"a": "Get", "b": "Zap", "sites": [1], "kinds": []}"#;
-        let pair = r#"{"a": 0, "b": 1, "observed": [0, 1], "conflict": [1]}"#;
-        #[rustfmt::skip]
-        let rows = [
-            (r#"{"id": 1,"#, r#"{"id": 5,"#, "id 5 is not dense"),
-            (r#""probed": true"#, r#""probed": false"#, "licensed flags disagree with probed"),
-            (r#"true, "racy": false, "probed": true"#, r#"false, "racy": false, "probed": false"#,
-             "site 0 is unprobed but not marked racy"),
-            (r#"["Get", "Put"]"#, r#"["Put", "Get"]"#, "ops must be strictly sorted"),
-            (r#""op": "Get""#, r#""op": "Zap""#, r#"footprints[0]: label "Zap" is not in ops"#),
-            ("\"may_conflict\": [\n", &format!("\"may_conflict\": [\n    {conflict}\n"),
-             r#"may_conflict[0]: label "Zap" is not in ops"#),
-            (r#"{"a": 0, "b": 1,"#, r#"{"a": 0, "b": 7,"#, "must satisfy a <= b < 2 ops"),
-            (pair, &format!("{pair},\n    {pair}"), "strictly sorted by (a, b)"),
-            (r#""licensed_sites": [0, 1]"#, r#""licensed_sites": [0]"#, "licensed_sites disagrees"),
-            (r#""procs": 2"#, r#""procs":  2"#, "non-canonical certificate"),
-        ];
-        for (from, to, needle) in rows {
-            assert!(json.contains(from), "{from} is not in the certificate");
-            let err = Certificate::from_json(&json.replacen(from, to, 1))
-                .expect_err(&format!("{from} -> {to} must be rejected"));
+        for c in &cert.conflicts {
+            let cell = format!("{name}: may_conflict ({}, {})", c.a, c.b);
+            assert!(c.a <= c.b, "{cell} is unordered");
             assert!(
-                err.contains(needle),
-                "{from} -> {to}: {err:?} lacks {needle:?}"
+                in_ops(&c.a) && in_ops(&c.b),
+                "{cell} has a label not in ops"
             );
+            in_range("may_conflict", &c.sites);
         }
-        let catalog = catalog_json(&[tiny_cert(), tiny_cert()]);
-        let err = catalog_from_json(&catalog.replace("},\n  {", "},\n\n  {")).unwrap_err();
-        assert!(err.contains("non-canonical certificate catalog"), "{err}");
-    }
-
-    #[test]
-    fn randomized_site_names_round_trip_exactly() {
-        // Site names cross the certificate losslessly whatever they
-        // hold: quotes, backslashes, C0 and C1 controls, non-ASCII and
-        // non-BMP characters.
-        let mut rng = sl_mem::SmallRng::new(0xce47_5eed);
-        for _ in 0..300 {
-            let len = rng.gen_range(12);
-            let name: String = (0..len)
-                .map(|_| match rng.gen_range(6) {
-                    0 => *rng.choose(&['"', '\\', '\r', '\t', '\n']),
-                    1 => char::from_u32(rng.gen_range(0x20) as u32).unwrap(),
-                    2 => char::from_u32(0x80 + rng.gen_range(0x20) as u32).unwrap(),
-                    3 => *rng.choose(&['é', '—', '€', '😀', '𝄞']),
-                    _ => char::from(b' ' + rng.gen_range(95) as u8),
-                })
-                .collect();
-            let mut cert = tiny_cert();
-            cert.sites[0].name = format!("site:{name}");
-            let json = cert.to_json();
-            let parsed = Certificate::from_json(&json).unwrap_or_else(|e| panic!("{name:?}: {e}"));
-            assert_eq!(parsed.sites[0].name, cert.sites[0].name);
-            assert_eq!(parsed.to_json(), json);
+        assert!(
+            cert.pairs
+                .windows(2)
+                .all(|w| (w[0].a, w[0].b) < (w[1].a, w[1].b)),
+            "{name}: pair cells not strictly sorted"
+        );
+        for p in &cert.pairs {
+            let cell = format!("{name}: pair ({}, {})", p.a, p.b);
+            assert!(
+                p.a <= p.b && p.b < cert.ops.len(),
+                "{cell} is out of order or range"
+            );
+            assert!(
+                p.conflict.is_subset(&p.observed),
+                "{cell} conflicts outside observed"
+            );
+            in_range("pair", &p.observed);
         }
     }
 
     #[test]
     fn the_catalog_covers_every_family_and_substrate() {
-        let certs = catalog(2);
+        let mut certs = catalog(2);
         // 5 standalone + 4 families × 5 substrates + 3 lin-snapshots.
         assert_eq!(certs.len(), 28);
+        // The checked-in catalog's 29th entry: the 3-process Algorithm 2
+        // certificate the mixed-role workloads install.
+        certs.push(aba_certificate(3));
         for cert in &certs {
+            assert_well_formed(cert);
             assert!(
                 !cert.licensed_sites.is_empty(),
                 "{}/{} probed nothing",

@@ -1,11 +1,10 @@
-//! The checked-in artifacts under `crates/bench/baselines/` parse
-//! through the same fail-closed parsers that consume them in
-//! production: the certificate catalog through `catalog_from_json`
-//! (every consistency check, canonical bytes) and the explorer
-//! baseline through `Baseline::load` (every gate threshold a number).
-//! The baseline's small workloads are also re-explored from the
-//! `dist_ops` registry, so the gate's counts and the registry's op
-//! lists cannot drift apart.
+//! The checked-in explorer baseline under `crates/bench/baselines/`
+//! parses through `Baseline::load`, the parser the `--baseline` gate
+//! reads it with (every gate threshold a number), and its small
+//! workloads are re-explored from the `dist_ops` registry, so the
+//! gate's counts and the registry's op lists cannot drift apart. The
+//! certificate catalog next to it is never read back: the gate
+//! compares its bytes with a fresh regeneration.
 
 use std::sync::Arc;
 
@@ -17,16 +16,6 @@ use sl_sim::PruneMode;
 
 fn artifact(name: &str) -> String {
     format!("{}/baselines/{name}", env!("CARGO_MANIFEST_DIR"))
-}
-
-#[test]
-fn checked_in_certificate_catalog_parses_canonically() {
-    let path = artifact("certificates.json");
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    let certs = sl_analyze::catalog_from_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-    // The 28-entry 2-process catalog plus the 3-process Algorithm-2
-    // certificate the mixed-role rows consume.
-    assert_eq!(certs.len(), 29);
 }
 
 #[test]

@@ -50,7 +50,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use sl_check::TreeDag;
-use sl_sim::{FaultPlan, FaultPoint, FrozenTask, TaskDispatcher, TaskResult};
+use sl_sim::{FrozenTask, TaskDispatcher, TaskResult};
 
 use crate::codec::{decode_dag, WireSpec};
 use crate::frames::{read_frame, write_frame, Frame};
@@ -156,17 +156,12 @@ pub struct DistCoordinator<'s, S: WireSpec> {
     /// degradation) instead of flapping on a broken worker binary.
     degraded: AtomicBool,
     next_lease: AtomicU64,
-    /// Coordinator-side fault plan (fires [`FaultPoint::Dispatch`]).
-    fault: Option<FaultPlan>,
     counters: FleetCounters,
 }
 
 impl<'s, S: WireSpec> DistCoordinator<'s, S> {
     /// A coordinator for one exploration. `workload`/`mode` pin the
     /// fleet's identity: a worker whose `hello` disagrees is refused.
-    /// The coordinator-side fault plan is read from the environment
-    /// ([`FaultPlan::from_env`]) and fires [`FaultPoint::Dispatch`] at
-    /// each dispatch entry.
     pub fn new(
         cfg: FleetConfig,
         workload: &str,
@@ -178,7 +173,6 @@ impl<'s, S: WireSpec> DistCoordinator<'s, S> {
             "FleetConfig::worker_cmd is empty"
         );
         assert!(cfg.workers >= 1, "FleetConfig::workers must be >= 1");
-        let fault = FaultPlan::from_env().filter(|p| matches!(p.point(), FaultPoint::Dispatch));
         DistCoordinator {
             cfg,
             workload: workload.to_string(),
@@ -188,7 +182,6 @@ impl<'s, S: WireSpec> DistCoordinator<'s, S> {
             alive: AtomicUsize::new(0),
             degraded: AtomicBool::new(false),
             next_lease: AtomicU64::new(1),
-            fault,
             counters: FleetCounters::default(),
         }
     }
@@ -387,9 +380,6 @@ impl<S: WireSpec> Drop for DistCoordinator<'_, S> {
 
 impl<S: WireSpec> TaskDispatcher for DistCoordinator<'_, S> {
     fn dispatch(&self, task: &FrozenTask) -> Option<Result<TaskResult, String>> {
-        if let Some(plan) = &self.fault {
-            plan.fire(FaultPoint::Dispatch);
-        }
         let conn = if self.is_degraded() {
             None
         } else {

@@ -951,9 +951,6 @@ pub enum FaultPoint {
     CkptWrite,
     /// Loading a checkpoint on resume.
     ResumeParse,
-    /// Handing a frozen task to a remote dispatcher (coordinator
-    /// side: the task frame is about to cross the process boundary).
-    Dispatch,
     /// A worker's heartbeat tick (the ticker stops permanently once
     /// this takes, so the coordinator sees a missed lease deadline).
     Heartbeat,
@@ -967,13 +964,12 @@ pub enum FaultPoint {
 
 impl FaultPoint {
     /// Every injection point — the CI matrix iterates this.
-    pub const ALL: [FaultPoint; 9] = [
+    pub const ALL: [FaultPoint; 8] = [
         FaultPoint::TaskFreeze,
         FaultPoint::Steal,
         FaultPoint::JoinMerge,
         FaultPoint::CkptWrite,
         FaultPoint::ResumeParse,
-        FaultPoint::Dispatch,
         FaultPoint::Heartbeat,
         FaultPoint::ResultFrame,
         FaultPoint::WorkerExit,
@@ -987,7 +983,6 @@ impl FaultPoint {
             FaultPoint::JoinMerge => "join-merge",
             FaultPoint::CkptWrite => "ckpt-write",
             FaultPoint::ResumeParse => "resume-parse",
-            FaultPoint::Dispatch => "dispatch",
             FaultPoint::Heartbeat => "heartbeat",
             FaultPoint::ResultFrame => "result-frame",
             FaultPoint::WorkerExit => "worker-exit",
@@ -1023,11 +1018,16 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan that panics with [`FaultCrash`] at the `nth` arrival.
+    /// A plan that panics with [`FaultCrash`] at the `nth` arrival
+    /// (arrivals count from 1).
     pub fn panicking(point: FaultPoint, nth: u64) -> FaultPlan {
+        assert!(
+            nth >= 1,
+            "FaultPlan: arrivals count from 1, nth 0 never fires"
+        );
         FaultPlan {
             point,
-            nth: nth.max(1),
+            nth,
             abort: false,
             hits: AtomicU64::new(0),
         }
@@ -1044,34 +1044,45 @@ impl FaultPlan {
     /// Builds a plan from `SL_FAULT_POINT` (a [`FaultPoint::name`]),
     /// `SL_FAULT_NTH` (default 1), and `SL_FAULT_MODE` (`panic`
     /// (default) or `abort`). Returns `None` when `SL_FAULT_POINT` is
-    /// unset; panics on an unknown point or mode (fail-closed — a typo
-    /// must not silently disable the harness).
+    /// unset; panics on an unknown point or mode or an `SL_FAULT_NTH`
+    /// that is not a count from 1 (fail-closed — a typo must not
+    /// silently disable or move the fault).
     pub fn from_env() -> Option<FaultPlan> {
-        let point = std::env::var("SL_FAULT_POINT").ok()?;
-        let point = FaultPoint::from_name(&point)
-            .unwrap_or_else(|| panic!("SL_FAULT_POINT: unknown injection point {point:?}"));
-        let nth = match std::env::var("SL_FAULT_NTH") {
-            Err(_) => 1,
-            Ok(s) => s
-                .trim()
-                .parse::<u64>()
-                .unwrap_or_else(|_| panic!("SL_FAULT_NTH: not a count: {s:?}")),
-        };
-        let abort = match std::env::var("SL_FAULT_MODE").as_deref() {
-            Err(_) | Ok("panic") => false,
-            Ok("abort") => true,
-            Ok(other) => panic!("SL_FAULT_MODE: unknown mode {other:?} (panic|abort)"),
-        };
-        Some(if abort {
-            FaultPlan::aborting(point, nth)
-        } else {
-            FaultPlan::panicking(point, nth)
-        })
+        let var = |key| std::env::var(key).ok();
+        let point = var("SL_FAULT_POINT")?;
+        let nth = var("SL_FAULT_NTH");
+        let mode = var("SL_FAULT_MODE");
+        Some(
+            FaultPlan::from_vars(&point, nth.as_deref(), mode.as_deref())
+                .unwrap_or_else(|e| panic!("{e}")),
+        )
     }
 
-    /// The plan's injection point.
-    pub fn point(&self) -> FaultPoint {
-        self.point
+    /// The parse half of [`FaultPlan::from_env`], split out so its
+    /// refusals are unit-testable without mutating the process
+    /// environment.
+    fn from_vars(point: &str, nth: Option<&str>, mode: Option<&str>) -> Result<FaultPlan, String> {
+        let point = FaultPoint::from_name(point).ok_or_else(|| {
+            let known: Vec<&str> = FaultPoint::ALL.iter().map(|p| p.name()).collect();
+            format!(
+                "SL_FAULT_POINT: unknown injection point {point:?} (one of {})",
+                known.join(", ")
+            )
+        })?;
+        let nth = match nth {
+            None => 1,
+            Some(s) => match s.trim().parse::<u64>() {
+                Ok(n) if n >= 1 => n,
+                _ => return Err(format!("SL_FAULT_NTH: not a count from 1: {s:?}")),
+            },
+        };
+        match mode {
+            None | Some("panic") => Ok(FaultPlan::panicking(point, nth)),
+            Some("abort") => Ok(FaultPlan::aborting(point, nth)),
+            Some(other) => Err(format!(
+                "SL_FAULT_MODE: unknown mode {other:?} (panic|abort)"
+            )),
+        }
     }
 
     /// Counts an arrival at `point`; `true` exactly on the fatal one.
@@ -1498,6 +1509,33 @@ mod tests {
         assert_eq!(crash.point, "steal");
         // Spent: later arrivals pass through.
         plan.fire(FaultPoint::Steal);
+    }
+
+    #[test]
+    fn fault_env_parse_refuses_unknown_and_zero_values_by_name() {
+        let plan = FaultPlan::from_vars("worker-exit", Some(" 2 "), Some("abort")).unwrap();
+        assert_eq!(
+            (plan.point, plan.nth, plan.abort),
+            (FaultPoint::WorkerExit, 2, true)
+        );
+        let plan = FaultPlan::from_vars("steal", None, None).unwrap();
+        assert_eq!(
+            (plan.point, plan.nth, plan.abort),
+            (FaultPoint::Steal, 1, false)
+        );
+        #[rustfmt::skip]
+        let rows = [
+            ("dispatch", None, None, r#"SL_FAULT_POINT: unknown injection point "dispatch""#),
+            ("stael", None, None, r#"SL_FAULT_POINT: unknown injection point "stael""#),
+            ("steal", Some("0"), None, r#"SL_FAULT_NTH: not a count from 1: "0""#),
+            ("steal", Some("two"), None, r#"SL_FAULT_NTH: not a count from 1: "two""#),
+            ("steal", Some("-1"), None, r#"SL_FAULT_NTH: not a count from 1: "-1""#),
+            ("steal", None, Some("kill"), r#"SL_FAULT_MODE: unknown mode "kill""#),
+        ];
+        for (point, nth, mode, needle) in rows {
+            let err = FaultPlan::from_vars(point, nth, mode).unwrap_err();
+            assert!(err.contains(needle), "{point} {nth:?} {mode:?}: {err}");
+        }
     }
 
     #[test]

@@ -1815,10 +1815,10 @@ impl Explorer {
         )
     }
 
-    /// The task engine behind every entry point: sequential on the
-    /// calling thread for `workers <= 1`, partitioned across a
-    /// work-stealing pool otherwise, with identical results either way
-    /// (see the module docs).
+    /// The task engine behind every entry point: the root task on the
+    /// calling thread, partitioned across a work-stealing pool of
+    /// `workers - 1` helpers, with identical results at any worker
+    /// count (see the module docs).
     fn explore_session<C, NF, F>(
         &self,
         new_ctx: &NF,
@@ -1872,31 +1872,28 @@ impl Explorer {
             sleep: 0,
             floor: self.stem.len(),
         });
-        let root_out = if workers <= 1 {
-            let mut ctx = new_ctx();
-            run_task_guarded(&shared, 0, 0, &mut ctx, &root, Claim::Root, rc.as_mut()).0
-        } else {
-            let mut root_out = None;
-            std::thread::scope(|scope| {
-                for me in 1..workers {
-                    let shared = &shared;
-                    scope.spawn(move || worker_loop(shared, me));
-                }
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut ctx = (shared.new_ctx)();
-                    run_task_guarded(&shared, 0, 0, &mut ctx, &root, Claim::Root, rc.as_mut()).0
-                }));
-                match result {
-                    Ok(out) => root_out = Some(out),
-                    Err(payload) => shared.record_poison(payload),
-                }
-                shared.shutdown.store(true, Ordering::SeqCst);
-            });
-            if let Some(payload) = shared.poison.lock().unwrap().take() {
-                std::panic::resume_unwind(payload);
+        // The calling thread runs the root; `workers - 1` helpers steal
+        // (none at one worker, where nothing is ever published).
+        let mut root_out = None;
+        std::thread::scope(|scope| {
+            for me in 1..workers {
+                let shared = &shared;
+                scope.spawn(move || worker_loop(shared, me));
             }
-            root_out.expect("root exploration completed without a panic")
-        };
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut ctx = new_ctx();
+                run_task_guarded(&shared, 0, 0, &mut ctx, &root, Claim::Root, rc.as_mut()).0
+            }));
+            match result {
+                Ok(out) => root_out = Some(out),
+                Err(payload) => shared.record_poison(payload),
+            }
+            shared.shutdown.store(true, Ordering::SeqCst);
+        });
+        if let Some(payload) = shared.poison.lock().unwrap().take() {
+            std::panic::resume_unwind(payload);
+        }
+        let root_out = root_out.expect("root exploration completed without a panic");
         let mut total = base;
         total.add(root_out.counters);
         let outcome = ExploreOutcome {

@@ -2,12 +2,15 @@
 //! string writer, the fail-closed parser and renderer, typed field
 //! extraction, and the atomic temp-and-rename file publisher.
 //!
-//! Four formats speak this grammar, and each has exactly one parser:
+//! Three formats are read back through this grammar, and each has
+//! exactly one parser:
 //!
-//! * checkpoints ([`crate::Checkpoint`], version 1);
+//! * checkpoints ([`crate::Checkpoint`]);
 //! * `sl-dist` coordinator/worker frames and the DAG shards they carry;
-//! * `sl-analyze` certificates and the certificate catalog;
 //! * `sl-bench` baselines (the CI gate configuration).
+//!
+//! `sl-analyze` certificates are only written (their strings through
+//! [`push_str`]); the checked-in catalog is judged by its bytes.
 //!
 //! The grammar:
 //!
@@ -24,10 +27,10 @@
 //! * **objects** reject duplicate keys while parsing; [`Fields`]
 //!   rejects unknown and missing ones (fail-closed);
 //! * the canonical encoding is compact ([`Json::render`]: no
-//!   whitespace, source field order). Checkpoints, frames (shard
-//!   included) and certificates are canonical: after every typed check
-//!   passes, their parsers re-render the parsed value and reject the
-//!   document as `non-canonical` unless that reproduces the input bytes.
+//!   whitespace, source field order). Checkpoints and frames (shard
+//!   included) are canonical: after every typed check passes, their
+//!   parsers re-render the parsed value and reject the document as
+//!   `non-canonical` unless that reproduces the input bytes.
 //!   Baselines are pretty-printed configuration and exempt.
 //!
 //! Checksummed formats lead with a `checksum` field, the FNV-1a-64 of
@@ -529,14 +532,6 @@ impl Fields {
         match self.take(key)? {
             Json::Num(n) => Ok(n),
             other => other.as_num(&format!("{}: \"{key}\"", self.ctx)),
-        }
-    }
-
-    /// The named field as a boolean.
-    pub fn boolean(&mut self, key: &str) -> Result<bool, String> {
-        match self.take(key)? {
-            Json::Bool(b) => Ok(b),
-            other => Err(self.mistyped(key, "a boolean", &other)),
         }
     }
 

@@ -240,11 +240,11 @@
 //! is `#[track_caller]` under every backend, the certificate's
 //! register identities are byte-identical to the `check::RegSym`s the
 //! simulator interns, which is what lets static facts license dynamic
-//! decisions. Certificates serialize as versioned JSON (version 2);
-//! the parser is fail-closed — stale versions, unknown or missing
-//! fields, and internally inconsistent matrices are rejected with
-//! named diagnostics, and the sim-deep baseline gate fails if the
-//! checked-in catalog is not byte-identical to a fresh regeneration.
+//! decisions. Certificates reach the explorer in memory
+//! (`Certificate::static_conflicts`); they also serialize as
+//! versioned JSON (version 2) for the checked-in catalog, which is
+//! never read back: the sim-deep baseline gate fails if its bytes
+//! differ from a fresh regeneration.
 //!
 //! The certificate layer of `OptimalDpor`'s relation: a pause step
 //! carrying at most an invocation marker additionally commutes with a
